@@ -148,14 +148,13 @@ SweepPlan plan_sweep(const SweepConfig& config) {
   for (const auto& point : plan.points)
     plan.resolved.push_back(resolve_point(config, point));
 
-  // Digest-aware scheduling: execute grid points grouped by the table
+  // Digest-aware scheduling: claim grid points grouped by the table
   // digest run_episode will request, groups ordered by first appearance.
-  // Static chunking over the grouped order puts a geometry class on one
-  // worker (thread or process), so the class's first episode builds (or
-  // disk-loads) the table and every sibling hits warm — instead of
-  // colliding cold shards serializing on single-flight waits.  A group
-  // split across a chunk boundary still dedups through single-flight;
-  // grouping is purely a warmth optimization.  Points with nothing
+  // Runners pulling in this order take a geometry class's points back to
+  // back, so the class's first episode builds (or disk-loads) the table
+  // and the siblings claimed after it hit warm; a sibling claimed while
+  // the build is still running waits on single-flight instead of building
+  // again.  Grouping is purely a warmth optimization.  Points with nothing
   // shareable (digest 0) keep their own slot in the order.
   plan.digests.resize(plan.points.size());
   plan.order.reserve(plan.points.size());
@@ -188,14 +187,24 @@ SweepPlan plan_sweep(const SweepConfig& config) {
   return plan;
 }
 
+std::vector<std::size_t> SweepPlan::schedule() const {
+  std::vector<std::size_t> out;
+  out.reserve(order.size());
+  for (const auto& [rank, i] : order) {
+    (void)rank;
+    out.push_back(i);
+  }
+  return out;
+}
+
 std::vector<std::size_t> SweepPlan::shard_points(std::size_t shard,
                                                  std::size_t shards) const {
   SEO_EXPECT(shards >= 1);
   SEO_EXPECT(shard < shards);
-  // The same ceil-division chunking ThreadPool::run_capped applies, over
-  // the digest-grouped schedule: shard boundaries and worker-thread chunk
-  // boundaries are the same kind of cut, and every geometry class stays
-  // whole within one shard (up to the boundary points).
+  // Ceil-division chunking over the digest-grouped schedule: hosts cannot
+  // pull from a shared cursor, so each takes a fixed contiguous slice and
+  // every geometry class stays whole within one shard (up to the boundary
+  // points).
   const std::size_t n = order.size();
   const std::size_t grain = (n + shards - 1) / shards;
   const std::size_t lo = std::min(shard * grain, n);
@@ -208,68 +217,81 @@ std::vector<std::size_t> SweepPlan::shard_points(std::size_t shard,
 }
 
 void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
+                          const SweepPointSource& next_point,
+                          std::size_t runners, bool want_trace,
+                          const SweepEmit& emit) {
+  // Each grid point is an independent experiment with its own slot: points
+  // finish in any order and on any runner, but emissions carry the grid
+  // index and each point's experiment is internally serial, so the
+  // assembled result — hence every report and trace stream — is
+  // bit-identical to the serial sweep for every thread count, worker count,
+  // and schedule.
+  const auto run_point = [&](std::size_t i) {
+    ExperimentConfig experiment;
+    experiment.scenario = plan.resolved[i];
+    experiment.episodes = config.episodes;
+    experiment.max_attempts = config.max_attempts;
+    experiment.base_seed = config.base_seed;
+    experiment.require_success = config.require_success;
+    experiment.threads = 1;  // parallelism lives at the grid level
+    // Streaming traces: the tap serializes every consumed episode into
+    // this point's block; the caller commits the block under the point's
+    // sequence number, so an ordered merge reproduces the serial stream
+    // byte-for-byte whatever the schedule was.
+    std::string block;
+    std::uint64_t block_episodes = 0;
+    if (want_trace) {
+      TraceEpisodeInfo info;
+      info.scenario_digest = plan.digests[i];
+      info.point_index = static_cast<std::uint32_t>(i);
+      info.label = plan.points[i].label();
+      experiment.trace_tap = [&block, &block_episodes, info, &experiment](
+                                 std::uint64_t seed,
+                                 const EpisodeResult& episode,
+                                 const EpisodeTrace& trace) mutable {
+        info.seed = seed;
+        append_trace_episode(block, info,
+                             summarize_episode(experiment.scenario, episode),
+                             trace);
+        ++block_episodes;
+      };
+    }
+    SweepRow row;
+    row.point = plan.points[i];
+    row.scenario = experiment.scenario;
+    row.result = run_experiment(experiment);
+    emit(i, std::move(row), std::move(block), block_episodes);
+  };
+
+  // One pool task per runner (run_capped with one index per chunk); each
+  // runner keeps claiming until the source is drained, so a runner that
+  // drew cheap points takes more of them instead of idling.
+  ThreadPool::run_capped(0, runners, runners,
+                         [&](std::size_t lo, std::size_t hi) {
+                           for (std::size_t r = lo; r < hi; ++r)
+                             while (const auto i = next_point())
+                               run_point(*i);
+                         });
+}
+
+void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
                           const std::vector<std::size_t>& owned,
                           bool want_trace, const SweepEmit& emit) {
   SEO_EXPECT(std::is_sorted(owned.begin(), owned.end()));
-  // Restrict the digest-grouped schedule to the owned set, preserving its
-  // order — an unsharded run (owned = everything) executes exactly the
-  // schedule run_sweep always has.
+  // Restrict the schedule to the owned set, preserving its order — an
+  // unsharded run (owned = everything) claims exactly plan.schedule().
   std::vector<std::size_t> exec;
   exec.reserve(owned.size());
-  for (const auto& [rank, i] : plan.order) {
-    (void)rank;
+  for (const std::size_t i : plan.schedule())
     if (std::binary_search(owned.begin(), owned.end(), i)) exec.push_back(i);
-  }
   SEO_EXPECT(exec.size() == owned.size());
 
-  // Each grid point is an independent shard with its own slot: shards may
-  // finish in any order (and, above, deliberately run out of grid order),
-  // but emissions carry the grid index and each shard's experiment is
-  // internally serial, so the assembled result — hence every report and
-  // trace stream — is bit-identical to the serial sweep for every thread
-  // count, worker count, and schedule.
-  const std::size_t workers = ThreadPool::resolve_threads(config.threads);
-  ThreadPool::run_capped(
-      0, exec.size(), workers, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t s = lo; s < hi; ++s) {
-          const std::size_t i = exec[s];
-          ExperimentConfig experiment;
-          experiment.scenario = plan.resolved[i];
-          experiment.episodes = config.episodes;
-          experiment.max_attempts = config.max_attempts;
-          experiment.base_seed = config.base_seed;
-          experiment.require_success = config.require_success;
-          experiment.threads = 1;  // parallelism lives at the grid level
-          // Streaming traces: the tap serializes every consumed episode
-          // into this point's block; the caller commits the block under
-          // the point's sequence number, so an ordered merge reproduces
-          // the serial stream byte-for-byte whatever the schedule was.
-          std::string block;
-          std::uint64_t block_episodes = 0;
-          if (want_trace) {
-            TraceEpisodeInfo info;
-            info.scenario_digest = plan.digests[i];
-            info.point_index = static_cast<std::uint32_t>(i);
-            info.label = plan.points[i].label();
-            experiment.trace_tap = [&block, &block_episodes, info,
-                                    &experiment](
-                                       std::uint64_t seed,
-                                       const EpisodeResult& episode,
-                                       const EpisodeTrace& trace) mutable {
-              info.seed = seed;
-              append_trace_episode(
-                  block, info,
-                  summarize_episode(experiment.scenario, episode), trace);
-              ++block_episodes;
-            };
-          }
-          SweepRow row;
-          row.point = plan.points[i];
-          row.scenario = experiment.scenario;
-          row.result = run_experiment(experiment);
-          emit(i, std::move(row), std::move(block), block_episodes);
-        }
-      });
+  const std::size_t runners =
+      std::min(ThreadPool::resolve_threads(config.threads), exec.size());
+  SweepCursor cursor(std::move(exec));
+  execute_sweep_points(
+      config, plan, [&cursor] { return cursor.next(); }, runners, want_trace,
+      emit);
 }
 
 std::vector<SweepRow> run_sweep_shard(const SweepConfig& config,

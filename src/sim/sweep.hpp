@@ -1,17 +1,21 @@
 // Parameter-grid sweep engine — systematic exploration of the scenario
 // space the paper samples only pointwise.  A sweep is (library scenarios) x
 // (axes over scenario_io keys), expanded cartesian or paired, with every
-// grid point running a full run_experiment shard.  Shards fan out across
-// the ThreadPool in digest-aware order — points sharing a deadline-table
-// digest are scheduled adjacently so each geometry class is built (or
-// disk-loaded) once and its siblings always hit warm — and land in
-// index-addressed slots, so results are merged in grid order and any
-// thread count (and any schedule) reproduces the serial sweep exactly
-// (locked down by tests/test_sweep.cpp byte-identity on the reports).
+// grid point running a full run_experiment shard.  Runners on the
+// ThreadPool pull points one at a time off a cursor over the digest-aware
+// schedule — points sharing a deadline-table digest are adjacent so each
+// geometry class is built (or disk-loaded) once and its siblings hit warm,
+// and a runner that finishes early takes the next point instead of idling
+// behind a costlier one.  Results land in index-addressed slots, so they
+// are merged in grid order and any thread count (and any schedule)
+// reproduces the serial sweep exactly (locked down by tests/test_sweep.cpp
+// byte-identity on the reports).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,8 +64,8 @@ struct SweepConfig {
   bool require_success = true;
 
   /// Grid-point parallelism: 1 = serial, 0 = all hardware threads, n = up
-  /// to n shards in flight.  Each shard runs its experiment serially, so
-  /// the shard itself is deterministic and the sweep result is identical
+  /// to n points in flight.  Each point runs its experiment serially, so
+  /// the point itself is deterministic and the sweep result is identical
   /// for every thread count.
   int threads = 1;
 
@@ -105,18 +109,45 @@ struct SweepPlan {
   std::vector<ScenarioConfig> resolved;  ///< per point (overrides applied)
   std::vector<std::uint64_t> digests;    ///< per point scenario_table_digest
   /// Execution schedule: (digest-group rank, grid index), sorted — points
-  /// sharing a table digest are adjacent so each geometry class builds once
-  /// and its siblings hit warm.
+  /// sharing a table digest are adjacent, so runners pulling in this order
+  /// reach a geometry class's siblings right after its first point built
+  /// the table.  The order points are claimed in, not who runs them.
   std::vector<std::pair<std::size_t, std::size_t>> order;
   std::uint64_t run_digest = 0;
 
-  /// The grid indices shard `shard` of `shards` owns: its contiguous slice
-  /// of the digest-grouped schedule (so a shard keeps whole geometry
-  /// classes and stays cache-warm), returned sorted ascending.  Every index
-  /// lands in exactly one shard; trailing shards may be empty when
-  /// shards > points.
+  /// The grid indices in schedule order — the sequence a SweepCursor over
+  /// the whole grid hands out.
+  std::vector<std::size_t> schedule() const;
+
+  /// The grid indices shard `shard` of `shards` owns in offline multi-host
+  /// mode (`sweep --shard i/N`): its contiguous slice of the schedule (so a
+  /// host keeps whole geometry classes and stays cache-warm), returned
+  /// sorted ascending.  Every index lands in exactly one shard; trailing
+  /// shards may be empty when shards > points.  In-process threads and
+  /// `--workers` processes do not use it: they pull from a cursor.
   std::vector<std::size_t> shard_points(std::size_t shard,
                                         std::size_t shards) const;
+};
+
+/// The pull cursor the sweep runners share: hands out a schedule's grid
+/// indices one per claim, in order, each exactly once.  Claims are a single
+/// atomic increment, so any number of runners may pull concurrently.
+class SweepCursor {
+ public:
+  explicit SweepCursor(std::vector<std::size_t> schedule)
+      : schedule_(std::move(schedule)) {}
+
+  /// The next unclaimed grid index, or nullopt once every one is out.
+  std::optional<std::size_t> next() {
+    const std::size_t at = claimed_.fetch_add(1);
+    if (at >= schedule_.size()) return std::nullopt;
+    return schedule_[at];
+  }
+  bool exhausted() const { return claimed_.load() >= schedule_.size(); }
+
+ private:
+  std::vector<std::size_t> schedule_;
+  std::atomic<std::size_t> claimed_{0};
 };
 
 /// Expands and schedules `config` (see SweepPlan).  Throws exactly where
@@ -131,12 +162,28 @@ using SweepEmit = std::function<void(
     std::size_t index, SweepRow&& row, std::string&& trace_block,
     std::uint64_t trace_episodes)>;
 
-/// Runs the `owned` subset (ascending grid indices) of a planned sweep in
-/// digest-grouped order and hands each finished point to `emit`.  The
-/// execution core under run_sweep, run_sweep_shard, and the --workers
-/// pipe workers — one body, so every mode computes bit-identical rows and
-/// trace bytes.  `config.trace_sink` is ignored here; trace blocks are
-/// produced iff `want_trace` and routed by the caller.
+/// Where execute_sweep_points' runners claim their points: returns the
+/// next grid index to run, or nullopt once none is left.  Called
+/// concurrently by every runner (and possibly blocking, as a `--workers`
+/// child does while it waits for the parent's next assignment); the source
+/// synchronizes.
+using SweepPointSource = std::function<std::optional<std::size_t>()>;
+
+/// Starts `runners` runners on the ThreadPool (inline when <= 1), each
+/// pulling points from `next_point` until it is drained and handing every
+/// finished point to `emit`.  The execution core under run_sweep,
+/// run_sweep_shard and the `--workers` pipe workers — one body, so every
+/// mode computes bit-identical rows and trace bytes whoever runs which
+/// point.  `config.trace_sink` is ignored here; trace blocks are produced
+/// iff `want_trace` and routed by the caller.
+void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
+                          const SweepPointSource& next_point,
+                          std::size_t runners, bool want_trace,
+                          const SweepEmit& emit);
+
+/// Runs the `owned` subset (ascending grid indices) of a planned sweep:
+/// min(config.threads, owned points) runners pull off one SweepCursor over
+/// the subset's schedule.
 void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
                           const std::vector<std::size_t>& owned,
                           bool want_trace, const SweepEmit& emit);

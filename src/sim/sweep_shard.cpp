@@ -1,8 +1,10 @@
 #include "sim/sweep_shard.hpp"
 
 #include <errno.h>
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -17,6 +19,7 @@
 #include "sim/sweep_report.hpp"
 #include "sim/trace.hpp"
 #include "util/expect.hpp"
+#include "util/thread_pool.hpp"
 
 namespace seo {
 
@@ -47,30 +50,72 @@ void write_frame_bytes(int fd, const std::string& frame) {
 // Worker side
 // ---------------------------------------------------------------------------
 
-int run_sweep_worker(const SweepConfig& config, std::size_t shard,
-                     std::size_t shards, bool want_trace, int fd) {
+int run_sweep_worker(const SweepConfig& config, std::size_t slot,
+                     std::size_t slots, bool want_trace, int in_fd,
+                     int out_fd) {
   const SweepPlan plan = plan_sweep(config);
-  const std::vector<std::size_t> owned = plan.shard_points(shard, shards);
+  const std::size_t runners = ThreadPool::resolve_threads(config.threads);
 
   {
     std::string payload;
     BinaryWriter w(payload);
     w.u16(kSweepShardProtocolVersion);
-    w.u32(static_cast<std::uint32_t>(shard));
-    w.u32(static_cast<std::uint32_t>(shards));
+    w.u32(static_cast<std::uint32_t>(slot));
+    w.u32(static_cast<std::uint32_t>(slots));
     w.u64(plan.run_digest);
     w.u64(plan.points.size());
-    w.u64(owned.size());
+    w.u32(static_cast<std::uint32_t>(runners));
     std::string frame;
     append_frame(frame, static_cast<std::uint8_t>(SweepShardFrame::kHello),
                  payload);
-    write_frame_bytes(fd, frame);
+    write_frame_bytes(out_fd, frame);
   }
+
+  // The assign channel is the runners' point source: one runner at a time
+  // takes the next assign frame, blocking on the parent while none is
+  // buffered; EOF (the parent has handed out every point) drains them all.
+  std::mutex assign_mutex;
+  FrameAssembler assigns;
+  bool assign_eof = false;
+  const SweepPointSource next_point = [&]() -> std::optional<std::size_t> {
+    const std::lock_guard<std::mutex> lock(assign_mutex);
+    std::uint8_t type = 0;
+    std::string payload;
+    while (!assigns.next(type, payload)) {
+      if (assign_eof) {
+        if (!assigns.idle())
+          throw std::runtime_error(
+              "sweep worker: assign channel closed mid-frame");
+        return std::nullopt;
+      }
+      char buf[256];
+      const ssize_t got = ::read(in_fd, buf, sizeof buf);
+      if (got < 0) {
+        if (errno == EINTR) continue;
+        throw_errno("sweep worker: assign channel read failed");
+      }
+      if (got == 0)
+        assign_eof = true;
+      else
+        assigns.feed(buf, static_cast<std::size_t>(got));
+    }
+    if (static_cast<SweepShardFrame>(type) != SweepShardFrame::kAssign)
+      throw std::runtime_error(
+          "sweep worker: unexpected frame type " + std::to_string(type) +
+          " on the assign channel");
+    BinaryReader r{std::string_view(payload)};
+    const std::uint64_t index = r.u64();
+    r.require_exhausted("sweep assign frame");
+    if (index >= plan.points.size())
+      throw std::runtime_error("sweep worker: assigned grid point " +
+                               std::to_string(index) + " beyond the grid");
+    return static_cast<std::size_t>(index);
+  };
 
   std::mutex pipe_mutex;
   std::uint64_t emitted = 0;
   execute_sweep_points(
-      config, plan, owned, want_trace,
+      config, plan, next_point, runners, want_trace,
       [&](std::size_t index, SweepRow&& row, std::string&& block,
           std::uint64_t episodes) {
         const std::vector<double> metrics = sweep_metrics(row);
@@ -89,7 +134,7 @@ int run_sweep_worker(const SweepConfig& config, std::size_t shard,
         // One lock per point: pool threads emit concurrently and a frame
         // interleaved with another would corrupt the stream.
         const std::lock_guard<std::mutex> lock(pipe_mutex);
-        write_frame_bytes(fd, frame);
+        write_frame_bytes(out_fd, frame);
         ++emitted;
       });
 
@@ -118,7 +163,7 @@ int run_sweep_worker(const SweepConfig& config, std::size_t shard,
     std::string frame;
     append_frame(frame, static_cast<std::uint8_t>(SweepShardFrame::kDone),
                  payload);
-    write_frame_bytes(fd, frame);
+    write_frame_bytes(out_fd, frame);
   }
   return 0;
 }
@@ -138,12 +183,40 @@ namespace {
 
 struct WorkerProc {
   pid_t pid = -1;
-  int fd = -1;  ///< read end of the worker's frame pipe
+  int fd = -1;         ///< read end of the worker's frame pipe
+  int assign_fd = -1;  ///< parent end of the worker's assign channel
   FrameAssembler frames;
   bool hello = false;
   bool done = false;
+  std::vector<std::size_t> pulled;  ///< grid indices assigned, in order
   std::string name;  ///< "sweep worker 2/8" for diagnostics
 };
+
+void close_fd(int& fd) {
+  if (fd >= 0) ::close(fd);
+  fd = -1;
+}
+
+/// Writes assign frames to a worker.  send(MSG_NOSIGNAL) on the socket
+/// channel turns a worker that already exited into EPIPE — reported as the
+/// crash it is — instead of a SIGPIPE that would kill the parent.
+void send_assigns(WorkerProc& w, const std::string& bytes) {
+  const char* data = bytes.data();
+  std::size_t size = bytes.size();
+  while (size > 0) {
+    const ssize_t n = ::send(w.assign_fd, data, size, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EPIPE || errno == ECONNRESET)
+        throw std::runtime_error(
+            w.name + " closed its assign channel — the worker crashed "
+                     "mid-sweep");
+      throw_errno("assigning points to " + w.name + " failed");
+    }
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+}
 
 /// Kills and reaps whatever the merge loop left behind — an exception must
 /// never strand live children or leak pipe fds.  After a clean run every
@@ -152,7 +225,8 @@ struct FleetGuard {
   std::vector<WorkerProc>& fleet;
   ~FleetGuard() {
     for (WorkerProc& w : fleet) {
-      if (w.fd >= 0) ::close(w.fd);
+      close_fd(w.fd);
+      close_fd(w.assign_fd);
       if (w.pid > 0) {
         ::kill(w.pid, SIGKILL);
         ::waitpid(w.pid, nullptr, 0);
@@ -195,26 +269,37 @@ SweepWorkersResult run_sweep_workers(
     for (std::string& a : args) argv.push_back(a.data());
     argv.push_back(nullptr);
 
+    // Both channels close-on-exec, so no later worker inherits an earlier
+    // one's ends — an inherited assign end would hold its EOF back forever.
     int fds[2];
-    if (::pipe(fds) != 0) throw_errno("pipe() failed spawning " + w.name);
-    const pid_t pid = ::fork();
-    if (pid < 0) {
+    if (::pipe2(fds, O_CLOEXEC) != 0)
+      throw_errno("pipe() failed spawning " + w.name);
+    int assign[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, assign) != 0) {
       ::close(fds[0]);
       ::close(fds[1]);
+      throw_errno("socketpair() failed spawning " + w.name);
+    }
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      for (const int fd : {fds[0], fds[1], assign[0], assign[1]}) ::close(fd);
       throw_errno("fork() failed spawning " + w.name);
     }
     if (pid == 0) {
-      // Child: frames go out on stdout; stderr stays shared so worker
+      // Child: assignments come in on stdin, frames go out on stdout
+      // (dup2 clears close-on-exec); stderr stays shared so worker
       // diagnostics reach the operator unmixed with the binary stream.
-      ::close(fds[0]);
-      if (::dup2(fds[1], STDOUT_FILENO) < 0) ::_exit(127);
-      ::close(fds[1]);
+      if (::dup2(assign[1], STDIN_FILENO) < 0 ||
+          ::dup2(fds[1], STDOUT_FILENO) < 0)
+        ::_exit(127);
       ::execv(exe.c_str(), argv.data());
       ::_exit(127);  // exec failed; 127 matches the shell convention
     }
-    ::close(fds[1]);  // the write end lives only in the child
+    ::close(fds[1]);  // the worker's ends live only in the child
+    ::close(assign[1]);
     w.pid = pid;
     w.fd = fds[0];
+    w.assign_fd = assign[0];
   }
 
   SweepWorkersResult result;
@@ -222,6 +307,29 @@ SweepWorkersResult run_sweep_workers(
   std::vector<char> seen(n, 0);
   std::size_t seen_count = 0;
   std::map<std::string, ArtifactStoreStats> farm_stats;
+
+  // The parent is the farm's cursor: it hands out up to `count` more points
+  // in schedule order, recording each point's worker, and once every point
+  // is out it closes every assign channel — the workers' cue to finish.
+  SweepCursor cursor(plan.schedule());
+  std::vector<std::size_t> owner(n, workers);  // `workers` = unassigned
+  const auto hand_out = [&](WorkerProc& w, std::size_t slot,
+                            std::size_t count) {
+    std::string frames;
+    for (std::size_t k = 0; k < count && w.assign_fd >= 0; ++k) {
+      const std::optional<std::size_t> index = cursor.next();
+      if (!index) break;
+      owner[*index] = slot;
+      w.pulled.push_back(*index);
+      std::string payload;
+      BinaryWriter(payload).u64(*index);
+      append_frame(frames, static_cast<std::uint8_t>(SweepShardFrame::kAssign),
+                   payload);
+    }
+    if (!frames.empty()) send_assigns(w, frames);
+    if (cursor.exhausted())
+      for (WorkerProc& other : fleet) close_fd(other.assign_fd);
+  };
 
   const auto handle_frame = [&](WorkerProc& w, std::size_t slot,
                                 std::uint8_t type,
@@ -239,22 +347,23 @@ SweepWorkersResult run_sweep_workers(
         const std::uint32_t shards = r.u32();
         const std::uint64_t run_digest = r.u64();
         const std::uint64_t points = r.u64();
-        const std::uint64_t owned = r.u64();
+        const std::uint32_t runners = r.u32();
         r.require_exhausted("sweep shard hello frame");
+        if (w.hello)
+          throw std::runtime_error(w.name + " sent a second hello frame");
         if (shard != slot || shards != workers)
           throw std::runtime_error(
-              w.name + " announced shard " + std::to_string(shard) + "/" +
-              std::to_string(shards) + " instead of its assignment");
+              w.name + " announced slot " + std::to_string(shard) + "/" +
+              std::to_string(shards) + " instead of its own");
         if (run_digest != plan.run_digest || points != n)
           throw std::runtime_error(
               w.name +
               " planned a different sweep (run digest or grid size "
               "mismatch) — parent and worker configs drifted");
-        if (owned != plan.shard_points(slot, workers).size())
-          throw std::runtime_error(w.name +
-                                   " claims a different shard slice than "
-                                   "the parent's plan assigns it");
+        if (runners == 0)
+          throw std::runtime_error(w.name + " announced zero runners");
         w.hello = true;
+        hand_out(w, slot, runners);
         break;
       }
       case SweepShardFrame::kPoint: {
@@ -278,10 +387,12 @@ SweepWorkersResult run_sweep_workers(
         const std::uint64_t episodes = r.u64();
         const bool has_trace = r.u8() != 0;
         std::string block(r.view(r.remaining()));
-        if (seen[index] != 0)
-          throw std::runtime_error("grid point " + std::to_string(index) +
-                                   " was reported by two workers — "
-                                   "overlapping shards");
+        if (owner[index] != slot || seen[index] != 0)
+          throw std::runtime_error(w.name + " reported grid point " +
+                                   std::to_string(index) +
+                                   (seen[index] != 0
+                                        ? " twice"
+                                        : " it was never assigned"));
         seen[index] = 1;
         ++seen_count;
         result.metrics[index] = std::move(metrics);
@@ -294,16 +405,18 @@ SweepWorkersResult run_sweep_workers(
           // reproduces the unsharded stream whatever order workers finish.
           trace_sink->commit(index, std::move(block), episodes);
         }
+        hand_out(w, slot, 1);  // its runner is free again
         break;
       }
       case SweepShardFrame::kDone: {
         if (!w.hello || w.done)
           throw std::runtime_error(w.name + " sent a duplicate done frame");
         const std::uint64_t emitted = r.u64();
-        if (emitted != plan.shard_points(slot, workers).size())
+        if (emitted != w.pulled.size())
           throw std::runtime_error(
               w.name + " finished after emitting " +
-              std::to_string(emitted) + " of its points");
+              std::to_string(emitted) + " of its " +
+              std::to_string(w.pulled.size()) + " points");
         const std::uint32_t kinds = r.u32();
         for (std::uint32_t k = 0; k < kinds; ++k) {
           const std::string kind = r.str();
@@ -322,6 +435,7 @@ SweepWorkersResult run_sweep_workers(
         }
         r.require_exhausted("sweep shard done frame");
         w.done = true;
+        close_fd(w.assign_fd);
         break;
       }
       default:
@@ -360,8 +474,7 @@ SweepWorkersResult run_sweep_workers(
         throw_errno("read() from " + w.name + " failed");
       }
       if (got == 0) {
-        ::close(w.fd);
-        w.fd = -1;
+        close_fd(w.fd);
         --open;
         // EOF is only legal after a complete done frame: anything else is
         // a crashed or truncated worker and must fail the whole sweep.
@@ -407,6 +520,8 @@ SweepWorkersResult run_sweep_workers(
                              std::to_string(seen_count) + " of " +
                              std::to_string(n) + " grid points");
 
+  result.pulled.reserve(workers);
+  for (WorkerProc& w : fleet) result.pulled.push_back(std::move(w.pulled));
   result.stats.reserve(farm_stats.size());
   for (auto& [kind, stats] : farm_stats)
     result.stats.push_back(ArtifactKindStats{kind, stats});

@@ -1,33 +1,44 @@
 // Multi-process sweep execution: `sweep --workers N` forks N self-exec
-// worker processes, each running one digest-grouped shard of the grid
-// (SweepPlan::shard_points) and streaming results back over a pipe; the
-// parent merges them into the same report and trace bytes an in-process
-// run produces.
+// worker processes and acts as their point cursor — each worker pulls the
+// next grid point of the digest-grouped schedule as its runners free up
+// and streams results back over a pipe; the parent merges them into the
+// same report and trace bytes an in-process run produces.
 //
-// ## Worker → parent wire protocol (version 1)
+// ## Wire protocol (version 2)
 //
-// One pipe per worker, carrying binary_io frames (append_frame /
-// FrameAssembler: u8 type | u64 size | payload | u64 FNV-1a checksum).
-// Frame payloads, little-endian fixed width throughout:
+// Two channels per worker, both carrying binary_io frames (append_frame /
+// FrameAssembler: u8 type | u64 size | payload | u64 FNV-1a checksum):
+// the worker's stdout (worker → parent) and its stdin (parent → worker,
+// the assign channel).  Frame payloads, little-endian fixed width
+// throughout:
 //
-//   1 hello   u16 protocol version | u32 shard | u32 shards
-//             | u64 run_digest | u64 grid points | u64 owned points
+//   1 hello   u16 protocol version | u32 slot | u32 slots
+//             | u64 run_digest | u64 grid points | u32 runners
 //             — sent first; the parent cross-checks its own plan, so a
-//             config-drifted worker is rejected before any result lands.
+//             config-drifted worker is rejected before any result lands,
+//             then sends `runners` assign frames (fewer if the grid runs
+//             out).
+//   4 assign  u64 grid index            (parent → worker)
+//             — one point to run.  The parent sends one more for every
+//             point frame it receives, so a worker always holds one
+//             assignment per runner, and closes the assign channel once
+//             every point is out; the worker reads that EOF, lets its
+//             runners finish, and sends done.
 //   2 point   u64 grid index | u32 metric count | f64 metrics (raw IEEE
 //             bits, sweep_metric_names order) | u64 trace episodes
 //             | u8 has_trace | trace block bytes (rest of payload)
 //             — one per completed grid point, in completion order.
 //   3 done    u64 points emitted | u32 kinds | per kind: str kind name +
 //             the 11 u64 ArtifactStoreStats fields
-//             — the shard's artifact-store stats, summed by the parent so
+//             — the worker's artifact-store stats, summed by the parent so
 //             `--stats` reports the whole farm.  EOF *without* a done
 //             frame is how a crashed worker is detected and rejected.
 //
 // Metrics travel as raw double bits and trace blocks as the exact
 // append_trace_episode bytes, so the parent's merged report and
 // OrderedTraceSink output are bit-identical to `--workers 1` by
-// construction — there is no re-encode step that could drift.
+// construction — there is no re-encode step that could drift, and which
+// worker ran which point never reaches the output.
 #pragma once
 
 #include <cstdint>
@@ -39,21 +50,25 @@
 
 namespace seo {
 
-inline constexpr std::uint16_t kSweepShardProtocolVersion = 1;
+inline constexpr std::uint16_t kSweepShardProtocolVersion = 2;
 
-/// Frame types on the worker→parent pipe.
+/// Frame types on the worker's channels.
 enum class SweepShardFrame : std::uint8_t {
   kHello = 1,
   kPoint = 2,
   kDone = 3,
+  kAssign = 4,
 };
 
-/// Worker side (`sweep --shard i/N --shard-pipe`): plans the sweep, runs
-/// shard `shard` of `shards`, and streams hello / point* / done frames to
-/// `fd`.  `want_trace` embeds each point's serialized trace block in its
-/// point frame.  Returns the process exit code (0 on success).
-int run_sweep_worker(const SweepConfig& config, std::size_t shard,
-                     std::size_t shards, bool want_trace, int fd);
+/// Worker side (`sweep --shard i/N --shard-pipe`): plans the sweep, sends
+/// hello for slot `slot` of `slots` to `out_fd`, runs every point the
+/// parent assigns on `in_fd` with resolve_threads(config.threads) runners,
+/// and once `in_fd` reaches EOF sends done.  `want_trace` embeds each
+/// point's serialized trace block in its point frame.  Returns the process
+/// exit code (0 on success); throws on a malformed assignment.
+int run_sweep_worker(const SweepConfig& config, std::size_t slot,
+                     std::size_t slots, bool want_trace, int in_fd,
+                     int out_fd);
 
 /// What the parent assembled from a worker farm.
 struct SweepWorkersResult {
@@ -64,16 +79,22 @@ struct SweepWorkersResult {
   /// the farm-wide view `--stats` and the CI built-exactly-once assertion
   /// read.
   std::vector<ArtifactKindStats> stats;
+  /// The parent's assign ledger: per worker slot, the grid indices it was
+  /// handed, in hand-out order — what `--stats` prints as the farm line.
+  std::vector<std::vector<std::size_t>> pulled;
 };
 
 /// Parent side: spawns `workers` processes running `exe` with
-/// `worker_args` plus the hidden shard flags, one pipe each, and merges
-/// their frame streams — metrics into grid-order slots, trace blocks into
-/// `trace_sink` under global grid indices (the sink's ordered flush then
-/// reproduces the unsharded stream byte-for-byte).  Validates every hello
-/// against `plan`, requires every grid point exactly once, and throws
+/// `worker_args` plus the hidden worker flags, hands out the plan's points
+/// over each worker's assign channel in schedule order as the worker's
+/// runners free up, and merges the frame streams — metrics into grid-order
+/// slots, trace blocks into `trace_sink` under global grid indices (the
+/// sink's ordered flush then reproduces the unsharded stream
+/// byte-for-byte).  Validates every hello against `plan`, requires every
+/// point back exactly once from the worker it was assigned to, and throws
 /// std::runtime_error on a worker crash (EOF before done, mid-frame
-/// truncation, nonzero exit) — a dead shard is loud, never a silent hole.
+/// truncation, a closed assign channel, nonzero exit) — a dead worker is
+/// loud, never a silent hole or a SIGPIPE.
 SweepWorkersResult run_sweep_workers(
     const SweepPlan& plan, const std::string& exe,
     const std::vector<std::string>& worker_args, std::size_t workers,

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -272,6 +274,67 @@ TEST(SweepScheduling, ScenarioTableDigestReflectsShareability) {
   ScenarioConfig no_cache = config;
   no_cache.table_cache = false;
   EXPECT_EQ(scenario_table_digest(no_cache), 0u);
+}
+
+TEST(SweepScheduling, RunnersClaimEveryPointOnceInScheduleOrder) {
+  // The pull cursor behind run_sweep: whatever the runner count — more
+  // runners than points included — the claims, in the order they were
+  // made, are exactly the digest-grouped schedule, and every point is
+  // emitted once.
+  SweepConfig four = short_sweep();
+  four.scenarios = {"paper_default"};  // 4 points
+  for (const SweepConfig& config : {short_sweep(), four}) {
+    const SweepPlan plan = plan_sweep(config);
+    const std::vector<std::size_t> schedule = plan.schedule();
+    ASSERT_EQ(schedule.size(), plan.points.size());
+    for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+      SweepCursor cursor(schedule);
+      std::mutex mutex;
+      std::vector<std::size_t> claims;
+      std::size_t drained = 0;  // claims that found the cursor empty
+      const SweepPointSource source = [&]() -> std::optional<std::size_t> {
+        const std::lock_guard<std::mutex> lock(mutex);
+        const std::optional<std::size_t> index = cursor.next();
+        if (index)
+          claims.push_back(*index);
+        else
+          ++drained;
+        return index;
+      };
+      std::vector<std::size_t> emitted;
+      execute_sweep_points(config, plan, source, threads, false,
+                           [&](std::size_t index, SweepRow&&, std::string&&,
+                               std::uint64_t) {
+                             const std::lock_guard<std::mutex> lock(mutex);
+                             emitted.push_back(index);
+                           });
+      EXPECT_EQ(claims, schedule) << "threads=" << threads;
+      EXPECT_EQ(drained, threads) << "each runner stops on one empty claim";
+      std::sort(emitted.begin(), emitted.end());
+      std::vector<std::size_t> all(plan.points.size());
+      for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+      EXPECT_EQ(emitted, all) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(SweepScheduling, ScheduleIsTheDigestGroupedOrder) {
+  const SweepPlan plan = plan_sweep(short_sweep());
+  const std::vector<std::size_t> schedule = plan.schedule();
+  ASSERT_EQ(schedule.size(), plan.order.size());
+  for (std::size_t s = 0; s < schedule.size(); ++s)
+    EXPECT_EQ(schedule[s], plan.order[s].second);
+  // Points sharing a table digest are claimed back to back.
+  std::set<std::uint64_t> finished;
+  for (std::size_t s = 1; s < schedule.size(); ++s) {
+    const std::uint64_t prev = plan.digests[schedule[s - 1]];
+    const std::uint64_t cur = plan.digests[schedule[s]];
+    if (cur == prev) continue;
+    finished.insert(prev);
+    if (cur != 0) {  // digest 0 = nothing shared, each point its own group
+      EXPECT_EQ(finished.count(cur), 0u) << "digest group split at " << s;
+    }
+  }
 }
 
 TEST(SweepTableCache, NestedTableParallelismStaysByteIdentical) {

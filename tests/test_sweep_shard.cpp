@@ -1,10 +1,12 @@
 // Distributed-sweep tests: the shard planner's partition algebra, the
 // pipe frame discipline, shard execution / trace merge byte-identity
-// against the unsharded run, and the worker-farm failure taxonomy (a dead
-// or babbling worker must fail the sweep loudly, never leave a silent
-// hole).  The end-to-end `sweep --workers N` byte-identity matrix drives
+// against the unsharded run, the worker side of the assign protocol, and
+// the worker-farm failure taxonomy (a dead, stale or babbling worker must
+// fail the sweep loudly, never leave a silent hole or kill the parent).  The end-to-end `sweep --workers N` byte-identity matrix drives
 // the real CLI binary when CMake baked its path in (SEO_SWEEP_TOOL).
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -253,7 +255,152 @@ TEST(SweepShard, MergeRejectsShardsOfDifferentRuns) {
   EXPECT_THROW(merge_trace_streams({&a, &b}, merged), ContractViolation);
 }
 
+// --- Worker side of the assign protocol -------------------------------------
+
+std::string assign_frame(std::uint64_t index) {
+  std::string payload;
+  BinaryWriter(payload).u64(index);
+  std::string frame;
+  append_frame(frame, static_cast<std::uint8_t>(SweepShardFrame::kAssign),
+               payload);
+  return frame;
+}
+
+// Runs run_sweep_worker in-process with `assigns` already queued on a
+// closed pipe as its assign channel; returns the frames it wrote.
+std::vector<std::pair<std::uint8_t, std::string>> run_worker_on(
+    const SweepConfig& config, const std::vector<std::uint64_t>& assigns) {
+  int in[2];
+  EXPECT_EQ(::pipe(in), 0);
+  std::string wire;
+  for (const std::uint64_t index : assigns) wire += assign_frame(index);
+  EXPECT_EQ(::write(in[1], wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+  ::close(in[1]);  // every point handed out: the worker must see EOF
+  const std::string path = ::testing::TempDir() + "/sweep_worker_frames.bin";
+  const int out = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0600);
+  EXPECT_GE(out, 0);
+  EXPECT_EQ(run_sweep_worker(config, 0, 1, false, in[0], out), 0);
+  ::close(in[0]);
+  ::close(out);
+
+  std::ifstream file(path, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(file),
+                          std::istreambuf_iterator<char>()};
+  FrameAssembler frames;
+  frames.feed(bytes.data(), bytes.size());
+  std::vector<std::pair<std::uint8_t, std::string>> out_frames;
+  std::uint8_t type = 0;
+  std::string payload;
+  while (frames.next(type, payload)) out_frames.emplace_back(type, payload);
+  EXPECT_TRUE(frames.idle());
+  return out_frames;
+}
+
+TEST(SweepWorker, AssignEofSendsDoneWithTheEmittedCount) {
+  SweepConfig config = tiny_sweep();
+  config.threads = 2;
+  const SweepPlan plan = plan_sweep(config);
+  for (const std::vector<std::uint64_t>& assigns :
+       {std::vector<std::uint64_t>{3, 1}, std::vector<std::uint64_t>{}}) {
+    const auto frames = run_worker_on(config, assigns);
+    ASSERT_EQ(frames.size(), assigns.size() + 2);  // hello, points, done
+
+    ASSERT_EQ(frames.front().first,
+              static_cast<std::uint8_t>(SweepShardFrame::kHello));
+    BinaryReader hello{std::string_view(frames.front().second)};
+    EXPECT_EQ(hello.u16(), kSweepShardProtocolVersion);
+    EXPECT_EQ(hello.u32(), 0u);  // slot
+    EXPECT_EQ(hello.u32(), 1u);  // slots
+    EXPECT_EQ(hello.u64(), plan.run_digest);
+    EXPECT_EQ(hello.u64(), plan.points.size());
+    EXPECT_EQ(hello.u32(), 2u);  // runners = --threads
+    hello.require_exhausted("hello");
+
+    std::vector<std::uint64_t> points;
+    for (std::size_t f = 1; f + 1 < frames.size(); ++f) {
+      ASSERT_EQ(frames[f].first,
+                static_cast<std::uint8_t>(SweepShardFrame::kPoint));
+      points.push_back(BinaryReader{std::string_view(frames[f].second)}.u64());
+    }
+    std::sort(points.begin(), points.end());
+    std::vector<std::uint64_t> expected = assigns;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(points, expected);
+
+    ASSERT_EQ(frames.back().first,
+              static_cast<std::uint8_t>(SweepShardFrame::kDone));
+    EXPECT_EQ(BinaryReader{std::string_view(frames.back().second)}.u64(),
+              assigns.size());
+  }
+}
+
+TEST(SweepWorker, AssignBeyondTheGridThrows) {
+  const SweepConfig config = tiny_sweep();
+  EXPECT_THROW(run_worker_on(config, {plan_sweep(config).points.size()}),
+               std::runtime_error);
+}
+
 // --- Worker-farm failure taxonomy -------------------------------------------
+
+// A hello frame as a worker of `version` would send it for `plan`.  Version
+// 1 workers announced their owned-slice size where version 2 announces its
+// runner count.
+std::string hello_frame(std::uint16_t version, const SweepPlan& plan) {
+  std::string payload;
+  BinaryWriter w(payload);
+  w.u16(version);
+  w.u32(0);  // slot
+  w.u32(1);  // slots
+  w.u64(plan.run_digest);
+  w.u64(plan.points.size());
+  if (version == 1)
+    w.u64(plan.points.size());
+  else
+    w.u32(1);
+  std::string frame;
+  append_frame(frame, static_cast<std::uint8_t>(SweepShardFrame::kHello),
+               payload);
+  return frame;
+}
+
+// Runs a one-worker farm whose worker is `/bin/sh -c script`, with the
+// canned `frame` bytes at $FRAME; returns the parent's error message, or ""
+// if the farm succeeded.
+std::string farm_error(const SweepPlan& plan, const std::string& frame,
+                       const std::string& script) {
+  const std::string path = ::testing::TempDir() + "/sweep_canned_hello.bin";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << frame;
+  }
+  try {
+    (void)run_sweep_workers(plan, "/bin/sh",
+                            {"-c", "FRAME=" + path + "; " + script}, 1,
+                            nullptr);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SweepWorkers, VersionOneHelloIsRejected) {
+  const SweepPlan plan = plan_sweep(tiny_sweep());
+  const std::string error =
+      farm_error(plan, hello_frame(1, plan), "cat \"$FRAME\"; sleep 5");
+  EXPECT_NE(error.find("protocol version 1"), std::string::npos) << error;
+}
+
+TEST(SweepWorkers, WorkerExitingAfterHelloIsALoudCrashNotSigpipe) {
+  // The worker closes its assign channel, says hello and exits: the
+  // parent's first assign write hits a closed channel.  That must surface
+  // as the worker-crash error — a SIGPIPE would kill this test binary.
+  const SweepPlan plan = plan_sweep(tiny_sweep());
+  const std::string error =
+      farm_error(plan, hello_frame(kSweepShardProtocolVersion, plan),
+                 "exec 0<&-; cat \"$FRAME\"");
+  EXPECT_NE(error.find("crashed"), std::string::npos) << error;
+}
 
 TEST(SweepWorkers, WorkerDyingBeforeItsDoneFrameFailsTheSweep) {
   // /bin/true exits 0 without ever writing a frame: EOF before the done

@@ -8,10 +8,24 @@ Usage:
 Keeps one entry per benchmark (name -> real/cpu time) plus enough host
 context to interpret the numbers across machines, so successive commits of
 BENCH_hotpaths.json form a perf trajectory for the hot paths.
+
+Scaling rows (a `threads:N` or `workers:N` argument with N > 1) are left
+out when the host reports fewer than MIN_SCALING_CPUS CPUs: parallel
+speedup cannot show there, so such rows would record a flat curve as if it
+were the code's.
 """
 import argparse
 import json
+import re
 import sys
+
+MIN_SCALING_CPUS = 4
+SCALING_ARG = re.compile(r"/(?:threads|workers):(\d+)(?:/|$)")
+
+
+def is_scaling_row(name: str) -> bool:
+    match = SCALING_ARG.search(name)
+    return match is not None and int(match.group(1)) > 1
 
 
 def convert(raw: dict) -> dict:
@@ -27,8 +41,13 @@ def convert(raw: dict) -> dict:
         },
         "benchmarks": {},
     }
+    num_cpus = context.get("num_cpus") or 0
+    refused = []
     for bench in raw.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
+            continue
+        if num_cpus < MIN_SCALING_CPUS and is_scaling_row(bench["name"]):
+            refused.append(bench["name"])
             continue
         out["benchmarks"][bench["name"]] = {
             "real_time": bench.get("real_time"),
@@ -36,6 +55,10 @@ def convert(raw: dict) -> dict:
             "time_unit": bench.get("time_unit"),
             "iterations": bench.get("iterations"),
         }
+    if refused:
+        print(f"note: host has {num_cpus} CPU(s) < {MIN_SCALING_CPUS}; "
+              f"refusing {len(refused)} scaling row(s): {', '.join(refused)}",
+              file=sys.stderr)
     return out
 
 

@@ -52,8 +52,9 @@ int usage(int code) {
          "  --allow-failures       aggregate failed episodes too\n"
          "  --threads N            grid shards in flight (1 serial, 0 all "
          "cores; default 0)\n"
-         "  --workers N            split the grid across N worker "
-         "processes (default 1\n"
+         "  --workers N            run the grid on N worker processes, "
+         "each pulling the\n"
+         "                         next point as it frees up (default 1\n"
          "                         in-process, 0 = all cores; each worker "
          "honors --threads).\n"
          "                         Report and --trace-out bytes are "
@@ -62,7 +63,9 @@ int usage(int code) {
          "mode: one shard per\n"
          "                         box with --trace-out, recombined "
          "offline with trace-merge)\n"
-         "  --stats                print a thread-pool utilization line to "
+         "  --stats                print a thread-pool utilization line "
+         "(under --workers:\n"
+         "                         the points each worker pulled) to "
          "stderr\n"
       << seo::cli::kCacheUsage
       << "  --format csv|json      report format (default csv)\n"
@@ -79,6 +82,25 @@ int usage(int code) {
          "                         (a seed config: later flags refine it, "
          "--axis replaces its grid)\n";
   return code;
+}
+
+/// `--stats` under --workers: the points each worker pulled, from the
+/// parent's assign ledger, e.g.
+///   farm: 2 workers, 4 points pulled; worker 0: 2 (0 2), worker 1: 2 (1 3)
+void print_farm_stats(std::ostream& out,
+                      const std::vector<std::vector<std::size_t>>& pulled) {
+  std::size_t total = 0;
+  for (const auto& points : pulled) total += points.size();
+  out << "farm: " << pulled.size() << " workers, " << total
+      << " points pulled";
+  for (std::size_t w = 0; w < pulled.size(); ++w) {
+    out << (w == 0 ? "; " : ", ") << "worker " << w << ": "
+        << pulled[w].size() << " (";
+    for (std::size_t k = 0; k < pulled[w].size(); ++k)
+      out << (k == 0 ? "" : " ") << pulled[w][k];
+    out << ")";
+  }
+  out << "\n";
 }
 
 }  // namespace
@@ -279,19 +301,22 @@ int main(int argc, char** argv) {
   try {
     seo::cli::run_requested_gc(cache);
 
-    // Hidden pipe-worker mode (a `--workers` child): every frame goes out
-    // on stdout, diagnostics on stderr, nothing else is printed.
+    // Hidden pipe-worker mode (a `--workers` child): point assignments
+    // come in on stdin, every frame goes out on stdout, diagnostics on
+    // stderr, nothing else is printed.
     if (shard_pipe)
       return run_sweep_worker(config, shard_index, shard_count, shard_trace,
-                              STDOUT_FILENO);
+                              STDIN_FILENO, STDOUT_FILENO);
 
     const auto run_start = std::chrono::steady_clock::now();
     std::size_t points_run = 0;
     std::ostringstream report;
     std::vector<ArtifactKindStats> worker_stats;
+    std::vector<std::vector<std::size_t>> pulled;  // --workers assign ledger
     if (worker_count > 1) {
-      // Parent mode: plan locally, farm the grid out to self-exec shard
-      // processes, merge their metric rows and trace blocks.  Workers
+      // Parent mode: plan locally, hand the grid's points out to self-exec
+      // worker processes as they free up, merge their metric rows and
+      // trace blocks.  Workers
       // inherit every flag except --workers/--output/--trace-out/--stats,
       // so they plan the identical sweep (the hello handshake verifies).
       std::vector<std::string> worker_args;
@@ -309,6 +334,7 @@ int main(int argc, char** argv) {
           run_sweep_workers(plan, sweep_self_exe(argv[0]), worker_args,
                             worker_count, config.trace_sink);
       worker_stats = merged.stats;
+      pulled = merged.pulled;
       points_run = plan.points.size();
       seo::write_sweep_report(report, format, config, plan.points,
                               merged.metrics);
@@ -331,9 +357,15 @@ int main(int argc, char** argv) {
             .count();
     // Stats to stderr, never the report stream: CI asserts warm runs
     // actually hit, and operators see what a cold run cost.  In parent
-    // mode the printed rows are the farm-wide sums from the done frames.
+    // mode the printed rows are the farm-wide sums from the done frames,
+    // and the parent's own pool is idle, so --stats shows the farm instead.
     seo::cli::print_artifact_store_stats(std::cerr, worker_stats);
-    if (show_pool_stats) seo::cli::print_thread_pool_stats(std::cerr, run_s);
+    if (show_pool_stats) {
+      if (pulled.empty())
+        seo::cli::print_thread_pool_stats(std::cerr, run_s);
+      else
+        print_farm_stats(std::cerr, pulled);
+    }
     if (output.empty()) {
       std::cout << report.str();
     } else {
