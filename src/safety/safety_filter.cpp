@@ -16,30 +16,59 @@ SafetyFilter::SafetyFilter(SafetyFilterConfig config, BicycleModel model,
       road_(std::move(road)) {
   SEO_EXPECT(config_.horizon_s > 0.0);
   SEO_EXPECT(config_.step_s > 0.0 && config_.step_s <= config_.horizon_s);
+  SEO_EXPECT(std::isfinite(config_.engage_margin) &&
+             config_.engage_margin >= 0.0);
+  SEO_EXPECT(std::isfinite(config_.speed_ref) && config_.speed_ref > 0.0);
+  SEO_EXPECT(config_.min_margin_factor >= 0.0 &&
+             config_.min_margin_factor <= 1.0);
   SEO_EXPECT(config_.steering_candidates >= 3);
   SEO_EXPECT(config_.off_road_penalty >= 0.0);
+  steps_ = static_cast<std::uint32_t>(
+      std::ceil(config_.horizon_s / config_.step_s));
+
+  const int n = config_.steering_candidates;
+  const int variants = config_.brake_assist ? 2 : 1;
+  const auto coarse = [n](int i) { return i % 4 == 0 || i == n - 1; };
+  for (int i = 0; i < n; ++i) {
+    if (!coarse(i)) continue;
+    for (int brake = variants - 1; brake >= 0; --brake)
+      visit_order_.push_back(i * variants + brake);
+  }
+  for (int i = 0; i < n; ++i) {
+    if (coarse(i)) continue;
+    for (int brake = 0; brake < variants; ++brake)
+      visit_order_.push_back(i * variants + brake);
+  }
 }
 
 SafetyFilter::RolloutEval SafetyFilter::rollout(const VehicleState& state,
                                                 const ObstacleField& field,
                                                 const Control& control,
-                                                double h_start) const {
+                                                double h_start,
+                                                const Cutoff& cutoff) const {
+  // (min_h - steer_pen) - brake_pen bounds the final score from above; a
+  // NaN bound compares false and never cuts.
+  const auto reached = [&cutoff](double min_h) {
+    const double bound = (min_h - cutoff.steer_pen) - cutoff.brake_pen;
+    return cutoff.ties_lose ? bound <= cutoff.floor : bound < cutoff.floor;
+  };
   RolloutEval eval;
   eval.min_h = h_start;
+  eval.cut = reached(eval.min_h);
   VehicleState s = state;
   // The candidate is held for the whole horizon: clamp and slip-angle
   // evaluate once, each Euler step reuses them (bit-identical stepping).
   const HeldControl held = model_.hold(control);
-  const int steps =
-      static_cast<int>(std::ceil(config_.horizon_s / config_.step_s));
-  for (int i = 0; i < steps; ++i) {
+  while (!eval.cut && eval.steps < steps_) {
     s = model_.step_euler(s, held, config_.step_s);
+    ++eval.steps;
     eval.min_h = std::min(eval.min_h, barrier_.value(s, field));
     if (road_) {
       const double margin = road_->boundary_margin(s.position);
       if (margin < 0.0)
         eval.road_violation = std::max(eval.road_violation, -margin);
     }
+    eval.cut = reached(eval.min_h);
   }
   return eval;
 }
@@ -55,9 +84,11 @@ FilterDecision SafetyFilter::filter(const VehicleState& state,
       config_.engage_margin *
       std::clamp(state.speed / config_.speed_ref, config_.min_margin_factor,
                  1.0);
-  const RolloutEval raw_eval =
-      rollout(state, field, decision.control, decision.h_now);
-  if (raw_eval.min_h >= margin_eff) {
+  const RolloutEval raw_eval = rollout(state, field, decision.control,
+                                       decision.h_now, Cutoff{margin_eff});
+  decision.rollout_steps = raw_eval.steps;
+  // A NaN min_h or margin never cuts, so the final test still decides.
+  if (!raw_eval.cut && raw_eval.min_h >= margin_eff) {
     decision.h_predicted = raw_eval.min_h;
     return decision;  // S = 1 and staying safe: pass through.
   }
@@ -69,30 +100,38 @@ FilterDecision SafetyFilter::filter(const VehicleState& state,
 
   const double max_steer = model_.params().max_steer;
   double best_score = -std::numeric_limits<double>::infinity();
+  int best_index = -1;  // precedes every candidate: the first win is strict
   Control best = decision.control;
 
   const int n = config_.steering_candidates;
-  for (int i = 0; i < n; ++i) {
+  const int variants = config_.brake_assist ? 2 : 1;
+  for (const int index : visit_order_) {
+    const int i = index / variants;
+    const int brake = index % variants;
     const double steer =
         -max_steer + 2.0 * max_steer * static_cast<double>(i) /
                          static_cast<double>(n - 1);
-    for (int brake = 0; brake < (config_.brake_assist ? 2 : 1); ++brake) {
-      Control candidate;
-      candidate.steering = steer;
-      candidate.throttle =
-          brake == 0 ? decision.control.throttle : config_.brake_throttle;
-      const RolloutEval eval = rollout(state, field, candidate, decision.h_now);
-      // Prefer higher safety; keep corrections on the road; tie-break
-      // toward the raw steering request so corrections are minimally
-      // invasive.
-      const double score =
-          eval.min_h - config_.off_road_penalty * eval.road_violation -
-          1e-3 * std::abs(steer - raw.steering) - (brake == 1 ? 1e-4 : 0.0);
-      if (score > best_score) {
-        best_score = score;
-        best = candidate;
-        decision.h_predicted = eval.min_h;
-      }
+    Control candidate;
+    candidate.steering = steer;
+    candidate.throttle =
+        brake == 0 ? decision.control.throttle : config_.brake_throttle;
+    // Prefer higher safety; keep corrections on the road; tie-break toward
+    // the raw steering request so corrections are minimally invasive.
+    const Cutoff cutoff{best_score, 1e-3 * std::abs(steer - raw.steering),
+                        brake == 1 ? 1e-4 : 0.0, index > best_index};
+    const RolloutEval eval =
+        rollout(state, field, candidate, decision.h_now, cutoff);
+    decision.rollout_steps += eval.steps;
+    if (eval.cut) continue;
+    const double score =
+        eval.min_h - config_.off_road_penalty * eval.road_violation -
+        cutoff.steer_pen - cutoff.brake_pen;
+    // Grid order breaks exact ties: the earlier candidate wins.
+    if (score > best_score || (score == best_score && index < best_index)) {
+      best_score = score;
+      best_index = index;
+      best = candidate;
+      decision.h_predicted = eval.min_h;
     }
   }
   decision.control = best;

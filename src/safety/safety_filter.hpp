@@ -8,10 +8,36 @@
 // worst-case barrier value over the prediction horizon (optionally adding
 // brake assistance).  Only the steering dimension is filtered, exactly like
 // the paper's controller shield for steering angle outputs.
+//
+// Exact pruning.  The decision is bit-identical to scoring every candidate
+// of the steering x {throttle, brake} grid in grid order and keeping the
+// first one with the highest score
+//
+//   score = ((min_h - off_road_penalty * road_violation) - steer_pen)
+//           - brake_pen
+//
+// but most rollouts stop early.  min_h only falls along a rollout and
+// off_road_penalty * road_violation >= 0, so under monotone rounded
+// subtraction (running_min_h - steer_pen) - brake_pen bounds the final
+// score from above at every step.  A candidate stops as soon as that bound
+// can no longer win: when it is <= best_score for a candidate after the
+// current best in grid order (a tie goes to the earlier candidate), or
+// < best_score for one before it.  A stopped candidate can never become
+// the winner, so the winner's rollout always runs to the end and its
+// h_predicted is unchanged.  A NaN bound never stops a rollout.  The
+// pass-through rollout likewise stops once min_h < margin_eff: the filter
+// engages then and its value is never read.
+//
+// Visit order.  Pruning pays when a strong candidate is scored early, so
+// the search visits the grid coarse-first: every 4th steering index plus
+// the last one, each brake variant before its throttle variant, then the
+// remaining candidates in grid order.  The order is a constant built once
+// in the constructor; the tick allocates nothing.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "dynamics/bicycle.hpp"
 #include "dynamics/obstacle.hpp"
@@ -44,6 +70,9 @@ struct FilterDecision {
   bool engaged = false;  ///< true when psi overrode the raw control
   double h_now = 0.0;    ///< barrier value at the decision state
   double h_predicted = 0.0;  ///< worst-case h along the chosen rollout
+  /// Euler steps integrated by every rollout of this decision: a
+  /// deterministic, machine-independent measure of the filter's work.
+  std::uint32_t rollout_steps = 0;
 };
 
 class SafetyFilter {
@@ -66,21 +95,38 @@ class SafetyFilter {
   std::uint64_t engagements() const { return engagements_; }
 
  private:
+  /// When a rollout may stop: once (min_h - steer_pen) - brake_pen falls
+  /// below `floor`, or reaches it when `ties_lose`.
+  struct Cutoff {
+    double floor = 0.0;
+    double steer_pen = 0.0;
+    double brake_pen = 0.0;
+    bool ties_lose = false;
+  };
+
   struct RolloutEval {
     double min_h = 0.0;           ///< worst barrier value along the rollout
     double road_violation = 0.0;  ///< worst off-road excursion [m]
+    std::uint32_t steps = 0;      ///< Euler steps integrated
+    bool cut = false;             ///< stopped early by the cutoff
   };
 
   /// Worst-case barrier value and road excursion along a rollout of
-  /// `control` held for the horizon.  `h_start` is the barrier value at
-  /// `state` (already known by every caller, so it is never recomputed).
+  /// `control` held for the horizon, or `cut` as soon as `cutoff` is
+  /// reached.  `h_start` is the barrier value at `state` (already known by
+  /// every caller, so it is never recomputed).
   RolloutEval rollout(const VehicleState& state, const ObstacleField& field,
-                      const Control& control, double h_start) const;
+                      const Control& control, double h_start,
+                      const Cutoff& cutoff) const;
 
   SafetyFilterConfig config_;
   BicycleModel model_;
   Barrier barrier_;
   std::optional<Road> road_;
+  std::uint32_t steps_ = 0;  ///< Euler steps per full rollout
+  /// Candidate grid indices (steering index * variants + brake) in visit
+  /// order.
+  std::vector<int> visit_order_;
   mutable std::uint64_t engagements_ = 0;
 };
 

@@ -17,6 +17,7 @@
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
 #include "safety/barrier.hpp"
+#include "safety/safety_filter.hpp"
 #include "sim/world.hpp"
 #include "util/rng.hpp"
 
@@ -131,6 +132,32 @@ TEST(HotPathAllocations, BarrierFieldMinIsAllocationFree) {
   EXPECT_EQ(g_allocations.load() - before, 0u)
       << "SoA min-over-obstacles kernel allocated";
   EXPECT_TRUE(std::isfinite(h));
+}
+
+TEST(HotPathAllocations, SafetyFilterIsAllocationFreeInSteadyState) {
+  ObstacleField field;
+  field.push_back(Obstacle{{20.0, 1.0}, 0.8});
+  field.push_back(Obstacle{{32.0, -1.2}, 0.8});
+  const SafetyFilter filter(SafetyFilterConfig{}, BicycleModel{}, Barrier{},
+                            Road{});
+  VehicleState far;
+  far.position = {0.0, 0.0};
+  far.heading = 0.05;
+  far.speed = 8.5;
+  VehicleState close = far;
+  close.position = {16.5, 0.8};
+  const Control raw{0.0, 0.4};
+  // Warm-up (nothing to grow: the visit order is built by the constructor).
+  ASSERT_FALSE(filter.filter(far, field, raw).engaged);
+  ASSERT_TRUE(filter.filter(close, field, raw).engaged);
+
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_FALSE(filter.filter(far, field, raw).engaged);
+    ASSERT_TRUE(filter.filter(close, field, raw).engaged);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u)
+      << "SafetyFilter::filter allocated in steady state";
 }
 
 TEST(HotPathAllocations, ObstacleWithinIntoReusesCapacity) {

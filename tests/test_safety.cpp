@@ -3,8 +3,12 @@
 // table T(x,u).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -277,6 +281,348 @@ TEST(SafetyFilter, ConfigContracts) {
   bad.horizon_s = 0.0;
   EXPECT_THROW(SafetyFilter(bad, BicycleModel{}, Barrier{BarrierConfig{}}),
                ContractViolation);
+  // Hostile margins: each keeps margin_eff from being finite, or makes the
+  // std::clamp bounds cross.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {nan, inf, -0.1}) {
+    bad = SafetyFilterConfig{};
+    bad.engage_margin = v;
+    EXPECT_THROW(SafetyFilter(bad, BicycleModel{}, Barrier{BarrierConfig{}}),
+                 ContractViolation)
+        << "engage_margin " << v;
+  }
+  for (const double v : {nan, inf, 0.0, -8.0}) {
+    bad = SafetyFilterConfig{};
+    bad.speed_ref = v;
+    EXPECT_THROW(SafetyFilter(bad, BicycleModel{}, Barrier{BarrierConfig{}}),
+                 ContractViolation)
+        << "speed_ref " << v;
+  }
+  for (const double v : {nan, -0.1, 1.5}) {
+    bad = SafetyFilterConfig{};
+    bad.min_margin_factor = v;
+    EXPECT_THROW(SafetyFilter(bad, BicycleModel{}, Barrier{BarrierConfig{}}),
+                 ContractViolation)
+        << "min_margin_factor " << v;
+  }
+  SafetyFilterConfig edge;
+  edge.engage_margin = 0.0;
+  edge.min_margin_factor = 1.0;
+  EXPECT_NO_THROW(SafetyFilter(edge, BicycleModel{}, Barrier{BarrierConfig{}}));
+  edge.min_margin_factor = 0.0;
+  EXPECT_NO_THROW(SafetyFilter(edge, BicycleModel{}, Barrier{BarrierConfig{}}));
+}
+
+TEST(SafetyFilter, RolloutStepsGoldenOnBenchRigs) {
+  // The BM_SafetyFilterPass / BM_SafetyFilterEngaged rigs of
+  // bench/micro_hotpaths.cpp.  rollout_steps is deterministic, so these
+  // golden counts show on any machine how much work the search prunes.
+  const SafetyFilter filter = make_filter();
+  const ObstacleField field({Obstacle{{20.0, 1.0}, 0.8},
+                             Obstacle{{32.0, -1.2}, 0.8},
+                             Obstacle{{45.0, 0.5}, 0.8}});
+  const Control raw{0.0, 0.4};
+
+  const FilterDecision pass =
+      filter.filter(state_at(0.0, 0.0, 0.05, 8.5), field, raw);
+  ASSERT_FALSE(pass.engaged);
+  EXPECT_EQ(pass.rollout_steps, 30u);  // one full pass-through rollout
+
+  const FilterDecision engaged =
+      filter.filter(state_at(16.5, 0.8, 0.05, 8.5), field, raw);
+  ASSERT_TRUE(engaged.engaged);
+  // The exhaustive search integrates (1 + 17 * 2) * 30 = 1050 steps.
+  EXPECT_LT(engaged.rollout_steps, (1u + 34u) * 30u);
+  EXPECT_EQ(engaged.rollout_steps, 350u);
+}
+
+// --- Differential test: pruned search vs the exhaustive search ------------
+
+// The corrective search as it stood before pruning, kept verbatim as the
+// oracle: every candidate rolls out the whole horizon in grid order and the
+// first one with the highest score wins.
+class ExhaustiveFilter {
+ public:
+  ExhaustiveFilter(SafetyFilterConfig config, BicycleModel model,
+                   Barrier barrier, std::optional<Road> road)
+      : config_(config),
+        model_(std::move(model)),
+        barrier_(barrier),
+        road_(std::move(road)) {}
+
+  std::uint64_t engagements() const { return engagements_; }
+
+  struct RolloutEval {
+    double min_h = 0.0;
+    double road_violation = 0.0;
+  };
+
+  RolloutEval rollout(const VehicleState& state, const ObstacleField& field,
+                      const Control& control, double h_start) const {
+    RolloutEval eval;
+    eval.min_h = h_start;
+    VehicleState s = state;
+    const HeldControl held = model_.hold(control);
+    const int steps =
+        static_cast<int>(std::ceil(config_.horizon_s / config_.step_s));
+    for (int i = 0; i < steps; ++i) {
+      s = model_.step_euler(s, held, config_.step_s);
+      eval.min_h = std::min(eval.min_h, barrier_.value(s, field));
+      if (road_) {
+        const double margin = road_->boundary_margin(s.position);
+        if (margin < 0.0)
+          eval.road_violation = std::max(eval.road_violation, -margin);
+      }
+    }
+    return eval;
+  }
+
+  FilterDecision filter(const VehicleState& state, const ObstacleField& field,
+                        const Control& raw) const {
+    FilterDecision decision;
+    decision.h_now = barrier_.value(state, field);
+    decision.control = model_.clamp(raw);
+
+    const double margin_eff =
+        config_.engage_margin *
+        std::clamp(state.speed / config_.speed_ref,
+                   config_.min_margin_factor, 1.0);
+    const RolloutEval raw_eval =
+        rollout(state, field, decision.control, decision.h_now);
+    if (raw_eval.min_h >= margin_eff) {
+      decision.h_predicted = raw_eval.min_h;
+      return decision;
+    }
+
+    ++engagements_;
+    decision.engaged = true;
+
+    const double max_steer = model_.params().max_steer;
+    double best_score = -std::numeric_limits<double>::infinity();
+    Control best = decision.control;
+
+    const int n = config_.steering_candidates;
+    for (int i = 0; i < n; ++i) {
+      const double steer =
+          -max_steer + 2.0 * max_steer * static_cast<double>(i) /
+                           static_cast<double>(n - 1);
+      for (int brake = 0; brake < (config_.brake_assist ? 2 : 1); ++brake) {
+        Control candidate;
+        candidate.steering = steer;
+        candidate.throttle =
+            brake == 0 ? decision.control.throttle : config_.brake_throttle;
+        const RolloutEval eval =
+            rollout(state, field, candidate, decision.h_now);
+        const double score =
+            eval.min_h - config_.off_road_penalty * eval.road_violation -
+            1e-3 * std::abs(steer - raw.steering) - (brake == 1 ? 1e-4 : 0.0);
+        if (score > best_score) {
+          best_score = score;
+          best = candidate;
+          decision.h_predicted = eval.min_h;
+        }
+      }
+    }
+    decision.control = best;
+    return decision;
+  }
+
+ private:
+  SafetyFilterConfig config_;
+  BicycleModel model_;
+  Barrier barrier_;
+  std::optional<Road> road_;
+  mutable std::uint64_t engagements_ = 0;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+::testing::AssertionResult same_decision(const FilterDecision& got,
+                                         const FilterDecision& want) {
+  if (got.engaged == want.engaged &&
+      same_bits(got.control.steering, want.control.steering) &&
+      same_bits(got.control.throttle, want.control.throttle) &&
+      same_bits(got.h_now, want.h_now) &&
+      same_bits(got.h_predicted, want.h_predicted))
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << std::hexfloat << "pruned {engaged " << got.engaged << ", u ("
+         << got.control.steering << ", " << got.control.throttle << "), h_now "
+         << got.h_now << ", h_pred " << got.h_predicted
+         << "} vs exhaustive {engaged " << want.engaged << ", u ("
+         << want.control.steering << ", " << want.control.throttle
+         << "), h_now " << want.h_now << ", h_pred " << want.h_predicted
+         << "}";
+}
+
+TEST(SafetyFilterDifferential, PrunedSearchIsBitEqualToExhaustive) {
+  constexpr int kCases = 20000;
+  constexpr int kCandidates[] = {3, 4, 17, 33};
+  const BicycleModel model;
+  const Barrier barrier{BarrierConfig{}};
+  const double max_speed = model.params().max_speed;
+  Rng rng(20260611);
+  int engaged = 0;
+  int empty_fields = 0;
+  std::uint64_t pruned_steps = 0;
+  std::uint64_t exhaustive_steps = 0;
+  for (int c = 0; c < kCases; ++c) {
+    SafetyFilterConfig config;
+    config.steering_candidates = kCandidates[rng.uniform_int(0, 3)];
+    config.brake_assist = rng.bernoulli(0.5);
+    config.engage_margin = rng.uniform(0.0, 2.0);
+    config.off_road_penalty = rng.uniform(0.0, 4.0);
+    std::optional<Road> road;
+    if (rng.bernoulli(0.5))
+      road = Road(RoadParams{100.0, rng.uniform(2.5, 6.0)});
+
+    const double u = rng.uniform();
+    const double speed = u < 0.05   ? 0.0
+                         : u < 0.1 ? max_speed
+                                   : rng.uniform(0.0, max_speed);
+    const VehicleState state = state_at(rng.uniform(0.0, 5.0),
+                                        rng.uniform(-2.0, 2.0),
+                                        rng.uniform(-0.4, 0.4), speed);
+    ObstacleField field;
+    const int obstacles = rng.uniform_int(0, 8);
+    for (int k = 0; k < obstacles; ++k)
+      field.push_back(Obstacle{
+          {state.position.x + rng.uniform(-4.0, 8.0 + 1.5 * speed),
+           rng.uniform(-4.0, 4.0)},
+          rng.uniform(0.3, 1.5)});
+    if (obstacles == 0) ++empty_fields;
+    const Control raw{rng.uniform(-0.7, 0.7), rng.uniform(-1.0, 1.0)};
+
+    const SafetyFilter pruned(config, model, barrier, road);
+    const ExhaustiveFilter oracle(config, model, barrier, road);
+    const FilterDecision got = pruned.filter(state, field, raw);
+    const FilterDecision want = oracle.filter(state, field, raw);
+    ASSERT_TRUE(same_decision(got, want)) << "case " << c;
+    ASSERT_EQ(pruned.engagements(), oracle.engagements()) << "case " << c;
+
+    const int candidates = want.engaged ? config.steering_candidates *
+                                              (config.brake_assist ? 2 : 1)
+                                        : 0;
+    pruned_steps += got.rollout_steps;
+    exhaustive_steps += 30u * static_cast<std::uint64_t>(1 + candidates);
+    engaged += want.engaged ? 1 : 0;
+  }
+  // The cases must exercise both paths, and the pruning must pay.
+  EXPECT_GT(engaged, kCases / 5);
+  EXPECT_LT(engaged, kCases - kCases / 5);
+  EXPECT_GT(empty_fields, 0);
+  EXPECT_LT(pruned_steps, exhaustive_steps);
+}
+
+TEST(SafetyFilterDifferential, NonFiniteInputsMatchExhaustive) {
+  // NaN comparisons never cut a rollout, so NaN and infinite inputs still
+  // decide exactly like the exhaustive search.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const BicycleModel model;
+  const Barrier barrier{BarrierConfig{}};
+  const ObstacleField near({Obstacle{{9.0, 0.5}, 1.0}});
+  const ObstacleField empty;
+  const Road road(RoadParams{100.0, 3.0});
+  const VehicleState states[] = {
+      state_at(0, 0, 0, 10), state_at(0, 0, 0, nan), state_at(nan, 0, 0, 10),
+      state_at(0, 0, nan, 10)};
+  const Control raws[] = {{0.0, 0.5}, {nan, 0.5}, {inf, 0.5}, {-inf, 0.5},
+                          {0.1, nan}};
+  for (const bool with_road : {false, true}) {
+    const std::optional<Road> r = with_road ? std::optional<Road>(road)
+                                            : std::nullopt;
+    const SafetyFilter pruned(SafetyFilterConfig{}, model, barrier, r);
+    const ExhaustiveFilter oracle(SafetyFilterConfig{}, model, barrier, r);
+    for (const ObstacleField* field : {&near, &empty}) {
+      for (const VehicleState& state : states) {
+        for (const Control& raw : raws) {
+          EXPECT_TRUE(same_decision(pruned.filter(state, *field, raw),
+                                    oracle.filter(state, *field, raw)))
+              << "road " << with_road << " obstacles " << field->size()
+              << " state (" << state.position.x << ", " << state.heading
+              << ", " << state.speed << ") raw (" << raw.steering << ", "
+              << raw.throttle << ")";
+        }
+      }
+    }
+    EXPECT_EQ(pruned.engagements(), oracle.engagements());
+  }
+}
+
+TEST(SafetyFilterDifferential, MirrorTieGoesToTheLowerGridIndex) {
+  // A field symmetric about the vehicle's axis with raw steering 0: every
+  // candidate +s scores exactly like its mirror -s (n - 1 is a power of two,
+  // so the steering grid itself is exactly symmetric).  The head-on
+  // obstacle rules out driving straight, so the best score is a tie and
+  // the lower grid index (negative steering) must win.
+  const BicycleModel model;
+  const Barrier barrier{BarrierConfig{}};
+  const ObstacleField field({Obstacle{{10.0, 0.0}, 1.0},
+                             Obstacle{{15.0, 2.5}, 0.8},
+                             Obstacle{{15.0, -2.5}, 0.8}});
+  const VehicleState state = state_at(0.0, 0.0, 0.0, 10.0);
+  const Control raw{0.0, 0.5};
+  for (const int n : {3, 17, 33}) {
+    for (const bool brake_assist : {false, true}) {
+      for (const bool with_road : {false, true}) {
+        SafetyFilterConfig config;
+        config.steering_candidates = n;
+        config.brake_assist = brake_assist;
+        std::optional<Road> road;
+        if (with_road) road = Road(RoadParams{100.0, 4.0});
+        const SafetyFilter pruned(config, model, barrier, road);
+        const ExhaustiveFilter oracle(config, model, barrier, road);
+        const FilterDecision want = oracle.filter(state, field, raw);
+        ASSERT_TRUE(want.engaged);
+        ASSERT_LT(want.control.steering, 0.0);
+        // The mirror candidate scores exactly the same.
+        const auto score = [&](const Control& u) {
+          const auto eval = oracle.rollout(state, field, u, want.h_now);
+          return eval.min_h - config.off_road_penalty * eval.road_violation -
+                 1e-3 * std::abs(u.steering - raw.steering) -
+                 (u.throttle == config.brake_throttle ? 1e-4 : 0.0);
+        };
+        const Control mirror{-want.control.steering, want.control.throttle};
+        EXPECT_TRUE(same_bits(score(want.control), score(mirror)))
+            << "n " << n << ": no exact tie to break";
+        EXPECT_TRUE(same_decision(pruned.filter(state, field, raw), want))
+            << "n " << n << " brake " << brake_assist << " road " << with_road;
+      }
+    }
+  }
+}
+
+TEST(SafetyFilterDifferential, TieWithAnEarlierVisitedHigherIndex) {
+  // Coarse-first visits steering index 4 before index 3.  With the raw
+  // steering exactly between them and an obstacle falling behind (min_h is
+  // h_now for every candidate), both score the same; index 3 is visited
+  // second and must still take the tie.
+  SafetyFilterConfig config;
+  config.steering_candidates = 17;
+  config.brake_assist = false;
+  const BicycleModel model;
+  const Barrier barrier{BarrierConfig{}};
+  const double max_steer = model.params().max_steer;
+  const double steer3 = -max_steer + 2.0 * max_steer * 3.0 / 16.0;
+  const double steer4 = -max_steer + 2.0 * max_steer * 4.0 / 16.0;
+  const Control raw{0.5 * (steer3 + steer4), 0.3};
+  const ObstacleField field({Obstacle{{-3.5, 0.0}, 1.0}});
+  const VehicleState state = state_at(0.0, 0.0, 0.0, 10.0);
+
+  const SafetyFilter pruned(config, model, barrier, std::nullopt);
+  const ExhaustiveFilter oracle(config, model, barrier, std::nullopt);
+  const FilterDecision want = oracle.filter(state, field, raw);
+  ASSERT_TRUE(want.engaged);
+  ASSERT_TRUE(same_bits(oracle.rollout(state, field, Control{steer3, 0.3},
+                                       want.h_now).min_h,
+                        oracle.rollout(state, field, Control{steer4, 0.3},
+                                       want.h_now).min_h));
+  EXPECT_EQ(want.control.steering, steer3);
+  EXPECT_TRUE(same_decision(pruned.filter(state, field, raw), want));
 }
 
 // --- Safe-interval evaluators ----------------------------------------------
