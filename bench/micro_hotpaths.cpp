@@ -127,6 +127,8 @@ void BM_SafetyFilterPass(benchmark::State& state) {
 }
 BENCHMARK(BM_SafetyFilterPass);
 
+// The loop reuses one filter, so every iteration after the first measures
+// the warm path: the search starts from the previous call's winner.
 void BM_SafetyFilterEngaged(benchmark::State& state) {
   const Barrier barrier{BarrierConfig{}};
   const SafetyFilter filter(SafetyFilterConfig{}, BicycleModel{}, barrier);

@@ -1,7 +1,6 @@
 #include "safety/barrier.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "util/expect.hpp"
 
@@ -33,10 +32,10 @@ double Barrier::value(const VehicleState& state,
   return clearance - config_.margin * g;
 }
 
-double Barrier::value(const VehicleState& state,
-                      const ObstacleField& field) const {
+double Barrier::value(const VehicleState& state, const ObstacleField& field,
+                      double cap) const {
   // SoA kernel over the field's parallel arrays, bit-identical to folding
-  // the per-obstacle `value()` in index order:
+  // the per-obstacle `value()` in index order, starting from `cap`:
   //
   //   h_i = clearance_i - margin * g(chi_i),   g in [1, 1 + heading_gain]
   //
@@ -46,6 +45,10 @@ double Barrier::value(const VehicleState& state,
   // monotone multiply/add) preserves the bound.  When lb_i >= running min m
   // we have h_i >= m, so min(m, h_i) == m and the atan2/wrap/cos for this
   // obstacle can be skipped without changing a single output bit.
+  //
+  // Cap: std::min keeps its first argument on a tie and drops a NaN second
+  // argument, so the fold from `cap` equals std::min(cap, fold from +inf)
+  // to the bit (±0 ties included); a low cap just skips more trig.
   const std::size_t n = field.size();
   const double* xs = field.xs().data();
   const double* ys = field.ys().data();
@@ -53,7 +56,7 @@ double Barrier::value(const VehicleState& state,
   const double px = state.position.x;
   const double py = state.position.y;
   const double worst_g = 1.0 + config_.heading_gain;
-  double h = std::numeric_limits<double>::infinity();
+  double h = cap;
   for (std::size_t i = 0; i < n; ++i) {
     const double dx = px - xs[i];
     const double dy = py - ys[i];

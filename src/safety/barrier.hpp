@@ -13,6 +13,8 @@
 // requires only `margin`.  h >= 0 defines the safe set (S = 1).
 #pragma once
 
+#include <limits>
+
 #include "dynamics/obstacle.hpp"
 #include "dynamics/types.hpp"
 
@@ -35,7 +37,18 @@ class Barrier {
 
   /// h with respect to a whole field: min over obstacles
   /// (+infinity when the field is empty — vacuously safe).
-  double value(const VehicleState& state, const ObstacleField& field) const;
+  double value(const VehicleState& state, const ObstacleField& field) const {
+    return value(state, field, std::numeric_limits<double>::infinity());
+  }
+
+  /// Capped field value: exactly std::min(cap, value(state, field)), bit
+  /// for bit (a tie returns `cap`, a NaN cap returns NaN).  The kernel
+  /// starts its running minimum at `cap`, so every obstacle that provably
+  /// cannot go below it skips its trig.  A caller that only needs h up to
+  /// a known bound — a rollout's running minimum, or 0 for a sign test —
+  /// passes that bound.  Never returns NaN for a non-NaN cap.
+  double value(const VehicleState& state, const ObstacleField& field,
+               double cap) const;
 
   /// Binary safety state S of eq. (1): S = 1 iff h >= 0.
   bool safe(const VehicleState& state, const ObstacleField& field) const {

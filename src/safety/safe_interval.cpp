@@ -75,7 +75,9 @@ SafeInterval RolloutSafeInterval::evaluate(const VehicleState& state,
                       config_.sensing_range + 1e-9)
     return SafeInterval{false, 0.0};
 
-  if (barrier_.value(state, field) < 0.0) return SafeInterval{true, 0.0};
+  // Sign tests cap the barrier at 0: min(0, h) < 0 exactly when h < 0, and
+  // obstacles that cannot reach below 0 skip their trig.
+  if (barrier_.value(state, field, 0.0) < 0.0) return SafeInterval{true, 0.0};
 
   // March forward until h crosses 0 (or the horizon passes).  `u` is held
   // for the whole march, so its clamp/slip-angle terms are computed once.
@@ -84,14 +86,13 @@ SafeInterval RolloutSafeInterval::evaluate(const VehicleState& state,
   double t = 0.0;
   while (t < config_.horizon_s) {
     VehicleState next = model_.step_euler(prev, held, config_.step_s);
-    const double h_next = barrier_.value(next, field);
-    if (h_next < 0.0) {
+    if (barrier_.value(next, field, 0.0) < 0.0) {
       // Bisection-refine the crossing inside (t, t + step].
       double lo = 0.0, hi = config_.step_s;
       for (int i = 0; i < config_.bisection_iters; ++i) {
         const double mid = 0.5 * (lo + hi);
         const VehicleState s_mid = model_.step_euler(prev, held, mid);
-        if (barrier_.value(s_mid, field) < 0.0)
+        if (barrier_.value(s_mid, field, 0.0) < 0.0)
           hi = mid;
         else
           lo = mid;

@@ -23,11 +23,18 @@ SafetyFilter::SafetyFilter(SafetyFilterConfig config, BicycleModel model,
              config_.min_margin_factor <= 1.0);
   SEO_EXPECT(config_.steering_candidates >= 3);
   SEO_EXPECT(config_.off_road_penalty >= 0.0);
-  steps_ = static_cast<std::uint32_t>(
-      std::ceil(config_.horizon_s / config_.step_s));
-
   const int n = config_.steering_candidates;
   const int variants = config_.brake_assist ? 2 : 1;
+  // Grid indices are ints, and one call's steps — the pass-through rollout
+  // plus every candidate's — must fit FilterDecision::rollout_steps.  Both
+  // bounds are checked in double, before any narrowing cast.
+  const double steps = std::ceil(config_.horizon_s / config_.step_s);
+  const double candidates = static_cast<double>(variants) * n;
+  SEO_EXPECT(candidates <= std::numeric_limits<int>::max());
+  SEO_EXPECT((1.0 + candidates) * steps <=
+             std::numeric_limits<std::uint32_t>::max());
+  steps_ = static_cast<std::uint32_t>(steps);
+
   const auto coarse = [n](int i) { return i % 4 == 0 || i == n - 1; };
   for (int i = 0; i < n; ++i) {
     if (!coarse(i)) continue;
@@ -62,7 +69,7 @@ SafetyFilter::RolloutEval SafetyFilter::rollout(const VehicleState& state,
   while (!eval.cut && eval.steps < steps_) {
     s = model_.step_euler(s, held, config_.step_s);
     ++eval.steps;
-    eval.min_h = std::min(eval.min_h, barrier_.value(s, field));
+    eval.min_h = barrier_.value(s, field, eval.min_h);
     if (road_) {
       const double margin = road_->boundary_margin(s.position);
       if (margin < 0.0)
@@ -105,7 +112,7 @@ FilterDecision SafetyFilter::filter(const VehicleState& state,
 
   const int n = config_.steering_candidates;
   const int variants = config_.brake_assist ? 2 : 1;
-  for (const int index : visit_order_) {
+  const auto score_candidate = [&](int index) {
     const int i = index / variants;
     const int brake = index % variants;
     const double steer =
@@ -122,7 +129,7 @@ FilterDecision SafetyFilter::filter(const VehicleState& state,
     const RolloutEval eval =
         rollout(state, field, candidate, decision.h_now, cutoff);
     decision.rollout_steps += eval.steps;
-    if (eval.cut) continue;
+    if (eval.cut) return;
     const double score =
         eval.min_h - config_.off_road_penalty * eval.road_violation -
         cutoff.steer_pen - cutoff.brake_pen;
@@ -133,7 +140,13 @@ FilterDecision SafetyFilter::filter(const VehicleState& state,
       best = candidate;
       decision.h_predicted = eval.min_h;
     }
-  }
+  };
+  // Warm start: the previous engaged call's winner first, then the
+  // coarse-first order without it.
+  if (hint_ >= 0) score_candidate(hint_);
+  for (const int index : visit_order_)
+    if (index != hint_) score_candidate(index);
+  hint_ = best_index;
   decision.control = best;
   return decision;
 }

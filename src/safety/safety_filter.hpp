@@ -28,11 +28,19 @@
 // pass-through rollout likewise stops once min_h < margin_eff: the filter
 // engages then and its value is never read.
 //
-// Visit order.  Pruning pays when a strong candidate is scored early, so
-// the search visits the grid coarse-first: every 4th steering index plus
-// the last one, each brake variant before its throttle variant, then the
-// remaining candidates in grid order.  The order is a constant built once
-// in the constructor; the tick allocates nothing.
+// Visit order.  Pruning pays when a strong candidate is scored early.  The
+// winner rarely changes from one tick to the next, so the search is warm
+// started: it scores the previous engaged call's winning grid index first,
+// then visits the rest of the grid coarse-first: every 4th steering index
+// plus the last one, each brake variant before its throttle variant, then
+// the remaining candidates in grid order.  The tie rule above holds under
+// any visit order, so the decision does not depend on the hint; only
+// `rollout_steps` does, and it therefore depends on the filter's call
+// history (one filter serves one episode).  The coarse-first order is a
+// constant built once in the constructor; the tick allocates nothing.
+//
+// Every rollout step folds the barrier with Barrier::value's `cap` set to
+// the running minimum, so obstacles that cannot lower it skip their trig.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +79,9 @@ struct FilterDecision {
   double h_now = 0.0;    ///< barrier value at the decision state
   double h_predicted = 0.0;  ///< worst-case h along the chosen rollout
   /// Euler steps integrated by every rollout of this decision: a
-  /// deterministic, machine-independent measure of the filter's work.
+  /// deterministic, machine-independent measure of the filter's work.  It
+  /// depends on the inputs and on the filter's earlier engaged calls (the
+  /// warm-start hint), never on the machine.
   std::uint32_t rollout_steps = 0;
 };
 
@@ -88,6 +98,7 @@ class SafetyFilter {
 
   /// Filters a raw control: returns it unchanged when its rollout stays
   /// clear of the barrier, otherwise substitutes the corrective action.
+  /// An engaged call records its winner as the next call's warm start.
   FilterDecision filter(const VehicleState& state, const ObstacleField& field,
                         const Control& raw) const;
 
@@ -128,6 +139,8 @@ class SafetyFilter {
   /// order.
   std::vector<int> visit_order_;
   mutable std::uint64_t engagements_ = 0;
+  /// Grid index of the previous engaged call's winner, -1 when none.
+  mutable int hint_ = -1;
 };
 
 }  // namespace seo

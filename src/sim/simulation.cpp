@@ -444,6 +444,7 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
           filter.filter(x, world.obstacles(), raw);
       applied = decision.control;
       engaged = decision.engaged;
+      episode.filter_rollout_steps += decision.rollout_steps;
     }
     last_control = applied;
 

@@ -41,6 +41,9 @@ struct EpisodeResult {
   double avg_speed = 0.0;
   double min_h = 0.0;            ///< worst barrier value along the run
   std::uint64_t filter_engagements = 0;
+  /// Sum of FilterDecision::rollout_steps over the episode: the filter's
+  /// deterministic work count.  Not part of any report or trace.
+  std::uint64_t filter_rollout_steps = 0;
 
   // Deadline metrics (paper Fig. 6 / Table II).
   IntHistogram deadline_hist;    ///< effective delta_max per interval

@@ -30,6 +30,10 @@ VehicleState state_at(double x, double y, double heading, double speed) {
   return s;
 }
 
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
 TEST(Barrier, FartherIsSafer) {
   const Barrier barrier{BarrierConfig{}};
   const Obstacle o{{20.0, 0.0}, 1.0};
@@ -95,6 +99,65 @@ TEST(Barrier, SoAFieldKernelMatchesScalarFacadeBitExactly) {
     for (const auto& o : field.obstacles())
       expected = std::min(expected, barrier.value(s, o));
     EXPECT_EQ(barrier.value(s, field), expected) << "trial " << trial;
+  }
+}
+
+TEST(Barrier, CappedKernelIsMinOfCapAndValueBitExactly) {
+  // value(s, f, cap) starts the kernel's running minimum at `cap` (and so
+  // skips more trig); it must return exactly std::min(cap, value(s, f)):
+  // the same bits for caps above, below and equal to h, ±inf and ±0, on
+  // random fields and the empty one.
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(53);
+  int empty_fields = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    BarrierConfig config;
+    config.heading_gain = rng.uniform(0.0, 3.0);
+    const Barrier barrier{config};
+    const int count = rng.uniform_int(0, 16);
+    ObstacleField field;
+    for (int i = 0; i < count; ++i)
+      field.push_back(Obstacle{{rng.uniform(-20.0, 20.0),
+                                rng.uniform(-20.0, 20.0)},
+                               rng.uniform(0.3, 4.0)});
+    if (count == 0) ++empty_fields;
+    const VehicleState s =
+        state_at(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0),
+                 rng.uniform(-3.0, 3.0), rng.uniform(0.0, 12.0));
+    const double h = barrier.value(s, field);
+    const double caps[] = {inf,
+                           -inf,
+                           0.0,
+                           -0.0,
+                           h,
+                           std::nextafter(h, inf),
+                           std::nextafter(h, -inf),
+                           h + rng.uniform(-5.0, 5.0),
+                           rng.uniform(-30.0, 30.0)};
+    for (const double cap : caps)
+      EXPECT_TRUE(same_bits(barrier.value(s, field, cap), std::min(cap, h)))
+          << std::hexfloat << "trial " << trial << " cap " << cap << " h "
+          << h;
+  }
+  EXPECT_GT(empty_fields, 0);
+
+  // Exact ±0 ties: the cap's sign of zero must survive a tie with h == +0.
+  // Clearance is exactly 2.5 == margin and g is exactly 1: with
+  // heading_gain 0 (the trig skip fires), and with the obstacle dead
+  // astern, cos(pi) == -1 (the trig runs).
+  BarrierConfig config;
+  config.body_radius = 1.0;
+  config.margin = 2.5;
+  const VehicleState s = state_at(0.0, 0.0, 0.0, 5.0);
+  for (const double gain : {0.0, 1.0}) {
+    config.heading_gain = gain;
+    const Barrier barrier{config};
+    const ObstacleField field({gain == 0.0 ? Obstacle{{3.0, 4.0}, 1.5}
+                                           : Obstacle{{-5.0, 0.0}, 1.5}});
+    ASSERT_TRUE(same_bits(barrier.value(s, field), 0.0)) << "gain " << gain;
+    for (const double cap : {0.0, -0.0})
+      EXPECT_TRUE(same_bits(barrier.value(s, field, cap), std::min(cap, 0.0)))
+          << "gain " << gain << " cap " << cap;
   }
 }
 
@@ -306,7 +369,33 @@ TEST(SafetyFilter, ConfigContracts) {
                  ContractViolation)
         << "min_margin_factor " << v;
   }
+  // Hostile geometry: one call's rollout steps must fit rollout_steps (a
+  // 1e300 s horizon overflows a 32-bit step count, which could wrap to 0
+  // and switch the filter off), and grid indices must fit an int.
+  for (const double horizon : {1e300, inf, 1e9}) {
+    bad = SafetyFilterConfig{};
+    bad.horizon_s = horizon;
+    EXPECT_THROW(SafetyFilter(bad, BicycleModel{}, Barrier{BarrierConfig{}}),
+                 ContractViolation)
+        << "horizon_s " << horizon;
+  }
+  bad = SafetyFilterConfig{};
+  bad.step_s = 1e-300;
+  EXPECT_THROW(SafetyFilter(bad, BicycleModel{}, Barrier{BarrierConfig{}}),
+               ContractViolation);
+  bad = SafetyFilterConfig{};
+  bad.steering_candidates = std::numeric_limits<int>::max();
+  EXPECT_THROW(SafetyFilter(bad, BicycleModel{}, Barrier{BarrierConfig{}}),
+               ContractViolation);
+  // One step per rollout: (1 + 2 * INT_MAX) steps still fit 32 bits, but
+  // the brake-assisted grid's indices would not fit an int.
+  bad.horizon_s = bad.step_s;
+  EXPECT_THROW(SafetyFilter(bad, BicycleModel{}, Barrier{BarrierConfig{}}),
+               ContractViolation);
   SafetyFilterConfig edge;
+  edge.horizon_s = 1e4;  // 500k steps per rollout, 17.5M per call
+  EXPECT_NO_THROW(SafetyFilter(edge, BicycleModel{}, Barrier{BarrierConfig{}}));
+  edge = SafetyFilterConfig{};
   edge.engage_margin = 0.0;
   edge.min_margin_factor = 1.0;
   EXPECT_NO_THROW(SafetyFilter(edge, BicycleModel{}, Barrier{BarrierConfig{}}));
@@ -335,6 +424,16 @@ TEST(SafetyFilter, RolloutStepsGoldenOnBenchRigs) {
   // The exhaustive search integrates (1 + 17 * 2) * 30 = 1050 steps.
   EXPECT_LT(engaged.rollout_steps, (1u + 34u) * 30u);
   EXPECT_EQ(engaged.rollout_steps, 350u);
+
+  // The benchmark loop reuses one filter: from the second engaged call on,
+  // the search starts from the previous winner.  Coarse-first already
+  // scores this rig's winner early, so the warm call does the same work.
+  const FilterDecision warm =
+      filter.filter(state_at(16.5, 0.8, 0.05, 8.5), field, raw);
+  ASSERT_TRUE(warm.engaged);
+  EXPECT_EQ(warm.control.steering, engaged.control.steering);
+  EXPECT_EQ(warm.control.throttle, engaged.control.throttle);
+  EXPECT_EQ(warm.rollout_steps, 350u);
 }
 
 // --- Differential test: pruned search vs the exhaustive search ------------
@@ -436,10 +535,6 @@ class ExhaustiveFilter {
   mutable std::uint64_t engagements_ = 0;
 };
 
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
 ::testing::AssertionResult same_decision(const FilterDecision& got,
                                          const FilterDecision& want) {
   if (got.engaged == want.engaged &&
@@ -515,6 +610,61 @@ TEST(SafetyFilterDifferential, PrunedSearchIsBitEqualToExhaustive) {
   EXPECT_LT(engaged, kCases - kCases / 5);
   EXPECT_GT(empty_fields, 0);
   EXPECT_LT(pruned_steps, exhaustive_steps);
+}
+
+TEST(SafetyFilterDifferential, WarmSequenceIsBitEqualToExhaustive) {
+  // The test above builds a fresh filter per case, so no call there has a
+  // warm-start hint.  Here one filter serves each closed-loop trajectory,
+  // as in an episode: the state follows the filtered control, and every
+  // engaged call after the first starts from the previous winner.
+  constexpr int kTrajectories = 80;
+  constexpr int kTicks = 200;
+  constexpr int kCandidates[] = {3, 4, 17, 33};
+  const BicycleModel model;
+  const Barrier barrier{BarrierConfig{}};
+  Rng rng(20261017);
+  int engaged = 0;
+  std::uint64_t warm_steps = 0;
+  std::uint64_t cold_steps = 0;
+  for (int t = 0; t < kTrajectories; ++t) {
+    SafetyFilterConfig config;
+    config.steering_candidates = kCandidates[rng.uniform_int(0, 3)];
+    config.brake_assist = rng.bernoulli(0.5);
+    std::optional<Road> road;
+    if (rng.bernoulli(0.5)) road = Road(RoadParams{100.0, 4.0});
+    ObstacleField field;
+    const int obstacles = rng.uniform_int(2, 10);
+    for (int k = 0; k < obstacles; ++k)
+      field.push_back(Obstacle{{rng.uniform(8.0, 90.0),
+                                rng.uniform(-3.0, 3.0)},
+                               rng.uniform(0.4, 1.2)});
+    VehicleState state =
+        state_at(0.0, rng.uniform(-1.0, 1.0), rng.uniform(-0.1, 0.1),
+                 rng.uniform(4.0, 10.0));
+    const SafetyFilter warm(config, model, barrier, road);
+    const ExhaustiveFilter oracle(config, model, barrier, road);
+    for (int k = 0; k < kTicks; ++k) {
+      // A lane keeper with a little noise: it drives into the obstacles
+      // and leaves the avoiding to the filter.
+      const Control raw{
+          std::clamp(-0.3 * state.position.y - state.heading, -0.5, 0.5) +
+              rng.uniform(-0.05, 0.05),
+          rng.uniform(0.0, 0.8)};
+      const FilterDecision got = warm.filter(state, field, raw);
+      const FilterDecision want = oracle.filter(state, field, raw);
+      ASSERT_TRUE(same_decision(got, want))
+          << "trajectory " << t << " tick " << k;
+      const SafetyFilter cold(config, model, barrier, road);
+      cold_steps += cold.filter(state, field, raw).rollout_steps;
+      warm_steps += got.rollout_steps;
+      engaged += want.engaged ? 1 : 0;
+      state = model.step(state, got.control, 0.05);
+    }
+    ASSERT_EQ(warm.engagements(), oracle.engagements()) << "trajectory " << t;
+  }
+  // The sequences must engage often, and the hint must pay.
+  EXPECT_GT(engaged, kTrajectories * kTicks / 5);
+  EXPECT_LT(warm_steps, cold_steps);
 }
 
 TEST(SafetyFilterDifferential, NonFiniteInputsMatchExhaustive) {

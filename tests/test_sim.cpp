@@ -127,6 +127,21 @@ TEST(Episode, DeterministicForFixedConfig) {
   }
 }
 
+TEST(Episode, FilterRolloutStepsGolden) {
+  // BM_FullEpisode's config on a fixed seed.  The count sums the filter's
+  // Euler steps over the episode; it is deterministic, so a change in how
+  // much the filter prunes shows here on any machine.
+  ScenarioConfig c = default_scenario();
+  c.obstacle_count = 2;
+  c.mode = OptimizerMode::kGating;
+  c.seed = 1;
+  const EpisodeResult r = run_episode(c);
+  EXPECT_GT(r.filter_engagements, 0u);
+  EXPECT_EQ(r.filter_rollout_steps, 29426u);
+  c.filtered = false;
+  EXPECT_EQ(run_episode(c).filter_rollout_steps, 0u);
+}
+
 TEST(Episode, EmptyRoadCompletesQuickly) {
   ScenarioConfig c = default_scenario();
   c.obstacle_count = 0;
