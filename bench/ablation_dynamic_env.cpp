@@ -1,10 +1,10 @@
 // Ablation A7: dynamic environments — obstacles pacing across the road.
 //
 // Obstacle motion enters the formal certificate as an additive worst-case
-// environment speed (DESIGN.md section 4 extension), so the same physical
-// clearance yields smaller safe intervals.  This sweep quantifies how much
-// optimization headroom dynamic scenes cost, and verifies the guarantee
-// survives them.
+// environment speed (this repo's extension of the certificate), so the
+// same physical clearance yields smaller safe intervals.  This sweep
+// quantifies how much optimization headroom dynamic scenes cost, and
+// verifies the guarantee survives them.
 #include "common.hpp"
 
 int main() {

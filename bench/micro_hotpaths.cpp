@@ -12,12 +12,9 @@
 #include <string_view>
 
 #include "control/hybrid_policy.hpp"
-#include "control/neural_policy.hpp"
 #include "core/binary_io.hpp"
 #include "dynamics/bicycle.hpp"
-#include "nn/cem.hpp"
 #include "nn/mlp.hpp"
-#include "nn/weights_store.hpp"
 #include "safety/deadline_table.hpp"
 #include "safety/safe_interval.hpp"
 #include "safety/safety_filter.hpp"
@@ -151,23 +148,36 @@ void BM_DetectorInference(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectorInference);
 
+/// The control-sized network the MLP rows measure: 8 inputs, two tanh
+/// hidden layers of 24 units, 2 tanh outputs, Xavier-initialized from
+/// `rng`.
+nn::Mlp bench_mlp(Rng& rng) {
+  nn::MlpConfig config;
+  config.sizes = {8, 24, 24, 2};
+  config.hidden_act = nn::Activation::kTanh;
+  config.output_act = nn::Activation::kTanh;
+  nn::Mlp net(config);
+  net.init_xavier(rng);
+  return net;
+}
+
 void BM_MlpForward(benchmark::State& state) {
   Rng rng(11);
-  NeuralPolicy policy(NeuralPolicyConfig{}, BicycleParams{}, rng);
-  const nn::Vector input(NeuralPolicy::feature_count(), 0.3);
+  const nn::Mlp net = bench_mlp(rng);
+  const nn::Vector input(net.input_size(), 0.3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(policy.network().forward(input));
+    benchmark::DoNotOptimize(net.forward(input));
   }
 }
 BENCHMARK(BM_MlpForward);
 
 void BM_MlpForwardWorkspace(benchmark::State& state) {
   Rng rng(11);
-  NeuralPolicy policy(NeuralPolicyConfig{}, BicycleParams{}, rng);
-  const nn::Vector input(NeuralPolicy::feature_count(), 0.3);
+  const nn::Mlp net = bench_mlp(rng);
+  const nn::Vector input(net.input_size(), 0.3);
   nn::MlpWorkspace workspace;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(policy.network().forward(input, workspace));
+    benchmark::DoNotOptimize(net.forward(input, workspace));
   }
 }
 BENCHMARK(BM_MlpForwardWorkspace);
@@ -178,17 +188,16 @@ BENCHMARK(BM_MlpForwardWorkspace);
 // bit-identical per row — the offline-evaluation path (mse_loss).
 void BM_MlpForwardBatch(benchmark::State& state) {
   Rng rng(11);
-  NeuralPolicy policy(NeuralPolicyConfig{}, BicycleParams{}, rng);
+  const nn::Mlp net = bench_mlp(rng);
   constexpr std::size_t kBatch = 64;
   nn::Matrix inputs;
-  inputs.resize(kBatch, NeuralPolicy::feature_count());
+  inputs.resize(kBatch, net.input_size());
   for (std::size_t i = 0; i < kBatch; ++i)
-    for (std::size_t c = 0; c < NeuralPolicy::feature_count(); ++c)
+    for (std::size_t c = 0; c < net.input_size(); ++c)
       inputs.at(i, c) = rng.uniform(-1.0, 1.0);
   nn::MlpBatchWorkspace workspace;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        policy.network().forward_batch(inputs, workspace));
+    benchmark::DoNotOptimize(net.forward_batch(inputs, workspace));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kBatch));
@@ -330,52 +339,9 @@ void BM_RolloutPhiCache(benchmark::State& state) {
 }
 BENCHMARK(BM_RolloutPhiCache);
 
-// Steady-state hit path for the CEM policy-weights kind — the probe a
-// service performs per episode instead of a multi-second training run.
-void BM_CemWeightsCache(benchmark::State& state) {
-  nn::CemWeightsStore store;
-  nn::CemWeightsKey key;
-  key.arch.sizes = {4, 8, 2};
-  key.cem.population = 8;
-  key.cem.elites = 2;
-  key.cem.generations = 2;
-  key.seed = 5;
-  key.objective_tag = "bench-quadratic";
-  key.objective_digest = 1;
-  {
-    nn::Mlp seed_net(key.arch);
-    Rng init_rng(3);
-    seed_net.init_xavier(init_rng);
-    key.init_digest =
-        nn::fingerprint_parameters(seed_net.flatten_parameters());
-  }
-  const auto build = [&] {
-    auto net = std::make_unique<nn::Mlp>(key.arch);
-    Rng init_rng(3);
-    net->init_xavier(init_rng);
-    Rng cem_rng(key.seed);
-    const auto objective = [](const nn::Vector& p) {
-      double score = 0.0;
-      for (const double v : p) score -= v * v;
-      return score;
-    };
-    const nn::CemResult result = nn::cem_optimize(
-        objective, net->flatten_parameters(), key.cem, cem_rng);
-    net->set_parameters(result.best_parameters);
-    return net;
-  };
-  (void)store.get(key, build);  // warm the single entry
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store.get(key, build));
-  }
-}
-BENCHMARK(BM_CemWeightsCache);
-
-// Artifact payload parse, v1 text vs v2 binary: the cost a cold process
-// pays per disk load before it can serve a table.  The binary decode is a
-// header check plus one contiguous memcpy of raw IEEE-754 cells; the text
-// parse it replaced ran every cell through locale-independent decimal
-// parsing.  Both parse the identical table so the ratio is the format win.
+// Artifact payload parse: the cost a cold process pays per disk load
+// before it can serve a table — a header check plus one contiguous copy of
+// raw IEEE-754 cells.
 DeadlineTable payload_bench_table() {
   DeadlineTableKey key;
   key.table.max_distance = LipschitzIntervalConfig{}.sensing_range;
@@ -384,20 +350,6 @@ DeadlineTable payload_bench_table() {
   const LipschitzSafeInterval source(key.interval, barrier, Road(key.road));
   return DeadlineTable(key.table, source, key.body_radius);
 }
-
-void BM_ArtifactPayloadParseText(benchmark::State& state) {
-  const DeadlineTable table = payload_bench_table();
-  std::ostringstream out;
-  table.save(out);
-  const std::string text = out.str();
-  for (auto _ : state) {
-    std::istringstream in(text);
-    benchmark::DoNotOptimize(DeadlineTable::load(in));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(text.size()));
-}
-BENCHMARK(BM_ArtifactPayloadParseText)->Unit(benchmark::kMicrosecond);
 
 void BM_ArtifactPayloadParseBinary(benchmark::State& state) {
   const DeadlineTable table = payload_bench_table();

@@ -1,8 +1,9 @@
 // Deterministic driving policy: pure-pursuit path tracking with gap-target
 // obstacle avoidance + proportional speed control.
 //
-// This is the bench-default substitution for the paper's CARLA-trained RL
-// agent (see DESIGN.md section 2): it has the same action space
+// This is the substitution for the paper's CARLA-trained RL agent, which
+// the paper does not optimize (its energy gains come from the perception
+// pipelines, modelled separately): it has the same action space
 // (steering + throttle), consumes the same inputs (Lambda'' state estimate
 // + Lambda' detections), and exhibits the same qualitative behaviour the
 // paper relies on — it avoids obstacles using possibly-stale detections, so

@@ -53,23 +53,14 @@ std::vector<ArtifactKindStats> ArtifactStoreRegistry::snapshot() const {
   return out;
 }
 
-void ArtifactStoreRegistry::set_memory_budget_all(
-    const ArtifactMemoryBudget& budget) const {
+void ArtifactStoreRegistry::configure_all(
+    const ArtifactDiskOptions& disk, const ArtifactMemoryBudget& budget) const {
   std::vector<Handle> handles;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     handles = handles_;
   }
-  for (const auto& handle : handles) handle.set_budget(budget);
-}
-
-void ArtifactStoreRegistry::clear_all() const {
-  std::vector<Handle> handles;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    handles = handles_;
-  }
-  for (const auto& handle : handles) handle.clear();
+  for (const auto& handle : handles) handle.configure(disk, budget);
 }
 
 namespace artifact_detail {
@@ -79,16 +70,10 @@ namespace {
 // --- On-disk names ---------------------------------------------------------
 
 constexpr const char* kManifestBinName = "manifest.bin";
-/// Legacy v1 text manifest — still read as a migration source, replaced by
-/// the binary manifest on the first flush.
-constexpr const char* kManifestTextName = "manifest.txt";
 /// The directory-wide advisory lock every manifest flush and GC sweep
 /// serializes on (never unlinked — unlinking an advisory lock file is the
 /// classic two-holders race).
 constexpr const char* kManifestLockName = "manifest.lock";
-
-constexpr const char* kManifestTextMagic = "seo-artifact-manifest";
-constexpr int kManifestTextVersion = 1;
 
 /// Binary manifest v2: magic, version, entry count, (name, seq, bytes,
 /// last_used) per entry, FNV-1a checksum tail.  Concurrent writers are
@@ -157,56 +142,38 @@ class DirLock {
 /// only costs warmth, never correctness).
 Manifest read_manifest_disk(const fs::path& dir) {
   Manifest manifest;
-  // Binary v2 first.
-  {
-    std::ifstream in(dir / kManifestBinName, std::ios::binary);
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      const std::string blob = buffer.str();
-      try {
-        BinaryReader r{std::string_view(blob)};
-        const std::size_t start = r.offset();
-        char magic[sizeof kManifestMagic];
-        r.bytes(magic, sizeof magic);
-        if (std::memcmp(magic, kManifestMagic, sizeof magic) != 0 ||
-            r.u16() != kManifestVersion)
-          return manifest;
-        const std::uint32_t count = r.u32();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const std::string name = r.str();
-          ManifestEntry entry;
-          entry.seq = r.u64();
-          entry.bytes = r.u64();
-          entry.last_used = r.i64();
-          manifest[name] = entry;
-        }
-        r.verify_checksum_from(start, "manifest");
-        r.require_exhausted("manifest");
-        return manifest;
-      } catch (const std::exception&) {
-        return Manifest{};  // corrupt manifest: start cold, lose only warmth
-      }
-    }
-  }
-  // Legacy v1 text fallback (pre-binary dirs migrate on first flush).
-  std::ifstream in(dir / kManifestTextName);
+  std::ifstream in(dir / kManifestBinName, std::ios::binary);
   if (!in) return manifest;
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  if (magic != kManifestTextMagic || version != kManifestTextVersion)
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string blob = buffer.str();
+  try {
+    BinaryReader r{std::string_view(blob)};
+    const std::size_t start = r.offset();
+    char magic[sizeof kManifestMagic];
+    r.bytes(magic, sizeof magic);
+    if (std::memcmp(magic, kManifestMagic, sizeof magic) != 0 ||
+        r.u16() != kManifestVersion)
+      return manifest;
+    const std::uint32_t count = r.u32();
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::string name = r.str();
+      ManifestEntry entry;
+      entry.seq = r.u64();
+      entry.bytes = r.u64();
+      entry.last_used = r.i64();
+      manifest[name] = entry;
+    }
+    r.verify_checksum_from(start, "manifest");
+    r.require_exhausted("manifest");
     return manifest;
-  ManifestEntry entry;
-  std::string file;
-  while (in >> entry.seq >> entry.bytes >> entry.last_used >> file)
-    manifest[file] = entry;
-  return manifest;
+  } catch (const std::exception&) {
+    return Manifest{};  // corrupt manifest: start cold, lose only warmth
+  }
 }
 
 /// Temp-write + rename so concurrent readers (other processes) only ever
-/// observe a complete manifest; the legacy text manifest is retired once
-/// the binary one exists.
+/// observe a complete manifest.
 void write_manifest_disk(const fs::path& dir, const Manifest& manifest) {
   const fs::path path = dir / kManifestBinName;
   const fs::path tmp =
@@ -232,8 +199,6 @@ void write_manifest_disk(const fs::path& dir, const Manifest& manifest) {
     if (!out) throw ContractViolation("short write to " + tmp.string());
   }
   fs::rename(tmp, path);
-  std::error_code ec;
-  fs::remove(dir / kManifestTextName, ec);
 }
 
 std::uint64_t max_seq(const Manifest& manifest) {
@@ -573,9 +538,7 @@ ArtifactGcResult ManifestCache::gc(std::uint64_t max_bytes, double max_age_s) {
   for (const auto& dirent : fs::directory_iterator(dir_, ec)) {
     if (!dirent.is_regular_file()) continue;
     const std::string name = dirent.path().filename().string();
-    if (name == kManifestBinName || name == kManifestTextName ||
-        name == kManifestLockName)
-      continue;
+    if (name == kManifestBinName || name == kManifestLockName) continue;
     if (is_tmp_file(name)) {
       // A temp file is either a live writer mid-store or debris from a
       // crash; only the stale kind is removed.

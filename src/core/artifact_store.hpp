@@ -4,8 +4,8 @@
 // PR 4 proved the idea on the single costliest artifact (the
 // Lipschitz-built DeadlineTable); this subsystem hoists that machinery out
 // of `safety/table_cache` into a typed, reusable store so any expensive
-// precomputation — rollout-φ deadline tables, CEM-trained policy weights,
-// future artifact kinds — gets the same guarantees:
+// precomputation — rollout-φ deadline tables, future artifact kinds — gets
+// the same guarantees:
 //
 //  * Content-addressed.  An artifact kind supplies a Key type whose
 //    `digest()` canonically fingerprints EVERY content-determining input
@@ -20,6 +20,9 @@
 //    flight are never evicted, and eviction can never invalidate a value a
 //    caller already holds (values are shared_ptr-owned).  Long-lived
 //    services can therefore leave the store on without unbounded growth.
+//  * Configured once per process.  The disk tier and the memory budget are
+//    store state set by configure() (the CLIs do it once after parsing
+//    their flags), never per-request or per-scenario settings.
 //  * Disk-layered with GC (optional).  With a cache directory, artifacts
 //    persist as fixed-width little-endian FNV-1a-checksummed binary
 //    containers under versioned digest-addressed file names (temp-write +
@@ -111,7 +114,7 @@ struct ArtifactMemoryBudget {
   std::size_t max_bytes = 0;
 };
 
-/// Disk-tier knobs for one get() call.  An empty dir disables the tier.
+/// Disk-tier settings of one store.  An empty dir disables the tier.
 /// When a size or age cap is set, a GC sweep runs after each store.
 struct ArtifactDiskOptions {
   std::string dir;
@@ -144,15 +147,16 @@ struct ArtifactKindStats {
 };
 
 /// Process-wide directory of live stores, so CLIs can print one stats line
-/// per artifact kind and services can bound every kind at once.  Stores
+/// per artifact kind and configure every kind at once.  Stores
 /// self-register on first use of their global() accessor.
 class ArtifactStoreRegistry {
  public:
   struct Handle {
     std::string kind;
     std::function<ArtifactStoreStats()> stats;
-    std::function<void()> clear;
-    std::function<void(ArtifactMemoryBudget)> set_budget;
+    std::function<void(const ArtifactDiskOptions&,
+                       const ArtifactMemoryBudget&)>
+        configure;
   };
 
   static ArtifactStoreRegistry& global();
@@ -161,8 +165,11 @@ class ArtifactStoreRegistry {
   /// Stats for every registered kind, sorted by kind name — registration
   /// order varies with which thread touches an accessor first.
   std::vector<ArtifactKindStats> snapshot() const;
-  void set_memory_budget_all(const ArtifactMemoryBudget& budget) const;
-  void clear_all() const;
+  /// ArtifactStore::configure on every registered kind: one shared
+  /// artifact dir, and the same memory budget for each kind.  Kinds
+  /// register lazily, so touch each global() accessor first.
+  void configure_all(const ArtifactDiskOptions& disk,
+                     const ArtifactMemoryBudget& budget) const;
 
  private:
   mutable std::mutex mutex_;
@@ -250,13 +257,86 @@ class ArtifactStore {
   ArtifactStore& operator=(const ArtifactStore&) = delete;
 
   /// Returns the value for `key`, building it with `build` at most once per
-  /// key across all concurrent callers.  With a disk dir, a miss first
-  /// tries the artifact store and a fresh build is persisted back (best
-  /// effort — I/O failures degrade to in-memory caching, never to a wrong
-  /// value).  If `build` throws, the error propagates to every waiter and
-  /// the entry is dropped so later calls can retry.
+  /// key across all concurrent callers.  With a disk dir (the configured
+  /// one), a miss first tries the artifact store and a fresh build is
+  /// persisted back (best effort — I/O failures degrade to in-memory
+  /// caching, never to a wrong value).  If `build` throws, the error
+  /// propagates to every waiter and the entry is dropped so later calls can
+  /// retry.
+  ValuePtr get(const Key& key, const Builder& build) {
+    return fetch(key, nullptr, build);
+  }
+
+  /// get() with an explicit disk tier in place of the configured one.
   ValuePtr get(const Key& key, const ArtifactDiskOptions& disk,
                const Builder& build) {
+    return fetch(key, &disk, build);
+  }
+
+  /// Process-level settings: the disk tier get(key, build) uses on a miss,
+  /// and the in-memory budget (evicts immediately if already over).  A
+  /// nonzero budget disables the lock-free hit path (eviction needs exact
+  /// LRU order); an unlimited one re-enables it.  The hit path never reads
+  /// either setting.
+  void configure(const ArtifactDiskOptions& disk,
+                 const ArtifactMemoryBudget& budget) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    disk_ = disk;
+    budget_ = budget;
+    enforce_budget_locked(/*protect_digest=*/0);
+    rebuild_snapshot_locked();
+  }
+
+  ArtifactStoreStats stats() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ArtifactStoreStats s = stats_;
+    s.fast_hits = fast_hits_.load(std::memory_order_relaxed);
+    s.hits += s.fast_hits;
+    return s;
+  }
+  std::size_t size() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return entries_.size();
+  }
+  /// Drops every entry and zeroes the stats (tests, long-lived services).
+  /// In-flight builds complete and hand their value to current waiters,
+  /// but are not re-admitted.  The configuration stays.
+  void clear() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    entries_.clear();
+    lru_.clear();
+    stats_ = ArtifactStoreStats{};
+    fast_hits_.store(0, std::memory_order_relaxed);
+    rebuild_snapshot_locked();
+  }
+
+  /// Versioned digest-addressed artifact file name for `key`.
+  static std::string artifact_name(const Key& key) {
+    return artifact_detail::artifact_file_name(Traits::kind(),
+                                               Traits::version(), key.hex());
+  }
+
+  /// The process-wide store for this kind; registers itself with
+  /// ArtifactStoreRegistry::global() on first use.
+  static ArtifactStore& global() {
+    static ArtifactStore* store = [] {
+      auto* s = new ArtifactStore();
+      ArtifactStoreRegistry::global().add(ArtifactStoreRegistry::Handle{
+          Traits::kind(), [s] { return s->stats(); },
+          [s](const ArtifactDiskOptions& disk,
+              const ArtifactMemoryBudget& budget) {
+            s->configure(disk, budget);
+          }});
+      return s;
+    }();
+    return *store;
+  }
+
+ private:
+  /// get() behind both overloads; `explicit_disk` null = the configured
+  /// disk tier, read under the store mutex on a miss only.
+  ValuePtr fetch(const Key& key, const ArtifactDiskOptions* explicit_disk,
+                 const Builder& build) {
     const std::uint64_t d = key.digest();
     // Read-mostly fast path: when no memory budget is configured (the
     // default), hits are served from an immutable snapshot of the ready
@@ -278,6 +358,7 @@ class ArtifactStore {
     std::shared_ptr<std::promise<ValuePtr>> promise;
     std::shared_future<ValuePtr> future;
     std::uint64_t epoch = 0;
+    ArtifactDiskOptions disk;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       const auto it = entries_.find(d);
@@ -295,6 +376,7 @@ class ArtifactStore {
         future = it->second.ready;
       } else {
         ++stats_.misses;
+        disk = explicit_disk != nullptr ? *explicit_disk : disk_;
         promise = std::make_shared<std::promise<ValuePtr>>();
         future = promise->get_future().share();
         lru_.push_front(d);
@@ -368,65 +450,6 @@ class ArtifactStore {
     return value;
   }
 
-  ValuePtr get(const Key& key, const Builder& build) {
-    return get(key, ArtifactDiskOptions{}, build);
-  }
-
-  /// In-memory budget; evicts immediately if already over.  Setting any
-  /// nonzero budget disables the lock-free hit path (eviction needs exact
-  /// LRU order); resetting to unlimited re-enables it.
-  void set_memory_budget(const ArtifactMemoryBudget& budget) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    budget_ = budget;
-    enforce_budget_locked(/*protect_digest=*/0);
-    rebuild_snapshot_locked();
-  }
-
-  ArtifactStoreStats stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ArtifactStoreStats s = stats_;
-    s.fast_hits = fast_hits_.load(std::memory_order_relaxed);
-    s.hits += s.fast_hits;
-    return s;
-  }
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-  }
-  /// Drops every entry and zeroes the stats (tests, long-lived services).
-  /// In-flight builds complete and hand their value to current waiters,
-  /// but are not re-admitted.
-  void clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
-    lru_.clear();
-    stats_ = ArtifactStoreStats{};
-    fast_hits_.store(0, std::memory_order_relaxed);
-    rebuild_snapshot_locked();
-  }
-
-  /// Versioned digest-addressed artifact file name for `key`.
-  static std::string artifact_name(const Key& key) {
-    return artifact_detail::artifact_file_name(Traits::kind(),
-                                               Traits::version(), key.hex());
-  }
-
-  /// The process-wide store for this kind; registers itself with
-  /// ArtifactStoreRegistry::global() on first use.
-  static ArtifactStore& global() {
-    static ArtifactStore* store = [] {
-      auto* s = new ArtifactStore();
-      ArtifactStoreRegistry::global().add(ArtifactStoreRegistry::Handle{
-          Traits::kind(),
-          [s] { return s->stats(); },
-          [s] { s->clear(); },
-          [s](ArtifactMemoryBudget b) { s->set_memory_budget(b); }});
-      return s;
-    }();
-    return *store;
-  }
-
- private:
   struct Entry {
     Key key;
     std::shared_future<ValuePtr> ready;
@@ -564,7 +587,7 @@ class ArtifactStore {
   }
 
   /// Immutable view of the ready entries, swapped atomically on every
-  /// finalize/clear/budget change; readers hold it via shared_ptr so a
+  /// finalize/clear/configure; readers hold it via shared_ptr so a
   /// concurrent rebuild can never free a map a reader is still probing.
   using Snapshot =
       std::unordered_map<std::uint64_t, std::pair<Key, ValuePtr>>;
@@ -572,6 +595,7 @@ class ArtifactStore {
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::list<std::uint64_t> lru_;  ///< most recently used first
+  ArtifactDiskOptions disk_;
   ArtifactMemoryBudget budget_;
   ArtifactStoreStats stats_;
   std::uint64_t epoch_counter_ = 0;

@@ -21,10 +21,9 @@
 // lines 22-23), the interval ends and a new Delta_max is sampled at the
 // next tick.
 //
-// Deviations from the paper's pseudocode (under-specifications repaired;
-// see DESIGN.md section 3): natural-schedule invocation for
-// delta_i >= delta_max, interval length = max_i(deadline slot) + 1, and
-// delta_max = 0 clamped to 1.
+// Deviations from the paper's pseudocode (under-specifications repaired):
+// natural-schedule invocation for delta_i >= delta_max, interval length =
+// max_i(deadline slot) + 1, and delta_max = 0 clamped to 1.
 //
 // The scheduler is deliberately *pure* scheduling logic — no world, no
 // energy, no radio — so its invariants are directly unit-testable.  The

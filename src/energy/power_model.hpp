@@ -5,7 +5,7 @@
 //     calibrated idle rail P_idle drawn during gated/not-inferring slots
 //     (clock gating keeps the accelerator warm), and deep sleep (0 W)
 //     during offloaded slots whose response window is known (eq. 7 counts
-//     only radio energy) — see DESIGN.md section 4;
+//     only radio energy);
 //   * radio view (eq. 7): E = T_tx * P_tx per transmission;
 //   * sensor view (eq. 8, Table III): E_gated = p * P_mech,
 //     E_active = p * (P_mech + P_meas) + T_N * P_N, with no idle term —

@@ -1,5 +1,5 @@
 // Dense row-major matrix — the minimal linear-algebra substrate for the
-// neural policies.  Deliberately small: the networks in this system are
+// MLP.  Deliberately small: the networks in this system are
 // control-sized MLPs (tens of units), not the ResNet-152 perception models,
 // whose cost enters the experiments through their measured latency/power
 // characterization (paper section VI-A), not through actual inference.

@@ -1,10 +1,7 @@
 #include "nn/mlp.hpp"
 
 #include <cmath>
-#include <istream>
-#include <ostream>
 
-#include "core/binary_io.hpp"
 #include "util/expect.hpp"
 
 namespace seo::nn {
@@ -170,77 +167,6 @@ void Mlp::set_parameters(const Vector& flat) {
     for (auto& b : biases_[l]) b = flat[pos++];
   }
   SEO_ENSURE(pos == flat.size());
-}
-
-void Mlp::save(std::ostream& out) const {
-  out << "seo-mlp 1\n";
-  out << config_.sizes.size();
-  for (const auto s : config_.sizes) out << " " << s;
-  out << "\n" << to_string(config_.hidden_act) << " "
-      << to_string(config_.output_act) << "\n";
-  const Vector flat = flatten_parameters();
-  // 17 significant digits round-trip IEEE doubles exactly — the canonical
-  // weight serialization behind the "cemw" artifact kind; the caller's
-  // stream precision is restored on exit.
-  const auto previous_precision = out.precision(17);
-  for (std::size_t i = 0; i < flat.size(); ++i)
-    out << flat[i] << (i + 1 == flat.size() ? '\n' : ' ');
-  out.precision(previous_precision);
-}
-
-Mlp Mlp::load(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  SEO_EXPECT(magic == "seo-mlp" && version == 1);
-  std::size_t n_sizes = 0;
-  in >> n_sizes;
-  SEO_EXPECT(n_sizes >= 2 && n_sizes < 64);
-  MlpConfig config;
-  config.sizes.resize(n_sizes);
-  for (auto& s : config.sizes) in >> s;
-  std::string hidden, output;
-  in >> hidden >> output;
-  config.hidden_act = activation_from_string(hidden);
-  config.output_act = activation_from_string(output);
-  Mlp net(config);
-  Vector flat(net.parameter_count());
-  for (auto& v : flat) in >> v;
-  SEO_EXPECT(static_cast<bool>(in));
-  net.set_parameters(flat);
-  return net;
-}
-
-void Mlp::encode(seo::BinaryWriter& out) const {
-  out.u32(static_cast<std::uint32_t>(config_.sizes.size()));
-  for (const auto s : config_.sizes)
-    out.u32(static_cast<std::uint32_t>(s));
-  // Activations travel as their canonical names (self-describing and
-  // stable against enum reordering), not raw enum values.
-  out.str(to_string(config_.hidden_act));
-  out.str(to_string(config_.output_act));
-  for (const double v : flatten_parameters()) out.f64(v);
-}
-
-Mlp Mlp::decode(seo::BinaryReader& in) {
-  const std::uint32_t n_sizes = in.u32();
-  SEO_EXPECT(n_sizes >= 2 && n_sizes < 64);
-  MlpConfig config;
-  config.sizes.resize(n_sizes);
-  for (auto& s : config.sizes) {
-    s = in.u32();
-    SEO_EXPECT(s >= 1 && s <= (1u << 20));
-  }
-  config.hidden_act = activation_from_string(in.str(64));
-  config.output_act = activation_from_string(in.str(64));
-  // The parameter block length is fully determined by the architecture;
-  // anything else is corruption, refused before the copy.
-  Mlp net(config);
-  SEO_EXPECT(in.remaining() == net.parameter_count() * sizeof(double));
-  Vector flat(net.parameter_count());
-  for (auto& v : flat) v = in.f64();
-  net.set_parameters(flat);
-  return net;
 }
 
 double mse_loss(const Mlp& net, const std::vector<Vector>& inputs,

@@ -1,22 +1,15 @@
 // Multi-layer perceptron with forward inference, backprop training and a
-// flat-parameter view (for the gradient-free CEM trainer).  This is the
-// network class behind the neural driving policy — the in-repo substitution
-// for the paper's CARLA-trained RL agent.
+// flat-parameter view.  Control-sized networks only (examples/
+// state_estimator, the BM_MlpForward* microbenchmarks).
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "nn/activation.hpp"
 #include "nn/matrix.hpp"
 #include "util/expect.hpp"
 #include "util/rng.hpp"
-
-namespace seo {
-class BinaryWriter;
-class BinaryReader;
-}  // namespace seo
 
 namespace seo::nn {
 
@@ -114,21 +107,10 @@ class Mlp {
   void sgd_step(double learning_rate, std::size_t batch_size);
   void zero_grad();
 
-  /// Flattened parameter access (weights row-major, then biases, per layer)
-  /// — the genome for CEM training.
+  /// Flattened parameter access (weights row-major, then biases, per
+  /// layer).
   Vector flatten_parameters() const;
   void set_parameters(const Vector& flat);
-
-  /// Text serialization (architecture + parameters), round-trippable.
-  void save(std::ostream& out) const;
-  static Mlp load(std::istream& in);
-
-  /// Binary serialization (core/binary_io) — the "cemw" artifact payload:
-  /// raw IEEE-754 parameter bits, bit-identical round trip, no decimal
-  /// formatting.  decode() enforces the same architecture contract as
-  /// load() and refuses trailing or missing bytes.
-  void encode(seo::BinaryWriter& out) const;
-  static Mlp decode(seo::BinaryReader& in);
 
  private:
   Activation layer_activation(std::size_t layer) const;

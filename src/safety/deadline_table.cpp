@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
-#include <string>
 
 #include "core/binary_io.hpp"
 #include "util/expect.hpp"
@@ -42,7 +39,7 @@ DeadlineTable::DeadlineTable(DeadlineTableConfig config,
   SEO_EXPECT(config_.distance_bins >= 2);
   SEO_EXPECT(config_.bearing_bins >= 2);
   SEO_EXPECT(config_.speed_bins >= 2);
-  // Same domain contract load() enforces, so every buildable table is
+  // Same domain contract decode() enforces, so every buildable table is
   // serializable and reloadable (round-trip integrity by construction).
   SEO_EXPECT(std::isfinite(config_.max_distance) && config_.max_distance > 0.0);
   SEO_EXPECT(std::isfinite(config_.max_speed) && config_.max_speed > 0.0);
@@ -123,51 +120,6 @@ DeadlineTable::DeadlineTable(DeadlineTableConfig config, double body_radius,
                  static_cast<std::size_t>(config_.speed_bins));
 }
 
-void DeadlineTable::save(std::ostream& out) const {
-  out << "seo-dtable 1\n";
-  out << config_.distance_bins << " " << config_.bearing_bins << " "
-      << config_.speed_bins << "\n";
-  // 17 significant digits round-trip doubles exactly; the caller's
-  // precision is restored so save() never leaks formatting state into
-  // whatever the stream renders next.
-  const std::streamsize old_precision = out.precision(17);
-  out << config_.max_distance << " " << config_.max_speed << " "
-      << config_.obstacle_radius << " " << body_radius_ << "\n";
-  for (std::size_t i = 0; i < values_.size(); ++i)
-    out << values_[i] << (i + 1 == values_.size() ? '\n' : ' ');
-  out.precision(old_precision);
-}
-
-DeadlineTable DeadlineTable::load(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  SEO_EXPECT(magic == "seo-dtable" && version == 1);
-  DeadlineTableConfig config;
-  double body_radius = 0.0;
-  in >> config.distance_bins >> config.bearing_bins >> config.speed_bins;
-  in >> config.max_distance >> config.max_speed >> config.obstacle_radius >>
-      body_radius;
-  SEO_EXPECT(static_cast<bool>(in));
-  SEO_EXPECT(config.distance_bins >= 2 && config.bearing_bins >= 2 &&
-             config.speed_bins >= 2);
-  // A corrupted file (a cache artifact in particular) must fail loudly
-  // here, not poison every subsequent episode: domain scalars must be
-  // finite and positive, cell values finite.
-  SEO_EXPECT(std::isfinite(config.max_distance) && config.max_distance > 0.0);
-  SEO_EXPECT(std::isfinite(config.max_speed) && config.max_speed > 0.0);
-  SEO_EXPECT(std::isfinite(config.obstacle_radius) &&
-             config.obstacle_radius > 0.0);
-  SEO_EXPECT(std::isfinite(body_radius) && body_radius > 0.0);
-  std::vector<double> values(static_cast<std::size_t>(config.distance_bins) *
-                             static_cast<std::size_t>(config.bearing_bins) *
-                             static_cast<std::size_t>(config.speed_bins));
-  for (auto& v : values) in >> v;
-  SEO_EXPECT(static_cast<bool>(in));
-  for (const double v : values) SEO_EXPECT(std::isfinite(v));
-  return DeadlineTable(config, body_radius, std::move(values));
-}
-
 void DeadlineTable::encode(BinaryWriter& out) const {
   out.u32(static_cast<std::uint32_t>(config_.distance_bins));
   out.u32(static_cast<std::uint32_t>(config_.bearing_bins));
@@ -188,10 +140,11 @@ DeadlineTable DeadlineTable::decode(BinaryReader& in) {
   config.max_speed = in.f64();
   config.obstacle_radius = in.f64();
   const double body_radius = in.f64();
-  // Same contract as load(): a corrupted artifact must fail loudly here,
-  // not poison every subsequent episode.  The shape is validated before it
-  // can drive an allocation, and the remaining byte count must be exactly
-  // the cell block.
+  // A corrupted artifact must fail loudly here, not poison every
+  // subsequent episode: domain scalars must be finite and positive, cell
+  // values finite.  The shape is validated before it can drive an
+  // allocation, and the remaining byte count must be exactly the cell
+  // block.
   SEO_EXPECT(config.distance_bins >= 2 && config.distance_bins <= 100000 &&
              config.bearing_bins >= 2 && config.bearing_bins <= 100000 &&
              config.speed_bins >= 2 && config.speed_bins <= 100000);

@@ -8,7 +8,6 @@
 //   v   — vehicle speed [m/s]
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "safety/safe_interval.hpp"
@@ -56,17 +55,13 @@ class DeadlineTable : public SafeIntervalEvaluator {
   double body_radius() const { return body_radius_; }
   std::size_t cell_count() const { return values_.size(); }
 
-  /// Text serialization so expensive tables (e.g. built from rollout phi)
-  /// can be precomputed offline and shipped — the deployment model the
-  /// paper's "low-cost proxy" implies.  Round-trips exactly.
-  void save(std::ostream& out) const;
-  static DeadlineTable load(std::istream& in);
-
   /// Binary serialization (core/binary_io) — the "dtable"/"rphi" artifact
-  /// payload: fixed-width little-endian, raw IEEE-754 cell bits, ~2.3×
-  /// smaller than save() and parsed without any decimal round-tripping.
-  /// decode() enforces the same domain contract as load() and refuses
-  /// trailing or missing bytes.
+  /// payload, so expensive tables (e.g. built from rollout phi) can be
+  /// precomputed offline and shipped, the deployment model the paper's
+  /// "low-cost proxy" implies: fixed-width little-endian, raw IEEE-754 cell
+  /// bits, bit-exact round trip.  decode() enforces the constructor's
+  /// domain contract, requires finite cells and refuses trailing or
+  /// missing bytes.
   void encode(BinaryWriter& out) const;
   static DeadlineTable decode(BinaryReader& in);
 

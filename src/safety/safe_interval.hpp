@@ -9,9 +9,11 @@
 //    section III-B invokes — with |dh/dt| bounded by a Lipschitz constant
 //    L(v) over ALL admissible controls, h(x(t)) >= h(x0) - t*L(v), so
 //    Delta_max = h(x0) / L(v) guarantees S = 1 for that long regardless of
-//    what the (possibly stale) controller does.  L(v) = rate_gain*(v + v0)
-//    with rate_gain calibrated so Delta_max lands in the paper's
-//    delta_max in {1..4} regime (see DESIGN.md section 5).
+//    what the (possibly stale) controller does.  L(v) = rate_gain*(v + v0).
+//    The default rate_gain = 6.0 is hand-set so Delta_max lands in the
+//    paper's delta_max in {1..4} regime; it is not fitted to the paper's
+//    figures (that calibration is ROADMAP's open "Calibrate the deadline
+//    distribution" item).
 //
 //  * RolloutSafeInterval (ablation/reference): the numerical evaluation of
 //    phi — integrate the KBM under the held control until h < 0, refined by

@@ -161,7 +161,12 @@ class DeadlineTableCache {
   DeadlineTableCache& operator=(const DeadlineTableCache&) = delete;
 
   /// Returns the table for `key`, building it with `build` at most once per
-  /// key across all concurrent callers (see ArtifactStore::get).
+  /// key across all concurrent callers (see ArtifactStore::get); the
+  /// configured disk tier applies on a miss.
+  TablePtr get(const DeadlineTableKey& key, const Builder& build) {
+    return store_.get(key, build);
+  }
+  /// get() with an explicit disk tier in place of the configured one.
   TablePtr get(const DeadlineTableKey& key, const std::string& disk_dir,
                const Builder& build) {
     return store_.get(key, ArtifactDiskOptions{disk_dir, 0, 0.0}, build);
@@ -169,10 +174,6 @@ class DeadlineTableCache {
   TablePtr get(const DeadlineTableKey& key, const ArtifactDiskOptions& disk,
                const Builder& build) {
     return store_.get(key, disk, build);
-  }
-
-  void set_memory_budget(const ArtifactMemoryBudget& budget) {
-    store_.set_memory_budget(budget);
   }
 
   DeadlineTableCacheStats stats() const { return store_.stats(); }

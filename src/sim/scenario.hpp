@@ -96,17 +96,6 @@ struct ScenarioConfig {
   /// core/artifact_store.hpp).  Execution knob only: results are
   /// bit-identical with the cache on or off.
   bool table_cache = true;
-  /// Optional on-disk artifact store for built artifacts (empty =
-  /// in-memory caching only).  Also an execution knob, never part of any
-  /// cache key.
-  std::string table_cache_dir;
-  // Artifact-store bounding (execution knobs; 0 = unbounded).  The disk
-  // caps trigger an LRU GC sweep of `table_cache_dir` after each store;
-  // the memory caps bound each kind's in-process cache.
-  double cache_budget_mb = 0.0;    ///< artifact-dir size cap [MB]
-  double cache_max_age_h = 0.0;    ///< artifact last-use age cap [hours]
-  double cache_mem_mb = 0.0;       ///< per-kind in-memory byte budget [MB]
-  int cache_mem_entries = 0;       ///< per-kind in-memory entry cap
 
   // Components.
   BicycleParams vehicle{};

@@ -290,26 +290,6 @@ const std::vector<KeyDef>& key_registry() {
     k.push_back(boolean(nullptr, "table_cache",
                         [](ScenarioConfig& s) -> bool& { return s.table_cache; },
                         "reuse content-identical T(x,u) tables across episodes"));
-    k.push_back(KeyDef{
-        nullptr, "table_cache_dir",
-        "on-disk artifact store (empty = in-memory only)",
-        [](const KeyValueConfig& c, ScenarioConfig& s) {
-          if (c.contains("table_cache_dir"))
-            s.table_cache_dir = c.get_string("table_cache_dir");
-        },
-        [](const ScenarioConfig& s) { return s.table_cache_dir; }});
-    k.push_back(dbl(nullptr, "cache_budget_mb",
-                    [](ScenarioConfig& s) -> double& { return s.cache_budget_mb; },
-                    "artifact-dir size cap [MB], LRU GC (0 = unbounded)"));
-    k.push_back(dbl(nullptr, "cache_max_age_h",
-                    [](ScenarioConfig& s) -> double& { return s.cache_max_age_h; },
-                    "artifact last-use age cap [h] (0 = unbounded)"));
-    k.push_back(dbl(nullptr, "cache_mem_mb",
-                    [](ScenarioConfig& s) -> double& { return s.cache_mem_mb; },
-                    "per-kind in-memory byte budget [MB] (0 = unbounded)"));
-    k.push_back(integer(nullptr, "cache_mem_entries",
-                        [](ScenarioConfig& s) -> int& { return s.cache_mem_entries; },
-                        "per-kind in-memory entry cap (0 = unbounded)"));
 
     k.push_back(dbl("Perception", "detector_range",
                     [](ScenarioConfig& s) -> double& { return s.detector.max_range; },

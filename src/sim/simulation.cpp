@@ -64,31 +64,8 @@ std::unique_ptr<OptimizationStrategy> make_strategy(OptimizerMode mode) {
   return nullptr;
 }
 
-// --- Artifact-store plumbing (shared by run_episode and the digest
-// --- helper, so the two key constructions can never drift apart).
-
-std::uint64_t mb_to_bytes(double mb) {
-  return mb > 0.0 ? static_cast<std::uint64_t>(mb * 1024.0 * 1024.0) : 0;
-}
-
-ArtifactDiskOptions artifact_disk_options(const ScenarioConfig& config) {
-  ArtifactDiskOptions disk;
-  disk.dir = config.table_cache_dir;
-  disk.max_bytes = mb_to_bytes(config.cache_budget_mb);
-  disk.max_age_s = config.cache_max_age_h > 0.0
-                       ? config.cache_max_age_h * 3600.0
-                       : 0.0;
-  return disk;
-}
-
-ArtifactMemoryBudget artifact_memory_budget(const ScenarioConfig& config) {
-  ArtifactMemoryBudget budget;
-  budget.max_entries = config.cache_mem_entries > 0
-                           ? static_cast<std::size_t>(config.cache_mem_entries)
-                           : 0;
-  budget.max_bytes = static_cast<std::size_t>(mb_to_bytes(config.cache_mem_mb));
-  return budget;
-}
+// --- Artifact-store keys (shared by run_episode and the digest helper, so
+// --- the two key constructions can never drift apart).
 
 /// Table grid with the domain resolved to the sensing range (both sources
 /// share one sensing horizon).
@@ -194,8 +171,8 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
     // nested case serial changes nothing but scheduling.
     table_config.threads =
         DeadlineTableCache::effective_build_threads(table_config.threads);
-    const ArtifactDiskOptions disk = artifact_disk_options(config);
-    const ArtifactMemoryBudget budget = artifact_memory_budget(config);
+    // The stores' disk tier and memory budget are process state
+    // (configured once by the CLIs), not scenario state.
     if (config.table_source == TableSource::kRollout) {
       const auto build = [&] {
         return std::make_unique<DeadlineTable>(table_config, *rollout_exact,
@@ -204,8 +181,7 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
       if (config.table_cache) {
         RolloutTableKey key = rollout_table_key(config);
         key.table.threads = table_config.threads;  // cosmetic; not in digest
-        RolloutTableStore::global().set_memory_budget(budget);
-        table = RolloutTableStore::global().get(key, disk, build);
+        table = RolloutTableStore::global().get(key, build);
       } else {
         table = build();
       }
@@ -221,8 +197,7 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
         // table.
         DeadlineTableKey key = lipschitz_table_key(config, interval_config);
         key.table.threads = table_config.threads;
-        DeadlineTableCache::global().set_memory_budget(budget);
-        table = DeadlineTableCache::global().get(key, disk, build);
+        table = DeadlineTableCache::global().get(key, build);
       } else {
         table = build();
       }

@@ -1,6 +1,6 @@
 // Work-stealing thread pool — the parallel execution substrate for the
-// offline-heavy paths (deadline-table builds, experiment batches, CEM
-// population rollouts).  Design goals, in order:
+// offline-heavy paths (deadline-table builds, experiment batches, sweep
+// points).  Design goals, in order:
 //
 //  1. Deterministic call sites: the pool itself schedules nondeterministically
 //     (that is the point), so every user partitions work into

@@ -4,10 +4,10 @@
 // single-flight contention (no use-after-evict, in-flight builds never
 // evicted), the disk tier's manifest-driven LRU GC (the artifact dir is
 // provably bounded), the v2 binary container (round trip, corruption
-// heal, v1-text migration), the cross-process single-flight lock
-// (fork-based: two cold processes sharing one dir build each digest
-// exactly once), and cached-vs-uncached byte-identity for the CEM
-// policy-weights kind at every thread count.
+// heal, v1-text migration), the process-level configuration (the
+// configured disk tier serves every get), and the cross-process
+// single-flight lock (fork-based: two cold processes sharing one dir build
+// each digest exactly once).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -15,11 +15,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -29,8 +27,6 @@
 #include "core/artifact_store.hpp"
 #include "core/binary_io.hpp"
 #include "core/fingerprint.hpp"
-#include "nn/cem.hpp"
-#include "nn/weights_store.hpp"
 #include "safety/table_cache.hpp"
 #include "util/expect.hpp"
 
@@ -117,10 +113,10 @@ struct TempDir {
   std::string str() const { return path.string(); }
 };
 
-/// Store bookkeeping files (either manifest generation, plus the lock
-/// sidecars) — everything in the dir that is not an artifact.
+/// Store bookkeeping files (the manifest plus the lock sidecars) —
+/// everything in the dir that is not an artifact.
 bool is_store_metadata(const std::string& name) {
-  if (name == "manifest.bin" || name == "manifest.txt") return true;
+  if (name == "manifest.bin") return true;
   return name.size() > 5 && name.compare(name.size() - 5, 5, ".lock") == 0;
 }
 
@@ -176,18 +172,6 @@ TEST(GoldenDigests, RolloutTableKeyIsPinned) {
   EXPECT_EQ(RolloutTableKey{}.hex(), "b78d31c20a87f449");
 }
 
-TEST(GoldenDigests, CemWeightsKeyIsPinned) {
-  nn::CemWeightsKey key;
-  key.arch.sizes = {8, 24, 24, 2};
-  key.arch.hidden_act = nn::Activation::kTanh;
-  key.arch.output_act = nn::Activation::kTanh;
-  key.seed = 7;
-  key.init_digest = 5;
-  key.objective_tag = "golden";
-  key.objective_digest = 11;
-  EXPECT_EQ(key.hex(), "c5fc66773432c020");
-}
-
 // --- Key sensitivity for the new kinds --------------------------------------
 
 TEST(RolloutTableKey, EveryContentFieldMovesTheDigest) {
@@ -224,31 +208,6 @@ TEST(RolloutTableKey, EveryContentFieldMovesTheDigest) {
   EXPECT_TRUE(threads == base);
 }
 
-TEST(CemWeightsKey, ContentFieldsMoveTheDigestAndThreadsDoNot) {
-  nn::CemWeightsKey base;
-  base.arch.sizes = {4, 8, 2};
-  std::vector<nn::CemWeightsKey> variants(11, base);
-  variants[0].arch.sizes = {4, 9, 2};
-  variants[1].arch.hidden_act = nn::Activation::kRelu;
-  variants[2].arch.output_act = nn::Activation::kSigmoid;
-  variants[3].cem.population += 1;
-  variants[4].cem.elites += 1;
-  variants[5].cem.generations += 1;
-  variants[6].cem.init_stddev += 0.1;
-  variants[7].seed += 1;
-  variants[8].objective_tag = "other";
-  variants[9].objective_digest += 1;
-  variants[10].init_digest += 1;  // a different initial mean trains differently
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    EXPECT_NE(variants[i].digest(), base.digest()) << "variant " << i;
-    EXPECT_FALSE(variants[i] == base) << "variant " << i;
-  }
-  nn::CemWeightsKey threads = base;
-  threads.cem.threads = 8;
-  EXPECT_EQ(threads.digest(), base.digest());
-  EXPECT_TRUE(threads == base);
-}
-
 // --- In-memory LRU budget ---------------------------------------------------
 
 TEST(ArtifactStoreFastPath, UnbudgetedHitsAreServedLockFreeAndCounted) {
@@ -276,7 +235,7 @@ TEST(ArtifactStoreFastPath, BudgetDisablesSnapshotAndKeepsExactLru) {
   const BlobKey a{1, 0}, b{2, 0}, c{3, 0};
   (void)store.get(a, blob_builder(a, 16, &builds));
   (void)store.get(a, blob_builder(a, 16, &builds));  // a fast hit, likely
-  store.set_memory_budget(ArtifactMemoryBudget{2, 0});
+  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{2, 0});
   // With a budget set, every get() must go through the locked path so the
   // LRU order is exact — verify eviction picks the true LRU entry.
   (void)store.get(b, blob_builder(b, 16, &builds));
@@ -311,7 +270,7 @@ TEST(ArtifactStoreFastPath, ClearResetsSnapshotAndCounters) {
 
 TEST(ArtifactStoreBudget, EntryCapEvictsLeastRecentlyUsed) {
   BlobStore store;
-  store.set_memory_budget(ArtifactMemoryBudget{2, 0});
+  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{2, 0});
   std::atomic<int> builds{0};
 
   const BlobKey a{1, 0}, b{2, 0}, c{3, 0};
@@ -331,7 +290,7 @@ TEST(ArtifactStoreBudget, EntryCapEvictsLeastRecentlyUsed) {
 
 TEST(ArtifactStoreBudget, ByteBudgetIsRespectedAndTracked) {
   BlobStore store;
-  store.set_memory_budget(ArtifactMemoryBudget{0, 250});
+  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{0, 250});
 
   for (std::uint64_t id = 1; id <= 5; ++id) {
     const BlobKey key{id, 0};
@@ -344,14 +303,14 @@ TEST(ArtifactStoreBudget, ByteBudgetIsRespectedAndTracked) {
   EXPECT_EQ(store.stats().evictions, 3u);
 
   // Shrinking the budget evicts immediately.
-  store.set_memory_budget(ArtifactMemoryBudget{0, 100});
+  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{0, 100});
   EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(store.stats().bytes, 100u);
 }
 
 TEST(ArtifactStoreBudget, EvictionNeverInvalidatesAHeldValue) {
   BlobStore store;
-  store.set_memory_budget(ArtifactMemoryBudget{1, 0});
+  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{1, 0});
   const BlobKey a{1, 0}, b{2, 0};
   const auto held = store.get(a, blob_builder(a, 64));
   (void)store.get(b, blob_builder(b, 64));  // evicts a's entry
@@ -364,7 +323,7 @@ TEST(ArtifactStoreBudget, EvictionNeverInvalidatesAHeldValue) {
 
 TEST(ArtifactStoreBudget, InFlightBuildsAreNeverEvicted) {
   BlobStore store;
-  store.set_memory_budget(ArtifactMemoryBudget{1, 0});
+  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{1, 0});
   const BlobKey slow_key{10, 0};
 
   std::atomic<bool> release{false};
@@ -404,7 +363,7 @@ TEST(ArtifactStoreBudget, InFlightBuildsAreNeverEvicted) {
   EXPECT_EQ(store.stats().builds, 9u);  // 8 churn + 1 slow
 
   // Re-applying the budget with nothing in flight restores the strict cap.
-  store.set_memory_budget(ArtifactMemoryBudget{1, 0});
+  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{1, 0});
   EXPECT_EQ(store.size(), 1u);
 }
 
@@ -412,7 +371,7 @@ TEST(ArtifactStoreBudget, EvictionRacesSingleFlightWaiters) {
   // Waiters blocked on an in-flight build must receive the built value
   // even when budget pressure evicts the entry the moment it completes.
   BlobStore store;
-  store.set_memory_budget(ArtifactMemoryBudget{1, 0});
+  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{1, 0});
   const BlobKey key{42, 0};
 
   std::atomic<int> waiters_started{0};
@@ -542,10 +501,12 @@ TEST(ArtifactStoreDiskGc, AgeCapDropsStaleArtifactsButKeepsMru) {
 TEST(ArtifactStoreDiskGc, UnmanagedFilesAreReclaimedFirst) {
   const TempDir dir("gc_unmanaged");
   std::filesystem::create_directories(dir.path);
-  {
-    // A PR 4-era artifact (or any foreign debris) has no manifest entry:
-    // it must be the first thing a size-capped sweep reclaims.
-    std::ofstream out(dir.path / "dtable-v1-0123456789abcdef.txt");
+  // A v1 text artifact, a retired text manifest, or any foreign debris has
+  // no manifest entry: it must be the first thing a size-capped sweep
+  // reclaims.
+  for (const char* debris :
+       {"dtable-v1-0123456789abcdef.txt", "manifest.txt"}) {
+    std::ofstream out(dir.path / debris);
     out << std::string(500, 'x');
   }
   BlobStore store;
@@ -662,6 +623,38 @@ TEST(ArtifactStoreDisk, LegacyTextArtifactIsRebuiltAsBinaryThenReclaimed) {
   EXPECT_EQ(names[0], BlobStore::artifact_name(key));
 }
 
+// --- Process-level configuration ------------------------------------------
+
+TEST(ArtifactStoreConfigure, ConfiguredDiskTierServesGetWithoutOptions) {
+  const TempDir dir("configured");
+  const ArtifactDiskOptions disk{dir.str(), 0, 0.0};
+  const BlobKey key{5, 1};
+  BlobStore cold;
+  cold.configure(disk, ArtifactMemoryBudget{});
+  (void)cold.get(key, blob_builder(key, 40));
+  EXPECT_EQ(cold.stats().disk_stores, 1u);
+  EXPECT_TRUE(
+      std::filesystem::exists(dir.path / BlobStore::artifact_name(key)));
+
+  // A fresh store configured with the same dir (a second process stand-in)
+  // loads instead of building.
+  BlobStore warm;
+  warm.configure(disk, ArtifactMemoryBudget{});
+  std::atomic<int> builds{0};
+  const auto loaded = warm.get(key, blob_builder(key, 40, &builds));
+  EXPECT_EQ(builds.load(), 0);
+  EXPECT_EQ(warm.stats().disk_loads, 1u);
+  EXPECT_EQ(loaded->payload.size(), 40u);
+
+  // An explicit disk tier replaces the configured one for that call.
+  BlobStore explicit_memory;
+  explicit_memory.configure(disk, ArtifactMemoryBudget{});
+  (void)explicit_memory.get(key, ArtifactDiskOptions{},
+                            blob_builder(key, 40, &builds));
+  EXPECT_EQ(builds.load(), 1);
+  EXPECT_EQ(explicit_memory.stats().disk_loads, 0u);
+}
+
 // --- Cross-process single-flight --------------------------------------------
 
 TEST(ArtifactStoreLock, StaleLockFileIsStolenAndReclaimed) {
@@ -744,142 +737,16 @@ TEST(ArtifactStoreLock, TwoColdProcessesBuildEachDigestExactlyOnce) {
   }
 }
 
-// --- CEM policy-weights kind ------------------------------------------------
-
-/// Deterministic, thread-safe toy objective: peak at a fixed target.
-double toy_objective(const nn::Vector& params) {
-  double score = 0.0;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const double target = 0.1 * static_cast<double>(i % 7) - 0.3;
-    const double d = params[i] - target;
-    score -= d * d;
-  }
-  return score;
-}
-
-std::string serialized(const nn::Mlp& net) {
-  std::ostringstream out;
-  net.save(out);
-  return out.str();
-}
-
-nn::CemWeightsKey toy_key(int threads) {
-  nn::CemWeightsKey key;
-  key.arch.sizes = {3, 6, 2};
-  key.arch.hidden_act = nn::Activation::kTanh;
-  key.arch.output_act = nn::Activation::kTanh;
-  key.cem.population = 16;
-  key.cem.elites = 4;
-  key.cem.generations = 6;
-  key.cem.init_stddev = 0.4;
-  key.cem.threads = threads;
-  key.seed = 99;
-  key.objective_tag = "toy-quadratic";
-  key.objective_digest = 12345;
-  // Fingerprint the exact initial mean train_toy derives (xavier from
-  // Rng(3)), the way real callers must.
-  nn::Mlp seed_net(key.arch);
-  Rng init_rng(3);
-  seed_net.init_xavier(init_rng);
-  key.init_digest = nn::fingerprint_parameters(seed_net.flatten_parameters());
-  return key;
-}
-
-std::unique_ptr<nn::Mlp> train_toy(const nn::CemWeightsKey& key) {
-  auto net = std::make_unique<nn::Mlp>(key.arch);
-  Rng init_rng(3);
-  net->init_xavier(init_rng);
-  // The toy key's init_digest must track this initialization: lock it.
-  EXPECT_EQ(nn::fingerprint_parameters(net->flatten_parameters()),
-            key.init_digest);
-  Rng cem_rng(key.seed);
-  const nn::CemResult result = nn::cem_optimize(
-      toy_objective, net->flatten_parameters(), key.cem, cem_rng);
-  net->set_parameters(result.best_parameters);
-  return net;
-}
-
-TEST(CemWeightsStore, CachedAndUncachedWeightsAreByteIdenticalAtAnyThreads) {
-  // Ground truth: a direct serial training run, bypassing the store.
-  const std::string truth = serialized(*train_toy(toy_key(1)));
-
-  for (const int threads : {1, 2, 0}) {
-    // The scoring fan-out must not change a single weight bit...
-    const nn::CemWeightsKey key = toy_key(threads);
-    EXPECT_EQ(serialized(*train_toy(key)), truth)
-        << "direct training diverged at threads=" << threads;
-    // ...and the store must hand back exactly the trained bytes, both on
-    // the cold build and on a warm in-memory hit.
-    nn::CemWeightsStore store;
-    const auto cold = store.get(key, [&] { return train_toy(key); });
-    EXPECT_EQ(serialized(*cold), truth) << "threads=" << threads;
-    const auto warm = store.get(key, [&] { return train_toy(key); });
-    EXPECT_EQ(warm.get(), cold.get());
-    EXPECT_EQ(store.stats().builds, 1u);
-  }
-}
-
-TEST(CemWeightsStore, DiskRoundTripIsByteIdentical) {
-  const TempDir dir("cemw");
-  const nn::CemWeightsKey key = toy_key(1);
-  nn::CemWeightsStore cold;
-  const auto trained = cold.get(key, ArtifactDiskOptions{dir.str(), 0, 0.0},
-                                [&] { return train_toy(key); });
-  EXPECT_EQ(cold.stats().disk_stores, 1u);
-
-  nn::CemWeightsStore warm;
-  const auto loaded = warm.get(key, ArtifactDiskOptions{dir.str(), 0, 0.0},
-                               [&] { return train_toy(key); });
-  EXPECT_EQ(warm.stats().builds, 0u);
-  EXPECT_EQ(warm.stats().disk_loads, 1u);
-  // The canonical serialization round-trips every double exactly: a warm
-  // load is bit-identical to the training run it replaces.
-  EXPECT_EQ(serialized(*loaded), serialized(*trained));
-}
-
-TEST(CemWeightsStore, PoisonedArtifactIsRejectedAndRebuilt) {
-  const TempDir dir("cemw_poison");
-  const nn::CemWeightsKey key = toy_key(1);
-  {
-    nn::CemWeightsStore seed_store;
-    (void)seed_store.get(key, ArtifactDiskOptions{dir.str(), 0, 0.0},
-                         [&] { return train_toy(key); });
-  }
-  // Poison one weight to NaN and re-wrap the payload in a *valid* v2
-  // container (checksums over the poisoned bytes): only the decode-time
-  // finiteness validation stands between this file and a NaN policy.
-  auto poisoned = train_toy(key);
-  nn::Vector params = poisoned->flatten_parameters();
-  params[params.size() / 2] = std::numeric_limits<double>::quiet_NaN();
-  poisoned->set_parameters(params);
-  std::string payload;
-  BinaryWriter writer(payload);
-  poisoned->encode(writer);
-  artifact_detail::write_artifact(ArtifactDiskOptions{dir.str(), 0, 0.0},
-                                  nn::CemWeightsTraits::kind(),
-                                  nn::CemWeightsTraits::version(), key.digest(),
-                                  payload);
-  nn::CemWeightsStore store;
-  const auto rebuilt = store.get(
-      key, ArtifactDiskOptions{dir.str(), 0, 0.0}, [&] { return train_toy(key); });
-  EXPECT_EQ(store.stats().disk_failures, 1u);
-  EXPECT_EQ(store.stats().builds, 1u);
-  for (const double v : rebuilt->flatten_parameters())
-    EXPECT_TRUE(std::isfinite(v));
-}
-
 // --- Registry ---------------------------------------------------------------
 
 TEST(ArtifactStoreRegistry, GlobalStoresReportTheirKinds) {
   (void)DeadlineTableCache::global();
   (void)RolloutTableStore::global();
-  (void)nn::cem_weights_store();
   const auto rows = ArtifactStoreRegistry::global().snapshot();
   std::vector<std::string> kinds;
   for (const auto& row : rows) kinds.push_back(row.kind);
   EXPECT_TRUE(std::find(kinds.begin(), kinds.end(), "dtable") != kinds.end());
   EXPECT_TRUE(std::find(kinds.begin(), kinds.end(), "rphi") != kinds.end());
-  EXPECT_TRUE(std::find(kinds.begin(), kinds.end(), "cemw") != kinds.end());
 }
 
 }  // namespace

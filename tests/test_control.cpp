@@ -1,12 +1,10 @@
-// Unit tests for the driving policies (the RL-agent substitution) — path
-// tracking, gap-target avoidance, side commitment, speed control, and the
-// neural policy wrapper.
+// Unit tests for the driving policy (the RL-agent substitution) — path
+// tracking, gap-target avoidance, side commitment and speed control.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "control/hybrid_policy.hpp"
-#include "control/neural_policy.hpp"
 #include "util/expect.hpp"
 
 namespace seo {
@@ -171,74 +169,6 @@ TEST(HybridPolicy, ConfigContracts) {
   bad.min_speed_factor = 0.0;
   EXPECT_THROW(HybridPolicy(bad, BicycleParams{}, Rng(1)),
                ContractViolation);
-}
-
-// --- Neural policy -----------------------------------------------------------
-
-TEST(NeuralPolicy, OutputsWithinActuatorBounds) {
-  Rng rng(12);
-  NeuralPolicy policy(NeuralPolicyConfig{}, BicycleParams{}, rng);
-  const Road road(RoadParams{});
-  Rng sweep(13);
-  for (int i = 0; i < 200; ++i) {
-    const PolicyObservation obs = observation(
-        road,
-        state_at(sweep.uniform(0, 100), sweep.uniform(-5, 5),
-                 sweep.uniform(-0.5, 0.5), sweep.uniform(0, 12)),
-        {Detection{{sweep.uniform(0, 100), sweep.uniform(-3, 3)}, 0.8, 10.0}});
-    NeuralPolicy& p = policy;
-    const Control u = p.act(obs);
-    EXPECT_LE(std::abs(u.steering), BicycleParams{}.max_steer + 1e-12);
-    EXPECT_LE(std::abs(u.throttle), 1.0 + 1e-12);
-  }
-}
-
-TEST(NeuralPolicy, FeatureVectorShapeAndNormalization) {
-  Rng rng(14);
-  NeuralPolicy policy(NeuralPolicyConfig{}, BicycleParams{}, rng);
-  const Road road(RoadParams{});
-  const PolicyObservation obs =
-      observation(road, state_at(50, 3.0, 0.2, 8.0),
-                  {Detection{{60.0, 1.0}, 0.8, 10.0}});
-  const nn::Vector f = policy.features(obs);
-  ASSERT_EQ(f.size(), NeuralPolicy::feature_count());
-  EXPECT_DOUBLE_EQ(f[0], 3.0 / road.half_width());
-  for (const double v : f) EXPECT_LE(std::abs(v), 2.0);
-}
-
-TEST(NeuralPolicy, NearestDetectionDrivesRangeFeature) {
-  Rng rng(15);
-  NeuralPolicy policy(NeuralPolicyConfig{}, BicycleParams{}, rng);
-  const Road road(RoadParams{});
-  const PolicyObservation near_obs =
-      observation(road, state_at(0, 0, 0, 8),
-                  {Detection{{10.0, 0.0}, 0.8, 10.0},
-                   Detection{{30.0, 0.0}, 0.8, 30.0}});
-  const PolicyObservation empty_obs = observation(road, state_at(0, 0, 0, 8));
-  const double near_range = policy.features(near_obs)[4];
-  const double empty_range = policy.features(empty_obs)[4];
-  EXPECT_LT(near_range, 0.3);
-  EXPECT_DOUBLE_EQ(empty_range, 1.0);  // sentinel: nothing in sensing range
-}
-
-TEST(NeuralPolicy, WrappedNetworkMustMatchInterface) {
-  nn::MlpConfig wrong;
-  wrong.sizes = {3, 4, 2};
-  EXPECT_THROW(
-      NeuralPolicy(NeuralPolicyConfig{}, BicycleParams{}, nn::Mlp(wrong)),
-      ContractViolation);
-}
-
-TEST(NeuralPolicy, DeterministicForward) {
-  Rng rng(16);
-  NeuralPolicy policy(NeuralPolicyConfig{}, BicycleParams{}, rng);
-  const Road road(RoadParams{});
-  const PolicyObservation obs = observation(road, state_at(10, 1, 0.1, 6));
-  NeuralPolicy& p = policy;
-  const Control a = p.act(obs);
-  const Control b = p.act(obs);
-  EXPECT_DOUBLE_EQ(a.steering, b.steering);
-  EXPECT_DOUBLE_EQ(a.throttle, b.throttle);
 }
 
 }  // namespace

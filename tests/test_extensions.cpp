@@ -4,13 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "dynamics/motion.hpp"
 #include "energy/breakdown.hpp"
 #include "net/edge_server.hpp"
 #include "net/offload_link.hpp"
-#include "safety/deadline_table.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario_io.hpp"
 #include "sim/simulation.hpp"
@@ -267,36 +265,6 @@ TEST(Episode, EdgeServerQueueingPreservesSafety) {
   c.seed = 650;
   const EpisodeResult r = run_episode(c);
   EXPECT_FALSE(r.collided);
-}
-
-// --- Deadline table serialization ---------------------------------------------
-
-TEST(DeadlineTable, SaveLoadRoundTrip) {
-  const Barrier barrier{BarrierConfig{}};
-  const LipschitzSafeInterval source(LipschitzIntervalConfig{}, barrier);
-  DeadlineTableConfig tc;
-  tc.distance_bins = 9;
-  tc.bearing_bins = 9;
-  tc.speed_bins = 5;
-  const DeadlineTable original(tc, source, BarrierConfig{}.body_radius);
-
-  std::stringstream stream;
-  original.save(stream);
-  const DeadlineTable loaded = DeadlineTable::load(stream);
-
-  EXPECT_EQ(loaded.cell_count(), original.cell_count());
-  Rng rng(5);
-  for (int i = 0; i < 100; ++i) {
-    const double d = rng.uniform(0.5, 39.0);
-    const double chi = rng.uniform(-3.0, 3.0);
-    const double v = rng.uniform(0.5, 14.0);
-    EXPECT_DOUBLE_EQ(loaded.sample(d, chi, v), original.sample(d, chi, v));
-  }
-}
-
-TEST(DeadlineTable, LoadRejectsGarbage) {
-  std::stringstream stream("not-a-table 9");
-  EXPECT_THROW(DeadlineTable::load(stream), ContractViolation);
 }
 
 // --- Telemetry ----------------------------------------------------------------

@@ -1,5 +1,6 @@
-// Counting-allocator proof that the per-tick NN control path performs zero
-// heap allocations in steady state.  This file overrides global operator
+// Counting-allocator proof that the per-tick hot paths (MLP forward, the
+// barrier and safety filter, world physics) perform zero heap allocations
+// in steady state.  This file overrides global operator
 // new/delete for its own test binary (tests build one executable per file,
 // so the override cannot leak into other suites); the counters are read
 // around repeated forward passes after a warm-up call has grown every
@@ -12,7 +13,6 @@
 #include <new>
 #include <vector>
 
-#include "control/neural_policy.hpp"
 #include "dynamics/obstacle.hpp"
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
@@ -193,29 +193,6 @@ TEST(HotPathAllocations, WorldApplyTickIsAllocationFreeInSteadyState) {
   EXPECT_EQ(g_allocations.load() - before, 0u)
       << "World::apply allocated in steady state";
   EXPECT_FALSE(world.terminal());
-}
-
-TEST(HotPathAllocations, NeuralPolicyActIsAllocationFreeInSteadyState) {
-  Rng rng(23);
-  NeuralPolicy policy(NeuralPolicyConfig{}, BicycleParams{}, rng);
-
-  const Road road;
-  PolicyObservation obs;
-  obs.state.position = {5.0, 0.3};
-  obs.state.heading = 0.02;
-  obs.state.speed = 6.0;
-  obs.road = &road;
-  obs.detections.push_back(Detection{{20.0, 0.5}, 0.8, 15.0});
-
-  (void)policy.act(obs);  // warm-up
-
-  const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 1000; ++i) {
-    const Control u = policy.act(obs);
-    ASSERT_LE(std::abs(u.throttle), 1.0);
-  }
-  EXPECT_EQ(g_allocations.load() - before, 0u)
-      << "NeuralPolicy::act allocated in steady state";
 }
 
 }  // namespace

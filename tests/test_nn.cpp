@@ -1,13 +1,10 @@
 // Unit + property tests for the NN engine: linear algebra, activations
-// (finite-difference derivative checks), MLP forward/backward/serialization,
-// and the CEM optimizer.
+// (finite-difference derivative checks) and MLP forward/backward.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "nn/activation.hpp"
-#include "nn/cem.hpp"
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
 #include "util/expect.hpp"
@@ -228,20 +225,6 @@ TEST(Mlp, FlattenSetRoundTrip) {
   EXPECT_THROW(other.set_parameters(Vector(3, 0.0)), ContractViolation);
 }
 
-TEST(Mlp, SaveLoadRoundTrip) {
-  Rng rng(7);
-  Mlp net(MlpConfig{{4, 8, 8, 2}, Activation::kRelu, Activation::kTanh});
-  net.init_xavier(rng);
-  std::stringstream stream;
-  net.save(stream);
-  const Mlp loaded = Mlp::load(stream);
-  const Vector in{0.1, 0.2, -0.3, 0.4};
-  const Vector a = net.forward(in);
-  const Vector b = loaded.forward(in);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-15);
-}
-
 TEST(Mlp, GradientMatchesFiniteDifference) {
   // Backprop correctness: compare d(loss)/d(theta) against central
   // differences on a tiny network.
@@ -306,60 +289,6 @@ TEST(Mlp, RejectsBadArchitectures) {
   EXPECT_THROW(Mlp(MlpConfig{{4}, Activation::kTanh, Activation::kTanh}),
                ContractViolation);
   EXPECT_THROW(Mlp(MlpConfig{{4, 0, 2}, Activation::kTanh, Activation::kTanh}),
-               ContractViolation);
-}
-
-TEST(Cem, OptimizesQuadraticBowl) {
-  // Maximize -(x - c)^2 in 4 dimensions.
-  const Vector center{1.0, -2.0, 0.5, 3.0};
-  auto objective = [&](const Vector& x) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const double d = x[i] - center[i];
-      acc -= d * d;
-    }
-    return acc;
-  };
-  Rng rng(10);
-  CemConfig config;
-  config.population = 64;
-  config.elites = 8;
-  config.generations = 60;
-  config.init_stddev = 2.0;  // wide enough to reach the farthest optimum
-  config.min_stddev = 0.05;
-  const CemResult result =
-      cem_optimize(objective, Vector(4, 0.0), config, rng);
-  for (std::size_t i = 0; i < 4; ++i)
-    EXPECT_NEAR(result.best_parameters[i], center[i], 0.2);
-  EXPECT_GT(result.best_score, -0.1);
-  EXPECT_EQ(result.generation_best.size(), config.generations);
-}
-
-TEST(Cem, BestScoreNeverRegresses) {
-  // The tracked best is a running maximum even if generations fluctuate.
-  auto objective = [](const Vector& x) { return -x[0] * x[0]; };
-  Rng rng(11);
-  CemConfig config;
-  config.generations = 15;
-  const CemResult result =
-      cem_optimize(objective, Vector(1, 5.0), config, rng);
-  double best = -1e300;
-  for (const double g : result.generation_best) {
-    best = std::max(best, g);
-    EXPECT_LE(g, result.best_score + 1e-12);
-  }
-  EXPECT_DOUBLE_EQ(best, result.best_score);
-}
-
-TEST(Cem, ContractChecks) {
-  auto objective = [](const Vector&) { return 0.0; };
-  Rng rng(12);
-  CemConfig config;
-  config.elites = 100;
-  config.population = 10;
-  EXPECT_THROW(cem_optimize(objective, Vector(2, 0.0), config, rng),
-               ContractViolation);
-  EXPECT_THROW(cem_optimize(objective, Vector{}, CemConfig{}, rng),
                ContractViolation);
 }
 

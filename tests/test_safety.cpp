@@ -4,14 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "core/binary_io.hpp"
 #include "safety/barrier.hpp"
 #include "safety/deadline_table.hpp"
 #include "safety/safe_interval.hpp"
@@ -1011,9 +1014,8 @@ TEST(DeadlineTable, ConfigContracts) {
 
 // --- Serialization ----------------------------------------------------------
 
-/// A small real table plus its serialized text, shared by the save/load
-/// hardening tests below.
-std::string small_table_text() {
+/// A small real table's binary payload, shared by the round-trip test.
+std::string small_table_bytes() {
   const Barrier barrier{BarrierConfig{}};
   const LipschitzSafeInterval source(LipschitzIntervalConfig{}, barrier);
   DeadlineTableConfig config;
@@ -1021,68 +1023,71 @@ std::string small_table_text() {
   config.bearing_bins = 3;
   config.speed_bins = 2;
   const DeadlineTable table(config, source, BarrierConfig{}.body_radius);
-  std::ostringstream out;
-  table.save(out);
-  return out.str();
+  std::string bytes;
+  BinaryWriter out(bytes);
+  table.encode(out);
+  return bytes;
 }
 
 TEST(DeadlineTableIo, RoundTripsExactly) {
-  const std::string text = small_table_text();
-  std::istringstream in(text);
-  const DeadlineTable loaded = DeadlineTable::load(in);
-  std::ostringstream again;
-  loaded.save(again);
-  EXPECT_EQ(again.str(), text);
+  const std::string bytes = small_table_bytes();
+  BinaryReader in{std::string_view(bytes)};
+  const DeadlineTable loaded = DeadlineTable::decode(in);
+  std::string again;
+  BinaryWriter out(again);
+  loaded.encode(out);
+  EXPECT_EQ(again, bytes);
   EXPECT_EQ(loaded.body_radius(), BarrierConfig{}.body_radius);
 }
 
-TEST(DeadlineTableIo, SaveRestoresCallerPrecision) {
-  const Barrier barrier{BarrierConfig{}};
-  const LipschitzSafeInterval source(LipschitzIntervalConfig{}, barrier);
-  DeadlineTableConfig config;
-  config.distance_bins = 2;
-  config.bearing_bins = 2;
-  config.speed_bins = 2;
-  const DeadlineTable table(config, source, 0.9);
-
-  std::ostringstream out;
-  out.precision(3);
-  table.save(out);
-  EXPECT_EQ(out.precision(), 3);
-  // The stream must keep rendering at the caller's precision afterwards.
-  out.str("");
-  out << 1.0 / 3.0;
-  EXPECT_EQ(out.str(), "0.333");
+/// A hand-built binary table payload: the three bin counts, the domain
+/// scalars (max_distance, max_speed, obstacle_radius, body_radius), then
+/// `cells` cells all holding `cell`.
+std::string table_payload(const std::array<std::uint32_t, 3>& bins,
+                          const std::array<double, 4>& domain,
+                          std::size_t cells, double cell = 0.5) {
+  std::string bytes;
+  BinaryWriter out(bytes);
+  for (const std::uint32_t b : bins) out.u32(b);
+  for (const double v : domain) out.f64(v);
+  for (std::size_t i = 0; i < cells; ++i) out.f64(cell);
+  return bytes;
 }
 
-TEST(DeadlineTableIo, LoadRejectsCorruptInput) {
-  const std::string good = small_table_text();
+TEST(DeadlineTableIo, DecodeRejectsCorruptInput) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::array<std::uint32_t, 3> bins{2, 2, 2};
+  const std::array<double, 4> domain{40.0, 15.0, 0.8, 0.9};
+  const std::string good = table_payload(bins, domain, 8);
 
-  const auto load_fails = [](const std::string& text) {
-    std::istringstream in(text);
-    EXPECT_THROW(DeadlineTable::load(in), ContractViolation) << text;
+  struct Case {
+    const char* what;
+    std::string payload;
   };
-
-  // Wrong magic / version.
-  load_fails("not-a-table 1\n2 2 2\n40 15 0.8 0.9\n0 0 0 0 0 0 0 0\n");
-  load_fails("seo-dtable 7\n2 2 2\n40 15 0.8 0.9\n0 0 0 0 0 0 0 0\n");
-  // Degenerate grids.
-  load_fails("seo-dtable 1\n1 2 2\n40 15 0.8 0.9\n0 0 0 0\n");
-  // Non-positive domain scalars must not pass into episodes.
-  load_fails("seo-dtable 1\n2 2 2\n-40 15 0.8 0.9\n0 0 0 0 0 0 0 0\n");
-  load_fails("seo-dtable 1\n2 2 2\n40 0 0.8 0.9\n0 0 0 0 0 0 0 0\n");
-  load_fails("seo-dtable 1\n2 2 2\n40 15 -0.8 0.9\n0 0 0 0 0 0 0 0\n");
-  load_fails("seo-dtable 1\n2 2 2\n40 15 0.8 0\n0 0 0 0 0 0 0 0\n");
-  // Unparseable / non-finite scalars and cells (stream-fail or isfinite,
-  // whichever the platform's num_get produces — both must throw).
-  load_fails("seo-dtable 1\n2 2 2\nnan 15 0.8 0.9\n0 0 0 0 0 0 0 0\n");
-  load_fails("seo-dtable 1\n2 2 2\n40 15 0.8 0.9\n0 0 0 inf 0 0 0 0\n");
-  // Truncated payload.
-  load_fails(good.substr(0, good.size() / 2));
-  // The untampered text still loads (the guards reject corruption, not
-  // legitimate tables).
-  std::istringstream in(good);
-  EXPECT_NO_THROW(DeadlineTable::load(in));
+  const std::vector<Case> cases = {
+      {"degenerate bin count", table_payload({1, 2, 2}, domain, 4)},
+      {"bin count above the allocation guard",
+       table_payload({100001, 2, 2}, domain, 0)},
+      {"negative max_distance",
+       table_payload(bins, {-40.0, 15.0, 0.8, 0.9}, 8)},
+      {"zero max_speed", table_payload(bins, {40.0, 0.0, 0.8, 0.9}, 8)},
+      {"negative obstacle_radius",
+       table_payload(bins, {40.0, 15.0, -0.8, 0.9}, 8)},
+      {"zero body_radius", table_payload(bins, {40.0, 15.0, 0.8, 0.0}, 8)},
+      {"NaN max_distance", table_payload(bins, {kNan, 15.0, 0.8, 0.9}, 8)},
+      {"infinite cell", table_payload(bins, domain, 8, kInf)},
+      {"truncated cell block", good.substr(0, good.size() - 4)},
+      {"one trailing byte", good + '\0'},
+  };
+  for (const Case& c : cases) {
+    BinaryReader in{std::string_view(c.payload)};
+    EXPECT_THROW(DeadlineTable::decode(in), ContractViolation) << c.what;
+  }
+  // The untampered payload still decodes (the guards reject corruption,
+  // not legitimate tables).
+  BinaryReader in{std::string_view(good)};
+  EXPECT_NO_THROW(DeadlineTable::decode(in));
 }
 
 }  // namespace

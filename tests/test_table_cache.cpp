@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,10 +50,13 @@ DeadlineTableCache::Builder builder_for(const DeadlineTableKey& key,
   };
 }
 
+/// The binary payload: raw IEEE-754 cell bits, so equal bytes mean
+/// bit-identical tables.
 std::string serialized(const DeadlineTable& table) {
-  std::ostringstream out;
-  table.save(out);
-  return out.str();
+  std::string bytes;
+  BinaryWriter out(bytes);
+  table.encode(out);
+  return bytes;
 }
 
 /// RAII temp directory for artifact-store tests.
@@ -207,6 +209,27 @@ TEST(DeadlineTableCache, ConcurrentRequestsShareOneBuild) {
     EXPECT_EQ(tables[t].get(), tables[0].get());
 }
 
+TEST(DeadlineTableCache, CachedAndUncachedTablesAreByteIdenticalAtAnyThreads) {
+  // Ground truth: a direct serial build, bypassing the store.
+  const std::string truth = serialized(*builder_for(small_key())());
+
+  for (const int threads : {1, 2, 0}) {
+    // The build fan-out must not change a single cell bit...
+    DeadlineTableKey key = small_key();
+    key.table.threads = threads;
+    EXPECT_EQ(serialized(*builder_for(key)()), truth)
+        << "direct build diverged at threads=" << threads;
+    // ...and the store must hand back exactly the built bytes, both on the
+    // cold build and on a warm in-memory hit.
+    DeadlineTableCache cache;
+    const auto cold = cache.get(key, builder_for(key));
+    EXPECT_EQ(serialized(*cold), truth) << "threads=" << threads;
+    const auto warm = cache.get(key, builder_for(key));
+    EXPECT_EQ(warm.get(), cold.get());
+    EXPECT_EQ(cache.stats().builds, 1u);
+  }
+}
+
 // --- Disk artifact store ----------------------------------------------------
 
 TEST(DeadlineTableCache, DiskRoundTripIsByteIdenticalToFreshBuild) {
@@ -259,7 +282,7 @@ TEST(DeadlineTableCache, CorruptArtifactFallsBackToRebuildAndHeals) {
 
 TEST(DeadlineTableCache, RenamedArtifactForAnotherKeyIsRejected) {
   // The serialized table cannot expose an interval/barrier/road mismatch
-  // (save() only records the grid, domain, and body radius), so the
+  // (the payload only records the grid, domain, and body radius), so the
   // artifact header's full key digest is what protects against a file
   // copied under another key's address: same table shape, different
   // barrier margin — trusting it would poison every safety deadline.
@@ -311,20 +334,6 @@ TEST(DeadlineTableCache, ArtifactWithNonFiniteCellsIsRejected) {
   ASSERT_NE(rebuilt, nullptr);
   EXPECT_EQ(cache.stats().disk_failures, 1u);
   EXPECT_EQ(cache.stats().builds, 1u);
-}
-
-TEST(DeadlineTableCache, BinaryPayloadIsAtLeastTwiceSmallerThanText) {
-  // The v2 motivation, locked as a floor: the binary table payload (8
-  // bytes per cell + fixed header) must stay at least 2x smaller than the
-  // v1 text serialization it replaced.
-  const DeadlineTableKey key = small_key();
-  const auto table = builder_for(key)();
-  const std::string text = serialized(*table);
-  std::string binary;
-  BinaryWriter writer(binary);
-  table->encode(writer);
-  EXPECT_GE(text.size(), 2 * binary.size())
-      << "text " << text.size() << " bytes vs binary " << binary.size();
 }
 
 // --- Nested-parallelism guard ----------------------------------------------
@@ -383,6 +392,36 @@ TEST(TableCacheWiring, CachedEpisodeBitIdenticalToUncached) {
   EXPECT_EQ(hit.intervals, fresh.intervals);
   EXPECT_EQ(hit.mean_delta_max(), fresh.mean_delta_max());
   EXPECT_GE(DeadlineTableCache::global().stats().hits, 1u);
+}
+
+TEST(TableCacheWiring, ProcessMemoryBudgetReachesRunEpisode) {
+  // The memory budget is store state set once per process, not a scenario
+  // setting: run_episode must leave it in force, and evictions under it
+  // must not move a result bit.
+  DeadlineTableCache::global().clear();
+  ArtifactStoreRegistry::global().configure_all(ArtifactDiskOptions{},
+                                                ArtifactMemoryBudget{1, 0});
+  ScenarioConfig a = shortened(make_scenario("paper_default"));
+  a.seed = 5;
+  ScenarioConfig b = a;
+  b.interval.rate_gain += 1.0;  // a second table geometry
+  ScenarioConfig uncached = a;
+  uncached.table_cache = false;
+
+  (void)run_episode(a);
+  (void)run_episode(b);  // evicts a's table
+  const EpisodeResult rebuilt = run_episode(a);
+  const ArtifactStoreStats stats = DeadlineTableCache::global().stats();
+  ArtifactStoreRegistry::global().configure_all(ArtifactDiskOptions{},
+                                                ArtifactMemoryBudget{});
+  EXPECT_EQ(stats.builds, 3u);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(DeadlineTableCache::global().size(), 1u);
+  const EpisodeResult fresh = run_episode(uncached);
+  EXPECT_EQ(rebuilt.duration_s, fresh.duration_s);
+  EXPECT_EQ(rebuilt.min_h, fresh.min_h);
+  EXPECT_EQ(rebuilt.intervals, fresh.intervals);
+  EXPECT_EQ(rebuilt.mean_delta_max(), fresh.mean_delta_max());
 }
 
 TEST(TableCacheWiring, DistinctObstacleSpeedsAreDistinctKeys) {

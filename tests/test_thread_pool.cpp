@@ -8,12 +8,12 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "nn/cem.hpp"
+#include "core/binary_io.hpp"
 #include "safety/deadline_table.hpp"
 #include "safety/safe_interval.hpp"
 #include "sim/experiment.hpp"
@@ -174,10 +174,11 @@ TEST(ThreadPool, ResolveThreadsMapsKnobToWorkerCount) {
 
 // --- Serial equivalence of the parallel users ------------------------------
 
-std::string table_text(const DeadlineTable& table) {
-  std::ostringstream out;
-  table.save(out);
-  return out.str();
+std::string table_bytes(const DeadlineTable& table) {
+  std::string bytes;
+  BinaryWriter out(bytes);
+  table.encode(out);
+  return bytes;
 }
 
 TEST(ParallelDeadlineTable, BitIdenticalToSerialBuild) {
@@ -193,9 +194,9 @@ TEST(ParallelDeadlineTable, BitIdenticalToSerialBuild) {
     DeadlineTableConfig parallel_config;
     parallel_config.threads = threads;
     const DeadlineTable parallel(parallel_config, source, body);
-    // save() prints with 17 significant digits, which round-trips doubles
-    // exactly: identical text <=> bit-identical cell values.
-    EXPECT_EQ(table_text(serial), table_text(parallel))
+    // encode() writes raw IEEE-754 cell bits: identical bytes <=>
+    // bit-identical cell values.
+    EXPECT_EQ(table_bytes(serial), table_bytes(parallel))
         << "table built with " << threads << " threads diverged";
   }
 }
@@ -281,36 +282,6 @@ TEST(ParallelExperiment, ReproducesSerialResultWithFailures) {
   EXPECT_EQ(serial.avg_speed.mean(), batched.avg_speed.mean());
   EXPECT_EQ(serial.min_h.min(), batched.min_h.min());
   EXPECT_EQ(serial.intervals, batched.intervals);
-}
-
-TEST(ParallelCem, ReproducesSerialOptimization) {
-  // Deterministic quadratic objective: argmax at (2, -1, 0.5, ...).
-  const auto objective = [](const nn::Vector& x) {
-    double score = 0.0;
-    for (std::size_t d = 0; d < x.size(); ++d) {
-      const double target = d == 0 ? 2.0 : (d == 1 ? -1.0 : 0.5);
-      score -= (x[d] - target) * (x[d] - target);
-    }
-    return score;
-  };
-  nn::CemConfig config;
-  config.population = 16;
-  config.elites = 4;
-  config.generations = 10;
-
-  config.threads = 1;
-  Rng serial_rng(99);
-  const nn::CemResult serial =
-      nn::cem_optimize(objective, nn::Vector(6, 0.0), config, serial_rng);
-
-  config.threads = 4;
-  Rng parallel_rng(99);
-  const nn::CemResult parallel =
-      nn::cem_optimize(objective, nn::Vector(6, 0.0), config, parallel_rng);
-
-  EXPECT_EQ(serial.best_score, parallel.best_score);
-  EXPECT_EQ(serial.best_parameters, parallel.best_parameters);
-  EXPECT_EQ(serial.generation_best, parallel.generation_best);
 }
 
 }  // namespace

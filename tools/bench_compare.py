@@ -46,15 +46,15 @@ import sys
 # machine-shaped, so the gate pins the serial ones).
 DEFAULT_NAMES = [
     "BM_ArtifactPayloadParseBinary",
-    "BM_ArtifactPayloadParseText",
     "BM_BarrierValue",
     "BM_BicycleStepRk4",
-    "BM_CemWeightsCache",
     "BM_DeadlineTableCache",
     "BM_DeadlineTableProbe",
+    "BM_FullEpisode",
     "BM_LipschitzInterval",
     "BM_MlpForwardWorkspace",
     "BM_RolloutPhiCache",
+    "BM_SafetyFilterEngaged",
     "BM_SafetyFilterPass",
     "BM_TraceStreamRead",
     "BM_TraceStreamWrite",

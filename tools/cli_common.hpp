@@ -1,8 +1,8 @@
 // Small helpers shared by the CLI mains in this directory (sweep, fleet):
 // string splitting plus the artifact-store CLI surface — flag parsing,
-// startup GC, and the unified per-kind stats report — kept here so the two
-// CLIs (and the CI assertions grepping these exact formats) can never
-// drift apart.
+// store configuration, startup GC, and the unified per-kind stats report —
+// kept here so the two CLIs (and the CI assertions grepping these exact
+// formats) can never drift apart.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/artifact_store.hpp"
-#include "nn/weights_store.hpp"
 #include "safety/table_cache.hpp"
 #include "util/numeric.hpp"
 #include "util/thread_pool.hpp"
@@ -54,7 +53,7 @@ inline std::vector<std::string> split(const std::string& text, char sep) {
   return parts;
 }
 
-/// Usage lines for the shared artifact-store flags, spliced into each
+/// Usage lines for the shared artifact-store flag, spliced into each
 /// CLI's --help text.
 constexpr const char* kCacheUsage =
     "  --cache SPEC           artifact-store settings, comma-separated:\n"
@@ -73,151 +72,111 @@ constexpr const char* kCacheUsage =
     "[hours]\n"
     "                           gc            LRU GC sweep over the dir "
     "before the run\n"
-    "                         e.g. --cache dir=artifacts,budget-mb=512,gc\n"
-    "  --table-cache on|off, --table-cache-dir DIR, --cache-budget-mb N,\n"
-    "  --cache-max-age-h N, --cache-mem-mb N, --cache-gc\n"
-    "                         deprecated aliases for the --cache settings "
-    "above\n";
+    "                         e.g. --cache dir=artifacts,budget-mb=512,gc\n";
 
-/// Artifact-store options accumulated while parsing.
+/// Artifact-store settings accumulated while parsing: process state,
+/// applied once by configure_artifact_stores, never per scenario.
 struct CacheCliOptions {
   std::string dir;
   double budget_mb = 0.0;
   double max_age_h = 0.0;
+  double mem_mb = 0.0;
   bool gc = false;
 };
 
-/// Applies one `--cache` setting (`name`/`value` as in "dir=DIR", or a
-/// bare token like "gc" with an empty value).  Both the new `--cache SPEC`
-/// syntax and the deprecated per-setting flags funnel through here — one
-/// code path, so the two surfaces can never drift.  Returns false for an
-/// unknown setting name; exits with code 2 on a malformed value.
-inline bool apply_cache_setting(
-    const std::string& flag, const std::string& name, const std::string& value,
-    std::vector<std::pair<std::string, std::string>>& overrides,
-    CacheCliOptions& state) {
-  const auto bare = [&] {
-    if (!value.empty()) {
-      std::cerr << flag << ": '" << name << "' does not take a value\n";
-      std::exit(2);
-    }
-  };
-  const auto numeric = [&] {
-    return parse_numeric_flag(flag + " " + name, value);
-  };
-  if (name == "on" || name == "off") {
-    bare();
-    overrides.emplace_back("table_cache", name == "on" ? "true" : "false");
-    return true;
-  }
-  if (name == "gc") {
-    bare();
-    state.gc = true;
-    return true;
-  }
-  if (name == "dir") {
-    if (value.empty()) {
-      std::cerr << flag << ": 'dir' expects a directory\n";
-      std::exit(2);
-    }
-    state.dir = value;
-    overrides.emplace_back("table_cache_dir", value);
-    return true;
-  }
-  if (name == "budget-mb") {
-    state.budget_mb = numeric();
-    overrides.emplace_back("cache_budget_mb", value);
-    return true;
-  }
-  if (name == "max-age-h") {
-    state.max_age_h = numeric();
-    overrides.emplace_back("cache_max_age_h", value);
-    return true;
-  }
-  if (name == "mem-mb") {
-    (void)numeric();
-    overrides.emplace_back("cache_mem_mb", value);
-    return true;
-  }
-  return false;
-}
-
-/// Consumes one shared artifact-store flag (and its value) from argv —
-/// `--cache SPEC` or one of the deprecated per-setting aliases.  Returns
-/// false when `argv[i]` is not a cache flag; exits with code 2 on a
-/// malformed value.  Recognized settings land in `overrides` (scenario_io
-/// keys, so they reach run_episode through the normal config path) and in
-/// `state` (for the startup GC).
+/// Consumes `--cache SPEC` (and its value) from argv.  Returns false when
+/// `argv[i]` is not `--cache`; exits with code 2 on a malformed value.
+/// `on|off` is the one per-scenario setting (the `table_cache` key, which
+/// lands in `overrides`); everything else lands in `state`.
 inline bool parse_cache_flag(
     int argc, char** argv, int& i,
     std::vector<std::pair<std::string, std::string>>& overrides,
     CacheCliOptions& state) {
   const std::string arg = argv[i];
-  const auto next_value = [&]() -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << arg << "\n";
-      std::exit(2);
-    }
-    return argv[++i];
-  };
-
-  if (arg == "--cache") {
-    for (const std::string& item : split(next_value(), ',')) {
-      if (item.empty()) continue;
-      const auto eq = item.find('=');
-      const std::string name =
-          eq == std::string::npos ? item : item.substr(0, eq);
-      const std::string value =
-          eq == std::string::npos ? "" : item.substr(eq + 1);
-      if (!apply_cache_setting(arg, name, value, overrides, state)) {
-        std::cerr << "--cache: unknown setting '" << name
-                  << "' (expected on, off, dir=, mem-mb=, budget-mb=, "
-                     "max-age-h=, gc)\n";
+  if (arg != "--cache") return false;
+  if (i + 1 >= argc) {
+    std::cerr << "missing value for " << arg << "\n";
+    std::exit(2);
+  }
+  for (const std::string& item : split(argv[++i], ',')) {
+    if (item.empty()) continue;
+    const auto eq = item.find('=');
+    const std::string name =
+        eq == std::string::npos ? item : item.substr(0, eq);
+    const std::string value =
+        eq == std::string::npos ? "" : item.substr(eq + 1);
+    const auto bare = [&] {
+      if (!value.empty()) {
+        std::cerr << arg << ": '" << name << "' does not take a value\n";
         std::exit(2);
       }
-    }
-    return true;
-  }
-  if (arg == "--table-cache") {
-    const std::string value = next_value();
-    if (value != "on" && value != "off") {
-      std::cerr << "--table-cache expects on|off\n";
+    };
+    const auto numeric = [&] {
+      return parse_numeric_flag(arg + " " + name, value);
+    };
+    if (name == "on" || name == "off") {
+      bare();
+      overrides.emplace_back("table_cache", name == "on" ? "true" : "false");
+    } else if (name == "gc") {
+      bare();
+      state.gc = true;
+    } else if (name == "dir") {
+      if (value.empty()) {
+        std::cerr << arg << ": 'dir' expects a directory\n";
+        std::exit(2);
+      }
+      state.dir = value;
+    } else if (name == "budget-mb") {
+      state.budget_mb = numeric();
+    } else if (name == "max-age-h") {
+      state.max_age_h = numeric();
+    } else if (name == "mem-mb") {
+      state.mem_mb = numeric();
+    } else {
+      std::cerr << "--cache: unknown setting '" << name
+                << "' (expected on, off, dir=, mem-mb=, budget-mb=, "
+                   "max-age-h=, gc)\n";
       std::exit(2);
     }
-    return apply_cache_setting(arg, value, "", overrides, state);
   }
-  if (arg == "--table-cache-dir")
-    return apply_cache_setting(arg, "dir", next_value(), overrides, state);
-  if (arg == "--cache-budget-mb")
-    return apply_cache_setting(arg, "budget-mb", next_value(), overrides,
-                               state);
-  if (arg == "--cache-max-age-h")
-    return apply_cache_setting(arg, "max-age-h", next_value(), overrides,
-                               state);
-  if (arg == "--cache-mem-mb")
-    return apply_cache_setting(arg, "mem-mb", next_value(), overrides, state);
-  if (arg == "--cache-gc")
-    return apply_cache_setting(arg, "gc", "", overrides, state);
-  return false;
+  return true;
 }
 
-/// Startup GC requested via --cache-gc: one LRU sweep over the artifact
+inline std::uint64_t mb_to_bytes(double mb) {
+  return mb > 0.0 ? static_cast<std::uint64_t>(mb * 1024.0 * 1024.0) : 0;
+}
+
+/// Startup GC requested via `--cache gc`: one LRU sweep over the artifact
 /// dir with the configured caps, reported to stderr.
 inline void run_requested_gc(const CacheCliOptions& state) {
   if (!state.gc) return;
   if (state.dir.empty()) {
-    std::cerr << "--cache-gc requires --table-cache-dir\n";
+    std::cerr << "--cache gc requires --cache dir=DIR\n";
     std::exit(2);
   }
   const ArtifactGcResult r = artifact_store_gc(
-      state.dir,
-      state.budget_mb > 0.0
-          ? static_cast<std::uint64_t>(state.budget_mb * 1024.0 * 1024.0)
-          : 0,
+      state.dir, mb_to_bytes(state.budget_mb),
       state.max_age_h > 0.0 ? state.max_age_h * 3600.0 : 0.0);
   std::cerr << "artifact gc: scanned " << r.scanned << " files, removed "
             << r.removed << ", " << r.bytes_before << " -> " << r.bytes_after
             << " bytes\n";
+}
+
+/// Configures every process-wide artifact store from the parsed `--cache`
+/// settings: the disk tier (shared dir, size and age caps) and the
+/// per-kind memory budget.  Called once after parsing — by a `--workers`
+/// child too, which re-parses the forwarded argv.
+inline void configure_artifact_stores(const CacheCliOptions& state) {
+  // Kinds register lazily; touching the accessors registers each one.
+  (void)DeadlineTableCache::global();
+  (void)RolloutTableStore::global();
+  ArtifactDiskOptions disk;
+  disk.dir = state.dir;
+  disk.max_bytes = mb_to_bytes(state.budget_mb);
+  disk.max_age_s = state.max_age_h > 0.0 ? state.max_age_h * 3600.0 : 0.0;
+  ArtifactMemoryBudget budget;
+  budget.max_bytes = static_cast<std::size_t>(mb_to_bytes(state.mem_mb));
+  ArtifactStoreRegistry::global().configure_all(disk, budget);
 }
 
 /// The one greppable per-kind stats line format (CI assertions sed these
@@ -244,7 +203,6 @@ inline void print_artifact_store_stats(
   // this order on a fresh process) before the snapshot.
   (void)DeadlineTableCache::global();
   (void)RolloutTableStore::global();
-  (void)nn::cem_weights_store();
   std::map<std::string, ArtifactStoreStats> merged;
   for (const auto& row : ArtifactStoreRegistry::global().snapshot())
     merged[row.kind] = row.stats;

@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
       show_pool_stats = true;
     } else if (seo::cli::parse_cache_flag(argc, argv, i, grid.base_overrides,
                                           cache)) {
-      // Shared artifact-store flags (cli_common.hpp).
+      // --cache SPEC (cli_common.hpp).
     } else if (arg == "--format") {
       format = next_arg(i);
     } else if (arg == "--output") {
@@ -207,6 +207,7 @@ int main(int argc, char** argv) {
       throw ContractViolation("unknown fleet report format: " + format +
                               " (csv|json)");
     seo::cli::run_requested_gc(cache);
+    seo::cli::configure_artifact_stores(cache);
     const std::vector<SweepPoint> points = expand_grid(grid);
     if (trace_sink) {
       // Header prepass: mix every point's table digest in grid order —

@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
       show_pool_stats = true;
     } else if (seo::cli::parse_cache_flag(argc, argv, i,
                                           config.base_overrides, cache)) {
-      // Shared artifact-store flags (cli_common.hpp).
+      // --cache SPEC (cli_common.hpp).
     } else if (arg == "--format") {
       format = next_arg(i);
     } else if (arg == "--output") {
@@ -300,6 +300,7 @@ int main(int argc, char** argv) {
 
   try {
     seo::cli::run_requested_gc(cache);
+    seo::cli::configure_artifact_stores(cache);
 
     // Hidden pipe-worker mode (a `--workers` child): point assignments
     // come in on stdin, every frame goes out on stdout, diagnostics on
