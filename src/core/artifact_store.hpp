@@ -101,6 +101,22 @@ struct ArtifactStoreStats {
   std::uint64_t disk_loads = 0;     ///< misses served from the artifact dir
   std::uint64_t disk_stores = 0;
   std::uint64_t disk_failures = 0;  ///< corrupt/mismatched artifacts rebuilt
+
+  /// Field-wise sum — how per-process stats combine into a farm-wide view.
+  ArtifactStoreStats& operator+=(const ArtifactStoreStats& o) {
+    hits += o.hits;
+    fast_hits += o.fast_hits;
+    misses += o.misses;
+    builds += o.builds;
+    waits += o.waits;
+    lock_waits += o.lock_waits;
+    evictions += o.evictions;
+    bytes += o.bytes;
+    disk_loads += o.disk_loads;
+    disk_stores += o.disk_stores;
+    disk_failures += o.disk_failures;
+    return *this;
+  }
 };
 
 /// In-memory bounding for long-lived services.  0 means "unlimited" for

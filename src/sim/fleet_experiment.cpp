@@ -90,8 +90,7 @@ FleetResult run_fleet_experiment(const FleetExperimentConfig& config) {
     std::vector<OffloadEvent> offloads;
   };
   std::vector<Slot> slots(total);
-  const std::uint64_t point_digest =
-      config.trace_sink != nullptr ? scenario_table_digest(scenario) : 0;
+  const bool tracing = static_cast<bool>(config.trace_tap);
   const std::size_t workers = ThreadPool::resolve_threads(config.threads);
   ThreadPool::run_capped(0, total, workers, [&](std::size_t lo,
                                                 std::size_t hi) {
@@ -105,23 +104,10 @@ FleetResult run_fleet_experiment(const FleetExperimentConfig& config) {
       trace.clear();
       // Sample logs are only needed when streaming; the replay phase just
       // wants the offload stream.
-      trace.set_capture_samples(config.trace_sink != nullptr);
+      trace.set_capture_samples(tracing);
       slots[i].episode = run_episode(episode_scenario, &trace);
-      if (config.trace_sink != nullptr) {
-        TraceEpisodeInfo info;
-        info.seed = episode_scenario.seed;
-        info.scenario_digest = point_digest;
-        info.point_index = config.trace_point_index;
-        info.vehicle =
-            static_cast<std::uint32_t>(i % static_cast<std::size_t>(vehicles));
-        info.label = config.trace_label;
-        std::string block;
-        append_trace_episode(block, info,
-                             summarize_episode(scenario, slots[i].episode),
-                             trace);
-        config.trace_sink->commit(config.trace_block_base + i,
-                                  std::move(block), 1);
-      }
+      if (tracing)
+        config.trace_tap(episode_scenario.seed, slots[i].episode, trace);
       // Move, not copy: the replay phase owns the uplink stream and the
       // buffer's capacity is re-reserved on the next clear()+record cycle.
       slots[i].offloads = trace.take_offloads();
@@ -306,16 +292,6 @@ std::vector<std::pair<std::string, std::string>> fleet_short_horizon() {
           {"table_distance_bins", "15"},
           {"table_bearing_bins", "9"},
           {"table_speed_bins", "9"}};
-}
-
-SweepConfig fleet_smoke_sweep() {
-  SweepConfig config;
-  config.scenarios = {"fleet_cluster"};
-  config.axes = {{"cluster.servers", {"1", "2"}},
-                 {"cluster.dispatch", {"round_robin", "least_loaded"}},
-                 {"cluster.batch_window_ms", {"0", "4"}}};
-  config.base_overrides = fleet_short_horizon();
-  return config;
 }
 
 std::string fleet_vehicle_csv(const FleetResult& result) {

@@ -30,15 +30,19 @@
 // same transmissions would have experienced under fleet load.  That keeps
 // phase 1 embarrassingly parallel while still exposing the cluster-level
 // effects (contention, batching, shedding) the dispatch policies trade off.
+//
+// A sweep of fleet points (SweepConfig::rounds >= 1, `sweep --rounds N`)
+// runs one fleet experiment per grid point.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/edge_cluster.hpp"
 #include "sim/experiment.hpp"
-#include "sim/sweep.hpp"
 #include "util/stats.hpp"
 
 namespace seo {
@@ -50,17 +54,15 @@ struct FleetExperimentConfig {
   /// Episode parallelism: 1 = serial (default), 0 = all hardware threads,
   /// n = up to n episodes in flight.  Results are identical for every value.
   int threads = 1;
-
-  /// Optional streaming trace sink (`fleet --trace-out`): every episode of
-  /// the fan-out is serialized (full sample log + offload log) and
-  /// committed under block sequence `trace_block_base + slot`, so the
-  /// stream is byte-identical for every thread count.  The caller advances
-  /// `trace_block_base` by rounds x vehicles between grid points and
-  /// finishes the sink when the grid is done.
-  OrderedTraceSink* trace_sink = nullptr;
-  std::uint64_t trace_block_base = 0;
-  std::uint32_t trace_point_index = 0;  ///< grid-point index for episode info
-  std::string trace_label;              ///< grid-point label for episode info
+  /// Optional per-slot trace tap, shaped like ExperimentConfig::trace_tap:
+  /// invoked once for every episode slot (round * vehicles + vehicle) with
+  /// its seed (base_seed + slot), result and full trace.  Calls arrive
+  /// concurrently from pool threads in no particular order, so the tap
+  /// keys its output by slot; the trace reference is a reused buffer the
+  /// tap must serialize or copy, never retain.
+  std::function<void(std::uint64_t seed, const EpisodeResult& episode,
+                     const EpisodeTrace& trace)>
+      trace_tap;
 };
 
 /// Per-vehicle aggregate across rounds.
@@ -118,15 +120,11 @@ std::vector<double> fleet_metrics(const FleetResult& result);
 /// Per-vehicle CSV (one line per vehicle) — the fleet-summary artifact.
 std::string fleet_vehicle_csv(const FleetResult& result);
 
-/// Short-horizon overrides (scenario_io keys) shared by the CI fleet smoke
-/// grid and tests/test_fleet.cpp's golden fingerprints: 45 m route, small
-/// lookup table, 3 vehicles.  One definition, so the grid CI byte-compares
-/// and the workload the tests pin can never drift apart.
+/// Short-horizon overrides (scenario_io keys) shared by the fleet smoke
+/// grid (sweep.hpp fleet_smoke_sweep) and tests/test_fleet.cpp's golden
+/// fingerprints: 45 m route, small lookup table, 3 vehicles.  One
+/// definition, so the grid CI byte-compares and the workload the tests pin
+/// can never drift apart.
 std::vector<std::pair<std::string, std::string>> fleet_short_horizon();
-
-/// The CI fleet smoke grid: the acceptance-criteria axes (cluster size x
-/// dispatch policy x batch window) over the fleet_cluster rig on the
-/// short-horizon overrides.  Used by `fleet --smoke`.
-SweepConfig fleet_smoke_sweep();
 
 }  // namespace seo

@@ -384,7 +384,7 @@ const std::vector<KeyDef>& key_registry() {
           return fmt_value(static_cast<int>(s.edge_server.queue_capacity));
         }});
 
-    k.push_back(integer("Fleet / edge cluster (run_fleet_experiment, tools/fleet)",
+    k.push_back(integer("Fleet / edge cluster (run_fleet_experiment, sweep --rounds)",
                         "fleet.vehicles",
                         [](ScenarioConfig& s) -> int& { return s.fleet.vehicles; },
                         "vehicles sharing the cluster"));

@@ -26,6 +26,7 @@ void validate(const SweepConfig& config) {
   SEO_EXPECT(!config.scenarios.empty());
   SEO_EXPECT(config.episodes >= 1);
   SEO_EXPECT(config.max_attempts >= config.episodes);
+  SEO_EXPECT(config.rounds >= 0);
   for (const auto& name : config.scenarios)
     make_scenario(name);  // throws with the valid names on a typo
   for (const auto& axis : config.axes) {
@@ -125,6 +126,17 @@ SweepConfig smoke_sweep() {
   return config;
 }
 
+SweepConfig fleet_smoke_sweep() {
+  SweepConfig config;
+  config.scenarios = {"fleet_cluster"};
+  config.axes = {{"cluster.servers", {"1", "2"}},
+                 {"cluster.dispatch", {"round_robin", "least_loaded"}},
+                 {"cluster.batch_window_ms", {"0", "4"}}};
+  config.base_overrides = fleet_short_horizon();
+  config.rounds = 1;
+  return config;
+}
+
 ScenarioConfig resolve_point(const SweepConfig& config,
                              const SweepPoint& point) {
   ScenarioConfig scenario = make_scenario(point.scenario);
@@ -216,50 +228,86 @@ std::vector<std::size_t> SweepPlan::shard_points(std::size_t shard,
   return owned;
 }
 
+std::size_t sweep_runners(const SweepConfig& config, std::size_t points) {
+  const std::size_t per_process =
+      config.rounds >= 1 ? 1 : ThreadPool::resolve_threads(config.threads);
+  return std::min(per_process, points);
+}
+
 void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
                           const SweepPointSource& next_point,
                           std::size_t runners, bool want_trace,
                           const SweepEmit& emit) {
   // Each grid point is an independent experiment with its own slot: points
   // finish in any order and on any runner, but emissions carry the grid
-  // index and each point's experiment is internally serial, so the
-  // assembled result — hence every report and trace stream — is
+  // index and each point's result is independent of the thread count, so
+  // the assembled result — hence every report and trace stream — is
   // bit-identical to the serial sweep for every thread count, worker count,
-  // and schedule.
+  // and schedule.  Streaming traces: every episode is serialized into the
+  // point's block, which the caller commits under the point's sequence
+  // number, so an ordered merge reproduces the serial stream byte-for-byte
+  // whatever the schedule was.
   const auto run_point = [&](std::size_t i) {
-    ExperimentConfig experiment;
-    experiment.scenario = plan.resolved[i];
-    experiment.episodes = config.episodes;
-    experiment.max_attempts = config.max_attempts;
-    experiment.base_seed = config.base_seed;
-    experiment.require_success = config.require_success;
-    experiment.threads = 1;  // parallelism lives at the grid level
-    // Streaming traces: the tap serializes every consumed episode into
-    // this point's block; the caller commits the block under the point's
-    // sequence number, so an ordered merge reproduces the serial stream
-    // byte-for-byte whatever the schedule was.
-    std::string block;
-    std::uint64_t block_episodes = 0;
-    if (want_trace) {
-      TraceEpisodeInfo info;
-      info.scenario_digest = plan.digests[i];
-      info.point_index = static_cast<std::uint32_t>(i);
-      info.label = plan.points[i].label();
-      experiment.trace_tap = [&block, &block_episodes, info, &experiment](
-                                 std::uint64_t seed,
-                                 const EpisodeResult& episode,
-                                 const EpisodeTrace& trace) mutable {
-        info.seed = seed;
-        append_trace_episode(block, info,
-                             summarize_episode(experiment.scenario, episode),
-                             trace);
-        ++block_episodes;
-      };
-    }
     SweepRow row;
     row.point = plan.points[i];
-    row.scenario = experiment.scenario;
-    row.result = run_experiment(experiment);
+    row.scenario = plan.resolved[i];
+    TraceEpisodeInfo info;
+    info.scenario_digest = plan.digests[i];
+    info.point_index = static_cast<std::uint32_t>(i);
+    info.label = row.point.label();
+    const auto append = [&row](std::string& block, TraceEpisodeInfo info,
+                               std::uint64_t seed, const EpisodeResult& episode,
+                               const EpisodeTrace& trace) {
+      info.seed = seed;
+      append_trace_episode(block, info,
+                           summarize_episode(row.scenario, episode), trace);
+    };
+    std::string block;
+    std::uint64_t block_episodes = 0;
+    if (config.rounds >= 1) {
+      FleetExperimentConfig fleet;
+      fleet.scenario = row.scenario;
+      fleet.rounds = config.rounds;
+      fleet.base_seed = config.base_seed;
+      fleet.threads = config.threads;  // parallelism lives inside the point
+      // Episode slots finish concurrently in any order: each serializes
+      // into its own buffer, joined in slot order below.  Checked here
+      // because it sizes those buffers before the fleet run validates it.
+      SEO_EXPECT(row.scenario.fleet.vehicles >= 1);
+      const auto vehicles =
+          static_cast<std::size_t>(row.scenario.fleet.vehicles);
+      std::vector<std::string> slots;
+      if (want_trace) {
+        slots.resize(static_cast<std::size_t>(config.rounds) * vehicles);
+        fleet.trace_tap = [&](std::uint64_t seed, const EpisodeResult& episode,
+                              const EpisodeTrace& trace) {
+          const auto slot = static_cast<std::size_t>(seed - config.base_seed);
+          TraceEpisodeInfo slot_info = info;
+          slot_info.vehicle = static_cast<std::uint32_t>(slot % vehicles);
+          append(slots[slot], std::move(slot_info), seed, episode, trace);
+        };
+      }
+      row.fleet = run_fleet_experiment(fleet);
+      for (const std::string& slot : slots) block += slot;
+      block_episodes = slots.size();
+    } else {
+      ExperimentConfig experiment;
+      experiment.scenario = row.scenario;
+      experiment.episodes = config.episodes;
+      experiment.max_attempts = config.max_attempts;
+      experiment.base_seed = config.base_seed;
+      experiment.require_success = config.require_success;
+      experiment.threads = 1;  // parallelism lives at the grid level
+      if (want_trace) {
+        experiment.trace_tap = [&](std::uint64_t seed,
+                                   const EpisodeResult& episode,
+                                   const EpisodeTrace& trace) {
+          append(block, info, seed, episode, trace);
+          ++block_episodes;
+        };
+      }
+      row.result = run_experiment(experiment);
+    }
     emit(i, std::move(row), std::move(block), block_episodes);
   };
 
@@ -286,8 +334,7 @@ void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
     if (std::binary_search(owned.begin(), owned.end(), i)) exec.push_back(i);
   SEO_EXPECT(exec.size() == owned.size());
 
-  const std::size_t runners =
-      std::min(ThreadPool::resolve_threads(config.threads), exec.size());
+  const std::size_t runners = sweep_runners(config, exec.size());
   SweepCursor cursor(std::move(exec));
   execute_sweep_points(
       config, plan, [&cursor] { return cursor.next(); }, runners, want_trace,

@@ -1,7 +1,8 @@
 // Parameter-grid sweep engine — systematic exploration of the scenario
 // space the paper samples only pointwise.  A sweep is (library scenarios) x
 // (axes over scenario_io keys), expanded cartesian or paired, with every
-// grid point running a full run_experiment shard.  Runners on the
+// grid point running a full run_experiment shard — or, for a fleet sweep
+// (SweepConfig::rounds >= 1), a run_fleet_experiment.  Runners on the
 // ThreadPool pull points one at a time off a cursor over the digest-aware
 // schedule — points sharing a deadline-table digest are adjacent so each
 // geometry class is built (or disk-loaded) once and its siblings hit warm,
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "sim/experiment.hpp"
+#include "sim/fleet_experiment.hpp"
 #include "sim/scenario_library.hpp"
 
 namespace seo {
@@ -63,10 +65,16 @@ struct SweepConfig {
   std::uint64_t base_seed = 1000;
   bool require_success = true;
 
-  /// Grid-point parallelism: 1 = serial, 0 = all hardware threads, n = up
-  /// to n points in flight.  Each point runs its experiment serially, so
-  /// the point itself is deterministic and the sweep result is identical
-  /// for every thread count.
+  /// The point kind: 0 runs run_experiment per point (the shape above);
+  /// >= 1 makes every point a fleet experiment (FleetExperimentConfig) of
+  /// this many rounds, which ignores episodes/max_attempts/require_success.
+  int rounds = 0;
+
+  /// Parallelism, identical results for every value (1 = serial, 0 = all
+  /// hardware threads, n = up to n in flight).  Experiment points: grid
+  /// points in flight, each running its experiment serially.  Fleet
+  /// points: one point at a time, fanning its rounds x vehicles episodes
+  /// over this many threads (see sweep_runners).
   int threads = 1;
 
   /// Optional streaming trace sink (`sweep --trace-out`): every consumed
@@ -79,11 +87,13 @@ struct SweepConfig {
 };
 
 /// One completed grid point: the resolved scenario (axis overrides applied)
-/// and its experiment aggregate.
+/// and its aggregate — `result` for experiment points, `fleet` for fleet
+/// points (the other stays default-constructed).
 struct SweepRow {
   SweepPoint point;
   ScenarioConfig scenario;
   ExperimentResult result;
+  FleetResult fleet;
 };
 
 /// Expands the grid in deterministic order: scenarios outermost, then axes
@@ -169,6 +179,13 @@ using SweepEmit = std::function<void(
 /// synchronizes.
 using SweepPointSource = std::function<std::optional<std::size_t>()>;
 
+/// Grid points one process runs at once, capped at `points`: one for fleet
+/// points (their episodes fan out over config.threads inside the point, so
+/// nested pool calls never oversubscribe), resolve_threads(config.threads)
+/// for experiment points.  Shared by the in-process runners and the
+/// `--workers` hello, so both size a process alike.
+std::size_t sweep_runners(const SweepConfig& config, std::size_t points);
+
 /// Starts `runners` runners on the ThreadPool (inline when <= 1), each
 /// pulling points from `next_point` until it is drained and handing every
 /// finished point to `emit`.  The execution core under run_sweep,
@@ -182,8 +199,8 @@ void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
                           const SweepEmit& emit);
 
 /// Runs the `owned` subset (ascending grid indices) of a planned sweep:
-/// min(config.threads, owned points) runners pull off one SweepCursor over
-/// the subset's schedule.
+/// sweep_runners(config, owned points) runners pull off one SweepCursor
+/// over the subset's schedule.
 void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
                           const std::vector<std::size_t>& owned,
                           bool want_trace, const SweepEmit& emit);
@@ -207,5 +224,10 @@ std::vector<SweepRow> run_sweep_shard(const SweepConfig& config,
 /// by `sweep --smoke` and the byte-identity tests so the grid CI compares
 /// is exactly the grid the tests lock down.
 SweepConfig smoke_sweep();
+
+/// The fleet smoke grid (rounds 1): cluster size x dispatch policy x batch
+/// window over the fleet_cluster rig on fleet_short_horizon() — 8 points.
+/// Seeded by `sweep --smoke --rounds N` and pinned by tests/test_fleet.cpp.
+SweepConfig fleet_smoke_sweep();
 
 }  // namespace seo

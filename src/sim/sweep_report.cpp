@@ -24,7 +24,8 @@ std::string report_json_escape(const std::string& s) {
   return out;
 }
 
-std::vector<std::string> sweep_metric_names() {
+std::vector<std::string> sweep_metric_names(const SweepConfig& config) {
+  if (config.rounds >= 1) return fleet_metric_names();
   return {
       "episodes_used",   "attempts",        "failures",
       "collisions",      "off_roads",       "timeouts",
@@ -35,7 +36,9 @@ std::vector<std::string> sweep_metric_names() {
   };
 }
 
-std::vector<double> sweep_metrics(const SweepRow& row) {
+std::vector<double> sweep_metrics(const SweepConfig& config,
+                                  const SweepRow& row) {
+  if (config.rounds >= 1) return fleet_metrics(row.fleet);
   const ExperimentResult& r = row.result;
   std::uint64_t submitted = 0, applied = 0, fallbacks = 0;
   for (const auto& p : r.pipelines) {
@@ -68,10 +71,10 @@ std::vector<double> sweep_metrics(const SweepRow& row) {
 }
 
 std::vector<std::vector<double>> sweep_metric_rows(
-    const std::vector<SweepRow>& rows) {
+    const SweepConfig& config, const std::vector<SweepRow>& rows) {
   std::vector<std::vector<double>> metrics;
   metrics.reserve(rows.size());
-  for (const auto& row : rows) metrics.push_back(sweep_metrics(row));
+  for (const auto& row : rows) metrics.push_back(sweep_metrics(config, row));
   return metrics;
 }
 
@@ -92,7 +95,7 @@ std::string sweep_csv(const SweepConfig& config,
   SEO_ASSERT(points.size() == metrics.size());
   std::string out = "scenario";
   for (const auto& axis : config.axes) out += "," + axis.key;
-  for (const auto& name : sweep_metric_names()) out += "," + name;
+  for (const auto& name : sweep_metric_names(config)) out += "," + name;
   out += "\n";
 
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -113,7 +116,8 @@ std::string sweep_csv(const SweepConfig& config,
 
 std::string sweep_csv(const SweepConfig& config,
                       const std::vector<SweepRow>& rows) {
-  return sweep_csv(config, report_points(rows), sweep_metric_rows(rows));
+  return sweep_csv(config, report_points(rows),
+                   sweep_metric_rows(config, rows));
 }
 
 std::string sweep_json(const SweepConfig& config,
@@ -121,14 +125,21 @@ std::string sweep_json(const SweepConfig& config,
                        const std::vector<std::vector<double>>& metrics) {
   SEO_ASSERT(points.size() == metrics.size());
   std::ostringstream out;
-  out << "{\n  \"sweep\": {\n"
-      << "    \"episodes\": " << config.episodes << ",\n"
-      << "    \"base_seed\": " << config.base_seed << ",\n"
-      << "    \"grid\": \""
-      << (config.grid == GridMode::kCartesian ? "cartesian" : "paired")
-      << "\",\n    \"points\": " << points.size() << "\n  },\n"
+  if (config.rounds >= 1) {
+    out << "{\n  \"fleet\": {\n"
+        << "    \"rounds\": " << config.rounds << ",\n"
+        << "    \"base_seed\": " << config.base_seed << ",\n";
+  } else {
+    out << "{\n  \"sweep\": {\n"
+        << "    \"episodes\": " << config.episodes << ",\n"
+        << "    \"base_seed\": " << config.base_seed << ",\n"
+        << "    \"grid\": \""
+        << (config.grid == GridMode::kCartesian ? "cartesian" : "paired")
+        << "\",\n";
+  }
+  out << "    \"points\": " << points.size() << "\n  },\n"
       << "  \"rows\": {";
-  const auto names = sweep_metric_names();
+  const auto names = sweep_metric_names(config);
   for (std::size_t i = 0; i < points.size(); ++i) {
     SEO_ASSERT(metrics[i].size() == names.size());
     out << (i == 0 ? "\n" : ",\n");
@@ -145,7 +156,8 @@ std::string sweep_json(const SweepConfig& config,
 
 std::string sweep_json(const SweepConfig& config,
                        const std::vector<SweepRow>& rows) {
-  return sweep_json(config, report_points(rows), sweep_metric_rows(rows));
+  return sweep_json(config, report_points(rows),
+                    sweep_metric_rows(config, rows));
 }
 
 void write_sweep_report(std::ostream& out, const std::string& format,
@@ -166,7 +178,14 @@ void write_sweep_report(std::ostream& out, const std::string& format,
                         const SweepConfig& config,
                         const std::vector<SweepRow>& rows) {
   write_sweep_report(out, format, config, report_points(rows),
-                     sweep_metric_rows(rows));
+                     sweep_metric_rows(config, rows));
+}
+
+std::string sweep_vehicle_csv(const std::vector<SweepRow>& rows) {
+  std::string out;
+  for (const auto& row : rows)
+    out += "# " + row.point.label() + "\n" + fleet_vehicle_csv(row.fleet);
+  return out;
 }
 
 }  // namespace seo

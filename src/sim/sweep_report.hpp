@@ -26,32 +26,39 @@ std::string report_fmt(double v);
 /// by every report emitter so the escaping rules cannot diverge.
 std::string report_json_escape(const std::string& s);
 
-/// Column order of the scalar metrics every report row carries.
-std::vector<std::string> sweep_metric_names();
+/// Column order of the scalar metrics a row of `config`'s point kind
+/// carries: the experiment columns, or fleet_metric_names() for fleet
+/// points (config.rounds >= 1).  The one place the kind picks the report
+/// shape — the CSV header, the JSON rows and the `--workers` wire's
+/// per-point metric count all read it.
+std::vector<std::string> sweep_metric_names(const SweepConfig& config);
 
-/// The metric values for one row, in sweep_metric_names() order.
-std::vector<double> sweep_metrics(const SweepRow& row);
+/// The metric values for one row, in sweep_metric_names(config) order.
+std::vector<double> sweep_metrics(const SweepConfig& config,
+                                  const SweepRow& row);
 
 /// sweep_metrics over every row — the (points × metrics) matrix form a
 /// report renders from.  This is also the multi-process wire unit: worker
 /// shards ship each row's doubles as raw IEEE bits, so a report merged
 /// from workers renders from bit-identical inputs.
 std::vector<std::vector<double>> sweep_metric_rows(
-    const std::vector<SweepRow>& rows);
+    const SweepConfig& config, const std::vector<SweepRow>& rows);
 
 /// CSV: header (scenario, axis keys..., metrics...) then one line per grid
 /// point.  Axis columns come from `config.axes` order.
 std::string sweep_csv(const SweepConfig& config,
                       const std::vector<SweepRow>& rows);
 
-/// Matrix form: `metrics[i]` is row i's values in sweep_metric_names()
-/// order.  The SweepRow overload delegates here, so the in-process and
-/// merged-from-workers paths render through one body and cannot drift.
+/// Matrix form: `metrics[i]` is row i's values in
+/// sweep_metric_names(config) order.  The SweepRow overload delegates here,
+/// so the in-process and merged-from-workers paths render through one body
+/// and cannot drift.
 std::string sweep_csv(const SweepConfig& config,
                       const std::vector<SweepPoint>& points,
                       const std::vector<std::vector<double>>& metrics);
 
-/// JSON: {"sweep": {context...}, "rows": {"<label>": {metrics...}}}.
+/// JSON: {"sweep": {context...}, "rows": {"<label>": {metrics...}}}; a
+/// fleet sweep's context block is "fleet": {rounds, base_seed, points}.
 std::string sweep_json(const SweepConfig& config,
                        const std::vector<SweepRow>& rows);
 
@@ -71,5 +78,9 @@ void write_sweep_report(std::ostream& out, const std::string& format,
                         const SweepConfig& config,
                         const std::vector<SweepPoint>& points,
                         const std::vector<std::vector<double>>& metrics);
+
+/// A fleet sweep's per-vehicle summaries: one "# <label>" line plus
+/// fleet_vehicle_csv per row, in row order (`sweep --vehicles-output`).
+std::string sweep_vehicle_csv(const std::vector<SweepRow>& rows);
 
 }  // namespace seo

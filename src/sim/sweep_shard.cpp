@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -54,7 +55,7 @@ int run_sweep_worker(const SweepConfig& config, std::size_t slot,
                      std::size_t slots, bool want_trace, int in_fd,
                      int out_fd) {
   const SweepPlan plan = plan_sweep(config);
-  const std::size_t runners = ThreadPool::resolve_threads(config.threads);
+  const std::size_t runners = sweep_runners(config, plan.points.size());
 
   {
     std::string payload;
@@ -118,7 +119,7 @@ int run_sweep_worker(const SweepConfig& config, std::size_t slot,
       config, plan, next_point, runners, want_trace,
       [&](std::size_t index, SweepRow&& row, std::string&& block,
           std::uint64_t episodes) {
-        const std::vector<double> metrics = sweep_metrics(row);
+        const std::vector<double> metrics = sweep_metrics(config, row);
         std::string payload;
         payload.reserve(8 + 4 + metrics.size() * 8 + 8 + 1 + block.size());
         BinaryWriter w(payload);
@@ -148,17 +149,11 @@ int run_sweep_worker(const SweepConfig& config, std::size_t slot,
     for (const auto& row : kinds) {
       w.str(row.kind);
       const ArtifactStoreStats& s = row.stats;
-      w.u64(s.hits);
-      w.u64(s.fast_hits);
-      w.u64(s.misses);
-      w.u64(s.builds);
-      w.u64(s.waits);
-      w.u64(s.lock_waits);
-      w.u64(s.evictions);
-      w.u64(s.bytes);
-      w.u64(s.disk_loads);
-      w.u64(s.disk_stores);
-      w.u64(s.disk_failures);
+      for (const std::uint64_t field :
+           {s.hits, s.fast_hits, s.misses, s.builds, s.waits, s.lock_waits,
+            s.evictions, s.bytes, s.disk_loads, s.disk_stores,
+            s.disk_failures})
+        w.u64(field);
     }
     std::string frame;
     append_frame(frame, static_cast<std::uint8_t>(SweepShardFrame::kDone),
@@ -238,13 +233,15 @@ struct FleetGuard {
 }  // namespace
 
 SweepWorkersResult run_sweep_workers(
-    const SweepPlan& plan, const std::string& exe,
+    const SweepConfig& config, const SweepPlan& plan, const std::string& exe,
     const std::vector<std::string>& worker_args, std::size_t workers,
     OrderedTraceSink* trace_sink) {
   SEO_EXPECT(workers >= 1);
   SEO_EXPECT(!exe.empty());
   const std::size_t n = plan.points.size();
-  const std::size_t metric_count = sweep_metric_names().size();
+  // A worker beyond the point count would never be assigned anything.
+  workers = std::min(workers, n);
+  const std::size_t metric_count = sweep_metric_names(config).size();
   if (trace_sink != nullptr) trace_sink->set_run_digest(plan.run_digest);
 
   std::vector<WorkerProc> fleet(workers);
@@ -420,18 +417,13 @@ SweepWorkersResult run_sweep_workers(
         const std::uint32_t kinds = r.u32();
         for (std::uint32_t k = 0; k < kinds; ++k) {
           const std::string kind = r.str();
-          ArtifactStoreStats& s = farm_stats[kind];
-          s.hits += r.u64();
-          s.fast_hits += r.u64();
-          s.misses += r.u64();
-          s.builds += r.u64();
-          s.waits += r.u64();
-          s.lock_waits += r.u64();
-          s.evictions += r.u64();
-          s.bytes += r.u64();
-          s.disk_loads += r.u64();
-          s.disk_stores += r.u64();
-          s.disk_failures += r.u64();
+          ArtifactStoreStats s;  // the worker's field order, above
+          for (std::uint64_t* field :
+               {&s.hits, &s.fast_hits, &s.misses, &s.builds, &s.waits,
+                &s.lock_waits, &s.evictions, &s.bytes, &s.disk_loads,
+                &s.disk_stores, &s.disk_failures})
+            *field = r.u64();
+          farm_stats[kind] += s;
         }
         r.require_exhausted("sweep shard done frame");
         w.done = true;

@@ -25,7 +25,8 @@
 //             every point is out; the worker reads that EOF, lets its
 //             runners finish, and sends done.
 //   2 point   u64 grid index | u32 metric count | f64 metrics (raw IEEE
-//             bits, sweep_metric_names order) | u64 trace episodes
+//             bits, sweep_metric_names(config) order: 18 for experiment
+//             points, 23 for fleet points) | u64 trace episodes
 //             | u8 has_trace | trace block bytes (rest of payload)
 //             — one per completed grid point, in completion order.
 //   3 done    u64 points emitted | u32 kinds | per kind: str kind name +
@@ -62,7 +63,7 @@ enum class SweepShardFrame : std::uint8_t {
 
 /// Worker side (`sweep --shard i/N --shard-pipe`): plans the sweep, sends
 /// hello for slot `slot` of `slots` to `out_fd`, runs every point the
-/// parent assigns on `in_fd` with resolve_threads(config.threads) runners,
+/// parent assigns on `in_fd` with sweep_runners(config, grid points) runners,
 /// and once `in_fd` reaches EOF sends done.  `want_trace` embeds each
 /// point's serialized trace block in its point frame.  Returns the process
 /// exit code (0 on success); throws on a malformed assignment.
@@ -84,10 +85,11 @@ struct SweepWorkersResult {
   std::vector<std::vector<std::size_t>> pulled;
 };
 
-/// Parent side: spawns `workers` processes running `exe` with
-/// `worker_args` plus the hidden worker flags, hands out the plan's points
-/// over each worker's assign channel in schedule order as the worker's
-/// runners free up, and merges the frame streams — metrics into grid-order
+/// Parent side: spawns min(`workers`, grid points) processes running `exe`
+/// with `worker_args` plus the hidden worker flags, hands out the plan's
+/// points over each worker's assign channel in schedule order as the
+/// worker's runners free up, and merges the frame streams (`config` picks
+/// the per-point metric count they carry) — metrics into grid-order
 /// slots, trace blocks into `trace_sink` under global grid indices (the
 /// sink's ordered flush then reproduces the unsharded stream
 /// byte-for-byte).  Validates every hello against `plan`, requires every
@@ -96,7 +98,7 @@ struct SweepWorkersResult {
 /// truncation, a closed assign channel, nonzero exit) — a dead worker is
 /// loud, never a silent hole or a SIGPIPE.
 SweepWorkersResult run_sweep_workers(
-    const SweepPlan& plan, const std::string& exe,
+    const SweepConfig& config, const SweepPlan& plan, const std::string& exe,
     const std::vector<std::string>& worker_args, std::size_t workers,
     OrderedTraceSink* trace_sink);
 

@@ -331,11 +331,11 @@ void merge_trace_streams(const std::vector<std::istream*>& inputs,
 /// Thread-safe ordered merge of episode blocks onto one stream — how a
 /// parallel sweep/fleet writes a deterministic trace.  Producers serialize
 /// episodes into per-block byte buffers (append_trace_episode) and commit
-/// each block under a dense sequence number (the sweep: one block per grid
-/// point; the fleet: one per episode slot).  Blocks are flushed strictly
-/// in sequence order — the bytes on the wire are identical for every
-/// thread count and schedule, the property the golden trace-export tests
-/// pin.  Out-of-order completions are buffered until their turn, so peak
+/// each block under a dense sequence number (one block per grid point,
+/// holding its episodes in attempt or fleet-slot order).  Blocks are
+/// flushed strictly in sequence order — the bytes on the wire are
+/// identical for every thread count and schedule, the property the golden
+/// trace-export tests pin.  Out-of-order completions are buffered until their turn, so peak
 /// memory is bounded by the scheduler's reordering window (at worst the
 /// in-flight shard count times one block), never by the run length.
 class OrderedTraceSink {

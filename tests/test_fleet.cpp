@@ -1,15 +1,21 @@
 // Fleet-experiment tests: golden fingerprints for the fleet-cluster rigs
-// bit-identical across thread counts, replay sensitivity to the cluster
-// knobs, and the batch-window / stagger edge cases.
+// bit-identical across thread counts, the fleet smoke grid's pinned report,
+// per-vehicle and trace bytes, replay sensitivity to the cluster knobs, and
+// the batch-window / stagger edge cases.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <sstream>
 #include <string>
 
+#include "core/fingerprint.hpp"
 #include "sim/fleet_experiment.hpp"
 #include "sim/scenario_io.hpp"
 #include "sim/scenario_library.hpp"
+#include "sim/sweep.hpp"
+#include "sim/sweep_report.hpp"
+#include "sim/trace.hpp"
 #include "util/config.hpp"
 #include "util/expect.hpp"
 
@@ -17,8 +23,9 @@ namespace seo {
 namespace {
 
 /// Short-horizon variant so the fleet suite stays fast — the exact same
-/// override set the CI `fleet --smoke` grid runs (fleet_short_horizon), so
-/// the workload CI byte-compares is the workload these goldens pin.
+/// override set the CI `sweep --smoke --rounds 1` grid runs
+/// (fleet_short_horizon), so the workload CI byte-compares is the workload
+/// these goldens pin.
 ScenarioConfig shortened(ScenarioConfig config) {
   KeyValueConfig overrides;
   for (const auto& [key, value] : fleet_short_horizon())
@@ -107,6 +114,35 @@ TEST(FleetGolden, FingerprintsAreSeedSensitive) {
   EXPECT_TRUE(ra.offloads() != rb.offloads() ||
               ra.response_s.mean() != rb.response_s.mean() ||
               ra.cluster.max_queue_delay_s != rb.cluster.max_queue_delay_s);
+}
+
+std::string fnv_hex(const std::string& bytes) {
+  FingerprintHasher hasher;
+  hasher.mix_bytes(bytes.data(), bytes.size());
+  return hasher.hex();
+}
+
+TEST(FleetGolden, SmokeGridBytesArePinned) {
+  // fleet_smoke_sweep() (rounds 1, seed 1000) through the sweep engine:
+  // FNV-1a digests of the CSV and JSON reports, the per-vehicle CSV and
+  // the trace stream, as the standalone fleet grid runner wrote them
+  // before fleet grids moved onto the sweep engine.  Any change here is a
+  // change to published fleet output and must be declared.
+  SweepConfig config = fleet_smoke_sweep();
+  ASSERT_EQ(config.rounds, 1);
+  ASSERT_EQ(config.base_seed, 1000u);
+  config.threads = 0;
+  std::ostringstream trace;
+  OrderedTraceSink sink(trace);
+  config.trace_sink = &sink;
+  const std::vector<SweepRow> rows = run_sweep(config);
+  sink.finish();
+
+  EXPECT_EQ(fnv_hex(sweep_csv(config, rows)), "eb3af5f247c488fd");
+  EXPECT_EQ(fnv_hex(sweep_json(config, rows)), "3edccaef597f6389");
+  EXPECT_EQ(fnv_hex(sweep_vehicle_csv(rows)), "3e90dfc59e826f79");
+  EXPECT_EQ(fnv_hex(trace.str()), "30bc0020af6ad4be");
+  EXPECT_EQ(sink.episodes_written(), 8u * 3u);  // points x vehicles
 }
 
 // --- Replay semantics -------------------------------------------------------

@@ -147,7 +147,8 @@ TEST(SweepDeterminism, RowsCarrySignalNotZeros) {
   // every row is identical would be vacuous.
   bool any_diff = false;
   for (std::size_t i = 1; i < rows.size(); ++i)
-    any_diff |= sweep_metrics(rows[i]) != sweep_metrics(rows[0]);
+    any_diff |=
+        sweep_metrics(config, rows[i]) != sweep_metrics(config, rows[0]);
   EXPECT_TRUE(any_diff);
 }
 
@@ -377,7 +378,8 @@ TEST(SweepReport, CsvShapeMatchesGrid) {
   const auto columns = [](const std::string& line) {
     return 1 + static_cast<int>(std::count(line.begin(), line.end(), ','));
   };
-  const int expected = 1 + 2 + static_cast<int>(sweep_metric_names().size());
+  const int expected =
+      1 + 2 + static_cast<int>(sweep_metric_names(config).size());
   for (const auto& line : lines) EXPECT_EQ(columns(line), expected);
 }
 

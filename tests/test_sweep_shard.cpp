@@ -2,10 +2,13 @@
 // pipe frame discipline, shard execution / trace merge byte-identity
 // against the unsharded run, the worker side of the assign protocol, and
 // the worker-farm failure taxonomy (a dead, stale or babbling worker must
-// fail the sweep loudly, never leave a silent hole or kill the parent).  The end-to-end `sweep --workers N` byte-identity matrix drives
-// the real CLI binary when CMake baked its path in (SEO_SWEEP_TOOL).
+// fail the sweep loudly, never leave a silent hole or kill the parent).
+// The end-to-end `sweep --workers N` byte-identity matrix (experiment and
+// fleet grids), the farm's size cap and the CLI's usage errors drive the
+// real CLI binary when CMake baked its path in (SEO_SWEEP_TOOL).
 #include <gtest/gtest.h>
 #include <fcntl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,9 +20,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/binary_io.hpp"
+#include "sim/fleet_experiment.hpp"
 #include "sim/sweep.hpp"
 #include "sim/sweep_report.hpp"
 #include "sim/sweep_shard.hpp"
@@ -60,6 +65,28 @@ std::vector<std::string> tiny_sweep_args() {
           "--episodes",  "2",
           "--max-attempts", "8",
           "--allow-failures"};
+}
+
+// A 3-point fleet grid (dispatch policies, 2 rounds of 3 vehicles each on
+// the short horizon): its rows carry the fleet metrics over the wire.
+SweepConfig tiny_fleet_sweep() {
+  SweepConfig config;
+  config.scenarios = {"fleet_cluster"};
+  config.axes = {
+      {"cluster.dispatch", {"round_robin", "least_loaded", "earliest_slack"}}};
+  config.base_overrides = fleet_short_horizon();
+  config.rounds = 2;
+  return config;
+}
+
+std::vector<std::string> tiny_fleet_sweep_args() {
+  std::vector<std::string> args = {
+      "--scenarios", "fleet_cluster",
+      "--axis",      "cluster.dispatch=round_robin,least_loaded,earliest_slack",
+      "--rounds",    "2"};
+  for (const auto& [key, value] : fleet_short_horizon())
+    args.insert(args.end(), {"--set", key + "=" + value});
+  return args;
 }
 
 // --- Shard planner ----------------------------------------------------------
@@ -375,7 +402,7 @@ std::string farm_error(const SweepPlan& plan, const std::string& frame,
     out << frame;
   }
   try {
-    (void)run_sweep_workers(plan, "/bin/sh",
+    (void)run_sweep_workers(tiny_sweep(), plan, "/bin/sh",
                             {"-c", "FRAME=" + path + "; " + script}, 1,
                             nullptr);
   } catch (const std::runtime_error& e) {
@@ -406,81 +433,154 @@ TEST(SweepWorkers, WorkerDyingBeforeItsDoneFrameFailsTheSweep) {
   // /bin/true exits 0 without ever writing a frame: EOF before the done
   // frame is the crash signature and must fail the whole sweep.
   const SweepPlan plan = plan_sweep(tiny_sweep());
-  EXPECT_THROW(run_sweep_workers(plan, "/bin/true", {}, 2, nullptr),
-               std::runtime_error);
+  EXPECT_THROW(
+      run_sweep_workers(tiny_sweep(), plan, "/bin/true", {}, 2, nullptr),
+      std::runtime_error);
 }
 
 TEST(SweepWorkers, WorkerWritingGarbageFailsTheSweep) {
   // /bin/echo prints its argv to the pipe — valid text, corrupt frames.
   const SweepPlan plan = plan_sweep(tiny_sweep());
-  EXPECT_THROW(run_sweep_workers(plan, "/bin/echo", {}, 2, nullptr),
-               std::runtime_error);
+  EXPECT_THROW(
+      run_sweep_workers(tiny_sweep(), plan, "/bin/echo", {}, 2, nullptr),
+      std::runtime_error);
 }
 
 #ifdef SEO_SWEEP_TOOL
 
 TEST(SweepWorkers, FarmMatchesInProcessRunBitForBit) {
-  const SweepConfig config = tiny_sweep();
-  const SweepPlan plan = plan_sweep(config);
-  const std::vector<SweepRow> rows = run_sweep(config);
-  const std::string whole = traced_run(config, 0, 1);
+  // The experiment grid sends 18 metrics per point over the wire, the
+  // fleet grid 23.
+  const std::vector<std::pair<SweepConfig, std::vector<std::string>>> grids =
+      {{tiny_sweep(), tiny_sweep_args()},
+       {tiny_fleet_sweep(), tiny_fleet_sweep_args()}};
+  for (const auto& [config, args] : grids) {
+    const SweepPlan plan = plan_sweep(config);
+    const std::vector<SweepRow> rows = run_sweep(config);
+    const std::string whole = traced_run(config, 0, 1);
 
-  std::vector<std::string> worker_args = tiny_sweep_args();
-  worker_args.insert(worker_args.end(), {"--threads", "1"});
-  std::ostringstream stream;
-  OrderedTraceSink sink(stream);
-  const SweepWorkersResult farm =
-      run_sweep_workers(plan, SEO_SWEEP_TOOL, worker_args, 2, &sink);
-  sink.finish();
+    std::vector<std::string> worker_args = args;
+    worker_args.insert(worker_args.end(), {"--threads", "1"});
+    std::ostringstream stream;
+    OrderedTraceSink sink(stream);
+    const SweepWorkersResult farm = run_sweep_workers(
+        config, plan, SEO_SWEEP_TOOL, worker_args, 2, &sink);
+    sink.finish();
 
-  EXPECT_EQ(farm.metrics, sweep_metric_rows(rows));
-  EXPECT_EQ(stream.str(), whole);
-  // The farm's summed stats must cover the workers' table builds: two
-  // single-threaded workers, at least one build or disk load each.
-  std::uint64_t activity = 0;
-  for (const ArtifactKindStats& row : farm.stats)
-    activity += row.stats.builds + row.stats.disk_loads + row.stats.hits;
-  EXPECT_GT(activity, 0u);
+    const std::vector<std::vector<double>> expected =
+        sweep_metric_rows(config, rows);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(expected[0].size(), sweep_metric_names(config).size());
+    EXPECT_EQ(farm.metrics, expected) << config.rounds;
+    EXPECT_EQ(stream.str(), whole) << config.rounds;
+    // The farm's summed stats must cover the workers' table builds: two
+    // single-threaded workers, at least one build or disk load each.
+    std::uint64_t activity = 0;
+    for (const ArtifactKindStats& row : farm.stats)
+      activity += row.stats.builds + row.stats.disk_loads + row.stats.hits;
+    EXPECT_GT(activity, 0u);
+  }
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << "missing " << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+std::string sweep_command(const std::vector<std::string>& args) {
+  std::string cmd = SEO_SWEEP_TOOL;
+  for (const std::string& arg : args) cmd += " '" + arg + "'";
+  return cmd;
 }
 
 // The acceptance matrix: report and trace bytes out of `sweep` must be
-// identical at every --workers x --threads combination.
+// identical at every --workers x --threads combination, for experiment
+// and fleet grids alike.
 TEST(SweepWorkers, CliByteIdentityAcrossWorkerAndThreadCounts) {
   const std::string dir = ::testing::TempDir();
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in) << "missing " << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  };
-
-  std::string base_args = std::string(SEO_SWEEP_TOOL);
-  for (const std::string& arg : tiny_sweep_args()) base_args += " " + arg;
-
-  std::string reference_csv;
-  std::string reference_trace;
-  for (const int workers : {1, 2, 4}) {
-    for (const int threads : {1, 2, 0}) {
-      const std::string tag = "w" + std::to_string(workers) + "t" +
-                              std::to_string(threads);
-      const std::string csv = dir + "/sweep_" + tag + ".csv";
-      const std::string trace = dir + "/sweep_" + tag + ".trace";
-      const std::string cmd =
-          base_args + " --threads " + std::to_string(threads) +
-          " --workers " + std::to_string(workers) + " --output " + csv +
-          " --trace-out " + trace + " 2>/dev/null";
-      ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
-      if (reference_csv.empty()) {
-        reference_csv = slurp(csv);
-        reference_trace = slurp(trace);
-        ASSERT_FALSE(reference_csv.empty());
-        ASSERT_FALSE(reference_trace.empty());
-      } else {
-        EXPECT_EQ(slurp(csv), reference_csv) << tag;
-        EXPECT_EQ(slurp(trace), reference_trace) << tag;
+  for (const auto& [kind, args] :
+       {std::pair{"sweep", tiny_sweep_args()},
+        std::pair{"fleet", tiny_fleet_sweep_args()}}) {
+    std::string reference_csv;
+    std::string reference_trace;
+    for (const int workers : {1, 2, 4}) {
+      for (const int threads : {1, 2, 0}) {
+        const std::string tag = std::string(kind) + "_w" +
+                                std::to_string(workers) + "t" +
+                                std::to_string(threads);
+        const std::string csv = dir + "/" + tag + ".csv";
+        const std::string trace = dir + "/" + tag + ".trace";
+        const std::string cmd =
+            sweep_command(args) + " --threads " + std::to_string(threads) +
+            " --workers " + std::to_string(workers) + " --output " + csv +
+            " --trace-out " + trace + " 2>/dev/null";
+        ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+        if (reference_csv.empty()) {
+          reference_csv = slurp(csv);
+          reference_trace = slurp(trace);
+          ASSERT_FALSE(reference_csv.empty());
+          ASSERT_FALSE(reference_trace.empty());
+        } else {
+          EXPECT_EQ(slurp(csv), reference_csv) << tag;
+          EXPECT_EQ(slurp(trace), reference_trace) << tag;
+        }
       }
     }
+  }
+}
+
+TEST(SweepWorkers, FarmIsCappedAtThePointCount) {
+  // 40 requested workers on a 4-point grid: only 4 are spawned.  (Which
+  // worker pulls which point is a race, so the per-worker split is not
+  // asserted.)
+  const std::string log = ::testing::TempDir() + "/sweep_farm_cap.log";
+  std::vector<std::string> args = tiny_sweep_args();
+  args.insert(args.end(), {"--workers", "40", "--threads", "1", "--stats",
+                           "--output", "/dev/null"});
+  const std::string cmd = sweep_command(args) + " 2>" + log;
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  const std::string stderr_text = slurp(log);
+  EXPECT_NE(stderr_text.find("farm: 4 workers, 4 points pulled"),
+            std::string::npos)
+      << stderr_text;
+}
+
+// Out-of-range integers and flag combinations that mix the point kinds
+// are usage errors, and a negative fleet size a configuration error: all
+// exit 2, before any episode runs.
+TEST(SweepCli, RejectsOutOfRangeAndMismatchedFlags) {
+  const std::string vehicles = ::testing::TempDir() + "/sweep_vehicles.csv";
+  const std::vector<std::vector<std::string>> cases = {
+      {"--smoke", "--episodes", "4294967297"},
+      {"--smoke", "--episodes", "0"},
+      {"--smoke", "--max-attempts", "0"},
+      {"--smoke", "--max-attempts", "4294967297"},
+      {"--smoke", "--rounds", "4294967297"},
+      {"--smoke", "--rounds", "0"},
+      {"--smoke", "--threads", "4294967297"},
+      {"--smoke", "--threads", "-3"},
+      {"--smoke", "--workers", "-1"},
+      {"--smoke", "--seed", "-1"},
+      {"--smoke", "--rounds", "1", "--episodes", "2"},
+      {"--smoke", "--rounds", "1", "--max-attempts", "8"},
+      {"--smoke", "--allow-failures", "--rounds", "1"},
+      {"--smoke", "--vehicles-output", vehicles},
+      {"--smoke", "--rounds", "1", "--vehicles-output", vehicles,
+       "--workers", "2"},
+      {"--smoke", "--rounds", "1", "--vehicles-output", vehicles, "--shard",
+       "0/2"},
+      {"--smoke", "--rounds", "1", "--set", "fleet.vehicles=-1",
+       "--trace-out", "/dev/null"},
+  };
+  for (const auto& args : cases) {
+    const std::string cmd =
+        sweep_command(args) + " --output /dev/null 2>/dev/null";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
   }
 }
 

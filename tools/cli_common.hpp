@@ -1,8 +1,6 @@
-// Small helpers shared by the CLI mains in this directory (sweep, fleet):
-// string splitting plus the artifact-store CLI surface — flag parsing,
-// store configuration, startup GC, and the unified per-kind stats report —
-// kept here so the two CLIs (and the CI assertions grepping these exact
-// formats) can never drift apart.
+// The `sweep` CLI's support code: string splitting plus the artifact-store
+// CLI surface — flag parsing, store configuration, startup GC, and the
+// per-kind stats report whose exact line formats the CI assertions grep.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +51,7 @@ inline std::vector<std::string> split(const std::string& text, char sep) {
   return parts;
 }
 
-/// Usage lines for the shared artifact-store flag, spliced into each
-/// CLI's --help text.
+/// Usage lines for the artifact-store flag, spliced into the --help text.
 constexpr const char* kCacheUsage =
     "  --cache SPEC           artifact-store settings, comma-separated:\n"
     "                           on|off        content-addressed reuse "
@@ -206,28 +203,14 @@ inline void print_artifact_store_stats(
   std::map<std::string, ArtifactStoreStats> merged;
   for (const auto& row : ArtifactStoreRegistry::global().snapshot())
     merged[row.kind] = row.stats;
-  for (const auto& row : extra) {
-    ArtifactStoreStats& s = merged[row.kind];
-    const ArtifactStoreStats& a = row.stats;
-    s.hits += a.hits;
-    s.fast_hits += a.fast_hits;
-    s.misses += a.misses;
-    s.builds += a.builds;
-    s.waits += a.waits;
-    s.lock_waits += a.lock_waits;
-    s.evictions += a.evictions;
-    s.bytes += a.bytes;
-    s.disk_loads += a.disk_loads;
-    s.disk_stores += a.disk_stores;
-    s.disk_failures += a.disk_failures;
-  }
+  for (const auto& row : extra) merged[row.kind] += row.stats;
   // std::map: sorted by kind, matching the registry snapshot's order.
   for (const auto& [kind, stats] : merged)
     print_artifact_store_stats_row(out, kind, stats);
 }
 
 /// One greppable utilization line for the global thread pool, matching the
-/// artifact-store stats format (`--stats` in the sweep/fleet CLIs).
+/// artifact-store stats format (`sweep --stats`).
 /// `window_s` is the wall time the run took; busy % is task time over
 /// worker capacity in that window.
 inline void print_thread_pool_stats(std::ostream& out, double window_s) {

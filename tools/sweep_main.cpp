@@ -5,11 +5,16 @@
 //         --axis channel_mbps=5,10,20 --axis deadline_cap=2,4 \
 //         --episodes 25 --threads 0 --format csv --output sweep.csv
 //   sweep --smoke        # CI-sized 2x2 grid over 4 scenarios
+//   sweep --smoke --rounds 1 --vehicles-output vehicles.csv
+//                        # CI-sized fleet grid: 8 points of 3 vehicles
 //
 // Every grid point = library scenario + axis overrides, run through the
-// full experiment harness.  Output (csv|json) is identical for every
-// --threads value; see tests/test_sweep.cpp.
+// full experiment harness — or, with --rounds, through the fleet
+// experiment (vehicles sharing one edge cluster).  Output (csv|json) is
+// identical for every --threads and --workers value; see
+// tests/test_sweep.cpp and tests/test_sweep_shard.cpp.
 #include <chrono>
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -50,8 +55,15 @@ int usage(int code) {
          "  --max-attempts N       attempt budget per point (default 250)\n"
          "  --seed N               base seed (default 1000)\n"
          "  --allow-failures       aggregate failed episodes too\n"
-         "  --threads N            grid shards in flight (1 serial, 0 all "
-         "cores; default 0)\n"
+         "  --rounds N             fleet points: run each grid point as a "
+         "fleet experiment\n"
+         "                         of N rounds instead (excludes --episodes,\n"
+         "                         --max-attempts and --allow-failures)\n"
+         "  --threads N            grid shards in flight, or with --rounds "
+         "each fleet\n"
+         "                         point's episodes in flight (1 serial, 0 "
+         "all cores;\n"
+         "                         default 0)\n"
          "  --workers N            run the grid on N worker processes, "
          "each pulling the\n"
          "                         next point as it frees up (default 1\n"
@@ -77,10 +89,19 @@ int usage(int code) {
          "                         so the report never interleaves; pipe into\n"
          "                         trace-export / trace-deadline-histogram /\n"
          "                         trace-energy-report / trace-safety-audit)\n"
+         "  --vehicles-output PATH with --rounds: also write per-vehicle "
+         "summaries (one\n"
+         "                         '# label' section per grid point; not "
+         "with --workers\n"
+         "                         or --shard)\n"
          "  --smoke                CI preset: 2x2 grid over 4 scenarios on "
-         "a short route\n"
-         "                         (a seed config: later flags refine it, "
-         "--axis replaces its grid)\n";
+         "a short route;\n"
+         "                         with --rounds, fleet_cluster x "
+         "servers{1,2} x\n"
+         "                         dispatch{rr,ll} x window{0,4} (a seed "
+         "config: later\n"
+         "                         flags refine it, --axis replaces its "
+         "grid)\n";
   return code;
 }
 
@@ -111,18 +132,25 @@ int main(int argc, char** argv) {
   std::string format = "csv";
   std::string output;
   std::string trace_out;
+  std::string vehicles_output;
   seo::cli::CacheCliOptions cache;
 
   // --smoke is a preset, not a terminal mode: it seeds the config before
   // the other flags are parsed, so `--smoke --episodes 10` refines the
-  // preset instead of being silently discarded.
+  // preset instead of being silently discarded.  With --rounds anywhere on
+  // the line it seeds the fleet grid instead.
   bool smoke = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--smoke") smoke = true;
+  bool fleet = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    smoke = smoke || arg == "--smoke";
+    fleet = fleet || arg == "--rounds";
+  }
   if (smoke) {
-    config = smoke_sweep();
+    config = fleet ? fleet_smoke_sweep() : smoke_sweep();
     config.threads = 0;
   }
+  std::string experiment_flag;  // the last experiment-only flag seen
   bool user_axes = false;  // the first user --axis replaces preset axes
   bool show_pool_stats = false;
   int workers = 1;
@@ -138,16 +166,19 @@ int main(int argc, char** argv) {
     }
     return argv[++i];
   };
-  const auto next_int = [&](int& i) -> long long {
+  // Integer flags parse whole and must lie in [lo, hi]: a value that
+  // would narrow or wrap exits 2 instead of silently meaning another one.
+  const auto next_int = [&](int& i, long long lo, long long hi) -> long long {
     const std::string flag = argv[i];
     const std::string text = next_arg(i);
     try {
       std::size_t consumed = 0;
       const long long v = std::stoll(text, &consumed);
-      if (consumed == text.size()) return v;
+      if (consumed == text.size() && v >= lo && v <= hi) return v;
     } catch (const std::exception&) {
     }
-    std::cerr << flag << " expects an integer, got '" << text << "'\n";
+    std::cerr << flag << " expects an integer in [" << lo << ", " << hi
+              << "], got '" << text << "'\n";
     std::exit(usage(2));
   };
 
@@ -190,27 +221,23 @@ int main(int argc, char** argv) {
       config.base_overrides.emplace_back(spec.substr(0, eq),
                                          spec.substr(eq + 1));
     } else if (arg == "--episodes") {
-      config.episodes = static_cast<int>(next_int(i));
+      experiment_flag = arg;
+      config.episodes = static_cast<int>(next_int(i, 1, INT_MAX));
     } else if (arg == "--max-attempts") {
-      config.max_attempts = static_cast<int>(next_int(i));
+      experiment_flag = arg;
+      config.max_attempts = static_cast<int>(next_int(i, 1, INT_MAX));
     } else if (arg == "--seed") {
-      const long long seed = next_int(i);
-      if (seed < 0) {
-        std::cerr << "--seed must be non-negative\n";
-        return usage(2);
-      }
-      config.base_seed = static_cast<std::uint64_t>(seed);
+      config.base_seed =
+          static_cast<std::uint64_t>(next_int(i, 0, LLONG_MAX));
     } else if (arg == "--allow-failures") {
+      experiment_flag = arg;
       config.require_success = false;
+    } else if (arg == "--rounds") {
+      config.rounds = static_cast<int>(next_int(i, 1, INT_MAX));
     } else if (arg == "--threads") {
-      config.threads = static_cast<int>(next_int(i));
+      config.threads = static_cast<int>(next_int(i, 0, INT_MAX));
     } else if (arg == "--workers") {
-      const long long n = next_int(i);
-      if (n < 0) {
-        std::cerr << "--workers must be >= 0\n";
-        return usage(2);
-      }
-      workers = static_cast<int>(n);
+      workers = static_cast<int>(next_int(i, 0, INT_MAX));
     } else if (arg == "--shard") {
       const std::string spec = next_arg(i);
       const auto slash = spec.find('/');
@@ -250,6 +277,8 @@ int main(int argc, char** argv) {
       output = next_arg(i);
     } else if (arg == "--trace-out") {
       trace_out = next_arg(i);
+    } else if (arg == "--vehicles-output") {
+      vehicles_output = next_arg(i);
     } else if (arg == "--smoke") {
       // Handled by the pre-scan above.
     } else {
@@ -258,8 +287,24 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Flag interplay between the point kinds.
+  if (fleet && !experiment_flag.empty()) {
+    std::cerr << "--rounds runs fleet points; " << experiment_flag
+              << " applies to experiment points only\n";
+    return usage(2);
+  }
+  if (!vehicles_output.empty() && !fleet) {
+    std::cerr << "--vehicles-output requires --rounds\n";
+    return usage(2);
+  }
+
   // Flag interplay for the multi-process modes.
   const std::size_t worker_count = ThreadPool::resolve_threads(workers);
+  if (!vehicles_output.empty() && (worker_count > 1 || shard_count > 0)) {
+    std::cerr << "--vehicles-output is written by in-process runs only; it "
+                 "cannot be combined with --workers or --shard\n";
+    return usage(2);
+  }
   if (worker_count > 1 && shard_count > 0) {
     std::cerr << "--workers spawns its own shards; it cannot be combined "
                  "with --shard\n";
@@ -332,8 +377,8 @@ int main(int argc, char** argv) {
       }
       const SweepPlan plan = plan_sweep(config);
       const SweepWorkersResult merged =
-          run_sweep_workers(plan, sweep_self_exe(argv[0]), worker_args,
-                            worker_count, config.trace_sink);
+          run_sweep_workers(config, plan, sweep_self_exe(argv[0]),
+                            worker_args, worker_count, config.trace_sink);
       worker_stats = merged.stats;
       pulled = merged.pulled;
       points_run = plan.points.size();
@@ -345,6 +390,16 @@ int main(int argc, char** argv) {
                           : run_sweep(config);
       points_run = rows.size();
       seo::write_sweep_report(report, format, config, rows);
+      if (!vehicles_output.empty()) {
+        std::ofstream out(vehicles_output);
+        if (!out) {
+          std::cerr << "cannot open " << vehicles_output << " for writing\n";
+          return 1;
+        }
+        out << sweep_vehicle_csv(rows);
+        std::cerr << "wrote per-vehicle summaries to " << vehicles_output
+                  << "\n";
+      }
     }
     if (trace_sink) {
       trace_sink->finish();

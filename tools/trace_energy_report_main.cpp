@@ -1,7 +1,7 @@
 // `trace-energy-report` — per-episode (or per-vehicle) energy accounting
 // from a seo-trace stream.
 //
-//   fleet --smoke --trace-out - --output grid.csv \
+//   sweep --smoke --rounds 1 --trace-out - --output grid.csv \
 //     | trace-energy-report --by-vehicle
 //
 // Episode energy comes from the episode-end summary (combined Lambda'
