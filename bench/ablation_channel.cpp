@@ -19,16 +19,12 @@ int main() {
                     "offloads", "applied", "fallbacks", "fallback rate",
                     "collided"});
 
-  for (const double scale : {5.0, 10.0, 15.0, 20.0, 30.0, 50.0, 80.0}) {
-    ScenarioConfig config =
-        bench::scenario(OptimizerMode::kOffload, /*filtered=*/true, 2);
-    config.channel_scale_mbps = scale;
-    ExperimentConfig ec;
-    ec.scenario = config;
-    ec.episodes = bench::kEpisodes;
-    ec.base_seed = bench::kBaseSeed;
-    const ExperimentResult r = run_experiment(ec);
-
+  for (const SweepRow& row : run_sweep(bench::grid(
+           {"paper_default"},
+           {{"mode", "offload"}, {"filtered", "true"}, {"obstacles", "2"}},
+           {{"channel_mbps", {"5", "10", "15", "20", "30", "50", "80"}}}))) {
+    const ExperimentResult& r = row.result;
+    const ScenarioConfig& config = row.scenario;
     std::uint64_t submitted = 0, applied = 0, fallbacks = 0;
     for (const auto& p : r.pipelines) {
       submitted += p.offload_submitted;
@@ -40,7 +36,7 @@ int main() {
             ? static_cast<double>(fallbacks) /
                   static_cast<double>(applied + fallbacks)
             : 0.0;
-    table.add_row({fmt_double(scale, 0),
+    table.add_row({fmt_double(config.channel_scale_mbps, 0),
                    fmt_percent(bench::combined_gain(r, config.platform)),
                    fmt_percent(bench::pipeline_gain(r, 0, config.platform)),
                    std::to_string(submitted), std::to_string(applied),

@@ -17,19 +17,20 @@ int main() {
   table.set_header({"cap", "gating combined", "offload combined",
                     "avg delta_max", "worst staleness [ms]", "collided"});
 
-  for (const int cap : {2, 3, 4, 6, 8}) {
-    ScenarioConfig gate_config =
-        bench::scenario(OptimizerMode::kGating, /*filtered=*/true, 2);
-    gate_config.deadline_cap = cap;
-    ScenarioConfig off_config =
-        bench::scenario(OptimizerMode::kOffload, /*filtered=*/true, 2);
-    off_config.deadline_cap = cap;
-    const ExperimentResult gate = bench::run(gate_config);
-    const ExperimentResult off = bench::run(off_config);
+  // Rows pair up per table line: gating then offload.
+  const std::vector<SweepRow> rows = run_sweep(bench::grid(
+      {"paper_default"}, {{"filtered", "true"}, {"obstacles", "2"}},
+      {{"deadline_cap", {"2", "3", "4", "6", "8"}},
+       {"mode", {"gating", "offload"}}}));
+  for (std::size_t i = 0; i + 1 < rows.size(); i += 2) {
+    const ScenarioConfig& gate_config = rows[i].scenario;
+    const ExperimentResult& gate = rows[i].result;
+    const ExperimentResult& off = rows[i + 1].result;
+    const int cap = gate_config.deadline_cap;
     table.add_row(
         {std::to_string(cap),
          fmt_percent(bench::combined_gain(gate, gate_config.platform)),
-         fmt_percent(bench::combined_gain(off, off_config.platform)),
+         fmt_percent(bench::combined_gain(off, rows[i + 1].scenario.platform)),
          fmt_double(gate.mean_delta_max(), 2),
          fmt_double(cap * gate_config.tau_s * 1e3, 0),
          std::to_string(gate.collisions + off.collisions)});

@@ -19,15 +19,23 @@ int main() {
                     "avg delta_max", "gating gain", "offload gain",
                     "engagements/run", "collided", "off road"});
 
-  for (const double amplitude : {0.0, 0.5, 1.0, 1.5, 2.0}) {
-    ScenarioConfig gate = bench::scenario(OptimizerMode::kGating, true, 3);
-    gate.moving_obstacles = amplitude > 0.0;
-    gate.obstacle_osc_amplitude = amplitude;
-    ScenarioConfig off = gate;
-    off.mode = OptimizerMode::kOffload;
-
-    const ExperimentResult rg = bench::run(gate);
-    const ExperimentResult ro = bench::run(off);
+  // Paired, because a zero amplitude means static obstacles; rows pair up
+  // per table line: gating then offload.
+  const std::vector<SweepRow> rows = run_sweep(bench::grid(
+      {"paper_default"}, {{"filtered", "true"}, {"obstacles", "3"}},
+      {{"obstacle_osc_amplitude",
+        {"0", "0", "0.5", "0.5", "1", "1", "1.5", "1.5", "2", "2"}},
+       {"moving_obstacles", {"false", "false", "true", "true", "true", "true",
+                             "true", "true", "true", "true"}},
+       {"mode", {"gating", "offload", "gating", "offload", "gating", "offload",
+                 "gating", "offload", "gating", "offload"}}},
+      GridMode::kPaired));
+  for (std::size_t i = 0; i + 1 < rows.size(); i += 2) {
+    const ScenarioConfig& gate = rows[i].scenario;
+    const ScenarioConfig& off = rows[i + 1].scenario;
+    const ExperimentResult& rg = rows[i].result;
+    const ExperimentResult& ro = rows[i + 1].result;
+    const double amplitude = gate.obstacle_osc_amplitude;
     const double omega = 6.28318530717958647692 / gate.obstacle_osc_period;
 
     table.add_row({

@@ -45,7 +45,7 @@ int main() {
     config.scenario.cluster.batch_window_s = cc.window_ms * 1e-3;
     config.rounds = 3;
     config.base_seed = bench::kBaseSeed;
-    config.threads = bench::experiment_threads();
+    config.threads = 0;
     const FleetResult r = run_fleet_experiment(config);
 
     table.add_row({
@@ -85,7 +85,7 @@ int main() {
     config.scenario.cluster.batch_window_s = cc.window_ms * 1e-3;
     config.rounds = 2;
     config.base_seed = bench::kBaseSeed;
-    config.threads = bench::experiment_threads();
+    config.threads = 0;
     const FleetResult r = run_fleet_experiment(config);
     saturated.add_row({
         std::to_string(cc.servers),

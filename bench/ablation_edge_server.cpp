@@ -18,22 +18,18 @@ int main() {
   table.set_header({"service [ms]", "workers", "combined gain", "applied",
                     "fallbacks", "collided"});
 
-  struct ServerCase {
-    double service_ms;
-    int workers;
-  };
-  const ServerCase cases[] = {
-      {3.0, 4}, {5.0, 2}, {5.0, 1}, {10.0, 2}, {10.0, 1}, {16.0, 1},
-  };
-
-  for (const auto& sc : cases) {
-    ScenarioConfig config =
-        bench::scenario(OptimizerMode::kOffload, /*filtered=*/true, 2);
-    config.use_edge_server = true;
-    config.edge_server.service_time_s = sc.service_ms * 1e-3;
-    config.edge_server.parallelism = sc.workers;
-    config.edge_server.queue_capacity = 8;
-    const ExperimentResult r = bench::run(config);
+  for (const SweepRow& row : run_sweep(bench::grid(
+           {"paper_default"},
+           {{"mode", "offload"},
+            {"filtered", "true"},
+            {"obstacles", "2"},
+            {"use_edge_server", "true"},
+            {"server_queue", "8"}},
+           {{"server_service_ms", {"3", "5", "5", "10", "10", "16"}},
+            {"server_workers", {"4", "2", "1", "2", "1", "1"}}},
+           GridMode::kPaired))) {
+    const ScenarioConfig& config = row.scenario;
+    const ExperimentResult& r = row.result;
 
     std::uint64_t applied = 0, fallbacks = 0;
     for (const auto& p : r.pipelines) {
@@ -41,8 +37,8 @@ int main() {
       fallbacks += p.offload_fallbacks;
     }
     table.add_row({
-        fmt_double(sc.service_ms, 0),
-        std::to_string(sc.workers),
+        fmt_double(config.edge_server.service_time_s * 1e3, 0),
+        std::to_string(config.edge_server.parallelism),
         fmt_percent(bench::combined_gain(r, config.platform)),
         std::to_string(applied),
         std::to_string(fallbacks),

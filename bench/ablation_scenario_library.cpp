@@ -22,20 +22,18 @@ int main() {
                     "avg speed", "min h [m]", "engages", "collided",
                     "off-road", "timeout"});
 
-  for (const auto& entry : scenario_library()) {
-    ExperimentConfig config;
-    config.scenario = entry.make();
-    config.episodes = bench::kEpisodes;
-    config.max_attempts = bench::kEpisodes * 4;
-    config.base_seed = bench::kBaseSeed;
-    config.require_success = false;
-    config.threads = bench::experiment_threads();
-    const ExperimentResult r = run_experiment(config);
+  std::vector<std::string> names;
+  for (const auto& entry : scenario_library()) names.push_back(entry.name);
+  SweepConfig config = bench::grid(names, {}, {});
+  config.max_attempts = bench::kEpisodes * 4;
+  config.require_success = false;
 
+  for (const SweepRow& row : run_sweep(config)) {
+    const ExperimentResult& r = row.result;
     table.add_row({
-        entry.name,
-        to_string(config.scenario.mode),
-        fmt_percent(bench::combined_gain(r, config.scenario.platform)),
+        row.point.scenario,
+        to_string(row.scenario.mode),
+        fmt_percent(bench::combined_gain(r, row.scenario.platform)),
         fmt_double(r.mean_delta_max(), 2),
         fmt_double(r.avg_speed.mean(), 2),
         fmt_double(r.min_h.empty() ? 0.0 : r.min_h.mean(), 2),

@@ -17,15 +17,18 @@ int main() {
   table.set_header({"tau [ms]", "gating p=tau", "gating p=2tau",
                     "offload p=tau", "offload p=2tau", "avg delta_max"});
 
-  for (const double tau_ms : {20.0, 25.0, 30.0, 40.0, 50.0}) {
-    // tau must fit the 17 ms ResNet-152 latency (schedulability).
-    const ScenarioConfig gate_config = bench::scenario(
-        OptimizerMode::kGating, /*filtered=*/true, 2, tau_ms * 1e-3);
-    const ScenarioConfig off_config = bench::scenario(
-        OptimizerMode::kOffload, /*filtered=*/true, 2, tau_ms * 1e-3);
-    const ExperimentResult gate = bench::run(gate_config);
-    const ExperimentResult off = bench::run(off_config);
-    table.add_row({fmt_double(tau_ms, 0),
+  // tau must fit the 17 ms ResNet-152 latency (schedulability).  Rows pair
+  // up per table line: gating then offload.
+  const std::vector<SweepRow> rows = run_sweep(bench::grid(
+      {"paper_default"}, {{"filtered", "true"}, {"obstacles", "2"}},
+      {{"tau_ms", {"20", "25", "30", "40", "50"}},
+       {"mode", {"gating", "offload"}}}));
+  for (std::size_t i = 0; i + 1 < rows.size(); i += 2) {
+    const ScenarioConfig& gate_config = rows[i].scenario;
+    const ScenarioConfig& off_config = rows[i + 1].scenario;
+    const ExperimentResult& gate = rows[i].result;
+    const ExperimentResult& off = rows[i + 1].result;
+    table.add_row({fmt_double(gate_config.tau_s * 1e3, 0),
                    fmt_percent(bench::pipeline_gain(gate, 0,
                                                     gate_config.platform)),
                    fmt_percent(bench::pipeline_gain(gate, 1,

@@ -2,12 +2,13 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "energy/report.hpp"
-#include "sim/experiment.hpp"
+#include "sim/sweep.hpp"
 #include "util/table.hpp"
 
 namespace seo::bench {
@@ -18,33 +19,23 @@ namespace seo::bench {
 inline constexpr int kEpisodes = 25;
 inline constexpr std::uint64_t kBaseSeed = 7000;
 
-/// Episode parallelism for the ablation harness: SEO_THREADS env override,
-/// else every hardware thread.  Safe because the batched engine reproduces
-/// the serial aggregate exactly (see tests/test_thread_pool.cpp).
-inline int experiment_threads() {
-  if (const char* env = std::getenv("SEO_THREADS")) return std::atoi(env);
-  return 0;  // 0 = all hardware threads
-}
-
-/// Runs the standard experiment for a scenario.
-inline ExperimentResult run(const ScenarioConfig& scenario,
-                            int episodes = kEpisodes,
-                            std::uint64_t base_seed = kBaseSeed) {
-  ExperimentConfig config;
-  config.scenario = scenario;
-  config.episodes = episodes;
-  config.base_seed = base_seed;
-  config.threads = experiment_threads();
-  return run_experiment(config);
-}
-
-/// Scenario with the given mode/filtering/risk on the default rig.
-inline ScenarioConfig scenario(OptimizerMode mode, bool filtered,
-                               int obstacles, double tau_s = 0.02) {
-  ScenarioConfig config = default_scenario(tau_s);
-  config.mode = mode;
-  config.filtered = filtered;
-  config.obstacle_count = obstacles;
+/// The sweep grid a harness runs: `scenarios` (library bases) x `axes`,
+/// with `overrides` applied to every point, kEpisodes successful episodes
+/// per point from seed kBaseSeed, and the points spread over every
+/// hardware thread.  Rows come back in grid order whatever the thread
+/// count, so the printed tables are deterministic.
+inline SweepConfig grid(
+    std::vector<std::string> scenarios,
+    std::vector<std::pair<std::string, std::string>> overrides,
+    std::vector<SweepAxis> axes, GridMode mode = GridMode::kCartesian) {
+  SweepConfig config;
+  config.scenarios = std::move(scenarios);
+  config.base_overrides = std::move(overrides);
+  config.axes = std::move(axes);
+  config.grid = mode;
+  config.episodes = kEpisodes;
+  config.base_seed = kBaseSeed;
+  config.threads = 0;
   return config;
 }
 

@@ -19,19 +19,19 @@ int main() {
   std::vector<std::pair<std::string, double>> series_fast;
   std::vector<std::pair<std::string, double>> series_slow;
 
-  for (int obstacles = 0; obstacles <= 6; ++obstacles) {
-    const ScenarioConfig config =
-        bench::scenario(OptimizerMode::kGating, /*filtered=*/false, obstacles);
-    const ExperimentResult r = bench::run(config);
-    const auto& pm = config.platform;
+  for (const SweepRow& row : run_sweep(bench::grid(
+           {"paper_default"}, {{"mode", "gating"}, {"filtered", "false"}},
+           {{"obstacles", {"0", "1", "2", "3", "4", "5", "6"}}}))) {
+    const ExperimentResult& r = row.result;
+    const auto& pm = row.scenario.platform;
+    const std::string obstacles = std::to_string(row.scenario.obstacle_count);
     const double fast = r.pipeline_model_energy(0, pm).normalized();
     const double slow = r.pipeline_model_energy(1, pm).normalized();
-    table.add_row({std::to_string(obstacles), fmt_double(fast, 3),
-                   fmt_double(slow, 3),
+    table.add_row({obstacles, fmt_double(fast, 3), fmt_double(slow, 3),
                    fmt_double(r.combined_model_energy(pm).normalized(), 3),
                    fmt_double(r.mean_delta_max(), 2)});
-    series_fast.emplace_back("obst=" + std::to_string(obstacles), fast);
-    series_slow.emplace_back("obst=" + std::to_string(obstacles), slow);
+    series_fast.emplace_back("obst=" + obstacles, fast);
+    series_slow.emplace_back("obst=" + obstacles, slow);
   }
 
   std::cout << table.render() << "\n";

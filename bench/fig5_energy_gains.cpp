@@ -16,22 +16,14 @@ int main() {
   table.set_header({"method", "control", "p=tau gain", "p=2tau gain",
                     "avg delta_max"});
 
-  struct Case {
-    OptimizerMode mode;
-    bool filtered;
-  };
-  const Case cases[] = {
-      {OptimizerMode::kOffload, false},
-      {OptimizerMode::kOffload, true},
-      {OptimizerMode::kGating, false},
-      {OptimizerMode::kGating, true},
-  };
-
-  for (const auto& c : cases) {
-    const ScenarioConfig config = bench::scenario(c.mode, c.filtered, 2);
-    const ExperimentResult r = bench::run(config);
-    const auto& pm = config.platform;
-    table.add_row({to_string(c.mode), c.filtered ? "filtered" : "unfiltered",
+  for (const SweepRow& row : run_sweep(bench::grid(
+           {"paper_default"}, {{"obstacles", "2"}},
+           {{"mode", {"offload", "gating"}},
+            {"filtered", {"false", "true"}}}))) {
+    const ExperimentResult& r = row.result;
+    const auto& pm = row.scenario.platform;
+    table.add_row({to_string(row.scenario.mode),
+                   row.scenario.filtered ? "filtered" : "unfiltered",
                    fmt_percent(bench::pipeline_gain(r, 0, pm)),
                    fmt_percent(bench::pipeline_gain(r, 1, pm)),
                    fmt_double(r.mean_delta_max(), 2)});

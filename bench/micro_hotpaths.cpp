@@ -20,11 +20,9 @@
 #include "safety/safety_filter.hpp"
 #include "safety/table_cache.hpp"
 #include "sensors/detector.hpp"
-#include "sim/experiment.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sweep.hpp"
 #include "sim/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -204,15 +202,15 @@ void BM_MlpForwardBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpForwardBatch);
 
-// Threaded-vs-serial scaling of the two big offline artifacts.  The rigs
-// are sized so per-item work dominates the fan-out overhead (a table large
-// enough that slab builds take milliseconds; an episode batch deep enough
-// that the wave engine's merge cost is noise) — with the wave-merge
-// barrier, cache-probe lock and per-wave allocations gone, speedup on a
-// multicore host is asserted, not just observed: the CI scaling gate
-// (tools/bench_compare.py) requires threads:8 <= 0.6x threads:1 real time
-// on machines with >= 4 cores.  The gate reads the JSON real_time field —
-// CPU time only measures the calling thread.
+// Threaded-vs-serial scaling of the offline table build and of the sweep
+// engine's grid runners.  The rigs are sized so per-item work dominates
+// the fan-out overhead (a table large enough that slab builds take
+// milliseconds; a grid of eight points deep enough that claiming a point
+// and merging its row is noise), so speedup on a multicore host is
+// asserted, not just observed: the CI scaling gate (tools/bench_compare.py)
+// requires threads:8 <= 0.6x threads:1 real time for the sweep and 0.75x
+// for the table build on machines with >= 4 cores.  The gate reads the
+// JSON real_time field — CPU time only measures the calling thread.
 void BM_DeadlineTableBuild(benchmark::State& state) {
   const Barrier barrier{BarrierConfig{}};
   const LipschitzSafeInterval source(LipschitzIntervalConfig{}, barrier);
@@ -234,20 +232,20 @@ BENCHMARK(BM_DeadlineTableBuild)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-void BM_ExperimentBatch(benchmark::State& state) {
-  ExperimentConfig config;
-  config.scenario = default_scenario();
-  config.scenario.obstacle_count = 2;
-  config.scenario.use_lookup_table = false;
-  config.episodes = 32;
-  config.max_attempts = 128;
+void BM_SweepThreads(benchmark::State& state) {
+  SweepConfig config;
+  config.axes = {{"obstacles", {"1", "2"}},
+                 {"deadline_cap", {"2", "3", "4", "8"}}};
+  config.base_overrides = {{"use_lookup_table", "false"}};
+  config.episodes = 4;
+  config.max_attempts = 16;
   config.base_seed = 7000;
   config.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_experiment(config));
+    benchmark::DoNotOptimize(run_sweep(config));
   }
 }
-BENCHMARK(BM_ExperimentBatch)
+BENCHMARK(BM_SweepThreads)
     ->ArgName("threads")
     ->Arg(1)
     ->Arg(2)

@@ -16,23 +16,23 @@ int main() {
   table.set_header({"control", "#obst", "offloading gains", "gating gains",
                     "delta_max"});
 
-  for (const bool filtered : {false, true}) {
-    for (const int obstacles : {0, 2, 4}) {
-      const ScenarioConfig off_config =
-          bench::scenario(OptimizerMode::kOffload, filtered, obstacles);
-      const ExperimentResult off = bench::run(off_config);
-      const ScenarioConfig gate_config =
-          bench::scenario(OptimizerMode::kGating, filtered, obstacles);
-      const ExperimentResult gate = bench::run(gate_config);
-
-      table.add_row({filtered ? "filtered" : "unfiltered",
-                     std::to_string(obstacles),
-                     fmt_percent(bench::combined_gain(off,
-                                                      off_config.platform), 2),
-                     fmt_percent(bench::combined_gain(gate,
-                                                      gate_config.platform), 2),
-                     fmt_double(gate.mean_delta_max(), 2)});
-    }
+  // Rows pair up per table line: offload then gating.
+  const std::vector<SweepRow> rows = run_sweep(bench::grid(
+      {"paper_default"}, {},
+      {{"filtered", {"false", "true"}},
+       {"obstacles", {"0", "2", "4"}},
+       {"mode", {"offload", "gating"}}}));
+  for (std::size_t i = 0; i + 1 < rows.size(); i += 2) {
+    const SweepRow& off = rows[i];
+    const SweepRow& gate = rows[i + 1];
+    table.add_row(
+        {gate.scenario.filtered ? "filtered" : "unfiltered",
+         std::to_string(gate.scenario.obstacle_count),
+         fmt_percent(bench::combined_gain(off.result, off.scenario.platform),
+                     2),
+         fmt_percent(bench::combined_gain(gate.result, gate.scenario.platform),
+                     2),
+         fmt_double(gate.result.mean_delta_max(), 2)});
   }
 
   std::cout << table.render() << "\n";

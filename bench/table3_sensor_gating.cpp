@@ -17,9 +17,11 @@ int main() {
       "filtered gating at tau=20 ms; eq. (8) sensor+model energy; sensors "
       "evaluated from the measured schedule tallies");
 
-  const ScenarioConfig config =
-      bench::scenario(OptimizerMode::kGating, /*filtered=*/true, 2);
-  const ExperimentResult r = bench::run(config);
+  const std::vector<SweepRow> rows = run_sweep(bench::grid(
+      {"paper_default"},
+      {{"mode", "gating"}, {"filtered", "true"}, {"obstacles", "2"}}, {}));
+  const ScenarioConfig& config = rows.front().scenario;
+  const ExperimentResult& r = rows.front().result;
   const PerceptionModelSpec model = resnet152_px2();
 
   struct SensorCase {

@@ -4,17 +4,20 @@
 // the energy gains SEO achieves under the formal safety deadline.
 //
 //   ./examples/quickstart [obstacles] [seed]
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 
 #include "energy/report.hpp"
+#include "example_args.hpp"
 #include "sim/experiment.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
-  const int obstacles = argc > 1 ? std::atoi(argv[1]) : 3;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                      : 42;
+  constexpr const char* kUsage = "quickstart [obstacles 0..32] [seed]";
+  const int obstacles =
+      static_cast<int>(seo::example::int_arg(argc, argv, 1, 0, 32, 3, kUsage));
+  const auto seed = static_cast<std::uint64_t>(
+      seo::example::int_arg(argc, argv, 2, 0, INT64_MAX, 42, kUsage));
 
   seo::TextTable table("SEO quickstart: energy gains vs. always-local");
   table.set_header({"mode", "filter", "p=tau gain", "p=2tau gain",

@@ -3,16 +3,17 @@
 // shift, and see both optimization methods trade energy for robustness.
 //
 //   ./examples/risk_sweep [max_obstacles]
-#include <cstdlib>
 #include <iostream>
 
 #include "energy/report.hpp"
+#include "example_args.hpp"
 #include "sim/experiment.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace seo;
-  const int max_obstacles = argc > 1 ? std::atoi(argv[1]) : 6;
+  const int max_obstacles = static_cast<int>(example::int_arg(
+      argc, argv, 1, 0, 32, 6, "risk_sweep [max_obstacles 0..32]"));
 
   std::cout << "SEO risk sweep: obstacle density vs. deadlines and energy "
                "(filtered control)\n\n";

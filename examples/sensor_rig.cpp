@@ -4,16 +4,17 @@
 // power rails that resist gating.
 //
 //   ./examples/sensor_rig [obstacles]
-#include <cstdlib>
 #include <iostream>
 
 #include "energy/report.hpp"
+#include "example_args.hpp"
 #include "sim/experiment.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace seo;
-  const int obstacles = argc > 1 ? std::atoi(argv[1]) : 2;
+  const int obstacles = static_cast<int>(example::int_arg(
+      argc, argv, 1, 0, 32, 2, "sensor_rig [obstacles 0..32]"));
   const double tau = 0.02;
 
   ScenarioConfig scenario = default_scenario(tau);

@@ -9,10 +9,10 @@
 // The benches keep using ground-truth state (as the paper does); this
 // example demonstrates that the learning substrate for the critical subset
 // exists and converges.
-#include <cstdlib>
 #include <iostream>
 
 #include "dynamics/obstacle.hpp"
+#include "example_args.hpp"
 #include "nn/mlp.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -49,7 +49,8 @@ void make_sample(Rng& rng, nn::Vector& input, nn::Vector& target) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int epochs = argc > 1 ? std::atoi(argv[1]) : 600;
+  const int epochs = static_cast<int>(seo::example::int_arg(
+      argc, argv, 1, 1, 100000, 600, "state_estimator [epochs 1..100000]"));
 
   Rng rng(31);
   nn::MlpConfig config;

@@ -1,12 +1,10 @@
 #include "sim/experiment.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "util/expect.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace seo {
 
@@ -28,9 +26,7 @@ EnergyComparison ExperimentResult::combined_model_energy(
 
 namespace {
 
-/// Folds one finished episode into the aggregate — the single merge path
-/// shared by the serial and batched engines, applied strictly in attempt
-/// order so the aggregate never depends on completion order.
+/// Folds one finished episode into the aggregate, in attempt order.
 void consume_episode(const ExperimentConfig& config,
                      const EpisodeResult& episode, ExperimentResult& result) {
   ++result.attempts;
@@ -86,65 +82,20 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.pipelines.push_back(std::move(agg));
   }
 
-  const std::size_t workers = ThreadPool::resolve_threads(config.threads);
-
-  // Wave buffer hoisted out of the loop: the first (largest) wave sizes it
-  // and later waves reuse the capacity, so steady-state waves perform no
-  // per-wave vector allocation.  The trace slots (only populated when a
-  // tap is attached) are reused the same way — clear() keeps capacity, so
-  // steady-state traced waves record without allocating either.
-  std::vector<EpisodeResult> episodes;
-  std::vector<EpisodeTrace> traces;
-
-  // Attempt k is fully determined by seed base_seed + k, so the batched
-  // engine runs waves of independent attempts and merges them in attempt
-  // order.  A wave may overshoot (episodes beyond the target finish and are
-  // discarded unmerged); the merged prefix — and hence every field of the
-  // result, including `attempts` — matches the serial engine exactly.
+  // Attempt k runs with seed base_seed + k and is merged before attempt
+  // k + 1 starts.  One scenario copy (only its seed changes) and one trace
+  // buffer serve every attempt.
+  ScenarioConfig scenario = config.scenario;
+  EpisodeTrace trace;
   while (result.episodes_used < config.episodes &&
          result.attempts < config.max_attempts) {
-    // Speculation budget: episodes still needed plus one retry per failure
-    // seen so far.  A clean run never simulates episodes the merge cannot
-    // consume, while failure-heavy runs widen back toward full `workers`
-    // parallelism instead of degenerating to serial retries.  Oversized
-    // waves stay correct regardless — surplus episodes are discarded
-    // unmerged, so every merged field matches the serial engine.
-    const std::size_t budget =
-        static_cast<std::size_t>(config.episodes - result.episodes_used) +
-        static_cast<std::size_t>(result.failures);
-    const std::size_t wave =
-        std::min({workers <= 1 ? std::size_t{1} : workers,
-                  static_cast<std::size_t>(config.max_attempts -
-                                           result.attempts),
-                  budget});
-    const auto first_attempt = static_cast<std::uint64_t>(result.attempts);
-
-    episodes.resize(wave);
-    if (config.trace_tap) traces.resize(wave);
-    const auto run_range = [&](std::size_t lo, std::size_t hi) {
-      // One scenario copy per chunk (not per episode): only the seed
-      // differs between attempts, so the chunk worker mutates that field
-      // alone on its private copy.
-      ScenarioConfig scenario = config.scenario;
-      for (std::size_t k = lo; k < hi; ++k) {
-        scenario.seed = config.base_seed + first_attempt + k;
-        if (config.trace_tap) {
-          traces[k].clear();
-          episodes[k] = run_episode(scenario, &traces[k]);
-        } else {
-          episodes[k] = run_episode(scenario);
-        }
-      }
-    };
-    ThreadPool::run_capped(0, wave, workers, run_range);
-
-    for (std::size_t k = 0; k < wave; ++k) {
-      if (result.episodes_used >= config.episodes) break;
-      if (config.trace_tap)
-        config.trace_tap(config.base_seed + first_attempt + k, episodes[k],
-                         traces[k]);
-      consume_episode(config, episodes[k], result);
-    }
+    scenario.seed =
+        config.base_seed + static_cast<std::uint64_t>(result.attempts);
+    trace.clear();
+    const EpisodeResult episode =
+        run_episode(scenario, config.trace_tap ? &trace : nullptr);
+    if (config.trace_tap) config.trace_tap(scenario.seed, episode, trace);
+    consume_episode(config, episode, result);
   }
 
   if (result.episodes_used < config.episodes) {

@@ -20,19 +20,10 @@ struct ExperimentConfig {
   std::uint64_t base_seed = 1000;
   int max_attempts = 250;       ///< give up after this many total episodes
   bool require_success = true;  ///< only aggregate collision-free completions
-  /// Episode-level parallelism: 1 = serial (default), 0 = all hardware
-  /// threads, n = up to n episodes in flight.  Attempt k always runs with
-  /// seed base_seed + k on its own Rng stream, and results are merged in
-  /// attempt order, so the aggregate is identical for every thread count.
-  int threads = 1;
   /// Optional per-episode trace tap: invoked for every *consumed* attempt
-  /// (successful or not), strictly in attempt order, with that attempt's
-  /// seed, result and full trace.  Wave-overshoot episodes the merge
-  /// discards are never tapped, so the tapped sequence is byte-identical
-  /// for every thread count — the property the streaming trace pipeline
-  /// builds on.  The trace reference is a reused wave-slot buffer: the tap
-  /// must serialize or copy, never retain it.  Tracing holds at most one
-  /// wave (<= `threads`) of sample logs in memory at a time.
+  /// (successful or not), in attempt order, with that attempt's seed,
+  /// result and full trace.  The trace reference is a reused buffer: the
+  /// tap must serialize or copy, never retain it.
   std::function<void(std::uint64_t seed, const EpisodeResult& episode,
                      const EpisodeTrace& trace)>
       trace_tap;
@@ -81,7 +72,9 @@ struct ExperimentResult {
   EnergyComparison combined_model_energy(const PlatformPowerModel& pm) const;
 };
 
-/// Runs the experiment.  Deterministic for a fixed config.
+/// Runs the experiment: attempt k uses seed base_seed + k, serially, until
+/// `episodes` are aggregated or `max_attempts` are spent.  Deterministic
+/// for a fixed config.  Parallelism lives a level up, in run_sweep.
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
 }  // namespace seo

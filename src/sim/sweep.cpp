@@ -297,7 +297,6 @@ void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
       experiment.max_attempts = config.max_attempts;
       experiment.base_seed = config.base_seed;
       experiment.require_success = config.require_success;
-      experiment.threads = 1;  // parallelism lives at the grid level
       if (want_trace) {
         experiment.trace_tap = [&](std::uint64_t seed,
                                    const EpisodeResult& episode,

@@ -47,4 +47,16 @@ bool parse_finite_double(std::string_view text, double& out) {
   return true;
 }
 
+bool parse_int(std::string_view text, long long lo, long long hi,
+               long long& out) {
+  long long v = 0;
+  const char* last = text.data() + text.size();
+  const auto result = std::from_chars(text.data(), last, v);
+  if (text.empty() || result.ec != std::errc() || result.ptr != last ||
+      v < lo || v > hi)
+    return false;
+  out = v;
+  return true;
+}
+
 }  // namespace seo

@@ -41,4 +41,12 @@ std::string format_double_fixed(double v, int precision);
 /// double.
 bool parse_finite_double(std::string_view text, double& out);
 
+/// Locale-independent strict integer parse: the entire string must form
+/// one base-10 integer in [lo, hi].  "5x", "", "1e3", "+1" and values out
+/// of range (overflow included) return false without touching `out` — the
+/// check CLI integer arguments want, so a typo never narrows, wraps or
+/// truncates into another value.
+bool parse_int(std::string_view text, long long lo, long long hi,
+               long long& out);
+
 }  // namespace seo

@@ -1,9 +1,12 @@
 // ExperimentResult aggregation edge cases: require_success=false,
 // max_attempts exhaustion, and zero-interval / zero-frame aggregates must
-// produce well-defined numbers (no division by zero, no NaNs).
+// produce well-defined numbers (no division by zero, no NaNs); plus a
+// golden of the skip/retry bookkeeping on a rig whose attempts fail.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "sim/experiment.hpp"
 #include "sim/scenario_library.hpp"
@@ -110,6 +113,31 @@ TEST(ExperimentEdge, FailureBreakdownSumsOnPartialSuccess) {
   EXPECT_EQ(r.collisions + r.off_roads + r.timeouts, r.failures);
   EXPECT_LE(r.episodes_used + r.failures, r.attempts);
   EXPECT_LE(r.attempts, config.max_attempts);
+}
+
+TEST(ExperimentGolden, FailingAttemptsKeepPinnedBookkeeping) {
+  // Unfiltered through 8 pacing obstacles: some attempts collide, so the
+  // result depends on which attempts were skipped and retried.
+  ExperimentConfig config;
+  config.scenario = default_scenario();
+  config.scenario.obstacle_count = 8;
+  config.scenario.moving_obstacles = true;
+  config.scenario.filtered = false;
+  config.scenario.use_lookup_table = false;
+  config.episodes = 3;
+  config.max_attempts = 24;
+  config.base_seed = 555;
+  const ExperimentResult r = run_experiment(config);
+
+  EXPECT_EQ(r.episodes_used, 3);
+  EXPECT_EQ(r.attempts, 4);
+  EXPECT_EQ(r.failures, 1);
+  EXPECT_EQ(r.collisions, 1);
+  EXPECT_EQ(r.off_roads, 0);
+  EXPECT_EQ(r.timeouts, 0);
+  EXPECT_EQ(r.intervals, 1092u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.avg_speed.mean()),
+            0x401ebe421c264ceaull);  // 7.685799064481424
 }
 
 TEST(ExperimentEdge, ContractsRejectDegenerateConfigs) {

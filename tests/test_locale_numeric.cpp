@@ -107,6 +107,18 @@ TEST(LocaleNumeric, ParseRejectsPartialAndNonFiniteInput) {
   EXPECT_EQ(v, 2.5);
 }
 
+TEST(LocaleNumeric, ParseIntIsWholeAndRangeChecked) {
+  long long v = 7;
+  EXPECT_TRUE(parse_int("42", 0, 100, v));
+  EXPECT_EQ(v, 42);
+  EXPECT_TRUE(parse_int("-3", -5, 5, v));
+  EXPECT_EQ(v, -3);
+  for (const char* bad : {"", "5x", " 1", "1 ", "+1", "1e3", "abc", "101",
+                          "-1", "99999999999999999999"})
+    EXPECT_FALSE(parse_int(bad, 0, 100, v)) << "'" << bad << "'";
+  EXPECT_EQ(v, -3);  // rejected input leaves the output alone
+}
+
 TEST(LocaleNumeric, FlippedLocaleDoesNotChangeTheRoundTrip) {
   const std::string locale = comma_locale();
   if (locale.empty())

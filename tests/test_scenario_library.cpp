@@ -11,6 +11,7 @@
 
 #include "sim/experiment.hpp"
 #include "sim/scenario_library.hpp"
+#include "sim/sweep.hpp"
 #include "util/expect.hpp"
 
 namespace seo {
@@ -72,62 +73,71 @@ struct Fingerprint {
   bool operator==(const Fingerprint&) const = default;
 };
 
-/// Short-horizon variant of a scenario so the full library stays fast in
-/// unit tests: 45 m route, small lookup table, unchanged physics.
-ScenarioConfig shortened(ScenarioConfig config) {
-  config.road.length = 45.0;
-  config.max_episode_s = 12.0;
-  config.table.distance_bins = 15;
-  config.table.bearing_bins = 9;
-  config.table.speed_bins = 9;
-  return config;
-}
-
-Fingerprint run_fingerprint(const std::string& name, int threads) {
-  ExperimentConfig config;
-  config.scenario = shortened(make_scenario(name));
+/// Fingerprints every library rig, as one sweep grid at `threads`, on the
+/// smoke grid's short horizon so the full library stays fast in unit
+/// tests: 45 m route, small lookup table, unchanged physics.
+std::vector<Fingerprint> library_fingerprints(int threads) {
+  SweepConfig config;
+  config.scenarios.clear();
+  for (const auto& entry : scenario_library())
+    config.scenarios.push_back(entry.name);
+  config.base_overrides = smoke_sweep().base_overrides;
   config.episodes = 2;
   config.max_attempts = 6;
   config.base_seed = 4242;
   config.require_success = false;  // aggregate everything: total determinism
   config.threads = threads;
-  const ExperimentResult r = run_experiment(config);
 
-  const EnergyComparison energy =
-      r.combined_model_energy(config.scenario.platform);
-  Fingerprint fp;
-  fp.episodes_used = r.episodes_used;
-  fp.attempts = r.attempts;
-  fp.collisions = r.collisions;
-  fp.off_roads = r.off_roads;
-  fp.timeouts = r.timeouts;
-  fp.intervals = r.intervals;
-  fp.mean_delta_max_bits = std::bit_cast<std::uint64_t>(r.mean_delta_max());
-  fp.energy_actual_bits = std::bit_cast<std::uint64_t>(energy.actual_j);
-  fp.energy_baseline_bits = std::bit_cast<std::uint64_t>(energy.baseline_j);
-  fp.min_h_bits = std::bit_cast<std::uint64_t>(
-      r.min_h.empty() ? 0.0 : r.min_h.mean());
-  return fp;
+  std::vector<Fingerprint> fingerprints;
+  for (const SweepRow& row : run_sweep(config)) {
+    const ExperimentResult& r = row.result;
+    const EnergyComparison energy =
+        r.combined_model_energy(row.scenario.platform);
+    Fingerprint fp;
+    fp.episodes_used = r.episodes_used;
+    fp.attempts = r.attempts;
+    fp.collisions = r.collisions;
+    fp.off_roads = r.off_roads;
+    fp.timeouts = r.timeouts;
+    fp.intervals = r.intervals;
+    fp.mean_delta_max_bits = std::bit_cast<std::uint64_t>(r.mean_delta_max());
+    fp.energy_actual_bits = std::bit_cast<std::uint64_t>(energy.actual_j);
+    fp.energy_baseline_bits = std::bit_cast<std::uint64_t>(energy.baseline_j);
+    fp.min_h_bits = std::bit_cast<std::uint64_t>(
+        r.min_h.empty() ? 0.0 : r.min_h.mean());
+    fingerprints.push_back(fp);
+  }
+  return fingerprints;
 }
 
 TEST(ScenarioLibraryGolden, FingerprintsBitIdenticalAcrossThreadCounts) {
-  for (const auto& entry : scenario_library()) {
-    const Fingerprint serial = run_fingerprint(entry.name, 1);
-    // The recorded (threads=1) trace is the golden reference; 2 workers and
-    // all-hardware-threads must reproduce it bit for bit.
-    for (const int threads : {2, 0}) {
-      const Fingerprint fp = run_fingerprint(entry.name, threads);
-      EXPECT_EQ(fp, serial) << entry.name << " threads=" << threads;
-    }
-    // The short horizon must still produce signal, not vacuous zeros.
-    EXPECT_EQ(serial.episodes_used, 2) << entry.name;
-    EXPECT_GT(serial.intervals, 0u) << entry.name;
+  const auto& entries = scenario_library();
+  // The serial (threads=1) grid is the golden reference; 2 runners and
+  // all hardware threads must reproduce every row bit for bit.
+  const std::vector<Fingerprint> serial = library_fingerprints(1);
+  ASSERT_EQ(serial.size(), entries.size());
+  for (const int threads : {2, 0}) {
+    const std::vector<Fingerprint> fps = library_fingerprints(threads);
+    ASSERT_EQ(fps.size(), serial.size());
+    for (std::size_t i = 0; i < fps.size(); ++i)
+      EXPECT_EQ(fps[i], serial[i])
+          << entries[i].name << " threads=" << threads;
+  }
+  // The short horizon must still produce signal, not vacuous zeros.
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].episodes_used, 2) << entries[i].name;
+    EXPECT_GT(serial[i].intervals, 0u) << entries[i].name;
   }
 }
 
 TEST(ScenarioLibraryGolden, FingerprintsAreSeedSensitive) {
   ExperimentConfig a;
-  a.scenario = shortened(make_scenario("paper_default"));
+  a.scenario = make_scenario("paper_default");
+  a.scenario.road.length = 45.0;
+  a.scenario.max_episode_s = 12.0;
+  a.scenario.table.distance_bins = 15;
+  a.scenario.table.bearing_bins = 9;
+  a.scenario.table.speed_bins = 9;
   a.episodes = 2;
   a.max_attempts = 6;
   a.require_success = false;

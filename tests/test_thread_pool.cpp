@@ -1,8 +1,7 @@
 // Tests for the parallel execution subsystem: the work-stealing pool itself
 // (submit futures, parallel_for coverage, exception propagation) and the
-// serial-equivalence guarantees of its users — a DeadlineTable built with N
-// threads is bit-identical to the serial build, and a batched experiment
-// reproduces the serial aggregate exactly.
+// serial-equivalence guarantee of its table user — a DeadlineTable built
+// with N threads is bit-identical to the serial build.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +15,6 @@
 #include "core/binary_io.hpp"
 #include "safety/deadline_table.hpp"
 #include "safety/safe_interval.hpp"
-#include "sim/experiment.hpp"
 #include "util/thread_pool.hpp"
 
 namespace seo {
@@ -172,7 +170,7 @@ TEST(ThreadPool, ResolveThreadsMapsKnobToWorkerCount) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
 }
 
-// --- Serial equivalence of the parallel users ------------------------------
+// --- Serial equivalence of the parallel table build---------------------------
 
 std::string table_bytes(const DeadlineTable& table) {
   std::string bytes;
@@ -199,89 +197,6 @@ TEST(ParallelDeadlineTable, BitIdenticalToSerialBuild) {
     EXPECT_EQ(table_bytes(serial), table_bytes(parallel))
         << "table built with " << threads << " threads diverged";
   }
-}
-
-ExperimentConfig quick_experiment(int threads) {
-  ExperimentConfig config;
-  config.scenario = default_scenario();
-  config.scenario.obstacle_count = 2;
-  config.scenario.use_lookup_table = false;  // keep per-episode cost small
-  config.episodes = 5;
-  config.max_attempts = 20;
-  config.base_seed = 4242;
-  config.threads = threads;
-  return config;
-}
-
-TEST(ParallelExperiment, ReproducesSerialResultExactly) {
-  const ExperimentResult serial = run_experiment(quick_experiment(1));
-  const ExperimentResult batched = run_experiment(quick_experiment(8));
-
-  EXPECT_EQ(serial.episodes_used, batched.episodes_used);
-  EXPECT_EQ(serial.attempts, batched.attempts);
-  EXPECT_EQ(serial.failures, batched.failures);
-  EXPECT_EQ(serial.collisions, batched.collisions);
-  EXPECT_EQ(serial.off_roads, batched.off_roads);
-  EXPECT_EQ(serial.timeouts, batched.timeouts);
-  EXPECT_EQ(serial.intervals, batched.intervals);
-  EXPECT_EQ(serial.unconstrained_intervals, batched.unconstrained_intervals);
-  EXPECT_EQ(serial.filter_engagements, batched.filter_engagements);
-
-  // Exact (not approximate) equality: merge order is attempt order in both.
-  EXPECT_EQ(serial.avg_speed.mean(), batched.avg_speed.mean());
-  EXPECT_EQ(serial.duration_s.sum(), batched.duration_s.sum());
-  EXPECT_EQ(serial.min_h.min(), batched.min_h.min());
-
-  ASSERT_EQ(serial.deadline_hist.keys(), batched.deadline_hist.keys());
-  for (const int key : serial.deadline_hist.keys())
-    EXPECT_EQ(serial.deadline_hist.count(key), batched.deadline_hist.count(key));
-
-  ASSERT_EQ(serial.pipelines.size(), batched.pipelines.size());
-  for (std::size_t i = 0; i < serial.pipelines.size(); ++i) {
-    const auto& s = serial.pipelines[i];
-    const auto& b = batched.pipelines[i];
-    EXPECT_EQ(s.tally.total_frames(), b.tally.total_frames());
-    EXPECT_EQ(s.tally.total_tx_energy_j(), b.tally.total_tx_energy_j());
-    EXPECT_EQ(s.offload_submitted, b.offload_submitted);
-    EXPECT_EQ(s.offload_applied, b.offload_applied);
-    EXPECT_EQ(s.offload_fallbacks, b.offload_fallbacks);
-  }
-}
-
-TEST(ParallelExperiment, ReproducesSerialResultWithFailures) {
-  // Unfiltered with dense obstacles: some attempts collide, so the batched
-  // engine must reproduce the serial skip/retry bookkeeping too, not just
-  // the happy path.
-  const auto failing_config = [](int threads) {
-    ExperimentConfig config;
-    config.scenario = default_scenario();
-    config.scenario.obstacle_count = 8;
-    config.scenario.moving_obstacles = true;
-    config.scenario.filtered = false;
-    config.scenario.use_lookup_table = false;
-    config.episodes = 3;
-    config.max_attempts = 24;
-    config.base_seed = 555;
-    config.threads = threads;
-    return config;
-  };
-  const ExperimentResult serial = run_experiment(failing_config(1));
-  const ExperimentResult batched = run_experiment(failing_config(4));
-
-  // The point of this scenario: failures actually happen, so waves overshoot
-  // and the merge discards surplus episodes.
-  ASSERT_GT(serial.failures, 0);
-  EXPECT_GT(serial.attempts, serial.episodes_used);
-
-  EXPECT_EQ(serial.episodes_used, batched.episodes_used);
-  EXPECT_EQ(serial.attempts, batched.attempts);
-  EXPECT_EQ(serial.failures, batched.failures);
-  EXPECT_EQ(serial.collisions, batched.collisions);
-  EXPECT_EQ(serial.off_roads, batched.off_roads);
-  EXPECT_EQ(serial.timeouts, batched.timeouts);
-  EXPECT_EQ(serial.avg_speed.mean(), batched.avg_speed.mean());
-  EXPECT_EQ(serial.min_h.min(), batched.min_h.min());
-  EXPECT_EQ(serial.intervals, batched.intervals);
 }
 
 }  // namespace

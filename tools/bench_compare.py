@@ -27,12 +27,12 @@ tools/bench_to_json.py): {"benchmarks": {name: {real_time, time_unit}}}.
 Scaling gate: besides absolute regressions, the gate asserts that episode
 throughput actually scales — the threads:8 variants of the threaded
 benchmarks must run in at most a fixed fraction of their threads:1 real
-time (default: 0.6x for BM_ExperimentBatch, 0.75x for
-BM_DeadlineTableBuild), and the distributed sweep's workers:4 arm must
-run in at most 0.6x of workers:1 (BM_SweepWorkers, which carries a
-/real_time name suffix from UseRealTime).  The ratio is taken WITHIN the
-fresh file, so it
-is machine-independent; it is only meaningful on a multicore host, so the
+time (default: 0.6x for BM_SweepThreads, the sweep engine's in-process
+grid runners, and 0.75x for BM_DeadlineTableBuild), and the distributed
+sweep's workers:4 arm must run in at most 0.6x of workers:1
+(BM_SweepWorkers, which carries a /real_time name suffix from
+UseRealTime).  The ratio is taken WITHIN the fresh file, so it is
+machine-independent; it is only meaningful on a multicore host, so the
 assertion is skipped (with a note) when the fresh run's machine has fewer
 than --min-scaling-cpus CPUs (default 4 — the committed baseline from a
 1-CPU container records flat ratios, CI's 4-vCPU runners enforce real
@@ -63,7 +63,7 @@ DEFAULT_NAMES = [
 # Parallel-vs-serial speedup assertions checked within the fresh file:
 # (parallel benchmark, serial benchmark, max allowed real_time ratio).
 DEFAULT_SCALING = [
-    ("BM_ExperimentBatch/threads:8", "BM_ExperimentBatch/threads:1", 0.60),
+    ("BM_SweepThreads/threads:8", "BM_SweepThreads/threads:1", 0.60),
     ("BM_DeadlineTableBuild/threads:8", "BM_DeadlineTableBuild/threads:1",
      0.75),
     ("BM_SweepWorkers/workers:4/real_time",

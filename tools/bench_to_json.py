@@ -7,7 +7,12 @@ Usage:
 
 Keeps one entry per benchmark (name -> real/cpu time) plus enough host
 context to interpret the numbers across machines, so successive commits of
-BENCH_hotpaths.json form a perf trajectory for the hot paths.
+BENCH_hotpaths.json form a perf trajectory for the hot paths.  Under
+--benchmark_repetitions=N every repetition is an iteration row with the
+same name: the entry records the median of the N rows (real_time,
+cpu_time; the lower median of iterations) plus "repetitions": N.  A
+single repetition is recorded as is, without the count.  The aggregate
+rows google-benchmark appends (mean, median, stddev) are skipped.
 
 Scaling rows (a `threads:N` or `workers:N` argument with N > 1) are left
 out when the host reports fewer than MIN_SCALING_CPUS CPUs: parallel
@@ -18,6 +23,7 @@ import argparse
 import json
 import re
 import sys
+from statistics import median, median_low
 
 MIN_SCALING_CPUS = 4
 SCALING_ARG = re.compile(r"/(?:threads|workers):(\d+)(?:/|$)")
@@ -42,19 +48,25 @@ def convert(raw: dict) -> dict:
         "benchmarks": {},
     }
     num_cpus = context.get("num_cpus") or 0
-    refused = []
+    refused = {}
+    runs = {}
     for bench in raw.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
         if num_cpus < MIN_SCALING_CPUS and is_scaling_row(bench["name"]):
-            refused.append(bench["name"])
+            refused[bench["name"]] = None
             continue
-        out["benchmarks"][bench["name"]] = {
-            "real_time": bench.get("real_time"),
-            "cpu_time": bench.get("cpu_time"),
-            "time_unit": bench.get("time_unit"),
-            "iterations": bench.get("iterations"),
+        runs.setdefault(bench["name"], []).append(bench)
+    for name, reps in runs.items():
+        entry = {
+            "real_time": median(r.get("real_time") for r in reps),
+            "cpu_time": median(r.get("cpu_time") for r in reps),
+            "time_unit": reps[0].get("time_unit"),
+            "iterations": median_low(r.get("iterations") for r in reps),
         }
+        if len(reps) > 1:
+            entry["repetitions"] = len(reps)
+        out["benchmarks"][name] = entry
     if refused:
         print(f"note: host has {num_cpus} CPU(s) < {MIN_SCALING_CPUS}; "
               f"refusing {len(refused)} scaling row(s): {', '.join(refused)}",

@@ -20,6 +20,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -171,12 +172,8 @@ int main(int argc, char** argv) {
   const auto next_int = [&](int& i, long long lo, long long hi) -> long long {
     const std::string flag = argv[i];
     const std::string text = next_arg(i);
-    try {
-      std::size_t consumed = 0;
-      const long long v = std::stoll(text, &consumed);
-      if (consumed == text.size() && v >= lo && v <= hi) return v;
-    } catch (const std::exception&) {
-    }
+    long long v = 0;
+    if (parse_int(text, lo, hi, v)) return v;
     std::cerr << flag << " expects an integer in [" << lo << ", " << hi
               << "], got '" << text << "'\n";
     std::exit(usage(2));
@@ -241,24 +238,18 @@ int main(int argc, char** argv) {
     } else if (arg == "--shard") {
       const std::string spec = next_arg(i);
       const auto slash = spec.find('/');
-      bool ok = slash != std::string::npos && slash > 0 &&
-                slash + 1 < spec.size();
+      long long idx = 0, count = 0;
+      const bool ok =
+          slash != std::string::npos &&
+          parse_int(std::string_view(spec).substr(0, slash), 0, LLONG_MAX,
+                    idx) &&
+          parse_int(std::string_view(spec).substr(slash + 1), 1, LLONG_MAX,
+                    count) &&
+          idx < count;
       if (ok) {
-        try {
-          std::size_t c1 = 0, c2 = 0;
-          const long long idx = std::stoll(spec.substr(0, slash), &c1);
-          const long long count = std::stoll(spec.substr(slash + 1), &c2);
-          ok = c1 == slash && c2 == spec.size() - slash - 1 && idx >= 0 &&
-               count >= 1 && idx < count;
-          if (ok) {
-            shard_index = static_cast<std::size_t>(idx);
-            shard_count = static_cast<std::size_t>(count);
-          }
-        } catch (const std::exception&) {
-          ok = false;
-        }
-      }
-      if (!ok) {
+        shard_index = static_cast<std::size_t>(idx);
+        shard_count = static_cast<std::size_t>(count);
+      } else {
         std::cerr << "--shard expects i/N with 0 <= i < N\n";
         return usage(2);
       }
