@@ -25,7 +25,9 @@ struct DeadlineTableConfig {
   double max_speed = 15.0;
   double obstacle_radius = 0.8;  ///< representative obstacle size for build
   /// Worker threads for the build: 1 = serial (default), 0 = all hardware
-  /// threads, n = exactly n.  Every cell is an independent virtual-obstacle
+  /// threads, n = exactly n; negative is a contract violation.  A build
+  /// from inside a pool chunk (a threaded sweep or fleet) runs serially
+  /// whatever the value.  Every cell is an independent virtual-obstacle
   /// evaluation written to its own slot, so the result is bit-identical to
   /// the serial build for any thread count.  Not part of the serialized
   /// format — an execution knob, not a table property.

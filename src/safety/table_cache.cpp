@@ -2,7 +2,6 @@
 
 #include "core/fingerprint.hpp"
 #include "util/expect.hpp"
-#include "util/thread_pool.hpp"
 
 namespace seo {
 
@@ -154,10 +153,6 @@ void validate_table_shape(const DeadlineTableConfig& expected,
 DeadlineTableCache& DeadlineTableCache::global() {
   static DeadlineTableCache cache(Store::global());
   return cache;
-}
-
-int DeadlineTableCache::effective_build_threads(int requested) {
-  return ThreadPool::on_worker_thread() ? 1 : requested;
 }
 
 }  // namespace seo

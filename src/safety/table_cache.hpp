@@ -185,13 +185,6 @@ class DeadlineTableCache {
   /// global "dtable" store).
   static DeadlineTableCache& global();
 
-  /// Nested-parallelism guard: a cache-miss build triggered from inside a
-  /// ThreadPool worker (sweep/fleet episode fan-out) must not fan out
-  /// again — the pool would run the nested range inline anyway, and a
-  /// second pool would oversubscribe the machine.  Returns 1 on a pool
-  /// worker, `requested` otherwise.
-  static int effective_build_threads(int requested);
-
   /// Versioned artifact file name for `key` ("dtable-v3-<hex>.bin").
   static std::string artifact_name(const DeadlineTableKey& key) {
     return Store::artifact_name(key);

@@ -11,8 +11,9 @@
 //
 //  1. Episode fan-out (parallel).  Every (round, vehicle) pair is an
 //     independent episode fully determined by seed base_seed + index;
-//     episodes fan across the shared ThreadPool into index-addressed slots,
-//     so any `threads` value reproduces the serial run byte-for-byte —
+//     episodes run as at most `threads` contiguous slot ranges
+//     (ThreadPool::run_capped) into index-addressed slots, so any
+//     `threads` value reproduces the serial run byte-for-byte —
 //     the same merge discipline as run_experiment / run_sweep.  Each
 //     episode records its offload uplink stream (sim/trace.hpp
 //     OffloadEvent) with the uncontended channel draws.

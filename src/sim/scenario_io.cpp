@@ -253,8 +253,8 @@ const std::vector<KeyDef>& key_registry() {
                     "T(x,u) domain: max speed [m/s]"));
     k.push_back(integer(nullptr, "table_threads",
                         [](ScenarioConfig& s) -> int& { return s.table.threads; },
-                        "T(x,u) build threads (0 = all cores; forced serial "
-                        "on pool workers)"));
+                        "T(x,u) build threads (0 = all cores, n >= 1 = n; "
+                        "serial inside a threaded sweep or fleet)"));
     k.push_back(KeyDef{
         nullptr, "table_source", "lipschitz | rollout (phi evaluator behind T)",
         [](const KeyValueConfig& c, ScenarioConfig& s) {

@@ -164,13 +164,10 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
                           barrier);
   std::shared_ptr<const DeadlineTable> table;
   if (config.use_lookup_table) {
-    DeadlineTableConfig table_config = effective_table_config(config);
-    // A cache-miss build from inside a sweep/fleet ThreadPool fan-out must
-    // not fan out again (pools-within-pools oversubscribe the machine);
-    // build output is bit-identical for any thread count, so forcing the
-    // nested case serial changes nothing but scheduling.
-    table_config.threads =
-        DeadlineTableCache::effective_build_threads(table_config.threads);
+    // A cache-miss build from inside a sweep/fleet pool chunk runs its
+    // slabs inline (ThreadPool::run_capped never fans out from a chunk);
+    // the table is bit-identical at any thread count either way.
+    const DeadlineTableConfig table_config = effective_table_config(config);
     // The stores' disk tier and memory budget are process state
     // (configured once by the CLIs), not scenario state.
     if (config.table_source == TableSource::kRollout) {
@@ -179,9 +176,8 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
                                                config.barrier.body_radius);
       };
       if (config.table_cache) {
-        RolloutTableKey key = rollout_table_key(config);
-        key.table.threads = table_config.threads;  // cosmetic; not in digest
-        table = RolloutTableStore::global().get(key, build);
+        table = RolloutTableStore::global().get(rollout_table_key(config),
+                                                build);
       } else {
         table = build();
       }
@@ -195,9 +191,8 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
         // the *effective* interval config with the environment_speed raise
         // above, so worlds with distinct obstacle speeds can never share a
         // table.
-        DeadlineTableKey key = lipschitz_table_key(config, interval_config);
-        key.table.threads = table_config.threads;
-        table = DeadlineTableCache::global().get(key, build);
+        table = DeadlineTableCache::global().get(
+            lipschitz_table_key(config, interval_config), build);
       } else {
         table = build();
       }

@@ -180,10 +180,11 @@ using SweepEmit = std::function<void(
 using SweepPointSource = std::function<std::optional<std::size_t>()>;
 
 /// Grid points one process runs at once, capped at `points`: one for fleet
-/// points (their episodes fan out over config.threads inside the point, so
-/// nested pool calls never oversubscribe), resolve_threads(config.threads)
-/// for experiment points.  Shared by the in-process runners and the
-/// `--workers` hello, so both size a process alike.
+/// points (each fans its episodes out over config.threads itself, which a
+/// point run as a pool chunk could not: run_capped runs inline there),
+/// resolve_threads(config.threads) for experiment points.  Shared by the
+/// in-process runners and the `--workers` hello, so both size a process
+/// alike.
 std::size_t sweep_runners(const SweepConfig& config, std::size_t points);
 
 /// Starts `runners` runners on the ThreadPool (inline when <= 1), each

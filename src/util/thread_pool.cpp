@@ -9,9 +9,9 @@
 namespace seo {
 
 namespace {
-/// Set while a thread runs a task for some pool; used to detect nested
-/// parallel_for calls (which must run inline to avoid deadlock).
-thread_local const ThreadPool* t_worker_pool = nullptr;
+/// Set while a thread runs a pool chunk; a run_capped from inside one runs
+/// inline (queueing would wait on the pool from within the pool).
+thread_local bool t_in_chunk = false;
 }  // namespace
 
 double ThreadPoolStats::busy_fraction(double window_s,
@@ -23,240 +23,114 @@ double ThreadPoolStats::busy_fraction(double window_s,
 
 ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t n = std::max<std::size_t>(threads, 1);
-  queues_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    queues_.push_back(std::make_unique<WorkerQueue>());
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_relaxed);
-  // Empty critical section: any worker mid-way between evaluating the wait
-  // predicate and blocking holds sleep_mutex_, so passing through it
-  // guarantees the store above is seen before the broadcast is consumed.
-  { std::lock_guard<std::mutex> lock(sleep_mutex_); }
-  sleep_cv_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
+  }
+  wake_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::note_submitted(std::size_t count) {
-  stat_submitted_.fetch_add(count, std::memory_order_relaxed);
-  const std::size_t depth =
-      pending_.fetch_add(count, std::memory_order_relaxed) + count;
-  std::uint64_t seen = stat_max_depth_.load(std::memory_order_relaxed);
-  while (seen < depth && !stat_max_depth_.compare_exchange_weak(
-                             seen, depth, std::memory_order_relaxed)) {
-  }
-}
-
-void ThreadPool::enqueue(std::function<void()> task) {
-  // The pending_ bump must precede the push: a worker that pops the task
-  // decrements pending_, so the opposite order could underflow the counter.
-  note_submitted(1);
-  const std::size_t target =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  {
-    std::lock_guard<std::mutex> qlock(queues_[target]->mutex);
-    queues_[target]->tasks.push_back(std::move(task));
-  }
-  { std::lock_guard<std::mutex> lock(sleep_mutex_); }  // wakeup fence
-  sleep_cv_.notify_one();
-}
-
-void ThreadPool::enqueue_bulk(
-    std::size_t count,
-    const std::function<std::function<void()>(std::size_t)>& make) {
-  if (count == 0) return;
-  note_submitted(count);
-  const std::size_t nq = queues_.size();
-  const std::size_t start =
-      next_queue_.fetch_add(count, std::memory_order_relaxed) % nq;
-  // One lock per queue, not per task: queue q receives the chunks c with
-  // (start + c) % nq == q, preserving the round-robin spread.
-  for (std::size_t q = 0; q < nq; ++q) {
-    const std::size_t first = (q + nq - start) % nq;
-    if (first >= count) continue;
-    std::lock_guard<std::mutex> qlock(queues_[q]->mutex);
-    for (std::size_t c = first; c < count; c += nq)
-      queues_[q]->tasks.push_back(make(c));
-  }
-  { std::lock_guard<std::mutex> lock(sleep_mutex_); }  // wakeup fence
-  sleep_cv_.notify_all();
-}
-
-bool ThreadPool::try_pop(std::size_t worker_index,
-                         std::function<void()>& task) {
-  // Own queue first, newest task (LIFO keeps the cache warm) ...
-  {
-    auto& q = *queues_[worker_index];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (!q.tasks.empty()) {
-      task = std::move(q.tasks.back());
-      q.tasks.pop_back();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  // ... then steal the oldest task from a sibling (FIFO spreads the big,
-  // early chunks of a parallel_for across workers).
-  for (std::size_t k = 1; k < queues_.size(); ++k) {
-    auto& q = *queues_[(worker_index + k) % queues_.size()];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (!q.tasks.empty()) {
-      task = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      stat_steals_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::run_task(std::function<void()>& task, bool inline_help) {
-  const auto t0 = std::chrono::steady_clock::now();
-  task();  // packaged_task captures exceptions; plain tasks must not throw
-  const auto t1 = std::chrono::steady_clock::now();
-  stat_busy_ns_.fetch_add(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-              .count()),
-      std::memory_order_relaxed);
-  stat_executed_.fetch_add(1, std::memory_order_relaxed);
-  if (inline_help)
-    stat_inline_runs_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ThreadPool::worker_loop(std::size_t worker_index) {
-  t_worker_pool = this;
+void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    if (try_pop(worker_index, task)) {
-      run_task(task, /*inline_help=*/false);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    // O(1) predicate: a single atomic load, no queue scans and no queue
-    // mutexes while the whole pool decides whether to sleep.
-    sleep_cv_.wait(lock, [this] {
-      return stop_.load(std::memory_order_relaxed) ||
-             pending_.load(std::memory_order_relaxed) > 0;
-    });
-    if (stop_.load(std::memory_order_relaxed)) return;
+    wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and nothing left to run
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    task();
+    lock.lock();
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (begin >= end) return;
-  const std::size_t g = std::max<std::size_t>(grain, 1);
-  const std::size_t count = end - begin;
-  // Inline when the range is one chunk, the pool is trivial, or we are
-  // already inside a worker (nested parallelism would deadlock on join).
-  if (count <= g || size() <= 1 || t_worker_pool != nullptr) {
-    fn(begin, end);
-    return;
-  }
-
-  const std::size_t chunks = (count + g - 1) / g;
-  // Join state shared with the chunk tasks; heap-allocated so stray tasks
-  // can never outlive the stack frame they reference.
+void ThreadPool::fan_out(std::size_t begin, std::size_t end, std::size_t grain,
+                         const RangeFn& fn) {
+  // Completion state of this call, guarded by mutex_.  It lives on this
+  // frame: the wait below returns only once `remaining` is 0, and a chunk
+  // touches it last under the lock that decrement is made in.
   struct Join {
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t remaining;
+    std::size_t remaining = 0;
     std::exception_ptr error;
-  };
-  auto join = std::make_shared<Join>();
-  join->remaining = chunks;
+  } join;
 
-  enqueue_bulk(chunks, [&](std::size_t c) -> std::function<void()> {
-    const std::size_t lo = begin + c * g;
-    const std::size_t hi = std::min(end, lo + g);
-    return [join, &fn, lo, hi] {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (std::size_t lo = begin; lo < end;) {
+    const std::size_t hi = lo + std::min(grain, end - lo);
+    queue_.push_back([this, &join, &fn, lo, hi] {
+      const auto t0 = std::chrono::steady_clock::now();
+      std::exception_ptr error;
+      t_in_chunk = true;
       try {
         fn(lo, hi);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(join->mutex);
-        if (!join->error) join->error = std::current_exception();
+        error = std::current_exception();
       }
-      std::lock_guard<std::mutex> lock(join->mutex);
-      if (--join->remaining == 0) join->done.notify_all();
-    };
-  });
+      t_in_chunk = false;
+      const std::chrono::duration<double> busy =
+          std::chrono::steady_clock::now() - t0;
+      bool joined = false;
+      {
+        std::lock_guard<std::mutex> chunk_lock(mutex_);
+        ++stats_.executed;
+        stats_.busy_s += busy.count();
+        if (error && !join.error) join.error = error;
+        joined = --join.remaining == 0;
+      }
+      if (joined) wake_.notify_all();
+    });
+    ++join.remaining;
+    lo = hi;
+  }
+  stats_.submitted += join.remaining;
+  stats_.max_queue_depth =
+      std::max<std::uint64_t>(stats_.max_queue_depth, queue_.size());
+  lock.unlock();
+  wake_.notify_all();
 
-  // Help drain the pool while waiting: the caller works instead of idling,
-  // which also guarantees progress when the caller holds the only free core.
-  std::function<void()> task;
+  // Help while waiting: run whatever is queued, this call's chunks or
+  // another caller's, so the caller works instead of idling.
+  lock.lock();
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(join->mutex);
-      if (join->remaining == 0) break;
-    }
-    if (try_pop(0, task)) {
-      t_worker_pool = this;
-      run_task(task, /*inline_help=*/true);
-      t_worker_pool = nullptr;
-      task = nullptr;
-    } else {
-      std::unique_lock<std::mutex> lock(join->mutex);
-      join->done.wait(lock, [&join] { return join->remaining == 0; });
-      break;
-    }
+    wake_.wait(lock, [&] { return join.remaining == 0 || !queue_.empty(); });
+    if (join.remaining == 0) break;
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    ++stats_.inline_runs;
+    lock.unlock();
+    task();
+    lock.lock();
   }
-  if (join->error) std::rethrow_exception(join->error);
+  if (join.error) std::rethrow_exception(join.error);
 }
 
-void ThreadPool::parallel_for_capped(
-    std::size_t begin, std::size_t end, std::size_t max_concurrency,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
+void ThreadPool::run_capped(std::size_t begin, std::size_t end,
+                            std::size_t max_concurrency, const RangeFn& fn) {
   if (begin >= end) return;
-  if (max_concurrency <= 1) {
-    fn(begin, end);
-    return;
-  }
   const std::size_t count = end - begin;
-  const std::size_t grain = (count + max_concurrency - 1) / max_concurrency;
-  parallel_for(begin, end, grain, fn);
-}
-
-void ThreadPool::run_capped(
-    std::size_t begin, std::size_t end, std::size_t max_concurrency,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (begin >= end) return;
-  if (max_concurrency <= 1) {
+  const std::size_t chunks = std::min(count, max_concurrency);
+  if (chunks <= 1 || t_in_chunk || global().size() <= 1) {
     fn(begin, end);
     return;
   }
-  global().parallel_for_capped(begin, end, max_concurrency, fn);
+  global().fan_out(begin, end, (count + chunks - 1) / chunks, fn);
 }
 
 ThreadPoolStats ThreadPool::stats() const {
-  ThreadPoolStats s;
-  s.submitted = stat_submitted_.load(std::memory_order_relaxed);
-  s.executed = stat_executed_.load(std::memory_order_relaxed);
-  s.steals = stat_steals_.load(std::memory_order_relaxed);
-  s.inline_runs = stat_inline_runs_.load(std::memory_order_relaxed);
-  s.max_queue_depth = stat_max_depth_.load(std::memory_order_relaxed);
-  s.busy_s = static_cast<double>(
-                 stat_busy_ns_.load(std::memory_order_relaxed)) *
-             1e-9;
-  return s;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
 }
 
 void ThreadPool::reset_stats() {
-  stat_submitted_.store(0, std::memory_order_relaxed);
-  stat_executed_.store(0, std::memory_order_relaxed);
-  stat_steals_.store(0, std::memory_order_relaxed);
-  stat_inline_runs_.store(0, std::memory_order_relaxed);
-  stat_max_depth_.store(0, std::memory_order_relaxed);
-  stat_busy_ns_.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats_ = ThreadPoolStats{};
 }
-
-bool ThreadPool::on_worker_thread() { return t_worker_pool != nullptr; }
 
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool(hardware_threads());
@@ -269,7 +143,8 @@ std::size_t ThreadPool::hardware_threads() {
 }
 
 std::size_t ThreadPool::resolve_threads(int requested) {
-  if (requested <= 0) return hardware_threads();
+  SEO_EXPECT(requested >= 0);
+  if (requested == 0) return hardware_threads();
   return static_cast<std::size_t>(requested);
 }
 

@@ -341,7 +341,7 @@ TEST(SweepScheduling, ScheduleIsTheDigestGroupedOrder) {
 TEST(SweepTableCache, NestedTableParallelismStaysByteIdentical) {
   // Regression for pools-within-pools: a scenario demanding an all-cores
   // table build (table_threads=0) inside a threaded sweep must neither
-  // oversubscribe (builds on pool workers are forced serial) nor change a
+  // oversubscribe (a build inside a pool chunk runs inline) nor change a
   // single byte of the report.  Cache off so every episode exercises the
   // nested build path.
   SweepConfig serial = short_sweep();

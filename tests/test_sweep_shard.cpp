@@ -574,6 +574,12 @@ TEST(SweepCli, RejectsOutOfRangeAndMismatchedFlags) {
        "0/2"},
       {"--smoke", "--rounds", "1", "--set", "fleet.vehicles=-1",
        "--trace-out", "/dev/null"},
+      // Contract violations raised inside pool chunks cross the join.
+      {"--smoke", "--set", "filter_engage_margin=nan", "--threads", "0"},
+      {"--smoke", "--rounds", "1", "--set", "filter_engage_margin=nan",
+       "--threads", "0"},
+      {"--smoke", "--set", "table_threads=-3"},
+      {"--smoke", "--set", "table_threads=-3", "--threads", "0"},
   };
   for (const auto& args : cases) {
     const std::string cmd =

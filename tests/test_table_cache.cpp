@@ -22,7 +22,6 @@
 #include "sim/scenario_library.hpp"
 #include "sim/simulation.hpp"
 #include "util/expect.hpp"
-#include "util/thread_pool.hpp"
 
 namespace seo {
 namespace {
@@ -334,19 +333,6 @@ TEST(DeadlineTableCache, ArtifactWithNonFiniteCellsIsRejected) {
   ASSERT_NE(rebuilt, nullptr);
   EXPECT_EQ(cache.stats().disk_failures, 1u);
   EXPECT_EQ(cache.stats().builds, 1u);
-}
-
-// --- Nested-parallelism guard ----------------------------------------------
-
-TEST(DeadlineTableCache, BuildThreadsForcedSerialOnPoolWorkers) {
-  EXPECT_EQ(DeadlineTableCache::effective_build_threads(0), 0);
-  EXPECT_EQ(DeadlineTableCache::effective_build_threads(4), 4);
-  auto nested = ThreadPool::global().submit(
-      [] { return DeadlineTableCache::effective_build_threads(0); });
-  EXPECT_EQ(nested.get(), 1);
-  auto nested4 = ThreadPool::global().submit(
-      [] { return DeadlineTableCache::effective_build_threads(4); });
-  EXPECT_EQ(nested4.get(), 1);
 }
 
 // --- run_episode wiring -----------------------------------------------------

@@ -1,155 +1,175 @@
-// Tests for the parallel execution subsystem: the work-stealing pool itself
-// (submit futures, parallel_for coverage, exception propagation) and the
-// serial-equivalence guarantee of its table user — a DeadlineTable built
-// with N threads is bit-identical to the serial build.
+// Tests for the parallel execution subsystem: the pool's one fan-out entry
+// point (run_capped coverage, chunking, exception propagation, nesting,
+// concurrent callers, stats) and the serial-equivalence guarantee of its
+// table user — a DeadlineTable built with N threads is bit-identical to the
+// serial build.  run_capped always uses the global pool; on a one-worker
+// host it runs every range inline, and the tests below hold either way.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <numeric>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/binary_io.hpp"
 #include "safety/deadline_table.hpp"
 #include "safety/safe_interval.hpp"
+#include "util/expect.hpp"
 #include "util/thread_pool.hpp"
 
 namespace seo {
 namespace {
 
-TEST(ThreadPool, SubmitReturnsFutureValues) {
-  ThreadPool pool(4);
-  auto a = pool.submit([] { return 7; });
-  auto b = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(a.get(), 7);
-  EXPECT_EQ(b.get(), "ok");
-}
+using Range = std::pair<std::size_t, std::size_t>;
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(997);
-  pool.parallel_for(0, hits.size(), 16, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
+bool pool_fans_out() { return ThreadPool::global().size() > 1; }
 
-TEST(ThreadPool, ParallelForHandlesEmptyAndTinyRanges) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.parallel_for(5, 5, 1, [&](std::size_t, std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::atomic<int> sum{0};
-  pool.parallel_for(0, 1, 64, [&](std::size_t lo, std::size_t hi) {
-    sum += static_cast<int>(hi - lo);
-  });
-  EXPECT_EQ(sum.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForCappedBoundsChunkCountAndCoversRange) {
-  ThreadPool pool(8);
-  std::atomic<int> chunks{0};
-  std::vector<std::atomic<int>> hits(10);
-  pool.parallel_for_capped(0, hits.size(), 3,
+TEST(ThreadPool, RunCappedCoversEveryIndexOnce) {
+  for (const std::size_t cap : {2u, 3u, 4u, 8u, 997u, 5000u}) {
+    std::vector<std::atomic<int>> hits(997);
+    ThreadPool::run_capped(0, hits.size(), cap,
                            [&](std::size_t lo, std::size_t hi) {
-                             ++chunks;
                              for (std::size_t i = lo; i < hi; ++i) ++hits[i];
                            });
-  EXPECT_LE(chunks.load(), 3);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-
-  // Cap of 1 (or 0) runs inline as a single chunk.
-  chunks = 0;
-  pool.parallel_for_capped(0, 10, 1,
-                           [&](std::size_t, std::size_t) { ++chunks; });
-  EXPECT_EQ(chunks.load(), 1);
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "cap " << cap;
+  }
 }
 
-TEST(ThreadPool, SubmittedExceptionSurfacesAtGet) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  // The worker that ran the throwing task must still be alive.
-  EXPECT_EQ(pool.submit([] { return 3; }).get(), 3);
+TEST(ThreadPool, RunCappedHandlesEmptyAndOneChunkRanges) {
+  int calls = 0;
+  ThreadPool::run_capped(5, 5, 4, [&](std::size_t, std::size_t) { ++calls; });
+  ThreadPool::run_capped(7, 3, 4, [&](std::size_t, std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+
+  // A one-index range, or a cap of 0 or 1, is one chunk run inline on the
+  // calling thread.
+  const auto caller = std::this_thread::get_id();
+  for (const auto& [begin, end, cap] :
+       std::vector<std::tuple<std::size_t, std::size_t, std::size_t>>{
+           {3, 4, 8}, {0, 10, 1}, {0, 10, 0}}) {
+    std::vector<Range> chunks;
+    ThreadPool::run_capped(begin, end, cap,
+                           [&](std::size_t lo, std::size_t hi) {
+                             EXPECT_EQ(std::this_thread::get_id(), caller);
+                             chunks.emplace_back(lo, hi);
+                           });
+    EXPECT_EQ(chunks, (std::vector<Range>{{begin, end}}));
+  }
 }
 
-TEST(ThreadPool, ParallelForRethrowsAndPoolSurvives) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(0, 100, 1,
-                        [](std::size_t lo, std::size_t) {
-                          if (lo == 42) throw std::runtime_error("chunk 42");
-                        }),
-      std::runtime_error);
-  // All chunks joined, no worker died: the pool still completes work.
+TEST(ThreadPool, RunCappedSplitsIntoAtMostCapContiguousChunks) {
+  // 10 indices under a cap of 3: chunks of ceil(10 / 3) = 4.
+  std::mutex mutex;
+  std::vector<Range> chunks;
+  ThreadPool::run_capped(0, 10, 3, [&](std::size_t lo, std::size_t hi) {
+    std::lock_guard<std::mutex> lock(mutex);
+    chunks.emplace_back(lo, hi);
+  });
+  std::sort(chunks.begin(), chunks.end());
+  const std::vector<Range> expected =
+      pool_fans_out() ? std::vector<Range>{{0, 4}, {4, 8}, {8, 10}}
+                      : std::vector<Range>{{0, 10}};
+  EXPECT_EQ(chunks, expected);
+}
+
+TEST(ThreadPool, RunCappedRethrowsAndPoolSurvives) {
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(ThreadPool::run_capped(0, 100, 8,
+                                        [&](std::size_t lo, std::size_t) {
+                                          ++ran;
+                                          if (lo == 0 || lo == 39)
+                                            throw std::runtime_error("chunk");
+                                        }),
+                 std::runtime_error);
+    // Every chunk ran to the join before the rethrow.
+    EXPECT_EQ(ran.load(), pool_fans_out() ? 8 : 1);
+  }
+  // No worker died: the pool still completes work.
   std::atomic<int> sum{0};
-  pool.parallel_for(0, 10, 1, [&](std::size_t lo, std::size_t hi) {
+  ThreadPool::run_capped(0, 10, 10, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) sum += static_cast<int>(i);
   });
   EXPECT_EQ(sum.load(), 45);
 }
 
-TEST(ThreadPool, NestedParallelForRunsInline) {
-  ThreadPool pool(2);
+TEST(ThreadPool, NestedRunCappedRunsInline) {
   std::atomic<int> total{0};
-  pool.parallel_for(0, 4, 1, [&](std::size_t lo, std::size_t hi) {
+  std::atomic<int> nested_calls{0};
+  ThreadPool::run_capped(0, 4, 4, [&](std::size_t lo, std::size_t hi) {
+    const auto chunk_thread = std::this_thread::get_id();
     for (std::size_t i = lo; i < hi; ++i) {
-      // Nested call from a worker must not deadlock.
-      pool.parallel_for(0, 8, 2, [&](std::size_t l2, std::size_t h2) {
+      // A fan-out from inside a chunk runs inline as one chunk.
+      ThreadPool::run_capped(0, 8, 4, [&](std::size_t l2, std::size_t h2) {
+        EXPECT_EQ(std::this_thread::get_id(), chunk_thread);
+        ++nested_calls;
         total += static_cast<int>(h2 - l2);
       });
     }
   });
   EXPECT_EQ(total.load(), 32);
+  EXPECT_EQ(nested_calls.load(), 4);
 }
 
-// The executed/busy counters are bumped after a task's result is published,
-// so a caller returning from get()/parallel_for can observe them mid-update;
-// wait for the bookkeeping to drain before asserting exact counts.
-ThreadPoolStats drained_stats(const ThreadPool& pool) {
-  ThreadPoolStats stats = pool.stats();
-  for (int i = 0; i < 2000 && stats.executed < stats.submitted; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    stats = pool.stats();
-  }
-  return stats;
+TEST(ThreadPool, ConcurrentCallersEachGetFullCoverage) {
+  // Two non-pool threads fan out on the same pool at once.  A waiting
+  // caller runs whatever is queued, including the other caller's chunks,
+  // and must still return only once its own chunks are done.
+  constexpr int kRounds = 50;
+  const auto caller = [](std::vector<int>& failures, int id) {
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<std::atomic<int>> hits(64 + 7 * id);
+      ThreadPool::run_capped(0, hits.size(), 4 + id,
+                             [&](std::size_t lo, std::size_t hi) {
+                               for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+                               std::this_thread::yield();
+                             });
+      for (const auto& h : hits)
+        if (h.load() != 1) failures.push_back(round);
+    }
+  };
+  std::vector<std::vector<int>> failures(2);
+  // seo-lint: allow(raw-thread) -- the callers must be threads outside the
+  // pool; a fan-out from inside a pool chunk would run inline.
+  std::vector<std::thread> callers;
+  for (int id = 0; id < 2; ++id)
+    callers.emplace_back(caller, std::ref(failures[id]), id);
+  for (auto& t : callers) t.join();
+  EXPECT_TRUE(failures[0].empty());
+  EXPECT_TRUE(failures[1].empty());
 }
 
-TEST(ThreadPool, StatsCountSubmittedAndExecuted) {
-  ThreadPool pool(2);
-  constexpr std::size_t kTasks = 64;
-  std::vector<std::future<int>> futures;
-  futures.reserve(kTasks);
-  for (std::size_t i = 0; i < kTasks; ++i)
-    futures.push_back(pool.submit([i] { return static_cast<int>(i); }));
-  for (auto& f : futures) f.get();
-  const ThreadPoolStats stats = drained_stats(pool);
-  EXPECT_EQ(stats.submitted, kTasks);
-  EXPECT_EQ(stats.executed, kTasks);
-  EXPECT_GE(stats.max_queue_depth, 1u);
-  EXPECT_GE(stats.busy_s, 0.0);
-}
-
-TEST(ThreadPool, StatsCountParallelForChunksAndReset) {
-  ThreadPool pool(3);
+TEST(ThreadPool, StatsCountQueuedChunksAndReset) {
+  ThreadPool& pool = ThreadPool::global();
+  pool.reset_stats();
   std::atomic<int> hits{0};
-  pool.parallel_for(0, 100, 4, [&](std::size_t lo, std::size_t hi) {
+  ThreadPool::run_capped(0, 100, 4, [&](std::size_t lo, std::size_t hi) {
     hits.fetch_add(static_cast<int>(hi - lo));
   });
   EXPECT_EQ(hits.load(), 100);
-  ThreadPoolStats stats = drained_stats(pool);
-  EXPECT_GT(stats.submitted, 0u);
-  // Every chunk ran somewhere: a worker's own queue, a steal, or inline in
-  // the waiting caller — executed accounts for all of them.
-  EXPECT_EQ(stats.executed, stats.submitted);
+  // Counters are recorded before run_capped returns, so they are exact here.
+  ThreadPoolStats stats = pool.stats();
+  const std::uint64_t queued = pool_fans_out() ? 4 : 0;
+  EXPECT_EQ(stats.submitted, queued);
+  EXPECT_EQ(stats.executed, queued);
+  EXPECT_LE(stats.inline_runs, queued);
+  EXPECT_EQ(stats.max_queue_depth, queued);
+  EXPECT_EQ(stats.steals, 0u);
+  EXPECT_GE(stats.busy_s, 0.0);
+
+  // Inline runs (cap 1, nested) queue nothing.
+  ThreadPool::run_capped(0, 100, 1, [](std::size_t, std::size_t) {});
+  EXPECT_EQ(pool.stats().submitted, queued);
+
   pool.reset_stats();
   stats = pool.stats();
   EXPECT_EQ(stats.submitted, 0u);
   EXPECT_EQ(stats.executed, 0u);
-  EXPECT_EQ(stats.steals, 0u);
   EXPECT_EQ(stats.inline_runs, 0u);
   EXPECT_EQ(stats.max_queue_depth, 0u);
   EXPECT_EQ(stats.busy_s, 0.0);
@@ -168,6 +188,8 @@ TEST(ThreadPool, ResolveThreadsMapsKnobToWorkerCount) {
   EXPECT_EQ(ThreadPool::resolve_threads(6), 6u);
   EXPECT_EQ(ThreadPool::resolve_threads(0), ThreadPool::hardware_threads());
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
+  EXPECT_THROW(ThreadPool::resolve_threads(-1), ContractViolation);
+  EXPECT_THROW(ThreadPool::resolve_threads(-3), ContractViolation);
 }
 
 // --- Serial equivalence of the parallel table build---------------------------

@@ -218,8 +218,7 @@ inline void print_thread_pool_stats(std::ostream& out, double window_s) {
   const ThreadPoolStats s = pool.stats();
   const double busy_pct = 100.0 * s.busy_fraction(window_s, pool.size());
   out << "thread pool: " << pool.size() << " workers, " << s.submitted
-      << " tasks, " << s.steals << " steals, " << s.inline_runs
-      << " inline, " << s.max_queue_depth << " max depth, "
+      << " tasks, " << s.inline_runs << " inline, " << s.max_queue_depth << " max depth, "
       << static_cast<std::uint64_t>(busy_pct + 0.5) << "% busy\n";
 }
 
