@@ -115,12 +115,25 @@ void BM_SafetyFilterPass(benchmark::State& state) {
   const SafetyFilter filter(SafetyFilterConfig{}, BicycleModel{}, barrier);
   const ObstacleField field = test_field();
   VehicleState s = test_state();
-  s.position = {0.0, 0.0};  // far from obstacles: pass-through path
+  s.position = {0.0, 0.0};  // far from obstacles: certified pass-through
   for (auto _ : state) {
     benchmark::DoNotOptimize(filter.filter(s, field, Control{0.0, 0.4}));
   }
 }
 BENCHMARK(BM_SafetyFilterPass);
+
+// Within reach of the first obstacle but clear of it: the certificate
+// fails and the raw rollout runs the whole horizon before passing through.
+void BM_SafetyFilterPassNear(benchmark::State& state) {
+  const Barrier barrier{BarrierConfig{}};
+  const SafetyFilter filter(SafetyFilterConfig{}, BicycleModel{}, barrier);
+  const ObstacleField field = test_field();
+  const VehicleState s = test_state();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(filter.filter(s, field, Control{0.0, 0.4}));
+  }
+}
+BENCHMARK(BM_SafetyFilterPassNear);
 
 // The loop reuses one filter, so every iteration after the first measures
 // the warm path: the search starts from the previous call's winner.

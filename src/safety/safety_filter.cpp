@@ -80,6 +80,42 @@ SafetyFilter::RolloutEval SafetyFilter::rollout(const VehicleState& state,
   return eval;
 }
 
+bool SafetyFilter::certified_pass(const VehicleState& state,
+                                  const ObstacleField& field, double h_now,
+                                  double margin_eff) const {
+  // The bound and its floating-point slack are argued in the header.  NaN
+  // speed, h_now or margin_eff fail these comparisons.
+  if (!(state.speed >= 0.0 && h_now >= margin_eff &&
+        std::isfinite(state.position.x) && std::isfinite(state.position.y)))
+    return false;
+  if (field.empty()) return true;
+  const BicycleParams& vehicle = model_.params();
+  const BarrierConfig& barrier = barrier_.config();
+  const double eps = 1e-12 * (steps_ + 16.0);
+  const double horizon = steps_ * config_.step_s;
+  const double v_bar = std::max(
+      state.speed,
+      std::min(vehicle.max_speed, state.speed + vehicle.max_accel * horizon));
+  const double reach =
+      v_bar * horizon * (1.0 + eps) +
+      eps * (1.0 + std::abs(state.position.x) + std::abs(state.position.y));
+  // Lower bound on every obstacle's surface distance; the barrier ignores
+  // NaN obstacles and so does std::min here.
+  const std::size_t n = field.size();
+  const double* xs = field.xs().data();
+  const double* ys = field.ys().data();
+  const double* radii = field.radii().data();
+  double clear = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double dx = state.position.x - xs[i];
+    const double dy = state.position.y - ys[i];
+    clear = std::min(clear,
+                     std::sqrt(dx * dx + dy * dy) * (1.0 - eps) - radii[i]);
+  }
+  const double worst = barrier.margin * (1.0 + barrier.heading_gain);
+  return ((clear - reach) - barrier.body_radius) - worst >= margin_eff;
+}
+
 FilterDecision SafetyFilter::filter(const VehicleState& state,
                                     const ObstacleField& field,
                                     const Control& raw) const {
@@ -91,14 +127,14 @@ FilterDecision SafetyFilter::filter(const VehicleState& state,
       config_.engage_margin *
       std::clamp(state.speed / config_.speed_ref, config_.min_margin_factor,
                  1.0);
+  if (certified_pass(state, field, decision.h_now, margin_eff))
+    return decision;  // provably nothing within reach: pass through.
   const RolloutEval raw_eval = rollout(state, field, decision.control,
                                        decision.h_now, Cutoff{margin_eff});
   decision.rollout_steps = raw_eval.steps;
   // A NaN min_h or margin never cuts, so the final test still decides.
-  if (!raw_eval.cut && raw_eval.min_h >= margin_eff) {
-    decision.h_predicted = raw_eval.min_h;
+  if (!raw_eval.cut && raw_eval.min_h >= margin_eff)
     return decision;  // S = 1 and staying safe: pass through.
-  }
 
   // psi(x; U): search the admissible steering grid (optionally with brake
   // assistance) for the action maximizing the worst-case barrier value.
@@ -138,7 +174,6 @@ FilterDecision SafetyFilter::filter(const VehicleState& state,
       best_score = score;
       best_index = index;
       best = candidate;
-      decision.h_predicted = eval.min_h;
     }
   };
   // Warm start: the previous engaged call's winner first, then the

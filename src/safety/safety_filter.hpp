@@ -23,10 +23,45 @@
 // can no longer win: when it is <= best_score for a candidate after the
 // current best in grid order (a tie goes to the earlier candidate), or
 // < best_score for one before it.  A stopped candidate can never become
-// the winner, so the winner's rollout always runs to the end and its
-// h_predicted is unchanged.  A NaN bound never stops a rollout.  The
-// pass-through rollout likewise stops once min_h < margin_eff: the filter
-// engages then and its value is never read.
+// the winner, so the winner's rollout always runs to the end.  A NaN bound
+// never stops a rollout.  The pass-through rollout likewise stops once
+// min_h < margin_eff: the filter engages then and its value is never read.
+//
+// Certified pass-through.  The pass-through test reads only min_h >=
+// margin_eff (no road term) and the rollout holds the obstacle field
+// still, so the paper's Lipschitz-certificate argument (section III-B,
+// eq. 3), applied to Psi itself, can settle it without a rollout.  Over
+// the horizon T = steps * step_s the Euler speed stays in [0, max_speed]
+// and rises by at most max_accel * T (drag only slows), so no rollout
+// state is farther than reach = v_bar * T from the start, with
+// v_bar = max(v0, min(max_speed, v0 + max_accel * T)).  Since
+// 1 <= g(chi) <= 1 + heading_gain, every obstacle's h along the rollout is
+// at least
+//
+//   ((clear - reach) - body_radius) - margin * (1 + heading_gain)
+//
+// where clear bounds the obstacles' surface distances at the start.  When
+// that is >= margin_eff and h_now is too, the rollout cannot fail: the
+// call passes through with rollout_steps = 0.  `control` and `engaged`
+// are bit-identical either way, and the warm-start hint is untouched
+// (only engaged calls set it).
+//
+// The bound holds for the rounded rollout too.  A rounded Euler step moves
+// at most v_k * step_s * (1 + 4u) (u = 2^-53: rounded cos and sin stay
+// within 1, two products round), the rounded speed exceeds the exact bound
+// by at most 3u per step, each position update rounds by at most
+// u * |position|, and a computed distance to obstacle j is within
+// ~5u * (center_j + r_j) of the exact one.  So reach is inflated to
+// v_bar * T * (1 + eps) + eps * (1 + |x0| + |y0|) and clear is
+// min_j(center_j * (1 - eps) - r_j), with eps = 1e-12 * (steps + 16):
+// hundreds of times the ~16u * (steps + 8) these errors can sum to.  (An
+// ego inside an obstacle has a negative clear and never certifies, so
+// r_j <= center_j wherever the bound is used.)  Rounded subtraction is
+// monotone and the barrier's rounded g stays <= 1 + heading_gain (the
+// argument of Barrier::value's trig skip), so the final comparison carries
+// over to the rollout's rounded h.  A NaN or negative speed, a non-finite
+// position, or a NaN h_now or margin_eff never certifies; otherwise an
+// empty field always does.
 //
 // Visit order.  Pruning pays when a strong candidate is scored early.  The
 // winner rarely changes from one tick to the next, so the search is warm
@@ -77,7 +112,6 @@ struct FilterDecision {
   Control control{};     ///< u' = Psi(x, u)
   bool engaged = false;  ///< true when psi overrode the raw control
   double h_now = 0.0;    ///< barrier value at the decision state
-  double h_predicted = 0.0;  ///< worst-case h along the chosen rollout
   /// Euler steps integrated by every rollout of this decision: a
   /// deterministic, machine-independent measure of the filter's work.  It
   /// depends on the inputs and on the filter's earlier engaged calls (the
@@ -121,6 +155,11 @@ class SafetyFilter {
     std::uint32_t steps = 0;      ///< Euler steps integrated
     bool cut = false;             ///< stopped early by the cutoff
   };
+
+  /// True when the reachability bound proves that the raw rollout would
+  /// pass through (header comment, "Certified pass-through").
+  bool certified_pass(const VehicleState& state, const ObstacleField& field,
+                      double h_now, double margin_eff) const;
 
   /// Worst-case barrier value and road excursion along a rollout of
   /// `control` held for the horizon, or `cut` as soon as `cutoff` is

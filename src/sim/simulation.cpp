@@ -129,6 +129,10 @@ std::uint64_t scenario_table_digest(const ScenarioConfig& config) {
 
 EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
   SEO_EXPECT(!config.pipelines.empty());
+  // The KBM's speed domain is [0, max_speed]; a non-finite start speed
+  // would poison (or hang) the first ticks' integration.
+  SEO_EXPECT(std::isfinite(config.initial_speed) &&
+             config.initial_speed >= 0.0);
   Rng master(config.seed);
 
   // --- World -------------------------------------------------------------

@@ -407,7 +407,7 @@ TEST(SafetyFilter, ConfigContracts) {
 }
 
 TEST(SafetyFilter, RolloutStepsGoldenOnBenchRigs) {
-  // The BM_SafetyFilterPass / BM_SafetyFilterEngaged rigs of
+  // The BM_SafetyFilterPass / PassNear / Engaged rigs of
   // bench/micro_hotpaths.cpp.  rollout_steps is deterministic, so these
   // golden counts show on any machine how much work the search prunes.
   const SafetyFilter filter = make_filter();
@@ -416,10 +416,19 @@ TEST(SafetyFilter, RolloutStepsGoldenOnBenchRigs) {
                              Obstacle{{45.0, 0.5}, 0.8}});
   const Control raw{0.0, 0.4};
 
+  // BM_SafetyFilterPass: far enough from every obstacle that the
+  // reachability bound certifies the call without a rollout.
   const FilterDecision pass =
       filter.filter(state_at(0.0, 0.0, 0.05, 8.5), field, raw);
   ASSERT_FALSE(pass.engaged);
-  EXPECT_EQ(pass.rollout_steps, 30u);  // one full pass-through rollout
+  EXPECT_EQ(pass.rollout_steps, 0u);
+
+  // BM_SafetyFilterPassNear: the bound does not hold, but the raw rollout
+  // stays clear: one full pass-through rollout.
+  const FilterDecision near =
+      filter.filter(state_at(10.0, 0.2, 0.05, 8.5), field, raw);
+  ASSERT_FALSE(near.engaged);
+  EXPECT_EQ(near.rollout_steps, 30u);
 
   const FilterDecision engaged =
       filter.filter(state_at(16.5, 0.8, 0.05, 8.5), field, raw);
@@ -492,10 +501,7 @@ class ExhaustiveFilter {
                    config_.min_margin_factor, 1.0);
     const RolloutEval raw_eval =
         rollout(state, field, decision.control, decision.h_now);
-    if (raw_eval.min_h >= margin_eff) {
-      decision.h_predicted = raw_eval.min_h;
-      return decision;
-    }
+    if (raw_eval.min_h >= margin_eff) return decision;
 
     ++engagements_;
     decision.engaged = true;
@@ -522,7 +528,6 @@ class ExhaustiveFilter {
         if (score > best_score) {
           best_score = score;
           best = candidate;
-          decision.h_predicted = eval.min_h;
         }
       }
     }
@@ -538,22 +543,24 @@ class ExhaustiveFilter {
   mutable std::uint64_t engagements_ = 0;
 };
 
+// A pass-through the reachability bound settled without a rollout.
+bool certified(const FilterDecision& d) {
+  return !d.engaged && d.rollout_steps == 0;
+}
+
 ::testing::AssertionResult same_decision(const FilterDecision& got,
                                          const FilterDecision& want) {
   if (got.engaged == want.engaged &&
       same_bits(got.control.steering, want.control.steering) &&
       same_bits(got.control.throttle, want.control.throttle) &&
-      same_bits(got.h_now, want.h_now) &&
-      same_bits(got.h_predicted, want.h_predicted))
+      same_bits(got.h_now, want.h_now))
     return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
          << std::hexfloat << "pruned {engaged " << got.engaged << ", u ("
          << got.control.steering << ", " << got.control.throttle << "), h_now "
-         << got.h_now << ", h_pred " << got.h_predicted
-         << "} vs exhaustive {engaged " << want.engaged << ", u ("
+         << got.h_now << "} vs exhaustive {engaged " << want.engaged << ", u ("
          << want.control.steering << ", " << want.control.throttle
-         << "), h_now " << want.h_now << ", h_pred " << want.h_predicted
-         << "}";
+         << "), h_now " << want.h_now << "}";
 }
 
 TEST(SafetyFilterDifferential, PrunedSearchIsBitEqualToExhaustive) {
@@ -565,6 +572,7 @@ TEST(SafetyFilterDifferential, PrunedSearchIsBitEqualToExhaustive) {
   Rng rng(20260611);
   int engaged = 0;
   int empty_fields = 0;
+  int certified_calls = 0;
   std::uint64_t pruned_steps = 0;
   std::uint64_t exhaustive_steps = 0;
   for (int c = 0; c < kCases; ++c) {
@@ -607,11 +615,13 @@ TEST(SafetyFilterDifferential, PrunedSearchIsBitEqualToExhaustive) {
     pruned_steps += got.rollout_steps;
     exhaustive_steps += 30u * static_cast<std::uint64_t>(1 + candidates);
     engaged += want.engaged ? 1 : 0;
+    certified_calls += certified(got) ? 1 : 0;
   }
-  // The cases must exercise both paths, and the pruning must pay.
+  // The cases must exercise every path, and the pruning must pay.
   EXPECT_GT(engaged, kCases / 5);
   EXPECT_LT(engaged, kCases - kCases / 5);
   EXPECT_GT(empty_fields, 0);
+  EXPECT_GT(certified_calls, 0);
   EXPECT_LT(pruned_steps, exhaustive_steps);
 }
 
@@ -627,6 +637,7 @@ TEST(SafetyFilterDifferential, WarmSequenceIsBitEqualToExhaustive) {
   const Barrier barrier{BarrierConfig{}};
   Rng rng(20261017);
   int engaged = 0;
+  int certified_calls = 0;
   std::uint64_t warm_steps = 0;
   std::uint64_t cold_steps = 0;
   for (int t = 0; t < kTrajectories; ++t) {
@@ -661,49 +672,136 @@ TEST(SafetyFilterDifferential, WarmSequenceIsBitEqualToExhaustive) {
       cold_steps += cold.filter(state, field, raw).rollout_steps;
       warm_steps += got.rollout_steps;
       engaged += want.engaged ? 1 : 0;
+      certified_calls += certified(got) ? 1 : 0;
       state = model.step(state, got.control, 0.05);
     }
     ASSERT_EQ(warm.engagements(), oracle.engagements()) << "trajectory " << t;
   }
-  // The sequences must engage often, and the hint must pay.
+  // The sequences must engage often, also pass far from every obstacle,
+  // and the hint must pay.
   EXPECT_GT(engaged, kTrajectories * kTicks / 5);
+  EXPECT_GT(certified_calls, 0);
   EXPECT_LT(warm_steps, cold_steps);
 }
 
 TEST(SafetyFilterDifferential, NonFiniteInputsMatchExhaustive) {
   // NaN comparisons never cut a rollout, so NaN and infinite inputs still
-  // decide exactly like the exhaustive search.
+  // decide exactly like the exhaustive search.  The far field is one a
+  // finite, non-negative speed at a finite position would certify.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const BicycleModel model;
   const Barrier barrier{BarrierConfig{}};
   const ObstacleField near({Obstacle{{9.0, 0.5}, 1.0}});
+  const ObstacleField far({Obstacle{{60.0, 0.5}, 1.0}});
   const ObstacleField empty;
   const Road road(RoadParams{100.0, 3.0});
   const VehicleState states[] = {
-      state_at(0, 0, 0, 10), state_at(0, 0, 0, nan), state_at(nan, 0, 0, 10),
-      state_at(0, 0, nan, 10)};
+      state_at(0, 0, 0, 10),   state_at(0, 0, 0, nan),
+      state_at(nan, 0, 0, 10), state_at(0, nan, 0, 10),
+      state_at(0, 0, nan, 10), state_at(0, 0, 0, -1.0)};
   const Control raws[] = {{0.0, 0.5}, {nan, 0.5}, {inf, 0.5}, {-inf, 0.5},
                           {0.1, nan}};
+  // An infinite speed turns any non-zero steering into an infinite yaw
+  // rate, which wrap_angle cannot reduce, so it only drives straight or
+  // with NaN steering (both integrate to NaN states the barrier skips).
+  const VehicleState fast = state_at(0, 0, 0, inf);
+  const Control fast_raws[] = {{0.0, 0.5}, {nan, 0.5}};
   for (const bool with_road : {false, true}) {
     const std::optional<Road> r = with_road ? std::optional<Road>(road)
                                             : std::nullopt;
     const SafetyFilter pruned(SafetyFilterConfig{}, model, barrier, r);
     const ExhaustiveFilter oracle(SafetyFilterConfig{}, model, barrier, r);
-    for (const ObstacleField* field : {&near, &empty}) {
-      for (const VehicleState& state : states) {
-        for (const Control& raw : raws) {
-          EXPECT_TRUE(same_decision(pruned.filter(state, *field, raw),
-                                    oracle.filter(state, *field, raw)))
-              << "road " << with_road << " obstacles " << field->size()
-              << " state (" << state.position.x << ", " << state.heading
-              << ", " << state.speed << ") raw (" << raw.steering << ", "
-              << raw.throttle << ")";
+    const auto check = [&](const VehicleState& state,
+                           const ObstacleField& field, const Control& raw) {
+      const FilterDecision got = pruned.filter(state, field, raw);
+      EXPECT_TRUE(same_decision(got, oracle.filter(state, field, raw)))
+          << "road " << with_road << " obstacles " << field.size()
+          << " state (" << state.position.x << ", " << state.position.y
+          << ", " << state.heading << ", " << state.speed << ") raw ("
+          << raw.steering << ", " << raw.throttle << ")";
+      // A NaN, negative or infinite speed, or a non-finite position, never
+      // certifies (an empty field excepted for an infinite speed).
+      const bool hostile = !(state.speed >= 0.0) ||
+                           !std::isfinite(state.position.x) ||
+                           !std::isfinite(state.position.y) ||
+                           (state.speed == inf && !field.empty());
+      if (hostile) EXPECT_FALSE(certified(got)) << state.speed;
+      return certified(got);
+    };
+    int far_certified = 0;
+    for (const ObstacleField* field : {&near, &far, &empty}) {
+      for (const VehicleState& state : states)
+        for (const Control& raw : raws)
+          far_certified += check(state, *field, raw) && field == &far;
+      for (const Control& raw : fast_raws) check(fast, *field, raw);
+    }
+    // The plain and NaN-heading states certify on the far field.
+    EXPECT_EQ(far_certified, 2 * 5);
+    EXPECT_EQ(pruned.engagements(), oracle.engagements());
+  }
+}
+
+TEST(SafetyFilterDifferential, CertificateBoundaryMatchesExhaustive) {
+  // The nearest obstacle sits dead ahead with its surface at
+  // body_radius + reach + margin * (1 + heading_gain) + margin_eff + delta,
+  // reach = v_bar * T: just inside and just outside the certificate.  The
+  // decision must match the exhaustive search on both sides; the bound's
+  // slack makes it certify only beyond delta = 0, while the rollout (which
+  // never covers the full reach) still passes many calls just inside it.
+  const BicycleModel model;
+  const BicycleParams& vehicle = model.params();
+  const BarrierConfig barrier_config{};
+  const Barrier barrier{barrier_config};
+  const SafetyFilterConfig config;
+  const double horizon = 30 * config.step_s;
+  const double worst =
+      barrier_config.margin * (1.0 + barrier_config.heading_gain);
+  const double deltas[] = {-0.5, -1e-6, -1e-12, 0.0, 1e-12, 1e-6, 0.5};
+  const double speeds[] = {0.0, 0.5 * vehicle.max_speed, vehicle.max_speed,
+                           1.2 * vehicle.max_speed};
+  const VehicleState origin = state_at(37.25, -1.5, 0.0, 0.0);
+  int inside_passes = 0;
+  int engaged = 0;
+  for (const double delta : deltas) {
+    for (const double speed : speeds) {
+      const double v_bar = std::max(
+          speed, std::min(vehicle.max_speed,
+                          speed + vehicle.max_accel * horizon));
+      const double margin_eff =
+          config.engage_margin *
+          std::clamp(speed / config.speed_ref, config.min_margin_factor, 1.0);
+      const double surface = barrier_config.body_radius + v_bar * horizon +
+                             worst + margin_eff + delta;
+      const double radius = 0.8;
+      const ObstacleField field(
+          {Obstacle{{origin.position.x + surface + radius, origin.position.y},
+                    radius},
+           Obstacle{{origin.position.x + surface + 6.0, 4.0}, 1.0}});
+      VehicleState state = origin;
+      state.speed = speed;
+      for (const double throttle : {-1.0, 0.0, 1.0}) {
+        for (const bool with_road : {false, true}) {
+          std::optional<Road> road;
+          if (with_road) road = Road(RoadParams{200.0, 4.0});
+          const SafetyFilter pruned(config, model, barrier, road);
+          const ExhaustiveFilter oracle(config, model, barrier, road);
+          const Control raw{0.0, throttle};
+          const FilterDecision got = pruned.filter(state, field, raw);
+          ASSERT_TRUE(same_decision(got, oracle.filter(state, field, raw)))
+              << "delta " << delta << " speed " << speed << " throttle "
+              << throttle << " road " << with_road;
+          // Conservative below the boundary, certain well beyond it.
+          if (delta <= 0.0) EXPECT_FALSE(certified(got)) << delta;
+          if (delta >= 1e-6) EXPECT_TRUE(certified(got)) << delta;
+          inside_passes += delta <= 0.0 && !got.engaged;
+          engaged += got.engaged;
         }
       }
     }
-    EXPECT_EQ(pruned.engagements(), oracle.engagements());
   }
+  EXPECT_GT(inside_passes, 0);
+  EXPECT_GT(engaged, 0);
 }
 
 TEST(SafetyFilterDifferential, MirrorTieGoesToTheLowerGridIndex) {

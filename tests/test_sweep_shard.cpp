@@ -580,6 +580,13 @@ TEST(SweepCli, RejectsOutOfRangeAndMismatchedFlags) {
        "--threads", "0"},
       {"--smoke", "--set", "table_threads=-3"},
       {"--smoke", "--set", "table_threads=-3", "--threads", "0"},
+      // Outside the KBM's speed domain: NaN crashed and inf hung.
+      {"--smoke", "--set", "initial_speed=nan"},
+      {"--smoke", "--set", "initial_speed=inf"},
+      {"--smoke", "--set", "initial_speed=-1"},
+      {"--smoke", "--set", "initial_speed=nan", "--threads", "0"},
+      {"--smoke", "--set", "initial_speed=inf", "--threads", "0"},
+      {"--smoke", "--set", "initial_speed=-1", "--threads", "0"},
   };
   for (const auto& args : cases) {
     const std::string cmd =

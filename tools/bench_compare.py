@@ -56,6 +56,7 @@ DEFAULT_NAMES = [
     "BM_RolloutPhiCache",
     "BM_SafetyFilterEngaged",
     "BM_SafetyFilterPass",
+    "BM_SafetyFilterPassNear",
     "BM_TraceStreamRead",
     "BM_TraceStreamWrite",
 ]
