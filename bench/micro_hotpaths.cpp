@@ -149,6 +149,25 @@ void BM_SafetyFilterEngaged(benchmark::State& state) {
 }
 BENCHMARK(BM_SafetyFilterEngaged);
 
+// An 8-obstacle dense field on a narrow road: off-road excursions decide
+// many candidates, and the filter folds only the obstacles it cannot cull.
+void BM_SafetyFilterEngagedRoad(benchmark::State& state) {
+  const Barrier barrier{BarrierConfig{}};
+  const SafetyFilter filter(SafetyFilterConfig{}, BicycleModel{}, barrier,
+                            Road(RoadParams{100.0, 3.0}));
+  const ObstacleField field(
+      {Obstacle{{20.0, 1.0}, 0.8}, Obstacle{{27.0, -1.5}, 0.7},
+       Obstacle{{32.0, 1.8}, 0.8}, Obstacle{{38.0, -0.4}, 0.9},
+       Obstacle{{45.0, 1.2}, 0.8}, Obstacle{{52.0, -1.8}, 0.7},
+       Obstacle{{58.0, 0.6}, 0.8}, Obstacle{{65.0, -0.9}, 0.8}});
+  VehicleState s = test_state();
+  s.position = {16.5, 2.0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(filter.filter(s, field, Control{0.0, 0.4}));
+  }
+}
+BENCHMARK(BM_SafetyFilterEngagedRoad);
+
 void BM_DetectorInference(benchmark::State& state) {
   SyntheticDetector detector(DetectorConfig{}, Rng(7));
   const ObstacleField field = test_field();

@@ -8,6 +8,13 @@
 namespace seo {
 
 BicycleModel::BicycleModel(BicycleParams params) : params_(params) {
+  // Finite, and small enough that RK4's blend k1 + 2 k2 + 2 k3 + k4 of
+  // terms this large stays finite.
+  for (const double p : {params_.wheelbase_front, params_.wheelbase_rear,
+                         params_.max_steer, params_.max_accel,
+                         params_.max_brake, params_.drag_coeff,
+                         params_.max_speed})
+    SEO_EXPECT(std::isfinite(6.0 * p));
   SEO_EXPECT(params_.wheelbase_front > 0.0);
   SEO_EXPECT(params_.wheelbase_rear > 0.0);
   SEO_EXPECT(params_.max_steer > 0.0);

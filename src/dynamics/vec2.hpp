@@ -51,11 +51,23 @@ constexpr Vec2 operator*(double s, const Vec2& v) { return v * s; }
 
 inline double distance(const Vec2& a, const Vec2& b) { return (a - b).norm(); }
 
-/// Wraps an angle to (-pi, pi].
+/// The rest of wrap_angle once one turn has not sufficed: the subtraction
+/// loop within a few turns, else one exact reduction (the loop runs long
+/// there and never ends once a - 2 pi == a, |a| > ~7e16, or infinite).
+double wrap_angle_far(double a);
+
+/// Wraps an angle to (-pi, pi]; NaN for a NaN or infinite angle.  Inline
+/// for the common cases: already in range, or one turn out.
 inline double wrap_angle(double a) {
   constexpr double kPi = 3.14159265358979323846;
-  while (a > kPi) a -= 2.0 * kPi;
-  while (a <= -kPi) a += 2.0 * kPi;
+  if (a > kPi) {
+    a -= 2.0 * kPi;
+    return a > kPi ? wrap_angle_far(a) : a;
+  }
+  if (a <= -kPi) {
+    a += 2.0 * kPi;
+    return a <= -kPi ? wrap_angle_far(a) : a;
+  }
   return a;
 }
 

@@ -32,9 +32,10 @@ double Barrier::value(const VehicleState& state,
   return clearance - config_.margin * g;
 }
 
-double Barrier::value(const VehicleState& state, const ObstacleField& field,
+double Barrier::value(const VehicleState& state, const double* xs,
+                      const double* ys, const double* radii, std::size_t n,
                       double cap) const {
-  // SoA kernel over the field's parallel arrays, bit-identical to folding
+  // SoA kernel over parallel obstacle columns, bit-identical to folding
   // the per-obstacle `value()` in index order, starting from `cap`:
   //
   //   h_i = clearance_i - margin * g(chi_i),   g in [1, 1 + heading_gain]
@@ -49,10 +50,6 @@ double Barrier::value(const VehicleState& state, const ObstacleField& field,
   // Cap: std::min keeps its first argument on a tie and drops a NaN second
   // argument, so the fold from `cap` equals std::min(cap, fold from +inf)
   // to the bit (±0 ties included); a low cap just skips more trig.
-  const std::size_t n = field.size();
-  const double* xs = field.xs().data();
-  const double* ys = field.ys().data();
-  const double* radii = field.radii().data();
   const double px = state.position.x;
   const double py = state.position.y;
   const double worst_g = 1.0 + config_.heading_gain;

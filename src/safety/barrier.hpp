@@ -13,6 +13,7 @@
 // requires only `margin`.  h >= 0 defines the safe set (S = 1).
 #pragma once
 
+#include <cstddef>
 #include <limits>
 
 #include "dynamics/obstacle.hpp"
@@ -48,7 +49,16 @@ class Barrier {
   /// a known bound — a rollout's running minimum, or 0 for a sign test —
   /// passes that bound.  Never returns NaN for a non-NaN cap.
   double value(const VehicleState& state, const ObstacleField& field,
-               double cap) const;
+               double cap) const {
+    return value(state, field.xs().data(), field.ys().data(),
+                 field.radii().data(), field.size(), cap);
+  }
+
+  /// The capped kernel over `n` obstacles in parallel columns (centers
+  /// `xs`, `ys` and `radii`), folded in index order: a field's own columns
+  /// or a caller's subset of them.
+  double value(const VehicleState& state, const double* xs, const double* ys,
+               const double* radii, std::size_t n, double cap) const;
 
   /// Binary safety state S of eq. (1): S = 1 iff h >= 0.
   bool safe(const VehicleState& state, const ObstacleField& field) const {

@@ -48,20 +48,28 @@ SafetyFilter::SafetyFilter(SafetyFilterConfig config, BicycleModel model,
   }
 }
 
+double SafetyFilter::score_bound(const RolloutEval& eval,
+                                 const Cutoff& cutoff) const {
+  const double safety =
+      cutoff.scored
+          ? eval.min_h - config_.off_road_penalty * eval.road_violation
+          : eval.min_h;
+  return (safety - cutoff.steer_pen) - cutoff.brake_pen;
+}
+
 SafetyFilter::RolloutEval SafetyFilter::rollout(const VehicleState& state,
-                                                const ObstacleField& field,
+                                                const ObstacleView& obstacles,
                                                 const Control& control,
                                                 double h_start,
                                                 const Cutoff& cutoff) const {
-  // (min_h - steer_pen) - brake_pen bounds the final score from above; a
-  // NaN bound compares false and never cuts.
-  const auto reached = [&cutoff](double min_h) {
-    const double bound = (min_h - cutoff.steer_pen) - cutoff.brake_pen;
+  // A NaN bound compares false and never cuts.
+  const auto reached = [this, &cutoff](const RolloutEval& eval) {
+    const double bound = score_bound(eval, cutoff);
     return cutoff.ties_lose ? bound <= cutoff.floor : bound < cutoff.floor;
   };
   RolloutEval eval;
   eval.min_h = h_start;
-  eval.cut = reached(eval.min_h);
+  eval.cut = reached(eval);
   VehicleState s = state;
   // The candidate is held for the whole horizon: clamp and slip-angle
   // evaluate once, each Euler step reuses them (bit-identical stepping).
@@ -69,26 +77,33 @@ SafetyFilter::RolloutEval SafetyFilter::rollout(const VehicleState& state,
   while (!eval.cut && eval.steps < steps_) {
     s = model_.step_euler(s, held, config_.step_s);
     ++eval.steps;
-    eval.min_h = barrier_.value(s, field, eval.min_h);
-    if (road_) {
+    eval.min_h = barrier_.value(s, obstacles.xs, obstacles.ys,
+                                obstacles.radii, obstacles.n, eval.min_h);
+    if (road_ && cutoff.scored) {
       const double margin = road_->boundary_margin(s.position);
       if (margin < 0.0)
         eval.road_violation = std::max(eval.road_violation, -margin);
     }
-    eval.cut = reached(eval.min_h);
+    eval.cut = reached(eval);
   }
   return eval;
 }
 
-bool SafetyFilter::certified_pass(const VehicleState& state,
-                                  const ObstacleField& field, double h_now,
-                                  double margin_eff) const {
-  // The bound and its floating-point slack are argued in the header.  NaN
-  // speed, h_now or margin_eff fail these comparisons.
-  if (!(state.speed >= 0.0 && h_now >= margin_eff &&
-        std::isfinite(state.position.x) && std::isfinite(state.position.y)))
-    return false;
-  if (field.empty()) return true;
+SafetyFilter::FieldScan SafetyFilter::scan_field(const VehicleState& state,
+                                                 const ObstacleField& field,
+                                                 double h_now,
+                                                 CullBuffer& buffer) const {
+  const std::size_t n = field.size();
+  const double* xs = field.xs().data();
+  const double* ys = field.ys().data();
+  const double* radii = field.radii().data();
+  FieldScan scan{{xs, ys, radii, n},
+                 -std::numeric_limits<double>::infinity()};
+  // The bound and its floating-point slack are argued in the header.  A
+  // NaN speed fails this comparison.
+  if (!(state.speed >= 0.0 && std::isfinite(state.position.x) &&
+        std::isfinite(state.position.y)))
+    return scan;  // unbounded: keep every obstacle, never certify.
   const BicycleParams& vehicle = model_.params();
   const BarrierConfig& barrier = barrier_.config();
   const double eps = 1e-12 * (steps_ + 16.0);
@@ -99,21 +114,25 @@ bool SafetyFilter::certified_pass(const VehicleState& state,
   const double reach =
       v_bar * horizon * (1.0 + eps) +
       eps * (1.0 + std::abs(state.position.x) + std::abs(state.position.y));
-  // Lower bound on every obstacle's surface distance; the barrier ignores
-  // NaN obstacles and so does std::min here.
-  const std::size_t n = field.size();
-  const double* xs = field.xs().data();
-  const double* ys = field.ys().data();
-  const double* radii = field.radii().data();
-  double clear = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = state.position.x - xs[i];
-    const double dy = state.position.y - ys[i];
-    clear = std::min(clear,
-                     std::sqrt(dx * dx + dy * dy) * (1.0 - eps) - radii[i]);
-  }
   const double worst = barrier.margin * (1.0 + barrier.heading_gain);
-  return ((clear - reach) - barrier.body_radius) - worst >= margin_eff;
+  const bool cull = n <= kCullCapacity;
+  if (cull) scan.kept = {buffer.xs.data(), buffer.ys.data(),
+                         buffer.radii.data(), 0};
+  scan.min_lb = std::numeric_limits<double>::infinity();
+  for (std::size_t j = 0; j < n; ++j) {
+    const double dx = state.position.x - xs[j];
+    const double dy = state.position.y - ys[j];
+    const double c = std::sqrt(dx * dx + dy * dy) * (1.0 - eps) - radii[j];
+    const double lb = ((c - reach) - barrier.body_radius) - worst;
+    scan.min_lb = std::min(scan.min_lb, lb);
+    if (cull) {  // branch-free gather: the slot is overwritten unless kept
+      buffer.xs[scan.kept.n] = xs[j];
+      buffer.ys[scan.kept.n] = ys[j];
+      buffer.radii[scan.kept.n] = radii[j];
+      scan.kept.n += !(lb >= h_now && c >= 0.0);
+    }
+  }
+  return scan;
 }
 
 FilterDecision SafetyFilter::filter(const VehicleState& state,
@@ -127,9 +146,12 @@ FilterDecision SafetyFilter::filter(const VehicleState& state,
       config_.engage_margin *
       std::clamp(state.speed / config_.speed_ref, config_.min_margin_factor,
                  1.0);
-  if (certified_pass(state, field, decision.h_now, margin_eff))
+  CullBuffer buffer;
+  const FieldScan scan = scan_field(state, field, decision.h_now, buffer);
+  // NaN h_now, min_lb or margin_eff fail these comparisons.
+  if (decision.h_now >= margin_eff && scan.min_lb >= margin_eff)
     return decision;  // provably nothing within reach: pass through.
-  const RolloutEval raw_eval = rollout(state, field, decision.control,
+  const RolloutEval raw_eval = rollout(state, scan.kept, decision.control,
                                        decision.h_now, Cutoff{margin_eff});
   decision.rollout_steps = raw_eval.steps;
   // A NaN min_h or margin never cuts, so the final test still decides.
@@ -161,14 +183,12 @@ FilterDecision SafetyFilter::filter(const VehicleState& state,
     // Prefer higher safety; keep corrections on the road; tie-break toward
     // the raw steering request so corrections are minimally invasive.
     const Cutoff cutoff{best_score, 1e-3 * std::abs(steer - raw.steering),
-                        brake == 1 ? 1e-4 : 0.0, index > best_index};
+                        brake == 1 ? 1e-4 : 0.0, index > best_index, true};
     const RolloutEval eval =
-        rollout(state, field, candidate, decision.h_now, cutoff);
+        rollout(state, scan.kept, candidate, decision.h_now, cutoff);
     decision.rollout_steps += eval.steps;
     if (eval.cut) return;
-    const double score =
-        eval.min_h - config_.off_road_penalty * eval.road_violation -
-        cutoff.steer_pen - cutoff.brake_pen;
+    const double score = score_bound(eval, cutoff);
     // Grid order breaks exact ties: the earlier candidate wins.
     if (score > best_score || (score == best_score && index < best_index)) {
       best_score = score;

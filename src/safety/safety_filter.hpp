@@ -16,16 +16,18 @@
 //   score = ((min_h - off_road_penalty * road_violation) - steer_pen)
 //           - brake_pen
 //
-// but most rollouts stop early.  min_h only falls along a rollout and
-// off_road_penalty * road_violation >= 0, so under monotone rounded
-// subtraction (running_min_h - steer_pen) - brake_pen bounds the final
-// score from above at every step.  A candidate stops as soon as that bound
-// can no longer win: when it is <= best_score for a candidate after the
-// current best in grid order (a tie goes to the earlier candidate), or
-// < best_score for one before it.  A stopped candidate can never become
-// the winner, so the winner's rollout always runs to the end.  A NaN bound
-// never stops a rollout.  The pass-through rollout likewise stops once
-// min_h < margin_eff: the filter engages then and its value is never read.
+// but most rollouts stop early.  Along a rollout min_h only falls and
+// road_violation only grows, and rounded multiply and subtract are
+// monotone, so this formula over the running min_h and road_violation
+// bounds the final score from above at every step (and is the score after
+// the last one).  A candidate stops as soon as that bound can no longer
+// win: when it is <= best_score for a candidate after the current best in
+// grid order (a tie goes to the earlier candidate), or < best_score for one
+// before it.  A stopped candidate can never become the winner, so the
+// winner's rollout always runs to the end.  A NaN bound (0 * inf when an
+// infinite excursion meets off_road_penalty = 0) never stops a rollout.
+// The pass-through rollout stops once min_h < margin_eff, reading min_h
+// alone: the filter engages then and its value is never read.
 //
 // Certified pass-through.  The pass-through test reads only min_h >=
 // margin_eff (no road term) and the rollout holds the obstacle field
@@ -35,13 +37,13 @@
 // and rises by at most max_accel * T (drag only slows), so no rollout
 // state is farther than reach = v_bar * T from the start, with
 // v_bar = max(v0, min(max_speed, v0 + max_accel * T)).  Since
-// 1 <= g(chi) <= 1 + heading_gain, every obstacle's h along the rollout is
-// at least
+// 1 <= g(chi) <= 1 + heading_gain, obstacle j's h along the rollout is at
+// least
 //
-//   ((clear - reach) - body_radius) - margin * (1 + heading_gain)
+//   lb_j = ((c_j - reach) - body_radius) - margin * (1 + heading_gain)
 //
-// where clear bounds the obstacles' surface distances at the start.  When
-// that is >= margin_eff and h_now is too, the rollout cannot fail: the
+// where c_j bounds its surface distance at the start.  When
+// min_j lb_j >= margin_eff and h_now is too, the rollout cannot fail: the
 // call passes through with rollout_steps = 0.  `control` and `engaged`
 // are bit-identical either way, and the warm-start hint is untouched
 // (only engaged calls set it).
@@ -52,16 +54,38 @@
 // by at most 3u per step, each position update rounds by at most
 // u * |position|, and a computed distance to obstacle j is within
 // ~5u * (center_j + r_j) of the exact one.  So reach is inflated to
-// v_bar * T * (1 + eps) + eps * (1 + |x0| + |y0|) and clear is
-// min_j(center_j * (1 - eps) - r_j), with eps = 1e-12 * (steps + 16):
-// hundreds of times the ~16u * (steps + 8) these errors can sum to.  (An
-// ego inside an obstacle has a negative clear and never certifies, so
-// r_j <= center_j wherever the bound is used.)  Rounded subtraction is
-// monotone and the barrier's rounded g stays <= 1 + heading_gain (the
-// argument of Barrier::value's trig skip), so the final comparison carries
-// over to the rollout's rounded h.  A NaN or negative speed, a non-finite
-// position, or a NaN h_now or margin_eff never certifies; otherwise an
-// empty field always does.
+// v_bar * T * (1 + eps) + eps * (1 + |x0| + |y0|) and c_j is
+// center_j * (1 - eps) - r_j, with eps = 1e-12 * (steps + 16): hundreds of
+// times the ~16u * (steps + 8) these errors can sum to, as long as
+// r_j <= center_j.  (An ego inside obstacle j has a negative c_j; such an
+// obstacle never certifies and is never culled, so the bound is only used
+// where r_j <= center_j.)  Rounded subtraction is monotone and the
+// barrier's rounded g stays <= 1 + heading_gain (the argument of
+// Barrier::value's trig skip), so the final comparison carries over to the
+// rollout's rounded h.  A NaN or negative speed, a non-finite position, or
+// a NaN h_now or margin_eff never certifies; otherwise an empty field
+// always does.
+//
+// Obstacle culling.  The same bound settles obstacles one at a time.
+// Every rollout of a call starts its running minimum at h_now, and the
+// minimum only falls.  So an obstacle with lb_j >= h_now and c_j >= 0 has
+// h_j >= min_h at every step of every rollout, min(min_h, h_j) = min_h to
+// the bit (std::min keeps its first argument on a tie), and dropping it
+// from the barrier fold changes nothing.  One reach covers the raw rollout
+// and every candidate: they differ only in steering and throttle, and
+// v_bar already assumes full throttle.  One scan per call computes every
+// lb_j, gathers the obstacles it cannot drop, in index order, into a
+// fixed-capacity stack buffer that every rollout of the call folds over,
+// and takes min_j lb_j for the certificate.  That minimum is the bound
+// f(min_j c_j) bit for bit, since f(min_j c_j) = min_j f(c_j) for the
+// monotone f(c) = ((c - reach) - body_radius) - margin * (1 + heading_gain)
+// and std::min skips a NaN lb_j as it skips a NaN c_j.  (The one
+// exception is an obstacle at infinite distance under an infinite reach or
+// barrier term, where f(+inf) is NaN: it is skipped rather than blocking
+// the certificate.)  A NaN lb_j or h_now keeps its obstacle; a NaN or negative
+// speed or a non-finite position keeps every obstacle.  A field larger
+// than the buffer is folded whole: the rollouts read its own columns, on
+// the same code path.
 //
 // Visit order.  Pruning pays when a strong candidate is scored early.  The
 // winner rarely changes from one tick to the next, so the search is warm
@@ -74,10 +98,13 @@
 // history (one filter serves one episode).  The coarse-first order is a
 // constant built once in the constructor; the tick allocates nothing.
 //
-// Every rollout step folds the barrier with Barrier::value's `cap` set to
-// the running minimum, so obstacles that cannot lower it skip their trig.
+// Every rollout step folds the barrier over the kept obstacles with
+// Barrier::value's `cap` set to the running minimum, so obstacles that
+// cannot lower it skip their trig.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -140,32 +167,63 @@ class SafetyFilter {
   std::uint64_t engagements() const { return engagements_; }
 
  private:
-  /// When a rollout may stop: once (min_h - steer_pen) - brake_pen falls
-  /// below `floor`, or reaches it when `ties_lose`.
+  /// When a rollout may stop: once its score bound (header comment, "Exact
+  /// pruning") falls below `floor`, or reaches it when `ties_lose`.
   struct Cutoff {
     double floor = 0.0;
     double steer_pen = 0.0;
     double brake_pen = 0.0;
     bool ties_lose = false;
+    /// A scored candidate: the bound includes the off-road term.  The
+    /// pass-through rollout reads min_h alone and tracks no excursion.
+    bool scored = false;
   };
 
   struct RolloutEval {
     double min_h = 0.0;           ///< worst barrier value along the rollout
-    double road_violation = 0.0;  ///< worst off-road excursion [m]
+    /// Worst off-road excursion [m]; tracked by scored rollouts only.
+    double road_violation = 0.0;
     std::uint32_t steps = 0;      ///< Euler steps integrated
     bool cut = false;             ///< stopped early by the cutoff
   };
 
-  /// True when the reachability bound proves that the raw rollout would
-  /// pass through (header comment, "Certified pass-through").
-  bool certified_pass(const VehicleState& state, const ObstacleField& field,
-                      double h_now, double margin_eff) const;
+  /// Obstacle columns the rollouts fold the barrier over.
+  struct ObstacleView {
+    const double* xs = nullptr;
+    const double* ys = nullptr;
+    const double* radii = nullptr;
+    std::size_t n = 0;
+  };
+
+  /// Stack storage for the obstacles one call keeps; the scenario
+  /// library's rigs place at most 8.
+  static constexpr std::size_t kCullCapacity = 32;
+  struct CullBuffer {
+    std::array<double, kCullCapacity> xs;
+    std::array<double, kCullCapacity> ys;
+    std::array<double, kCullCapacity> radii;
+  };
+
+  struct FieldScan {
+    ObstacleView kept;  ///< obstacles the rollouts must fold
+    double min_lb = 0.0;  ///< min_j lb_j; -inf when the state is unbounded
+  };
+
+  /// One pass over `field` (header comment, "Obstacle culling"): the
+  /// certificate's bound and the obstacles no rollout of this call can
+  /// drop, gathered into `buffer` unless the field outgrows it.
+  FieldScan scan_field(const VehicleState& state, const ObstacleField& field,
+                       double h_now, CullBuffer& buffer) const;
+
+  /// The score formula over a rollout's running values: an upper bound on
+  /// its final score, and that score once the rollout is complete.
+  double score_bound(const RolloutEval& eval, const Cutoff& cutoff) const;
 
   /// Worst-case barrier value and road excursion along a rollout of
   /// `control` held for the horizon, or `cut` as soon as `cutoff` is
   /// reached.  `h_start` is the barrier value at `state` (already known by
   /// every caller, so it is never recomputed).
-  RolloutEval rollout(const VehicleState& state, const ObstacleField& field,
+  RolloutEval rollout(const VehicleState& state, const ObstacleView& obstacles,
                       const Control& control, double h_start,
                       const Cutoff& cutoff) const;
 

@@ -53,7 +53,43 @@ TEST_P(WrapAngleTest, ResultInHalfOpenInterval) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, WrapAngleTest,
                          ::testing::Values(-25.0, -7.0, -3.2, -3.14159, 0.0,
-                                           1.0, 3.14159, 3.2, 9.42, 100.0));
+                                           1.0, 3.14159, 3.2, 9.42, 100.0,
+                                           -1e4, 1e6));
+
+TEST(WrapAngle, WithinAFewTurnsMatchesTheSubtractionLoop) {
+  // Up to 8 pi the subtraction loop runs as it always did, bit for bit.
+  const auto loop = [](double a) {
+    constexpr double kPi = 3.14159265358979323846;
+    while (a > kPi) a -= 2.0 * kPi;
+    while (a <= -kPi) a += 2.0 * kPi;
+    return a;
+  };
+  const double limit = 8.0 * 3.14159265358979323846;
+  for (int i = -4000; i <= 4000; ++i) {
+    const double a = limit * i / 4000.0;
+    EXPECT_EQ(wrap_angle(a), loop(a)) << a;
+  }
+  const double pi = 3.14159265358979323846;
+  for (const double a : {pi, -pi, 3.0 * pi, -3.0 * pi, limit, -limit}) {
+    for (const double b : {std::nextafter(a, -1e9), a, std::nextafter(a, 1e9)})
+      EXPECT_EQ(wrap_angle(b), loop(b)) << b;
+  }
+}
+
+TEST(WrapAngle, HugeAndNonFiniteAnglesReturnPromptly) {
+  // The subtraction loop never ends for these: a - 2 pi == a beyond ~7e16,
+  // and for an infinite angle.
+  const double max = std::numeric_limits<double>::max();
+  for (const double a : {7e16, -1e17, 1e300, max, -max}) {
+    const double wrapped = wrap_angle(a);
+    EXPECT_GT(wrapped, -std::numbers::pi) << a;
+    EXPECT_LE(wrapped, std::numbers::pi) << a;
+  }
+  EXPECT_TRUE(std::isnan(wrap_angle(std::numeric_limits<double>::infinity())));
+  EXPECT_TRUE(
+      std::isnan(wrap_angle(-std::numeric_limits<double>::infinity())));
+  EXPECT_TRUE(std::isnan(wrap_angle(std::nan(""))));
+}
 
 TEST(Bicycle, StraightLineStaysOnAxis) {
   const BicycleModel model;
@@ -157,6 +193,28 @@ TEST(Bicycle, InvalidParamsRejected) {
   p = BicycleParams{};
   p.wheelbase_rear = -1.0;
   EXPECT_THROW(BicycleModel{p}, ContractViolation);
+}
+
+TEST(Bicycle, NonFiniteOrOverflowingParamsRejected) {
+  // Every parameter must be finite, and small enough that the RK4 blend
+  // (weights summing to 6) of terms that large stays finite.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  double BicycleParams::*const fields[] = {
+      &BicycleParams::wheelbase_front, &BicycleParams::wheelbase_rear,
+      &BicycleParams::max_steer,       &BicycleParams::max_accel,
+      &BicycleParams::max_brake,       &BicycleParams::drag_coeff,
+      &BicycleParams::max_speed};
+  for (double BicycleParams::*field : fields) {
+    for (const double bad : {nan, inf, 1e308}) {
+      BicycleParams p;
+      p.*field = bad;
+      EXPECT_THROW(BicycleModel{p}, ContractViolation) << bad;
+    }
+    BicycleParams p;
+    p.*field = 1e307;  // absurd but representable: accepted
+    EXPECT_NO_THROW(BicycleModel{p});
+  }
 }
 
 TEST(ObstacleField, NearestFindsClosestSurface) {

@@ -407,7 +407,7 @@ TEST(SafetyFilter, ConfigContracts) {
 }
 
 TEST(SafetyFilter, RolloutStepsGoldenOnBenchRigs) {
-  // The BM_SafetyFilterPass / PassNear / Engaged rigs of
+  // The BM_SafetyFilterPass / PassNear / Engaged / EngagedRoad rigs of
   // bench/micro_hotpaths.cpp.  rollout_steps is deterministic, so these
   // golden counts show on any machine how much work the search prunes.
   const SafetyFilter filter = make_filter();
@@ -446,6 +446,27 @@ TEST(SafetyFilter, RolloutStepsGoldenOnBenchRigs) {
   EXPECT_EQ(warm.control.steering, engaged.control.steering);
   EXPECT_EQ(warm.control.throttle, engaged.control.throttle);
   EXPECT_EQ(warm.rollout_steps, 350u);
+
+  // BM_SafetyFilterEngagedRoad: an 8-obstacle dense field on a narrow
+  // road, where off-road excursions decide many candidates and the
+  // off-road term in the cutoff bound stops them early.
+  const SafetyFilter road_filter(SafetyFilterConfig{}, BicycleModel{},
+                                 Barrier{BarrierConfig{}},
+                                 Road(RoadParams{100.0, 3.0}));
+  const ObstacleField dense(
+      {Obstacle{{20.0, 1.0}, 0.8}, Obstacle{{27.0, -1.5}, 0.7},
+       Obstacle{{32.0, 1.8}, 0.8}, Obstacle{{38.0, -0.4}, 0.9},
+       Obstacle{{45.0, 1.2}, 0.8}, Obstacle{{52.0, -1.8}, 0.7},
+       Obstacle{{58.0, 0.6}, 0.8}, Obstacle{{65.0, -0.9}, 0.8}});
+  const VehicleState on_road = state_at(16.5, 2.0, 0.05, 8.5);
+  const FilterDecision road_cold = road_filter.filter(on_road, dense, raw);
+  ASSERT_TRUE(road_cold.engaged);
+  EXPECT_EQ(road_cold.rollout_steps, 664u);
+  const FilterDecision road_warm = road_filter.filter(on_road, dense, raw);
+  ASSERT_TRUE(road_warm.engaged);
+  EXPECT_EQ(road_warm.control.steering, road_cold.control.steering);
+  EXPECT_EQ(road_warm.control.throttle, road_cold.control.throttle);
+  EXPECT_EQ(road_warm.rollout_steps, 509u);
 }
 
 // --- Differential test: pruned search vs the exhaustive search ------------
@@ -801,6 +822,233 @@ TEST(SafetyFilterDifferential, CertificateBoundaryMatchesExhaustive) {
     }
   }
   EXPECT_GT(inside_passes, 0);
+  EXPECT_GT(engaged, 0);
+}
+
+TEST(SafetyFilterDifferential, CullBoundaryMatchesExhaustive) {
+  // Obstacle A sits behind the vehicle and sets h_now; every rollout moves
+  // away from it.  Obstacle B sits dead ahead.  The engage margin is h_now
+  // itself, so the raw rollout passes exactly when B never goes below
+  // h_now: dropping B from the fold while it can lower min_h flips the
+  // decision.  B is placed two ways: where its culling bound lb_B reaches
+  // h_now + delta, and, at max_speed under full throttle, where the
+  // straight rollout ends with h_B within a few ulps of h_now.  That
+  // rollout covers the whole reach, so only the bound's slack keeps such a
+  // B from being culled.
+  const BicycleModel model;
+  const BicycleParams& vehicle = model.params();
+  const BarrierConfig barrier_config{};
+  const Barrier barrier{barrier_config};
+  const double eps = 1e-12 * (30 + 16.0);
+  const double horizon = 30 * SafetyFilterConfig{}.step_s;
+  const double worst =
+      barrier_config.margin * (1.0 + barrier_config.heading_gain);
+  const double radius = 0.8;
+  int engaged = 0;
+  int passed = 0;
+  const auto check = [&](const VehicleState& state, const Obstacle& behind,
+                         const Obstacle& ahead, double throttle) {
+    SafetyFilterConfig config;
+    config.engage_margin = barrier.value(state, ObstacleField({behind}));
+    const ObstacleField field({behind, ahead});
+    for (const bool with_road : {false, true}) {
+      std::optional<Road> road;
+      if (with_road) road = Road(RoadParams{20000.0, 40.0});
+      const SafetyFilter pruned(config, model, barrier, road);
+      const ExhaustiveFilter oracle(config, model, barrier, road);
+      const Control raw{0.0, throttle};
+      const FilterDecision got = pruned.filter(state, field, raw);
+      EXPECT_TRUE(same_decision(got, oracle.filter(state, field, raw)))
+          << "state (" << state.position.x << ", " << state.position.y
+          << ", " << state.heading << ", " << state.speed << ") B at ("
+          << ahead.center.x << ", " << ahead.center.y << ") throttle "
+          << throttle << " road " << with_road;
+      EXPECT_FALSE(certified(got));
+      engaged += got.engaged;
+      passed += !got.engaged;
+    }
+  };
+
+  // lb_B = h_now + delta, for B at (center, 0) ahead of the origin.
+  const Obstacle behind{{-4.6, 0.0}, 1.0};
+  for (const double speed : {8.0, 20.0, vehicle.max_speed}) {
+    const VehicleState state = state_at(0.0, 0.0, 0.0, speed);
+    const double h_now = barrier.value(state, ObstacleField({behind}));
+    const double v_bar = std::max(
+        speed,
+        std::min(vehicle.max_speed, speed + vehicle.max_accel * horizon));
+    const double reach = v_bar * horizon * (1.0 + eps) + eps;
+    // The filter's lb for an obstacle at (center, 0), computed its way.
+    const auto lb = [&](double center) {
+      const double dx = 0.0 - center;
+      const double dy = 0.0;
+      const double c = std::sqrt(dx * dx + dy * dy) * (1.0 - eps) - radius;
+      return ((c - reach) - barrier_config.body_radius) - worst;
+    };
+    for (const double delta : {-1.0, -1e-6, -1e-12, 0.0, 1e-12, 1e-6}) {
+      const double target = h_now + delta;
+      double center = (target + worst + barrier_config.body_radius + reach +
+                       radius) / (1.0 - eps);
+      while (lb(center) < target) center = std::nextafter(center, 1e9);
+      while (lb(std::nextafter(center, 0.0)) >= target)
+        center = std::nextafter(center, 0.0);
+      for (const double throttle : {-1.0, 0.0, 1.0})
+        check(state, behind, Obstacle{{center, 0.0}, radius}, throttle);
+    }
+  }
+
+  // h_B at the end of the straight max-speed rollout = h_now +- 12 ulps.
+  for (const double x0 : {0.0, 37.25, 1e4 + 0.3}) {
+    for (const double heading : {0.0, 0.3, -1.1, 2.0}) {
+      const Vec2 dir{std::cos(heading), std::sin(heading)};
+      const VehicleState state =
+          state_at(x0, -1.5, heading, vehicle.max_speed);
+      const Obstacle back{state.position - 4.6 * dir, 1.0};
+      const double h_now = barrier.value(state, ObstacleField({back}));
+      VehicleState end = state;
+      const HeldControl held = model.hold(Control{0.0, 1.0});
+      for (int k = 0; k < 30; ++k)
+        end = model.step_euler(end, held, SafetyFilterConfig{}.step_s);
+      const auto h_end = [&](double distance) {
+        return barrier.value(
+            end, ObstacleField({Obstacle{state.position + distance * dir,
+                                         radius}}));
+      };
+      double distance = h_now + worst + barrier_config.body_radius +
+                        radius + vehicle.max_speed * horizon;
+      for (int k = 0; k < 60; ++k) distance -= h_end(distance) - h_now;
+      for (int k = 0; k < 12; ++k) distance = std::nextafter(distance, 0.0);
+      for (int k = -12; k <= 12; ++k) {
+        check(state, back, Obstacle{state.position + distance * dir, radius},
+              1.0);
+        distance = std::nextafter(distance, 1e9);
+      }
+    }
+  }
+  EXPECT_GT(engaged, 0);
+  EXPECT_GT(passed, 0);
+}
+
+TEST(SafetyFilterDifferential, NonFiniteObstaclesMatchExhaustive) {
+  // The barrier skips an obstacle whose h is NaN, and culling keeps every
+  // obstacle whose bound is NaN; an obstacle at infinite distance is
+  // culled, an infinite one never.  Decisions must match the exhaustive
+  // search either way.  (A field rejects NaN and non-positive radii.)
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const BicycleModel model;
+  const Barrier barrier{BarrierConfig{}};
+  const Obstacle hostile[] = {
+      Obstacle{{nan, 0.5}, 1.0}, Obstacle{{12.0, nan}, 1.0},
+      Obstacle{{inf, 0.5}, 1.0}, Obstacle{{-inf, nan}, 1.0},
+      Obstacle{{40.0, 0.0}, inf}};
+  const VehicleState states[] = {state_at(0, 0, 0, 10),
+                                 state_at(3.0, -0.5, 0.1, 20),
+                                 state_at(0, 0, 0, 0)};
+  const Control raws[] = {{0.0, 0.5}, {0.3, 1.0}, {-0.2, -1.0}};
+  int engaged = 0;
+  for (const bool with_road : {false, true}) {
+    const std::optional<Road> road =
+        with_road ? std::optional<Road>(Road(RoadParams{100.0, 3.0}))
+                  : std::nullopt;
+    const SafetyFilter pruned(SafetyFilterConfig{}, model, barrier, road);
+    const ExhaustiveFilter oracle(SafetyFilterConfig{}, model, barrier, road);
+    for (const Obstacle& bad : hostile) {
+      for (const bool with_near : {false, true}) {
+        ObstacleField field;
+        field.push_back(Obstacle{{60.0, 1.0}, 1.0});
+        field.push_back(bad);
+        if (with_near) field.push_back(Obstacle{{9.0, 0.5}, 1.0});
+        for (const VehicleState& state : states) {
+          for (const Control& raw : raws) {
+            const FilterDecision got = pruned.filter(state, field, raw);
+            EXPECT_TRUE(
+                same_decision(got, oracle.filter(state, field, raw)))
+                << "road " << with_road << " obstacle (" << bad.center.x
+                << ", " << bad.center.y << ", " << bad.radius << ") near "
+                << with_near << " speed " << state.speed;
+            engaged += got.engaged;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(pruned.engagements(), oracle.engagements());
+  }
+  EXPECT_GT(engaged, 0);
+}
+
+TEST(SafetyFilterDifferential, OffRoadPenaltiesMatchExhaustive) {
+  // A narrow road, so excursions decide many candidates, with no penalty
+  // (the off-road term is 0, or NaN for an infinite excursion), a large
+  // one, and an infinite one (every score is NaN and the raw control
+  // stands).
+  constexpr int kCases = 4000;
+  const double penalties[] = {0.0, 1e6,
+                              std::numeric_limits<double>::infinity()};
+  const BicycleModel model;
+  const Barrier barrier{BarrierConfig{}};
+  Rng rng(20261018);
+  int engaged = 0;
+  for (int c = 0; c < kCases; ++c) {
+    SafetyFilterConfig config;
+    config.brake_assist = rng.bernoulli(0.5);
+    config.off_road_penalty = penalties[c % 3];
+    const double half_width = rng.uniform(2.0, 3.5);
+    const Road road(RoadParams{100.0, half_width});
+    const double speed = rng.uniform(4.0, model.params().max_speed);
+    const VehicleState state =
+        state_at(rng.uniform(0.0, 5.0),
+                 rng.uniform(-half_width + 0.5, half_width - 0.5),
+                 rng.uniform(-0.4, 0.4), speed);
+    ObstacleField field;
+    const int obstacles = rng.uniform_int(1, 8);
+    for (int k = 0; k < obstacles; ++k)
+      field.push_back(Obstacle{
+          {state.position.x + rng.uniform(-2.0, 6.0 + speed),
+           rng.uniform(-half_width, half_width)},
+          rng.uniform(0.3, 1.2)});
+    const Control raw{rng.uniform(-0.5, 0.5), rng.uniform(-1.0, 1.0)};
+    const SafetyFilter pruned(config, model, barrier, road);
+    const ExhaustiveFilter oracle(config, model, barrier, road);
+    const FilterDecision want = oracle.filter(state, field, raw);
+    ASSERT_TRUE(same_decision(pruned.filter(state, field, raw), want))
+        << "case " << c << " penalty " << config.off_road_penalty;
+    engaged += want.engaged;
+  }
+  EXPECT_GT(engaged, kCases / 4);
+}
+
+TEST(SafetyFilterDifferential, FieldsBeyondTheCullBufferMatchExhaustive) {
+  // The filter gathers the obstacles it keeps into a 32-entry stack
+  // buffer; a larger field is folded whole.  Both sides of that size, and
+  // a field far past it, decide like the exhaustive search.
+  constexpr int kCasesPerSize = 150;
+  const BicycleModel model;
+  const Barrier barrier{BarrierConfig{}};
+  Rng rng(20261019);
+  int engaged = 0;
+  for (const int obstacles : {32, 33, 100}) {
+    for (int c = 0; c < kCasesPerSize; ++c) {
+      std::optional<Road> road;
+      if (rng.bernoulli(0.5)) road = Road(RoadParams{300.0, 6.0});
+      const VehicleState state =
+          state_at(rng.uniform(0.0, 5.0), rng.uniform(-2.0, 2.0),
+                   rng.uniform(-0.4, 0.4), rng.uniform(0.0, 25.0));
+      ObstacleField field;
+      for (int k = 0; k < obstacles; ++k)
+        field.push_back(Obstacle{{rng.uniform(-20.0, 250.0),
+                                  rng.uniform(-6.0, 6.0)},
+                                 rng.uniform(0.3, 1.5)});
+      const Control raw{rng.uniform(-0.5, 0.5), rng.uniform(-1.0, 1.0)};
+      const SafetyFilter pruned(SafetyFilterConfig{}, model, barrier, road);
+      const ExhaustiveFilter oracle(SafetyFilterConfig{}, model, barrier,
+                                    road);
+      const FilterDecision want = oracle.filter(state, field, raw);
+      ASSERT_TRUE(same_decision(pruned.filter(state, field, raw), want))
+          << obstacles << " obstacles, case " << c;
+      engaged += want.engaged;
+    }
+  }
   EXPECT_GT(engaged, 0);
 }
 

@@ -137,7 +137,7 @@ TEST(Episode, FilterRolloutStepsGolden) {
   c.seed = 1;
   const EpisodeResult r = run_episode(c);
   EXPECT_GT(r.filter_engagements, 0u);
-  EXPECT_EQ(r.filter_rollout_steps, 17006u);
+  EXPECT_EQ(r.filter_rollout_steps, 16476u);
   c.filtered = false;
   EXPECT_EQ(run_episode(c).filter_rollout_steps, 0u);
 }

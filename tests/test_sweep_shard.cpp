@@ -587,6 +587,11 @@ TEST(SweepCli, RejectsOutOfRangeAndMismatchedFlags) {
       {"--smoke", "--set", "initial_speed=nan", "--threads", "0"},
       {"--smoke", "--set", "initial_speed=inf", "--threads", "0"},
       {"--smoke", "--set", "initial_speed=-1", "--threads", "0"},
+      // Vehicle parameters the KBM cannot integrate: 1e308 hung in
+      // wrap_angle, inf ran to completion.
+      {"--smoke", "--set", "vehicle_max_accel=1e308"},
+      {"--smoke", "--set", "vehicle_max_speed=inf"},
+      {"--smoke", "--set", "vehicle_max_accel=1e308", "--threads", "0"},
   };
   for (const auto& args : cases) {
     const std::string cmd =

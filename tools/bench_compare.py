@@ -55,6 +55,7 @@ DEFAULT_NAMES = [
     "BM_MlpForwardWorkspace",
     "BM_RolloutPhiCache",
     "BM_SafetyFilterEngaged",
+    "BM_SafetyFilterEngagedRoad",
     "BM_SafetyFilterPass",
     "BM_SafetyFilterPassNear",
     "BM_TraceStreamRead",
