@@ -14,7 +14,6 @@
 #include "control/hybrid_policy.hpp"
 #include "core/binary_io.hpp"
 #include "dynamics/bicycle.hpp"
-#include "nn/mlp.hpp"
 #include "safety/deadline_table.hpp"
 #include "safety/safe_interval.hpp"
 #include "safety/safety_filter.hpp"
@@ -178,62 +177,6 @@ void BM_DetectorInference(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectorInference);
 
-/// The control-sized network the MLP rows measure: 8 inputs, two tanh
-/// hidden layers of 24 units, 2 tanh outputs, Xavier-initialized from
-/// `rng`.
-nn::Mlp bench_mlp(Rng& rng) {
-  nn::MlpConfig config;
-  config.sizes = {8, 24, 24, 2};
-  config.hidden_act = nn::Activation::kTanh;
-  config.output_act = nn::Activation::kTanh;
-  nn::Mlp net(config);
-  net.init_xavier(rng);
-  return net;
-}
-
-void BM_MlpForward(benchmark::State& state) {
-  Rng rng(11);
-  const nn::Mlp net = bench_mlp(rng);
-  const nn::Vector input(net.input_size(), 0.3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.forward(input));
-  }
-}
-BENCHMARK(BM_MlpForward);
-
-void BM_MlpForwardWorkspace(benchmark::State& state) {
-  Rng rng(11);
-  const nn::Mlp net = bench_mlp(rng);
-  const nn::Vector input(net.input_size(), 0.3);
-  nn::MlpWorkspace workspace;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.forward(input, workspace));
-  }
-}
-BENCHMARK(BM_MlpForwardWorkspace);
-
-// Batched inference: 64 samples through one forward_batch call vs 64
-// single-sample passes.  Per-item time should beat the workspace loop
-// (one layer sweep per layer instead of per sample) while staying
-// bit-identical per row — the offline-evaluation path (mse_loss).
-void BM_MlpForwardBatch(benchmark::State& state) {
-  Rng rng(11);
-  const nn::Mlp net = bench_mlp(rng);
-  constexpr std::size_t kBatch = 64;
-  nn::Matrix inputs;
-  inputs.resize(kBatch, net.input_size());
-  for (std::size_t i = 0; i < kBatch; ++i)
-    for (std::size_t c = 0; c < net.input_size(); ++c)
-      inputs.at(i, c) = rng.uniform(-1.0, 1.0);
-  nn::MlpBatchWorkspace workspace;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.forward_batch(inputs, workspace));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBatch));
-}
-BENCHMARK(BM_MlpForwardBatch);
-
 // Threaded-vs-serial scaling of the offline table build and of the sweep
 // engine's grid runners.  The rigs are sized so per-item work dominates
 // the fan-out overhead (a table large enough that slab builds take
@@ -335,39 +278,12 @@ void BM_DeadlineTableCache(benchmark::State& state) {
     return std::make_unique<DeadlineTable>(key.table, source,
                                            key.body_radius);
   };
-  (void)cache.get(key, "", build);  // warm the single entry
+  (void)cache.get(key, build);  // warm the single entry
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.get(key, "", build));
+    benchmark::DoNotOptimize(cache.get(key, build));
   }
 }
 BENCHMARK(BM_DeadlineTableCache);
-
-// Steady-state hit path for the rollout-phi artifact kind: identical
-// mechanics to the Lipschitz kind (fingerprint + map probe + shared_ptr
-// copy), benchmarked separately because its key is larger (model + rollout
-// config) and it must stay microseconds-class next to the ~10x costlier
-// build it replaces.
-void BM_RolloutPhiCache(benchmark::State& state) {
-  RolloutTableStore store;
-  RolloutTableKey key;
-  key.table.distance_bins = 9;
-  key.table.bearing_bins = 7;
-  key.table.speed_bins = 5;
-  key.table.max_distance = RolloutIntervalConfig{}.sensing_range;
-  key.body_radius = BarrierConfig{}.body_radius;
-  const Barrier barrier(key.barrier);
-  const RolloutSafeInterval source(key.rollout, BicycleModel(key.model),
-                                   barrier);
-  const auto build = [&] {
-    return std::make_unique<DeadlineTable>(key.table, source,
-                                           key.body_radius);
-  };
-  (void)store.get(key, build);  // warm the single entry
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store.get(key, build));
-  }
-}
-BENCHMARK(BM_RolloutPhiCache);
 
 // Artifact payload parse: the cost a cold process pays per disk load
 // before it can serve a table — a header check plus one contiguous copy of
@@ -422,39 +338,6 @@ void BM_SweepTableCache(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SweepTableCache)
-    ->ArgName("cached")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-// The same sweep-level before/after on a rollout-phi-dominated rig: the
-// rollout source integrates the KBM per cell (~10x costlier than the
-// closed-form certificate), so rebuilding the identical table every
-// episode dominates everything — the win the artifact store's "rphi" kind
-// exists to deliver (the acceptance benchmark for the rollout kind).
-void BM_SweepRolloutTableCache(benchmark::State& state) {
-  const bool cached = state.range(0) != 0;
-  SweepConfig config;
-  config.scenarios = {"paper_default"};
-  config.axes = {{"channel_mbps", {"8", "12", "16", "20"}},
-                 {"deadline_cap", {"2", "3", "4", "8"}}};
-  config.base_overrides = {{"road_length", "30"},
-                           {"max_episode_s", "2"},
-                           {"table_source", "rollout"},
-                           {"table_distance_bins", "21"},
-                           {"table_bearing_bins", "13"},
-                           {"table_speed_bins", "11"},
-                           {"table_cache", cached ? "true" : "false"}};
-  config.episodes = 1;
-  config.max_attempts = 1;
-  config.require_success = false;
-  config.threads = 1;
-  for (auto _ : state) {
-    RolloutTableStore::global().clear();  // cold store every iteration
-    benchmark::DoNotOptimize(run_sweep(config));
-  }
-}
-BENCHMARK(BM_SweepRolloutTableCache)
     ->ArgName("cached")
     ->Arg(0)
     ->Arg(1)

@@ -22,47 +22,6 @@ namespace seo {
 
 namespace fs = std::filesystem;
 
-ArtifactStoreRegistry& ArtifactStoreRegistry::global() {
-  static ArtifactStoreRegistry registry;
-  return registry;
-}
-
-void ArtifactStoreRegistry::add(Handle handle) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  handles_.push_back(std::move(handle));
-}
-
-std::vector<ArtifactKindStats> ArtifactStoreRegistry::snapshot() const {
-  std::vector<Handle> handles;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    handles = handles_;
-  }
-  // Stats calls happen outside the registry lock: each store takes its own
-  // mutex and must never wait behind an unrelated kind's snapshot.
-  std::vector<ArtifactKindStats> out;
-  out.reserve(handles.size());
-  for (const auto& handle : handles)
-    out.push_back(ArtifactKindStats{handle.kind, handle.stats()});
-  // Registration order depends on which thread first touched each global
-  // accessor; sort by kind so stats lines print identically every run.
-  std::sort(out.begin(), out.end(),
-            [](const ArtifactKindStats& a, const ArtifactKindStats& b) {
-              return a.kind < b.kind;
-            });
-  return out;
-}
-
-void ArtifactStoreRegistry::configure_all(
-    const ArtifactDiskOptions& disk, const ArtifactMemoryBudget& budget) const {
-  std::vector<Handle> handles;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    handles = handles_;
-  }
-  for (const auto& handle : handles) handle.configure(disk, budget);
-}
-
 namespace artifact_detail {
 
 namespace {

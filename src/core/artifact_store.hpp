@@ -1,18 +1,14 @@
-// Generic content-addressed artifact store — the precomputation backbone
-// behind every "build once, reuse by fingerprint" artifact in the library.
-//
-// PR 4 proved the idea on the single costliest artifact (the
-// Lipschitz-built DeadlineTable); this subsystem hoists that machinery out
-// of `safety/table_cache` into a typed, reusable store so any expensive
-// precomputation — rollout-φ deadline tables, future artifact kinds — gets
-// the same guarantees:
+// Generic content-addressed artifact store — the "build once, reuse by
+// fingerprint" machinery behind the deadline-table cache
+// (safety/table_cache.hpp), kept separate from that one kind so the
+// container, lock and single-flight algorithm are tested on their own:
 //
 //  * Content-addressed.  An artifact kind supplies a Key type whose
 //    `digest()` canonically fingerprints EVERY content-determining input
 //    (core/fingerprint.hpp).  Execution knobs (thread counts) are excluded
 //    by construction; a missed dependent parameter is the classic silent
-//    cache-corruption bug, so each kind's key sensitivity is locked by
-//    tests and golden digests pin the hashers against accidental change.
+//    cache-corruption bug, so the key's sensitivity is locked by tests and
+//    a golden digest pins the hasher against accidental change.
 //  * Single-flight.  Concurrent callers requesting one key block on one
 //    build; every waiter receives the same immutable value.
 //  * Bounded in memory.  An optional entry-count / byte budget evicts
@@ -43,9 +39,9 @@
 //    wrong value.
 //
 // Determinism guarantee: a hit returns a value bit-identical to a fresh
-// build (in memory trivially; on disk because every kind's encode/decode
+// build (in memory trivially; on disk because a kind's encode/decode
 // round-trips raw IEEE-754 bits), so any run is byte-identical with the
-// store on or off — locked by the sweep/fleet golden tests per kind.
+// store on or off — locked by the sweep/fleet golden tests.
 //
 // An artifact kind is described by a Traits type:
 //
@@ -155,42 +151,6 @@ struct ArtifactGcResult {
 ArtifactGcResult artifact_store_gc(const std::string& dir,
                                    std::uint64_t max_bytes,
                                    double max_age_s);
-
-/// One stats row for the unified CLI stats report.
-struct ArtifactKindStats {
-  std::string kind;
-  ArtifactStoreStats stats;
-};
-
-/// Process-wide directory of live stores, so CLIs can print one stats line
-/// per artifact kind and configure every kind at once.  Stores
-/// self-register on first use of their global() accessor.
-class ArtifactStoreRegistry {
- public:
-  struct Handle {
-    std::string kind;
-    std::function<ArtifactStoreStats()> stats;
-    std::function<void(const ArtifactDiskOptions&,
-                       const ArtifactMemoryBudget&)>
-        configure;
-  };
-
-  static ArtifactStoreRegistry& global();
-
-  void add(Handle handle);
-  /// Stats for every registered kind, sorted by kind name — registration
-  /// order varies with which thread touches an accessor first.
-  std::vector<ArtifactKindStats> snapshot() const;
-  /// ArtifactStore::configure on every registered kind: one shared
-  /// artifact dir, and the same memory budget for each kind.  Kinds
-  /// register lazily, so touch each global() accessor first.
-  void configure_all(const ArtifactDiskOptions& disk,
-                     const ArtifactMemoryBudget& budget) const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<Handle> handles_;
-};
 
 namespace artifact_detail {
 
@@ -332,19 +292,9 @@ class ArtifactStore {
                                                Traits::version(), key.hex());
   }
 
-  /// The process-wide store for this kind; registers itself with
-  /// ArtifactStoreRegistry::global() on first use.
+  /// The process-wide store for this kind.
   static ArtifactStore& global() {
-    static ArtifactStore* store = [] {
-      auto* s = new ArtifactStore();
-      ArtifactStoreRegistry::global().add(ArtifactStoreRegistry::Handle{
-          Traits::kind(), [s] { return s->stats(); },
-          [s](const ArtifactDiskOptions& disk,
-              const ArtifactMemoryBudget& budget) {
-            s->configure(disk, budget);
-          }});
-      return s;
-    }();
+    static ArtifactStore* store = new ArtifactStore();
     return *store;
   }
 

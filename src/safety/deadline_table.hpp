@@ -57,13 +57,12 @@ class DeadlineTable : public SafeIntervalEvaluator {
   double body_radius() const { return body_radius_; }
   std::size_t cell_count() const { return values_.size(); }
 
-  /// Binary serialization (core/binary_io) — the "dtable"/"rphi" artifact
-  /// payload, so expensive tables (e.g. built from rollout phi) can be
-  /// precomputed offline and shipped, the deployment model the paper's
-  /// "low-cost proxy" implies: fixed-width little-endian, raw IEEE-754 cell
-  /// bits, bit-exact round trip.  decode() enforces the constructor's
-  /// domain contract, requires finite cells and refuses trailing or
-  /// missing bytes.
+  /// Binary serialization (core/binary_io) — the "dtable" artifact
+  /// payload, so tables can be precomputed offline and shipped, the
+  /// deployment model the paper's "low-cost proxy" implies: fixed-width
+  /// little-endian, raw IEEE-754 cell bits, bit-exact round trip.
+  /// decode() enforces the constructor's domain contract, requires finite
+  /// cells and refuses trailing or missing bytes.
   void encode(BinaryWriter& out) const;
   static DeadlineTable decode(BinaryReader& in);
 

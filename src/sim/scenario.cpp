@@ -16,14 +16,6 @@ const char* to_string(OptimizerMode mode) {
   return "?";
 }
 
-const char* to_string(TableSource source) {
-  switch (source) {
-    case TableSource::kLipschitz: return "lipschitz";
-    case TableSource::kRollout: return "rollout";
-  }
-  return "?";
-}
-
 ScenarioConfig default_scenario(double tau_s) {
   SEO_EXPECT(tau_s > 0.0);
   ScenarioConfig config;

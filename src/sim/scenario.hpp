@@ -37,15 +37,12 @@ enum class OptimizerMode {
 
 const char* to_string(OptimizerMode mode);
 
-/// Which safe-interval evaluator the deadline table T(x,u) is built from
-/// (and which exact evaluator backs the episode when the table is off).
+/// The safe-interval evaluator the deadline table T(x,u) is built from:
+/// always the closed-form certificate (paper III-B).  No scenario key sets
+/// it; the one value stays because perfbench/common.cpp checks it.
 enum class TableSource {
-  kLipschitz,  ///< closed-form certificate (paper III-B; default)
-  kRollout,    ///< numerical rollout of phi — ~10x costlier per cell, so
-               ///< its tables are the artifact store's best customer
+  kLipschitz,
 };
-
-const char* to_string(TableSource source);
 
 /// Fleet-level shape of a scenario: how many vehicles share the edge
 /// cluster and how their uplink streams interact on the shared channel
@@ -92,7 +89,7 @@ struct ScenarioConfig {
   /// Evaluator the deadline table (or the exact fallback) derives from.
   TableSource table_source = TableSource::kLipschitz;
   /// Reuse content-identical deadline tables across episodes through the
-  /// process-wide artifact stores (safety/table_cache.hpp over
+  /// process-wide table store (safety/table_cache.hpp over
   /// core/artifact_store.hpp).  Execution knob only: results are
   /// bit-identical with the cache on or off.
   bool table_cache = true;
@@ -102,10 +99,6 @@ struct ScenarioConfig {
   BarrierConfig barrier{};
   SafetyFilterConfig filter{};
   LipschitzIntervalConfig interval{};
-  /// Rollout-phi evaluator knobs (table_source = kRollout); its
-  /// sensing_range is resolved from `interval.sensing_range` at run time so
-  /// the two sources always see one sensing horizon.
-  RolloutIntervalConfig rollout{};
   DeadlineTableConfig table{};
   HybridPolicyConfig policy{};
   DetectorConfig detector{};

@@ -255,38 +255,6 @@ const std::vector<KeyDef>& key_registry() {
                         [](ScenarioConfig& s) -> int& { return s.table.threads; },
                         "T(x,u) build threads (0 = all cores, n >= 1 = n; "
                         "serial inside a threaded sweep or fleet)"));
-    k.push_back(KeyDef{
-        nullptr, "table_source", "lipschitz | rollout (phi evaluator behind T)",
-        [](const KeyValueConfig& c, ScenarioConfig& s) {
-          if (!c.contains("table_source")) return;
-          const std::string name = c.get_string("table_source");
-          if (name == "lipschitz") {
-            s.table_source = TableSource::kLipschitz;
-          } else if (name == "rollout") {
-            s.table_source = TableSource::kRollout;
-          } else {
-            throw ContractViolation("unknown table source: " + name +
-                                    " (lipschitz|rollout)");
-          }
-        },
-        [](const ScenarioConfig& s) {
-          return std::string(to_string(s.table_source));
-        }});
-    k.push_back(dbl(nullptr, "rollout_horizon_s",
-                    [](ScenarioConfig& s) -> double& { return s.rollout.horizon_s; },
-                    "rollout phi: give-up horizon [s]"));
-    k.push_back(KeyDef{
-        nullptr, "rollout_step_ms", "rollout phi: integration step [ms]",
-        [](const KeyValueConfig& c, ScenarioConfig& s) {
-          if (c.contains("rollout_step_ms"))
-            s.rollout.step_s = c.get_double("rollout_step_ms", 0.0) * 1e-3;
-        },
-        [](const ScenarioConfig& s) {
-          return fmt_value(s.rollout.step_s * 1e3);
-        }});
-    k.push_back(integer(nullptr, "rollout_bisection",
-                        [](ScenarioConfig& s) -> int& { return s.rollout.bisection_iters; },
-                        "rollout phi: crossing-time refinement iterations"));
     k.push_back(boolean(nullptr, "table_cache",
                         [](ScenarioConfig& s) -> bool& { return s.table_cache; },
                         "reuse content-identical T(x,u) tables across episodes"));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <unordered_map>
 
 #include "control/policy.hpp"
@@ -64,21 +63,14 @@ std::unique_ptr<OptimizationStrategy> make_strategy(OptimizerMode mode) {
   return nullptr;
 }
 
-// --- Artifact-store keys (shared by run_episode and the digest helper, so
+// --- Table-store key (shared by run_episode and the digest helper, so
 // --- the two key constructions can never drift apart).
 
-/// Table grid with the domain resolved to the sensing range (both sources
-/// share one sensing horizon).
+/// Table grid with the domain resolved to the sensing range.
 DeadlineTableConfig effective_table_config(const ScenarioConfig& config) {
   DeadlineTableConfig table = config.table;
   table.max_distance = config.interval.sensing_range;
   return table;
-}
-
-RolloutIntervalConfig effective_rollout_config(const ScenarioConfig& config) {
-  RolloutIntervalConfig rollout = config.rollout;
-  rollout.sensing_range = config.interval.sensing_range;
-  return rollout;
 }
 
 /// The key fingerprints every table-determining input — crucially the
@@ -96,23 +88,10 @@ DeadlineTableKey lipschitz_table_key(
   return key;
 }
 
-RolloutTableKey rollout_table_key(const ScenarioConfig& config) {
-  RolloutTableKey key;
-  key.table = effective_table_config(config);
-  key.rollout = effective_rollout_config(config);
-  key.model = config.vehicle;
-  key.barrier = config.barrier;
-  key.road = config.road;
-  key.body_radius = config.barrier.body_radius;
-  return key;
-}
-
 }  // namespace
 
 std::uint64_t scenario_table_digest(const ScenarioConfig& config) {
   if (!config.use_lookup_table || !config.table_cache) return 0;
-  if (config.table_source == TableSource::kRollout)
-    return rollout_table_key(config).digest();
   LipschitzIntervalConfig interval = config.interval;
   if (config.moving_obstacles) {
     // Replicate run_episode's world sampling: the runtime raise derives
@@ -160,53 +139,28 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
       std::max(interval_config.environment_speed,
                world.motions().max_obstacle_speed());
   const LipschitzSafeInterval exact_interval(interval_config, barrier, road);
-  // Rollout-phi evaluator when the scenario derives deadlines from the
-  // integrated phi instead of the closed-form certificate.
-  std::optional<RolloutSafeInterval> rollout_exact;
-  if (config.table_source == TableSource::kRollout)
-    rollout_exact.emplace(effective_rollout_config(config), vehicle_model,
-                          barrier);
   std::shared_ptr<const DeadlineTable> table;
   if (config.use_lookup_table) {
     // A cache-miss build from inside a sweep/fleet pool chunk runs its
     // slabs inline (ThreadPool::run_capped never fans out from a chunk);
     // the table is bit-identical at any thread count either way.
     const DeadlineTableConfig table_config = effective_table_config(config);
-    // The stores' disk tier and memory budget are process state
-    // (configured once by the CLIs), not scenario state.
-    if (config.table_source == TableSource::kRollout) {
-      const auto build = [&] {
-        return std::make_unique<DeadlineTable>(table_config, *rollout_exact,
-                                               config.barrier.body_radius);
-      };
-      if (config.table_cache) {
-        table = RolloutTableStore::global().get(rollout_table_key(config),
-                                                build);
-      } else {
-        table = build();
-      }
+    const auto build = [&] {
+      return std::make_unique<DeadlineTable>(table_config, exact_interval,
+                                             config.barrier.body_radius);
+    };
+    // The store's disk tier and memory budget are process state
+    // (configured once by the CLI), not scenario state.
+    if (config.table_cache) {
+      table = DeadlineTableCache::global().get(
+          lipschitz_table_key(config, interval_config), build);
     } else {
-      const auto build = [&] {
-        return std::make_unique<DeadlineTable>(table_config, exact_interval,
-                                               config.barrier.body_radius);
-      };
-      if (config.table_cache) {
-        // The key fingerprints every table-determining input — crucially
-        // the *effective* interval config with the environment_speed raise
-        // above, so worlds with distinct obstacle speeds can never share a
-        // table.
-        table = DeadlineTableCache::global().get(
-            lipschitz_table_key(config, interval_config), build);
-      } else {
-        table = build();
-      }
+      table = build();
     }
   }
   const SafeIntervalEvaluator& deadline_source =
       table ? static_cast<const SafeIntervalEvaluator&>(*table)
-      : rollout_exact
-          ? static_cast<const SafeIntervalEvaluator&>(*rollout_exact)
-          : static_cast<const SafeIntervalEvaluator&>(exact_interval);
+            : static_cast<const SafeIntervalEvaluator&>(exact_interval);
 
   // --- Control -----------------------------------------------------------
   HybridPolicy policy(config.policy, config.vehicle, master.split());

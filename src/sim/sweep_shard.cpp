@@ -10,13 +10,13 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
 
 #include "core/binary_io.hpp"
+#include "safety/table_cache.hpp"
 #include "sim/sweep_report.hpp"
 #include "sim/trace.hpp"
 #include "util/expect.hpp"
@@ -143,18 +143,11 @@ int run_sweep_worker(const SweepConfig& config, std::size_t slot,
     std::string payload;
     BinaryWriter w(payload);
     w.u64(emitted);
-    const std::vector<ArtifactKindStats> kinds =
-        ArtifactStoreRegistry::global().snapshot();
-    w.u32(static_cast<std::uint32_t>(kinds.size()));
-    for (const auto& row : kinds) {
-      w.str(row.kind);
-      const ArtifactStoreStats& s = row.stats;
-      for (const std::uint64_t field :
-           {s.hits, s.fast_hits, s.misses, s.builds, s.waits, s.lock_waits,
-            s.evictions, s.bytes, s.disk_loads, s.disk_stores,
-            s.disk_failures})
-        w.u64(field);
-    }
+    const ArtifactStoreStats s = DeadlineTableCache::global().stats();
+    for (const std::uint64_t field :
+         {s.hits, s.fast_hits, s.misses, s.builds, s.waits, s.lock_waits,
+          s.evictions, s.bytes, s.disk_loads, s.disk_stores, s.disk_failures})
+      w.u64(field);
     std::string frame;
     append_frame(frame, static_cast<std::uint8_t>(SweepShardFrame::kDone),
                  payload);
@@ -303,7 +296,6 @@ SweepWorkersResult run_sweep_workers(
   result.metrics.assign(n, {});
   std::vector<char> seen(n, 0);
   std::size_t seen_count = 0;
-  std::map<std::string, ArtifactStoreStats> farm_stats;
 
   // The parent is the farm's cursor: it hands out up to `count` more points
   // in schedule order, recording each point's worker, and once every point
@@ -414,17 +406,13 @@ SweepWorkersResult run_sweep_workers(
               w.name + " finished after emitting " +
               std::to_string(emitted) + " of its " +
               std::to_string(w.pulled.size()) + " points");
-        const std::uint32_t kinds = r.u32();
-        for (std::uint32_t k = 0; k < kinds; ++k) {
-          const std::string kind = r.str();
-          ArtifactStoreStats s;  // the worker's field order, above
-          for (std::uint64_t* field :
-               {&s.hits, &s.fast_hits, &s.misses, &s.builds, &s.waits,
-                &s.lock_waits, &s.evictions, &s.bytes, &s.disk_loads,
-                &s.disk_stores, &s.disk_failures})
-            *field = r.u64();
-          farm_stats[kind] += s;
-        }
+        ArtifactStoreStats s;  // the worker's field order, above
+        for (std::uint64_t* field :
+             {&s.hits, &s.fast_hits, &s.misses, &s.builds, &s.waits,
+              &s.lock_waits, &s.evictions, &s.bytes, &s.disk_loads,
+              &s.disk_stores, &s.disk_failures})
+          *field = r.u64();
+        result.stats += s;
         r.require_exhausted("sweep shard done frame");
         w.done = true;
         close_fd(w.assign_fd);
@@ -514,9 +502,6 @@ SweepWorkersResult run_sweep_workers(
 
   result.pulled.reserve(workers);
   for (WorkerProc& w : fleet) result.pulled.push_back(std::move(w.pulled));
-  result.stats.reserve(farm_stats.size());
-  for (auto& [kind, stats] : farm_stats)
-    result.stats.push_back(ArtifactKindStats{kind, stats});
   return result;
 }
 

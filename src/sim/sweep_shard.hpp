@@ -4,7 +4,7 @@
 // and streams results back over a pipe; the parent merges them into the
 // same report and trace bytes an in-process run produces.
 //
-// ## Wire protocol (version 2)
+// ## Wire protocol (version 3)
 //
 // Two channels per worker, both carrying binary_io frames (append_frame /
 // FrameAssembler: u8 type | u64 size | payload | u64 FNV-1a checksum):
@@ -29,9 +29,8 @@
 //             points, 23 for fleet points) | u64 trace episodes
 //             | u8 has_trace | trace block bytes (rest of payload)
 //             — one per completed grid point, in completion order.
-//   3 done    u64 points emitted | u32 kinds | per kind: str kind name +
-//             the 11 u64 ArtifactStoreStats fields
-//             — the worker's artifact-store stats, summed by the parent so
+//   3 done    u64 points emitted | the 11 u64 ArtifactStoreStats fields
+//             — the worker's table-store stats, summed by the parent so
 //             `--stats` reports the whole farm.  EOF *without* a done
 //             frame is how a crashed worker is detected and rejected.
 //
@@ -51,7 +50,7 @@
 
 namespace seo {
 
-inline constexpr std::uint16_t kSweepShardProtocolVersion = 2;
+inline constexpr std::uint16_t kSweepShardProtocolVersion = 3;
 
 /// Frame types on the worker's channels.
 enum class SweepShardFrame : std::uint8_t {
@@ -76,10 +75,9 @@ struct SweepWorkersResult {
   /// Per grid point, in grid order: the shard's sweep_metrics values,
   /// bit-exact as the worker computed them.
   std::vector<std::vector<double>> metrics;
-  /// Artifact-store stats summed across every worker, sorted by kind —
-  /// the farm-wide view `--stats` and the CI built-exactly-once assertion
-  /// read.
-  std::vector<ArtifactKindStats> stats;
+  /// Table-store stats summed across every worker — the farm-wide view
+  /// `--stats` and the CI built-exactly-once assertion read.
+  ArtifactStoreStats stats;
   /// The parent's assign ledger: per worker slot, the grid indices it was
   /// handed, in hand-out order — what `--stats` prints as the farm line.
   std::vector<std::vector<std::size_t>> pulled;

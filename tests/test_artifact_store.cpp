@@ -168,46 +168,6 @@ TEST(GoldenDigests, DeadlineTableKeyIsPinned) {
   EXPECT_EQ(rig.hex(), "d8bfd9b31de26b8f");
 }
 
-TEST(GoldenDigests, RolloutTableKeyIsPinned) {
-  EXPECT_EQ(RolloutTableKey{}.hex(), "b78d31c20a87f449");
-}
-
-// --- Key sensitivity for the new kinds --------------------------------------
-
-TEST(RolloutTableKey, EveryContentFieldMovesTheDigest) {
-  const RolloutTableKey base{};
-  std::vector<RolloutTableKey> variants(20, base);
-  variants[0].table.distance_bins += 2;
-  variants[1].table.bearing_bins += 2;
-  variants[2].table.speed_bins += 2;
-  variants[3].table.max_distance += 1.0;
-  variants[4].table.max_speed += 1.0;
-  variants[5].table.obstacle_radius += 0.1;
-  variants[6].rollout.sensing_range += 1.0;
-  variants[7].rollout.horizon_s += 0.5;
-  variants[8].rollout.step_s += 0.001;
-  variants[9].rollout.bisection_iters += 2;
-  variants[10].model.wheelbase_front += 0.1;
-  variants[11].model.wheelbase_rear += 0.1;
-  variants[12].model.max_steer += 0.05;
-  variants[13].model.max_accel += 0.5;
-  variants[14].model.max_brake += 0.5;
-  variants[15].model.drag_coeff += 0.01;
-  variants[16].model.max_speed += 1.0;
-  variants[17].barrier.margin += 0.1;
-  variants[18].road.length += 5.0;
-  variants[19].body_radius += 0.05;
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    EXPECT_NE(variants[i].digest(), base.digest()) << "variant " << i;
-    EXPECT_FALSE(variants[i] == base) << "variant " << i;
-  }
-  // The build-parallelism knob is an execution parameter, not content.
-  RolloutTableKey threads = base;
-  threads.table.threads = 8;
-  EXPECT_EQ(threads.digest(), base.digest());
-  EXPECT_TRUE(threads == base);
-}
-
 // --- In-memory LRU budget ---------------------------------------------------
 
 TEST(ArtifactStoreFastPath, UnbudgetedHitsAreServedLockFreeAndCounted) {
@@ -735,18 +695,6 @@ TEST(ArtifactStoreLock, TwoColdProcessesBuildEachDigestExactlyOnce) {
     EXPECT_TRUE(std::filesystem::exists(
         dir.path / BlobStore::artifact_name(BlobKey{id, 9})));
   }
-}
-
-// --- Registry ---------------------------------------------------------------
-
-TEST(ArtifactStoreRegistry, GlobalStoresReportTheirKinds) {
-  (void)DeadlineTableCache::global();
-  (void)RolloutTableStore::global();
-  const auto rows = ArtifactStoreRegistry::global().snapshot();
-  std::vector<std::string> kinds;
-  for (const auto& row : rows) kinds.push_back(row.kind);
-  EXPECT_TRUE(std::find(kinds.begin(), kinds.end(), "dtable") != kinds.end());
-  EXPECT_TRUE(std::find(kinds.begin(), kinds.end(), "rphi") != kinds.end());
 }
 
 }  // namespace

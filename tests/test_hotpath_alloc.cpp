@@ -1,10 +1,9 @@
-// Counting-allocator proof that the per-tick hot paths (MLP forward, the
-// barrier and safety filter, world physics) perform zero heap allocations
-// in steady state.  This file overrides global operator
-// new/delete for its own test binary (tests build one executable per file,
-// so the override cannot leak into other suites); the counters are read
-// around repeated forward passes after a warm-up call has grown every
-// reusable buffer to capacity.
+// Counting-allocator proof that the per-tick hot paths (the barrier and
+// safety filter, world physics) perform zero heap allocations in steady
+// state.  This file overrides global operator new/delete for its own test
+// binary (tests build one executable per file, so the override cannot leak
+// into other suites); the counters are read around repeated calls after a
+// warm-up call has grown every reusable buffer to capacity.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,12 +13,9 @@
 #include <vector>
 
 #include "dynamics/obstacle.hpp"
-#include "nn/matrix.hpp"
-#include "nn/mlp.hpp"
 #include "safety/barrier.hpp"
 #include "safety/safety_filter.hpp"
 #include "sim/world.hpp"
-#include "util/rng.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -40,80 +36,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace seo {
 namespace {
-
-TEST(HotPathAllocations, MlpForwardWithWorkspaceIsAllocationFree) {
-  Rng rng(17);
-  nn::MlpConfig config;
-  config.sizes = {8, 24, 24, 2};
-  nn::Mlp net(config);
-  net.init_xavier(rng);
-
-  const nn::Vector input{0.1, -0.3, 0.9, 0.4, 0.2, -0.1, 0.99, 0.5};
-  nn::MlpWorkspace workspace;
-  // Warm-up grows the per-layer buffers to their steady-state capacity.
-  const nn::Vector expected = net.forward(input, workspace);
-
-  const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 1000; ++i) {
-    const nn::Vector& out = net.forward(input, workspace);
-    ASSERT_EQ(out.size(), 2u);
-  }
-  const std::uint64_t after = g_allocations.load();
-  EXPECT_EQ(after - before, 0u)
-      << "Mlp::forward allocated in steady state";
-  EXPECT_EQ(workspace.output(), expected);
-}
-
-TEST(HotPathAllocations, MatvecIntoReusesCapacity) {
-  nn::Matrix m(16, 16, 0.25);
-  const nn::Vector x(16, 1.0);
-  nn::Vector y;
-  m.matvec_into(x, y);  // warm-up sizes y
-
-  const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 1000; ++i) m.matvec_into(x, y);
-  EXPECT_EQ(g_allocations.load() - before, 0u);
-  EXPECT_DOUBLE_EQ(y[0], 4.0);
-}
-
-TEST(HotPathAllocations, MatmulIntoBatchReusesCapacity) {
-  nn::Matrix m(16, 16, 0.25);
-  nn::Matrix x;
-  x.resize(8, 16);
-  for (std::size_t i = 0; i < 8 * 16; ++i) x.data()[i] = 1.0;
-  nn::Matrix y;
-  m.matmul_into(x, y);  // warm-up sizes y
-
-  const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 1000; ++i) m.matmul_into(x, y);
-  EXPECT_EQ(g_allocations.load() - before, 0u);
-  EXPECT_DOUBLE_EQ(y.data()[0], 4.0);
-}
-
-TEST(HotPathAllocations, MlpForwardBatchIsAllocationFreeInSteadyState) {
-  Rng rng(19);
-  nn::MlpConfig config;
-  config.sizes = {8, 24, 24, 2};
-  nn::Mlp net(config);
-  net.init_xavier(rng);
-
-  nn::Matrix inputs;
-  inputs.resize(16, 8);
-  for (std::size_t i = 0; i < 16 * 8; ++i)
-    inputs.data()[i] = rng.uniform(-1.0, 1.0);
-
-  nn::MlpBatchWorkspace workspace;
-  net.forward_batch(inputs, workspace);  // warm-up grows every layer matrix
-
-  const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 1000; ++i) {
-    const nn::Matrix& out = net.forward_batch(inputs, workspace);
-    ASSERT_EQ(out.rows(), 16u);
-    ASSERT_EQ(out.cols(), 2u);
-  }
-  EXPECT_EQ(g_allocations.load() - before, 0u)
-      << "Mlp::forward_batch allocated in steady state";
-}
 
 TEST(HotPathAllocations, BarrierFieldMinIsAllocationFree) {
   ObstacleField field;

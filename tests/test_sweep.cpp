@@ -205,45 +205,12 @@ TEST(SweepTableCache, SweepBuildsEachDistinctGeometryExactlyOnce) {
 
   DeadlineTableCache::global().clear();
   (void)run_sweep(config);
-  const DeadlineTableCacheStats stats = DeadlineTableCache::global().stats();
+  const ArtifactStoreStats stats = DeadlineTableCache::global().stats();
   EXPECT_EQ(stats.builds, distinct.size());
   EXPECT_EQ(stats.misses + stats.hits, episodes);
   EXPECT_EQ(stats.hits, episodes - stats.misses);
   EXPECT_EQ(stats.misses, distinct.size());  // single-flight: one miss per key
   EXPECT_EQ(DeadlineTableCache::global().size(), distinct.size());
-}
-
-TEST(SweepRolloutTable, CachedReportsByteIdenticalToUncachedAcrossThreads) {
-  // The rollout-phi artifact kind must be as invisible in the results as
-  // the Lipschitz kind: a rollout-table sweep reproduces the uncached
-  // serial ground truth byte for byte at every thread count.
-  SweepConfig uncached = short_sweep();
-  uncached.scenarios = {"paper_default", "dense_field"};
-  uncached.base_overrides.emplace_back("table_source", "rollout");
-  uncached.base_overrides.emplace_back("rollout_step_ms", "10");
-  uncached.base_overrides.emplace_back("table_cache", "false");
-  uncached.threads = 1;
-  const auto truth_rows = run_sweep(uncached);
-  const std::string truth_csv = sweep_csv(uncached, truth_rows);
-  const std::string truth_json = sweep_json(uncached, truth_rows);
-
-  for (const int threads : {1, 2, 0}) {
-    RolloutTableStore::global().clear();
-    SweepConfig cached = short_sweep();
-    cached.scenarios = uncached.scenarios;
-    cached.base_overrides.emplace_back("table_source", "rollout");
-    cached.base_overrides.emplace_back("rollout_step_ms", "10");
-    cached.threads = threads;
-    const auto rows = run_sweep(cached);
-    EXPECT_EQ(sweep_csv(cached, rows), truth_csv)
-        << "cached rollout CSV diverged at threads=" << threads;
-    EXPECT_EQ(sweep_json(cached, rows), truth_json)
-        << "cached rollout JSON diverged at threads=" << threads;
-  }
-  // The cache had real work: fewer builds than episodes.
-  const ArtifactStoreStats stats = RolloutTableStore::global().stats();
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_LT(stats.builds, stats.hits + stats.misses);
 }
 
 TEST(SweepScheduling, ScenarioTableDigestReflectsShareability) {
@@ -260,13 +227,6 @@ TEST(SweepScheduling, ScenarioTableDigestReflectsShareability) {
   key.road = config.road;
   key.body_radius = config.barrier.body_radius;
   EXPECT_EQ(lipschitz, key.digest());
-
-  // The rollout kind addresses a different artifact space entirely.
-  ScenarioConfig rollout = config;
-  rollout.table_source = TableSource::kRollout;
-  const std::uint64_t rphi = scenario_table_digest(rollout);
-  EXPECT_NE(rphi, 0u);
-  EXPECT_NE(rphi, lipschitz);
 
   // Nothing shareable when the table or the cache is off.
   ScenarioConfig no_table = config;

@@ -71,7 +71,7 @@ struct TempDir {
     std::error_code ec;
     std::filesystem::remove_all(path, ec);
   }
-  std::string str() const { return path.string(); }
+  ArtifactDiskOptions disk() const { return {path.string(), 0, 0.0}; }
 };
 
 // --- Key canonicality -------------------------------------------------------
@@ -130,10 +130,10 @@ TEST(DeadlineTableCache, HitMissAccounting) {
   b.interval.environment_speed = 1.5;
 
   std::atomic<int> builds{0};
-  const auto ta1 = cache.get(a, "", builder_for(a, &builds));
-  const auto tb1 = cache.get(b, "", builder_for(b, &builds));
-  const auto ta2 = cache.get(a, "", builder_for(a, &builds));
-  const auto tb2 = cache.get(b, "", builder_for(b, &builds));
+  const auto ta1 = cache.get(a, builder_for(a, &builds));
+  const auto tb1 = cache.get(b, builder_for(b, &builds));
+  const auto ta2 = cache.get(a, builder_for(a, &builds));
+  const auto tb2 = cache.get(b, builder_for(b, &builds));
 
   EXPECT_EQ(builds.load(), 2);
   EXPECT_EQ(ta1.get(), ta2.get());  // same immutable table, not a copy
@@ -141,7 +141,7 @@ TEST(DeadlineTableCache, HitMissAccounting) {
   EXPECT_NE(ta1.get(), tb1.get());
   EXPECT_EQ(cache.size(), 2u);
 
-  const DeadlineTableCacheStats stats = cache.stats();
+  const ArtifactStoreStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.builds, 2u);
@@ -156,13 +156,13 @@ TEST(DeadlineTableCache, HitMissAccounting) {
 TEST(DeadlineTableCache, FailedBuildPropagatesAndAllowsRetry) {
   DeadlineTableCache cache;
   const DeadlineTableKey key = small_key();
-  EXPECT_THROW(cache.get(key, "",
+  EXPECT_THROW(cache.get(key,
                          []() -> std::unique_ptr<DeadlineTable> {
                            throw ContractViolation("injected build failure");
                          }),
                ContractViolation);
   // The failed entry must not wedge the key: a later call rebuilds.
-  const auto table = cache.get(key, "", builder_for(key));
+  const auto table = cache.get(key, builder_for(key));
   ASSERT_NE(table, nullptr);
   EXPECT_EQ(cache.stats().builds, 1u);
 }
@@ -195,11 +195,11 @@ TEST(DeadlineTableCache, ConcurrentRequestsShareOneBuild) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back(
-        [&, t] { tables[t] = cache.get(key, "", slow_build); });
+        [&, t] { tables[t] = cache.get(key, slow_build); });
   for (auto& t : threads) t.join();
 
   EXPECT_EQ(builds.load(), 1);
-  const DeadlineTableCacheStats stats = cache.stats();
+  const ArtifactStoreStats stats = cache.stats();
   EXPECT_EQ(stats.builds, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads - 1));
@@ -236,7 +236,7 @@ TEST(DeadlineTableCache, DiskRoundTripIsByteIdenticalToFreshBuild) {
   const DeadlineTableKey key = small_key();
 
   DeadlineTableCache cold;
-  const auto built = cold.get(key, dir.str(), builder_for(key));
+  const auto built = cold.get(key, dir.disk(), builder_for(key));
   EXPECT_EQ(cold.stats().builds, 1u);
   EXPECT_EQ(cold.stats().disk_stores, 1u);
   EXPECT_TRUE(std::filesystem::exists(
@@ -245,7 +245,7 @@ TEST(DeadlineTableCache, DiskRoundTripIsByteIdenticalToFreshBuild) {
   // A fresh cache (fresh process stand-in) must serve the key from disk —
   // and the loaded table must round-trip bit for bit, not merely close.
   DeadlineTableCache warm;
-  const auto loaded = warm.get(key, dir.str(), builder_for(key));
+  const auto loaded = warm.get(key, dir.disk(), builder_for(key));
   EXPECT_EQ(warm.stats().builds, 0u);
   EXPECT_EQ(warm.stats().disk_loads, 1u);
   EXPECT_EQ(serialized(*built), serialized(*loaded));
@@ -266,7 +266,7 @@ TEST(DeadlineTableCache, CorruptArtifactFallsBackToRebuildAndHeals) {
     out << "seo-dtable 1\nthis is not a table\n";
   }
   DeadlineTableCache cache;
-  const auto table = cache.get(key, dir.str(), builder_for(key));
+  const auto table = cache.get(key, dir.disk(), builder_for(key));
   ASSERT_NE(table, nullptr);
   EXPECT_EQ(cache.stats().disk_failures, 1u);
   EXPECT_EQ(cache.stats().builds, 1u);
@@ -274,7 +274,7 @@ TEST(DeadlineTableCache, CorruptArtifactFallsBackToRebuildAndHeals) {
 
   // The rebuild rewrote the artifact; a fresh cache now loads it cleanly.
   DeadlineTableCache healed;
-  const auto reloaded = healed.get(key, dir.str(), builder_for(key));
+  const auto reloaded = healed.get(key, dir.disk(), builder_for(key));
   EXPECT_EQ(healed.stats().disk_loads, 1u);
   EXPECT_EQ(serialized(*table), serialized(*reloaded));
 }
@@ -293,14 +293,14 @@ TEST(DeadlineTableCache, RenamedArtifactForAnotherKeyIsRejected) {
 
   {
     DeadlineTableCache seed;
-    (void)seed.get(key_a, dir.str(), builder_for(key_a));
+    (void)seed.get(key_a, dir.disk(), builder_for(key_a));
   }
   std::filesystem::copy_file(
       dir.path / DeadlineTableCache::artifact_name(key_a),
       dir.path / DeadlineTableCache::artifact_name(key_b));
 
   DeadlineTableCache cache;
-  const auto table = cache.get(key_b, dir.str(), builder_for(key_b));
+  const auto table = cache.get(key_b, dir.disk(), builder_for(key_b));
   ASSERT_NE(table, nullptr);
   EXPECT_EQ(cache.stats().disk_failures, 1u);
   EXPECT_EQ(cache.stats().disk_loads, 0u);
@@ -323,13 +323,12 @@ TEST(DeadlineTableCache, ArtifactWithNonFiniteCellsIsRejected) {
   for (int i = 0; i < 8; ++i)
     payload[payload.size() - 8 + static_cast<std::size_t>(i)] =
         static_cast<char>((nan_bits >> (8 * i)) & 0xff);
-  artifact_detail::write_artifact(ArtifactDiskOptions{dir.str(), 0, 0.0},
-                                  LipschitzTableTraits::kind(),
+  artifact_detail::write_artifact(dir.disk(), LipschitzTableTraits::kind(),
                                   LipschitzTableTraits::version(), key.digest(),
                                   payload);
 
   DeadlineTableCache cache;
-  const auto rebuilt = cache.get(key, dir.str(), builder_for(key));
+  const auto rebuilt = cache.get(key, dir.disk(), builder_for(key));
   ASSERT_NE(rebuilt, nullptr);
   EXPECT_EQ(cache.stats().disk_failures, 1u);
   EXPECT_EQ(cache.stats().builds, 1u);
@@ -354,7 +353,7 @@ TEST(TableCacheWiring, EpisodesWithIdenticalGeometryShareOneBuild) {
   config.seed = 202;  // different world sample, identical table geometry
   (void)run_episode(config);
 
-  const DeadlineTableCacheStats stats = DeadlineTableCache::global().stats();
+  const ArtifactStoreStats stats = DeadlineTableCache::global().stats();
   EXPECT_EQ(stats.builds, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
@@ -385,8 +384,8 @@ TEST(TableCacheWiring, ProcessMemoryBudgetReachesRunEpisode) {
   // setting: run_episode must leave it in force, and evictions under it
   // must not move a result bit.
   DeadlineTableCache::global().clear();
-  ArtifactStoreRegistry::global().configure_all(ArtifactDiskOptions{},
-                                                ArtifactMemoryBudget{1, 0});
+  DeadlineTableCache::global().configure(ArtifactDiskOptions{},
+                                        ArtifactMemoryBudget{1, 0});
   ScenarioConfig a = shortened(make_scenario("paper_default"));
   a.seed = 5;
   ScenarioConfig b = a;
@@ -398,8 +397,8 @@ TEST(TableCacheWiring, ProcessMemoryBudgetReachesRunEpisode) {
   (void)run_episode(b);  // evicts a's table
   const EpisodeResult rebuilt = run_episode(a);
   const ArtifactStoreStats stats = DeadlineTableCache::global().stats();
-  ArtifactStoreRegistry::global().configure_all(ArtifactDiskOptions{},
-                                                ArtifactMemoryBudget{});
+  DeadlineTableCache::global().configure(ArtifactDiskOptions{},
+                                        ArtifactMemoryBudget{});
   EXPECT_EQ(stats.builds, 3u);
   EXPECT_EQ(stats.evictions, 2u);
   EXPECT_EQ(DeadlineTableCache::global().size(), 1u);

@@ -52,8 +52,6 @@ DEFAULT_NAMES = [
     "BM_DeadlineTableProbe",
     "BM_FullEpisode",
     "BM_LipschitzInterval",
-    "BM_MlpForwardWorkspace",
-    "BM_RolloutPhiCache",
     "BM_SafetyFilterEngaged",
     "BM_SafetyFilterEngagedRoad",
     "BM_SafetyFilterPass",

@@ -1,12 +1,11 @@
-// The `sweep` CLI's support code: string splitting plus the artifact-store
+// The `sweep` CLI's support code: string splitting plus the table-store
 // CLI surface — flag parsing, store configuration, startup GC, and the
-// per-kind stats report whose exact line formats the CI assertions grep.
+// stats report whose exact line formats the CI assertions grep.
 #pragma once
 
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -58,10 +57,8 @@ constexpr const char* kCacheUsage =
     "(default on;\n"
     "                                         results byte-identical "
     "either way)\n"
-    "                           dir=DIR       persist artifacts (all "
-    "kinds) in DIR\n"
-    "                           mem-mb=N      per-kind in-memory byte "
-    "budget [MB]\n"
+    "                           dir=DIR       persist artifacts in DIR\n"
+    "                           mem-mb=N      in-memory byte budget [MB]\n"
     "                           budget-mb=N   artifact-dir size cap [MB]; "
     "LRU GC\n"
     "                                         sweeps after stores\n"
@@ -111,6 +108,17 @@ inline bool parse_cache_flag(
     const auto numeric = [&] {
       return parse_numeric_flag(arg + " " + name, value);
     };
+    // A size in MB must come to a byte count that fits in 64 bits: beyond
+    // that, mb_to_bytes's float-to-integer conversion is undefined.
+    const auto megabytes = [&] {
+      const double mb = numeric();
+      if (!(mb * 1024.0 * 1024.0 < 0x1p64)) {
+        std::cerr << arg << " " << name << " expects a size below 2^64 "
+                  << "bytes, got '" << value << "'\n";
+        std::exit(2);
+      }
+      return mb;
+    };
     if (name == "on" || name == "off") {
       bare();
       overrides.emplace_back("table_cache", name == "on" ? "true" : "false");
@@ -124,11 +132,11 @@ inline bool parse_cache_flag(
       }
       state.dir = value;
     } else if (name == "budget-mb") {
-      state.budget_mb = numeric();
+      state.budget_mb = megabytes();
     } else if (name == "max-age-h") {
       state.max_age_h = numeric();
     } else if (name == "mem-mb") {
-      state.mem_mb = numeric();
+      state.mem_mb = megabytes();
     } else {
       std::cerr << "--cache: unknown setting '" << name
                 << "' (expected on, off, dir=, mem-mb=, budget-mb=, "
@@ -139,6 +147,7 @@ inline bool parse_cache_flag(
   return true;
 }
 
+/// `mb` is one parse_cache_flag accepted, so the byte count fits.
 inline std::uint64_t mb_to_bytes(double mb) {
   return mb > 0.0 ? static_cast<std::uint64_t>(mb * 1024.0 * 1024.0) : 0;
 }
@@ -159,54 +168,34 @@ inline void run_requested_gc(const CacheCliOptions& state) {
             << " bytes\n";
 }
 
-/// Configures every process-wide artifact store from the parsed `--cache`
-/// settings: the disk tier (shared dir, size and age caps) and the
-/// per-kind memory budget.  Called once after parsing — by a `--workers`
-/// child too, which re-parses the forwarded argv.
+/// Configures the process-wide table store from the parsed `--cache`
+/// settings: the disk tier (dir, size and age caps) and the memory
+/// budget.  Called once after parsing — by a `--workers` child too, which
+/// re-parses the forwarded argv.
 inline void configure_artifact_stores(const CacheCliOptions& state) {
-  // Kinds register lazily; touching the accessors registers each one.
-  (void)DeadlineTableCache::global();
-  (void)RolloutTableStore::global();
   ArtifactDiskOptions disk;
   disk.dir = state.dir;
   disk.max_bytes = mb_to_bytes(state.budget_mb);
   disk.max_age_s = state.max_age_h > 0.0 ? state.max_age_h * 3600.0 : 0.0;
   ArtifactMemoryBudget budget;
   budget.max_bytes = static_cast<std::size_t>(mb_to_bytes(state.mem_mb));
-  ArtifactStoreRegistry::global().configure_all(disk, budget);
+  DeadlineTableCache::global().configure(disk, budget);
 }
 
-/// The one greppable per-kind stats line format (CI assertions sed these
-/// exact words) — single body, so the in-process and aggregated-farm
-/// reports below cannot drift apart.
-inline void print_artifact_store_stats_row(std::ostream& out,
-                                           const std::string& kind,
-                                           const ArtifactStoreStats& s) {
-  out << "artifact store [" << kind << "]: " << s.hits << " hits, "
-      << s.misses << " misses, " << s.builds << " builds, " << s.waits
-      << " waits, " << s.lock_waits << " lock waits, " << s.evictions
-      << " evictions, " << s.bytes << " bytes, " << s.disk_loads
-      << " disk loads, " << s.disk_stores << " disk stores, "
+/// The one greppable stats line (CI assertions and perfbench sed these
+/// exact words): the process-wide table store's counters plus `workers`
+/// (the --workers parent's farm-wide sum from the done frames; zero in
+/// process).
+inline void print_artifact_store_stats(std::ostream& out,
+                                       const ArtifactStoreStats& workers = {}) {
+  ArtifactStoreStats s = DeadlineTableCache::global().stats();
+  s += workers;
+  out << "artifact store [" << LipschitzTableTraits::kind() << "]: " << s.hits
+      << " hits, " << s.misses << " misses, " << s.builds << " builds, "
+      << s.waits << " waits, " << s.lock_waits << " lock waits, "
+      << s.evictions << " evictions, " << s.bytes << " bytes, "
+      << s.disk_loads << " disk loads, " << s.disk_stores << " disk stores, "
       << s.disk_failures << " disk failures\n";
-}
-
-/// One greppable stats line per artifact kind for the process-wide stores,
-/// with `extra` rows (e.g. worker-process stats summed by the --workers
-/// parent) merged in by kind.  Every kind reports — also the ones this run
-/// never touched — so CI and operators always see the full picture.
-inline void print_artifact_store_stats(
-    std::ostream& out, const std::vector<ArtifactKindStats>& extra = {}) {
-  // Touching the global accessors guarantees each kind is registered (in
-  // this order on a fresh process) before the snapshot.
-  (void)DeadlineTableCache::global();
-  (void)RolloutTableStore::global();
-  std::map<std::string, ArtifactStoreStats> merged;
-  for (const auto& row : ArtifactStoreRegistry::global().snapshot())
-    merged[row.kind] = row.stats;
-  for (const auto& row : extra) merged[row.kind] += row.stats;
-  // std::map: sorted by kind, matching the registry snapshot's order.
-  for (const auto& [kind, stats] : merged)
-    print_artifact_store_stats_row(out, kind, stats);
 }
 
 /// One greppable utilization line for the global thread pool, matching the

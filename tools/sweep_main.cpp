@@ -348,7 +348,7 @@ int main(int argc, char** argv) {
     const auto run_start = std::chrono::steady_clock::now();
     std::size_t points_run = 0;
     std::ostringstream report;
-    std::vector<ArtifactKindStats> worker_stats;
+    ArtifactStoreStats worker_stats;
     std::vector<std::vector<std::size_t>> pulled;  // --workers assign ledger
     if (worker_count > 1) {
       // Parent mode: plan locally, hand the grid's points out to self-exec
@@ -404,7 +404,7 @@ int main(int argc, char** argv) {
             .count();
     // Stats to stderr, never the report stream: CI asserts warm runs
     // actually hit, and operators see what a cold run cost.  In parent
-    // mode the printed rows are the farm-wide sums from the done frames,
+    // mode the printed line adds the farm-wide sums from the done frames,
     // and the parent's own pool is idle, so --stats shows the farm instead.
     seo::cli::print_artifact_store_stats(std::cerr, worker_stats);
     if (show_pool_stats) {
