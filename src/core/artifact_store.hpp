@@ -347,7 +347,8 @@ class ArtifactStore {
         future = promise->get_future().share();
         lru_.push_front(d);
         epoch = ++epoch_counter_;
-        entries_.emplace(d, Entry{key, future, lru_.begin(), epoch, true, 0});
+        entries_.emplace(
+            d, Entry{key, future, lru_.begin(), epoch, true, 0, nullptr});
       }
     }
     if (!promise) return future.get();  // rethrows a failed build, by design

@@ -61,16 +61,28 @@ HeldControl BicycleModel::hold(const Control& u) const {
   h.clamped = clamp(u);
   h.beta = slip_angle(h.clamped.steering);
   h.sin_beta = std::sin(h.beta);
+  h.cos_beta = std::cos(h.beta);
   return h;
 }
 
 VehicleDerivative BicycleModel::derivative(const VehicleState& state,
                                            const HeldControl& held) const {
+  Vec2 course;
+  return derivative(state, held, course);
+}
+
+VehicleDerivative BicycleModel::derivative(const VehicleState& state,
+                                           const HeldControl& held,
+                                           Vec2& course) const {
   // Same operations as derivative(state, Control) after its clamp and
   // slip-angle evaluation — beta and sin(beta) are the very doubles that
   // call would produce (clamp is idempotent), so the outputs match bitwise.
+  // from_polar(speed, angle) is split into the unit course times the
+  // speed: the same two products, since 1.0 * cos is exact and
+  // multiplication commutes.
+  course = Vec2::from_polar(1.0, state.heading + held.beta);
   VehicleDerivative d;
-  d.velocity = Vec2::from_polar(state.speed, state.heading + held.beta);
+  d.velocity = course * state.speed;
   d.yaw_rate = state.speed / params_.wheelbase_rear * held.sin_beta;
   d.accel = accel_command(held.clamped.throttle, state.speed);
   return d;
@@ -141,10 +153,10 @@ VehicleState BicycleModel::step(const VehicleState& state,
 }
 
 VehicleState BicycleModel::step_euler(const VehicleState& state,
-                                      const HeldControl& held,
-                                      double dt) const {
+                                      const HeldControl& held, double dt,
+                                      Vec2& course) const {
   SEO_EXPECT(dt > 0.0);
-  VehicleState out = apply(state, derivative(state, held), dt);
+  VehicleState out = apply(state, derivative(state, held, course), dt);
   out.speed = std::clamp(out.speed, 0.0, params_.max_speed);
   return out;
 }

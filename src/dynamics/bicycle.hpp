@@ -29,14 +29,17 @@ struct VehicleDerivative {
 
 /// A control held fixed across integration steps, with the control-only
 /// derivative terms precomputed once: the clamped command, the side-slip
-/// angle beta and its sine.  Every quantity is produced by exactly the
-/// same operations `derivative()` would perform per step, so stepping with
-/// a HeldControl is bit-identical to re-deriving from the raw control —
-/// it just skips re-clamping and re-evaluating atan/tan/sin each step.
+/// angle beta, its sine and its cosine (no step reads the cosine; it lets
+/// a caller rotate a step's course back to the heading).  Every quantity
+/// is produced by exactly the same operations `derivative()` would perform
+/// per step, so stepping with a HeldControl is bit-identical to
+/// re-deriving from the raw control — it just skips re-clamping and
+/// re-evaluating atan/tan/sin each step.
 struct HeldControl {
   Control clamped{};
   double beta = 0.0;
   double sin_beta = 0.0;
+  double cos_beta = 1.0;
 };
 
 /// Deterministic kinematic bicycle model.
@@ -71,7 +74,7 @@ class BicycleModel {
                           double dt) const;
 
   /// Precomputes the control-only derivative terms for a control held
-  /// fixed across a rollout (clamp, beta, sin(beta)).
+  /// fixed across a rollout (clamp, beta, sin(beta), cos(beta)).
   HeldControl hold(const Control& u) const;
 
   /// `derivative()` with the held control's precomputed terms.
@@ -87,13 +90,25 @@ class BicycleModel {
   /// for safe-interval and safety-filter rollouts where one candidate
   /// control is integrated over many steps.
   VehicleState step_euler(const VehicleState& state, const HeldControl& held,
-                          double dt) const;
+                          double dt) const {
+    Vec2 course;
+    return step_euler(state, held, dt, course);
+  }
+
+  /// The same step, also storing the course unit vector it moved along,
+  /// (cos, sin) of state.heading + beta: the one trig pair of the step.
+  VehicleState step_euler(const VehicleState& state, const HeldControl& held,
+                          double dt, Vec2& course) const;
 
   /// Side-slip angle beta for a (clamped) steering command.
   double slip_angle(double steering) const;
 
  private:
   double accel_command(double throttle, double speed) const;
+
+  /// `derivative(state, held)`, also storing its course unit vector.
+  VehicleDerivative derivative(const VehicleState& state,
+                               const HeldControl& held, Vec2& course) const;
 
   BicycleParams params_;
 };

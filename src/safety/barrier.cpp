@@ -32,9 +32,17 @@ double Barrier::value(const VehicleState& state,
   return clearance - config_.margin * g;
 }
 
-double Barrier::value(const VehicleState& state, const double* xs,
-                      const double* ys, const double* radii, std::size_t n,
-                      double cap) const {
+namespace {
+
+/// The one kernel body behind both capped overloads.  `kScreen` compiles
+/// the heading screen in; each instantiation has one caller and is
+/// inlined there, so the unhinted fold carries none of the screen's code
+/// and its unread count compiles away.
+template <bool kScreen>
+double fold(const BarrierConfig& config, const VehicleState& state,
+            const double* xs, const double* ys, const double* radii,
+            std::size_t n, double cap, const HeadingHint& hint,
+            std::uint64_t& trig_evals) {
   // SoA kernel over parallel obstacle columns, bit-identical to folding
   // the per-obstacle `value()` in index order, starting from `cap`:
   //
@@ -50,21 +58,56 @@ double Barrier::value(const VehicleState& state, const double* xs,
   // Cap: std::min keeps its first argument on a tie and drops a NaN second
   // argument, so the fold from `cap` equals std::min(cap, fold from +inf)
   // to the bit (±0 ties included); a low cap just skips more trig.
+  //
+  // Heading screen: an obstacle that fails the trig skip is tested once
+  // more with g at an upper bound of its cos(chi) from `hint` (argued in
+  // the header); only one that fails both takes the trig.
   const double px = state.position.x;
   const double py = state.position.y;
-  const double worst_g = 1.0 + config_.heading_gain;
+  const double worst_g = 1.0 + config.heading_gain;
+  const double tol = hint.err + 1e-12 * (4.0 + std::abs(state.heading));
   double h = cap;
   for (std::size_t i = 0; i < n; ++i) {
     const double dx = px - xs[i];
     const double dy = py - ys[i];
-    const double clearance =
-        std::sqrt(dx * dx + dy * dy) - radii[i] - config_.body_radius;
-    if (clearance - config_.margin * worst_g >= h) continue;
+    const double dist = std::sqrt(dx * dx + dy * dy);
+    const double clearance = dist - radii[i] - config.body_radius;
+    if (clearance - config.margin * worst_g >= h) continue;
+    if constexpr (kScreen) {
+      if (dist >= 1e-150) {
+        const double c =
+            std::min(1.0, -(dx * hint.cos + dy * hint.sin) / dist + tol);
+        const double g = 1.0 + config.heading_gain * (1.0 + c) * 0.5;
+        if (clearance - config.margin * g >= h) continue;
+      }
+    }
+    ++trig_evals;
     const double chi =
         wrap_angle(std::atan2(ys[i] - py, xs[i] - px) - state.heading);
-    const double g = 1.0 + config_.heading_gain * (1.0 + std::cos(chi)) * 0.5;
-    h = std::min(h, clearance - config_.margin * g);
+    const double g = 1.0 + config.heading_gain * (1.0 + std::cos(chi)) * 0.5;
+    h = std::min(h, clearance - config.margin * g);
   }
+  return h;
+}
+
+}  // namespace
+
+double Barrier::value(const VehicleState& state, const double* xs,
+                      const double* ys, const double* radii, std::size_t n,
+                      double cap) const {
+  std::uint64_t trig_evals = 0;
+  return fold<false>(config_, state, xs, ys, radii, n, cap, HeadingHint{},
+                     trig_evals);
+}
+
+double Barrier::value(const VehicleState& state, const double* xs,
+                      const double* ys, const double* radii, std::size_t n,
+                      double cap, const HeadingHint& hint,
+                      std::uint64_t* trig_evals) const {
+  std::uint64_t evals = 0;
+  const double h =
+      fold<true>(config_, state, xs, ys, radii, n, cap, hint, evals);
+  if (trig_evals != nullptr) *trig_evals += evals;
   return h;
 }
 

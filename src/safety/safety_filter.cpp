@@ -48,6 +48,17 @@ SafetyFilter::SafetyFilter(SafetyFilterConfig config, BicycleModel model,
   }
 }
 
+HeadingHint heading_hint_after_step(const HeldControl& held,
+                                    const Vec2& course, double speed,
+                                    double wheelbase_rear, double dt) {
+  // The yaw step is the model's own double: speed / l_r * sin(beta) * dt.
+  return {course.x * held.cos_beta + course.y * held.sin_beta,
+          course.y * held.cos_beta - course.x * held.sin_beta,
+          std::abs(speed / wheelbase_rear * held.sin_beta * dt) *
+                  (1.0 + 1e-9) +
+              1e-9};
+}
+
 double SafetyFilter::score_bound(const RolloutEval& eval,
                                  const Cutoff& cutoff) const {
   const double safety =
@@ -74,11 +85,17 @@ SafetyFilter::RolloutEval SafetyFilter::rollout(const VehicleState& state,
   // The candidate is held for the whole horizon: clamp and slip-angle
   // evaluate once, each Euler step reuses them (bit-identical stepping).
   const HeldControl held = model_.hold(control);
+  const double l_r = model_.params().wheelbase_rear;
   while (!eval.cut && eval.steps < steps_) {
-    s = model_.step_euler(s, held, config_.step_s);
+    const double v = s.speed;
+    Vec2 course;
+    s = model_.step_euler(s, held, config_.step_s, course);
     ++eval.steps;
-    eval.min_h = barrier_.value(s, obstacles.xs, obstacles.ys,
-                                obstacles.radii, obstacles.n, eval.min_h);
+    eval.min_h = barrier_.value(
+        s, obstacles.xs, obstacles.ys, obstacles.radii, obstacles.n,
+        eval.min_h, heading_hint_after_step(held, course, v, l_r,
+                                            config_.step_s),
+        &eval.trig_evals);
     if (road_ && cutoff.scored) {
       const double margin = road_->boundary_margin(s.position);
       if (margin < 0.0)
@@ -154,6 +171,7 @@ FilterDecision SafetyFilter::filter(const VehicleState& state,
   const RolloutEval raw_eval = rollout(state, scan.kept, decision.control,
                                        decision.h_now, Cutoff{margin_eff});
   decision.rollout_steps = raw_eval.steps;
+  decision.barrier_trig_evals = raw_eval.trig_evals;
   // A NaN min_h or margin never cuts, so the final test still decides.
   if (!raw_eval.cut && raw_eval.min_h >= margin_eff)
     return decision;  // S = 1 and staying safe: pass through.
@@ -187,6 +205,7 @@ FilterDecision SafetyFilter::filter(const VehicleState& state,
     const RolloutEval eval =
         rollout(state, scan.kept, candidate, decision.h_now, cutoff);
     decision.rollout_steps += eval.steps;
+    decision.barrier_trig_evals += eval.trig_evals;
     if (eval.cut) return;
     const double score = score_bound(eval, cutoff);
     // Grid order breaks exact ties: the earlier candidate wins.

@@ -101,6 +101,16 @@
 // Every rollout step folds the barrier over the kept obstacles with
 // Barrier::value's `cap` set to the running minimum, so obstacles that
 // cannot lower it skip their trig.
+//
+// Heading hint.  Each fold also passes a HeadingHint (barrier.hpp, "Heading
+// screen") for the post-step heading, with no extra trig.  The Euler step
+// moved along the course (cos, sin) of psi + beta; rotated by -beta with
+// the held control's cos(beta) and sin(beta), that is (cos, sin) of the
+// pre-step psi.  The step then turned the heading by the model's own
+// double y = v / l_r * sin(beta) * dt, rounded once more when added to psi
+// and wrapped.  So the hint is within |y| + ~10 ulps of the post-step
+// heading, and err = |y| * (1 + 1e-9) + 1e-9 covers it.  A NaN or infinite
+// speed or heading gives a NaN hint or err, which never screens.
 #pragma once
 
 #include <array>
@@ -144,7 +154,17 @@ struct FilterDecision {
   /// depends on the inputs and on the filter's earlier engaged calls (the
   /// warm-start hint), never on the machine.
   std::uint32_t rollout_steps = 0;
+  /// Obstacles whose atan2/wrap/cos the rollouts' barrier folds evaluated:
+  /// the same kind of work count, for the filter's most expensive step.
+  std::uint64_t barrier_trig_evals = 0;
 };
+
+/// The heading hint (header comment, "Heading hint") for the state that
+/// `step_euler(state, held, dt, course)` returned, from that step's
+/// `course` and the pre-step speed `state.speed`.
+HeadingHint heading_hint_after_step(const HeldControl& held,
+                                    const Vec2& course, double speed,
+                                    double wheelbase_rear, double dt);
 
 class SafetyFilter {
  public:
@@ -184,6 +204,7 @@ class SafetyFilter {
     /// Worst off-road excursion [m]; tracked by scored rollouts only.
     double road_violation = 0.0;
     std::uint32_t steps = 0;      ///< Euler steps integrated
+    std::uint64_t trig_evals = 0; ///< obstacles the folds took trig for
     bool cut = false;             ///< stopped early by the cutoff
   };
 

@@ -373,6 +373,7 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
       applied = decision.control;
       engaged = decision.engaged;
       episode.filter_rollout_steps += decision.rollout_steps;
+      episode.barrier_trig_evals += decision.barrier_trig_evals;
     }
     last_control = applied;
 

@@ -44,6 +44,9 @@ struct EpisodeResult {
   /// Sum of FilterDecision::rollout_steps over the episode: the filter's
   /// deterministic work count.  Not part of any report or trace.
   std::uint64_t filter_rollout_steps = 0;
+  /// Sum of FilterDecision::barrier_trig_evals over the episode; like
+  /// filter_rollout_steps, never part of a report or trace.
+  std::uint64_t barrier_trig_evals = 0;
 
   // Deadline metrics (paper Fig. 6 / Table II).
   IntHistogram deadline_hist;    ///< effective delta_max per interval

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -162,6 +163,162 @@ TEST(Barrier, CappedKernelIsMinOfCapAndValueBitExactly) {
       EXPECT_TRUE(same_bits(barrier.value(s, field, cap), std::min(cap, 0.0)))
           << "gain " << gain << " cap " << cap;
   }
+}
+
+// The capped kernel over a whole field, with a hint and a trig counter.
+double fold(const Barrier& barrier, const VehicleState& s,
+            const ObstacleField& field, double cap, const HeadingHint& hint,
+            std::uint64_t* trig_evals) {
+  return barrier.value(s, field.xs().data(), field.ys().data(),
+                       field.radii().data(), field.size(), cap, hint,
+                       trig_evals);
+}
+
+TEST(Barrier, HeadingScreenIsBitIdenticalToTheUnhintedFold) {
+  // The rollouts' heading hint lets the capped kernel skip more trig; the
+  // hinted fold must return the unhinted fold's bits.  Random states
+  // (headings near ±pi too, so a step may wrap), held controls up to max
+  // steer and max speed, fields of 1-8 obstacles near the ego, and caps
+  // at, just off and around h, so the screen decides at its edge.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double pi = 3.14159265358979323846;
+  const BicycleModel model;
+  const BicycleParams& vehicle = model.params();
+  const double dt = SafetyFilterConfig{}.step_s;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto pick = [](Rng& rng, double lo, double hi) {
+    const int r = rng.uniform_int(0, 7);  // the extremes one time in four
+    return r == 0 ? lo : r == 1 ? hi : rng.uniform(lo, hi);
+  };
+  Rng rng(59);
+  std::uint64_t plain_total = 0;
+  std::uint64_t hinted_total = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    BarrierConfig config;
+    config.heading_gain = rng.uniform(0.0, 3.0);
+    const Barrier barrier{config};
+    const double heading = trial % 4 == 0
+                               ? (trial % 8 == 0 ? pi : -pi) +
+                                     rng.uniform(-0.05, 0.05)
+                               : rng.uniform(-pi, pi);
+    const VehicleState before =
+        state_at(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0), heading,
+                 pick(rng, 0.0, vehicle.max_speed));
+    const HeldControl held = model.hold(
+        Control{pick(rng, -vehicle.max_steer, vehicle.max_steer),
+                rng.uniform(-1.0, 1.0)});
+    ASSERT_EQ(bits(held.cos_beta), bits(std::cos(held.beta)));
+    Vec2 course;
+    const VehicleState s = model.step_euler(before, held, dt, course);
+    const VehicleState plain_step = model.step_euler(before, held, dt);
+    ASSERT_EQ(bits(s.position.x), bits(plain_step.position.x));
+    ASSERT_EQ(bits(s.position.y), bits(plain_step.position.y));
+    ASSERT_EQ(bits(s.heading), bits(plain_step.heading));
+    ASSERT_EQ(bits(s.speed), bits(plain_step.speed));
+    ASSERT_EQ(bits(course.x), bits(std::cos(before.heading + held.beta)));
+    ASSERT_EQ(bits(course.y), bits(std::sin(before.heading + held.beta)));
+    const HeadingHint hint = heading_hint_after_step(
+        held, course, before.speed, vehicle.wheelbase_rear, dt);
+
+    ObstacleField field;
+    const int count = rng.uniform_int(1, 8);
+    for (int i = 0; i < count; ++i)
+      field.push_back(Obstacle{{s.position.x + rng.uniform(-12.0, 12.0),
+                                s.position.y + rng.uniform(-12.0, 12.0)},
+                               rng.uniform(0.3, 2.0)});
+    const double h = barrier.value(s, field);
+    const double caps[] = {inf,
+                           h,
+                           std::nextafter(h, inf),
+                           std::nextafter(h, -inf),
+                           h + rng.uniform(0.0, 1.0),
+                           h - rng.uniform(0.0, 1.0),
+                           0.0,
+                           -0.0};
+    for (const double cap : caps) {
+      std::uint64_t plain = 0;
+      std::uint64_t hinted = 0;
+      const double want = barrier.value(s, field, cap);
+      ASSERT_EQ(bits(fold(barrier, s, field, cap, {}, &plain)), bits(want));
+      const double got = fold(barrier, s, field, cap, hint, &hinted);
+      EXPECT_EQ(bits(got), bits(want))
+          << std::hexfloat << "trial " << trial << " cap " << cap << " got "
+          << got << " want " << want;
+      EXPECT_LE(hinted, plain);
+      plain_total += plain;
+      hinted_total += hinted;
+    }
+  }
+  // The screen must actually fire for the test to mean anything.
+  EXPECT_LT(hinted_total, plain_total);
+}
+
+TEST(Barrier, HeadingScreenAdversarialHints) {
+  // Hints that carry no information (NaN, err = +inf), the tightest
+  // legal hint (the exact heading, err = 0), an obstacle centred on the
+  // ego (dist 0), caps of ±0 and ±inf, and non-finite positions: the
+  // hinted fold keeps the unhinted fold's bits, and a hint without
+  // information never skips.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const Barrier barrier{BarrierConfig{}};
+  const double psi = 0.7;
+  struct Case {
+    HeadingHint hint;
+    bool informative;
+  };
+  const Case cases[] = {
+      {{nan, nan, 0.1}, false},
+      {{nan, nan, nan}, false},
+      {{std::cos(psi), std::sin(psi), nan}, false},
+      {{std::cos(psi), std::sin(psi), inf}, false},
+      {{std::cos(psi), std::sin(psi), 2.0}, false},
+      {{std::cos(psi), std::sin(psi), 0.0}, true},
+  };
+  const double positions[] = {0.0, 1.0, inf, -inf, nan};
+  // From (1, 2): 2.5 m dead astern (clearance 1.1, h -0.1, so caps in
+  // (-1.3, -0.1] need the screen), ahead and to the left, on the ego, and
+  // far off to the side.
+  const ObstacleField field(
+      {Obstacle{{1.0 - 2.5 * std::cos(psi), 2.0 - 2.5 * std::sin(psi)}, 0.5},
+       Obstacle{{3.0, 2.0}, 0.8}, Obstacle{{1.0, 2.0}, 0.5},
+       Obstacle{{2.0, -5.0}, 1.2}});
+  int screened = 0;
+  for (const double x : positions) {
+    for (const double y : {2.0, nan}) {
+      const VehicleState s = state_at(x, y, psi, 10.0);
+      const double h = barrier.value(s, field);
+      for (const double cap : {inf, -inf, 0.0, -0.0, -0.5, -1.0, h,
+                               std::nextafter(h, inf), h + 0.5}) {
+        std::uint64_t plain = 0;
+        const double want = barrier.value(s, field, cap);
+        ASSERT_EQ(bits(fold(barrier, s, field, cap, {}, &plain)), bits(want));
+        for (const Case& c : cases) {
+          std::uint64_t hinted = 0;
+          const double got = fold(barrier, s, field, cap, c.hint, &hinted);
+          EXPECT_EQ(bits(got), bits(want))
+              << std::hexfloat << "x " << x << " y " << y << " cap " << cap
+              << " hint (" << c.hint.cos << ", " << c.hint.sin << ", "
+              << c.hint.err << ")";
+          if (c.informative)
+            screened += hinted < plain;
+          else
+            EXPECT_EQ(hinted, plain);
+        }
+      }
+    }
+  }
+  EXPECT_GT(screened, 0);
+
+  // The obstacle centred on the ego, alone under an infinite cap, always
+  // takes the trig, even with the exact heading.
+  const VehicleState on = state_at(1.0, 2.0, psi, 10.0);
+  const ObstacleField centred({Obstacle{{1.0, 2.0}, 0.5}});
+  std::uint64_t evals = 0;
+  EXPECT_EQ(bits(fold(barrier, on, centred, inf, cases[5].hint, &evals)),
+            bits(barrier.value(on, centred)));
+  EXPECT_EQ(evals, 1u);
 }
 
 TEST(RolloutInterval, HeldControlMatchesPerStepClampBitExactly) {

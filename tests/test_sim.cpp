@@ -142,6 +142,22 @@ TEST(Episode, FilterRolloutStepsGolden) {
   EXPECT_EQ(run_episode(c).filter_rollout_steps, 0u);
 }
 
+TEST(Episode, BarrierTrigEvalsGolden) {
+  // The same episode's count of obstacles whose atan2/wrap/cos the
+  // rollouts' barrier folds evaluated: the trig skip, the cull and the
+  // heading screen all show here on any machine (14637 without the
+  // screen).
+  ScenarioConfig c = default_scenario();
+  c.obstacle_count = 2;
+  c.mode = OptimizerMode::kGating;
+  c.seed = 1;
+  const EpisodeResult r = run_episode(c);
+  EXPECT_EQ(r.filter_rollout_steps, 16476u);
+  EXPECT_EQ(r.barrier_trig_evals, 8473u);
+  c.filtered = false;
+  EXPECT_EQ(run_episode(c).barrier_trig_evals, 0u);
+}
+
 TEST(Episode, EmptyRoadCompletesQuickly) {
   ScenarioConfig c = default_scenario();
   c.obstacle_count = 0;

@@ -1,8 +1,8 @@
 // `sweep` — the scenario-library grid runner.
 //
 //   sweep --list
-//   sweep --scenarios paper_default,dense_field \
-//         --axis channel_mbps=5,10,20 --axis deadline_cap=2,4 \
+//   sweep --scenarios paper_default,dense_field
+//         --axis channel_mbps=5,10,20 --axis deadline_cap=2,4
 //         --episodes 25 --threads 0 --format csv --output sweep.csv
 //   sweep --smoke        # CI-sized 2x2 grid over 4 scenarios
 //   sweep --smoke --rounds 1 --vehicles-output vehicles.csv

@@ -1,8 +1,8 @@
 // `trace-energy-report` — per-episode (or per-vehicle) energy accounting
 // from a seo-trace stream.
 //
-//   sweep --smoke --rounds 1 --trace-out - --output grid.csv \
-//     | trace-energy-report --by-vehicle
+//   sweep --smoke --rounds 1 --trace-out - --output grid.csv |
+//     trace-energy-report --by-vehicle
 //
 // Episode energy comes from the episode-end summary (combined Lambda'
 // model energy vs the always-offload baseline); uplink load (offload

@@ -1,8 +1,8 @@
 // `trace-safety-audit` — per-episode safety-filter audit from a seo-trace
 // stream.
 //
-//   sweep --smoke --trace-out - --output grid.csv \
-//     | trace-safety-audit --engaged-only
+//   sweep --smoke --trace-out - --output grid.csv |
+//     trace-safety-audit --engaged-only
 //
 // For each episode: the outcome flags, the filter engagement picture
 // (engaged-tick rate, distinct interventions = rising edges of

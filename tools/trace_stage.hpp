@@ -3,10 +3,10 @@
 // stdout or --output, and with --passthrough copies the validated input
 // bytes to stdout — so stages chain like classic unix filters:
 //
-//   sweep --smoke --trace-out - --output grid.csv \
-//     | trace-safety-audit --passthrough -o audit.csv \
-//     | trace-energy-report --passthrough -o energy.csv \
-//     | trace-export -o trace.csv
+//   sweep --smoke --trace-out - --output grid.csv |
+//     trace-safety-audit --passthrough -o audit.csv |
+//     trace-energy-report --passthrough -o energy.csv |
+//     trace-export -o trace.csv
 //
 // Passthrough forwards bytes only after the reader validated them, so a
 // damaged stream kills the whole pipeline instead of propagating silently.
