@@ -10,25 +10,20 @@
 //    cache-corruption bug, so the key's sensitivity is locked by tests and
 //    a golden digest pins the hasher against accidental change.
 //  * Single-flight.  Concurrent callers requesting one key block on one
-//    build; every waiter receives the same immutable value.
-//  * Bounded in memory.  An optional entry-count / byte budget evicts
-//    least-recently-used *ready* entries; entries whose build is still in
-//    flight are never evicted, and eviction can never invalidate a value a
-//    caller already holds (values are shared_ptr-owned).  Long-lived
-//    services can therefore leave the store on without unbounded growth.
-//  * Configured once per process.  The disk tier and the memory budget are
-//    store state set by configure() (the CLIs do it once after parsing
-//    their flags), never per-request or per-scenario settings.
+//    build; every waiter receives the same immutable value.  Entries live
+//    until clear(): a process holds one small table per geometry.
+//  * Configured once per process.  The disk tier is store state set by
+//    configure() (the CLIs do it once after parsing their flags), never a
+//    per-request or per-scenario setting.
 //  * Disk-layered with GC (optional).  With a cache directory, artifacts
 //    persist as fixed-width little-endian FNV-1a-checksummed binary
 //    containers under versioned digest-addressed file names (temp-write +
-//    atomic rename) and reload across processes.  A per-directory manifest
-//    (held in memory, flushed periodically under an advisory directory
-//    lock) tracks logical last-use order and sizes so a GC sweep can
-//    enforce size/age caps by LRU — the artifact dir is provably bounded
-//    instead of growing forever.  Unreadable, corrupt or mismatched
-//    artifacts are never trusted: they count as disk_failures, rebuild in
-//    process, and are rewritten.
+//    atomic rename) and reload across processes.  Every store and every
+//    load stamps the artifact's mtime, so the files themselves record
+//    last-use order and a GC sweep can enforce size/age caps by LRU — the
+//    artifact dir is provably bounded instead of growing forever.
+//    Unreadable, corrupt or mismatched artifacts are never trusted: they
+//    count as disk_failures, rebuild in process, and are rewritten.
 //  * Cross-process single-flight.  A cold disk miss serializes on a
 //    per-digest advisory file lock (`<artifact>.lock` sidecar, flock), so
 //    N cold processes sharing one dir build each distinct artifact exactly
@@ -41,7 +36,8 @@
 // Determinism guarantee: a hit returns a value bit-identical to a fresh
 // build (in memory trivially; on disk because a kind's encode/decode
 // round-trips raw IEEE-754 bits), so any run is byte-identical with the
-// store on or off — locked by the sweep/fleet golden tests.
+// store on or off — locked by the sweep/fleet golden tests.  File mtimes
+// decide only which artifacts a GC sweep keeps, never any bytes.
 //
 // An artifact kind is described by a Traits type:
 //
@@ -53,7 +49,7 @@
 //     static void encode(const Value&, BinaryWriter&);
 //     static Value decode(BinaryReader&);            // throws on bad data
 //     static void validate(const Key&, const Value&);// defense in depth
-//     static std::size_t weight_bytes(const Value&); // byte-budget weight
+//     static std::size_t weight_bytes(const Value&); // resident-bytes stat
 //   };
 //
 // The encode/decode pair speaks core/binary_io — the same canonical byte
@@ -61,17 +57,13 @@
 // it wrote (the store rejects trailing bytes as corruption).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "core/binary_io.hpp"
 #include "core/fingerprint.hpp"
@@ -85,14 +77,12 @@ namespace seo {
 /// that blocked on another caller's in-flight build (single-flight dedup);
 /// `bytes` is the current resident payload weight, not a counter.
 struct ArtifactStoreStats {
-  std::uint64_t hits = 0;  ///< includes `fast_hits`
-  std::uint64_t fast_hits = 0;  ///< hits served by the lock-free snapshot
+  std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t builds = 0;         ///< builder invocations actually run
   std::uint64_t waits = 0;
   std::uint64_t lock_waits = 0;     ///< cold misses that blocked on another
                                     ///< process's per-digest artifact lock
-  std::uint64_t evictions = 0;      ///< in-memory LRU evictions
   std::uint64_t bytes = 0;          ///< resident payload bytes (approx)
   std::uint64_t disk_loads = 0;     ///< misses served from the artifact dir
   std::uint64_t disk_stores = 0;
@@ -101,29 +91,16 @@ struct ArtifactStoreStats {
   /// Field-wise sum — how per-process stats combine into a farm-wide view.
   ArtifactStoreStats& operator+=(const ArtifactStoreStats& o) {
     hits += o.hits;
-    fast_hits += o.fast_hits;
     misses += o.misses;
     builds += o.builds;
     waits += o.waits;
     lock_waits += o.lock_waits;
-    evictions += o.evictions;
     bytes += o.bytes;
     disk_loads += o.disk_loads;
     disk_stores += o.disk_stores;
     disk_failures += o.disk_failures;
     return *this;
   }
-};
-
-/// In-memory bounding for long-lived services.  0 means "unlimited" for
-/// either knob.  The most-recently-used entry (and the one a get() just
-/// completed) is always retained even when it alone exceeds the budget —
-/// evicting it would make every get miss while still not freeing the
-/// caller's reference — so the bound is exact whenever at least two ready
-/// entries are resident.
-struct ArtifactMemoryBudget {
-  std::size_t max_entries = 0;
-  std::size_t max_bytes = 0;
 };
 
 /// Disk-tier settings of one store.  An empty dir disables the tier.
@@ -136,18 +113,21 @@ struct ArtifactDiskOptions {
 
 /// Result of one GC sweep over an artifact directory.
 struct ArtifactGcResult {
-  std::size_t scanned = 0;        ///< managed files considered
+  std::size_t scanned = 0;        ///< files considered (not tmp/.lock)
   std::size_t removed = 0;        ///< files deleted (LRU/size/age/orphans)
   std::uint64_t bytes_before = 0;
   std::uint64_t bytes_after = 0;
 };
 
-/// LRU GC sweep over `dir`: drops artifacts whose manifest last-use age
-/// exceeds `max_age_s` (when > 0), then least-recently-used artifacts until
-/// the directory is within `max_bytes` (when > 0), plus stale temp files
-/// from crashed writers.  The most-recently-used artifact is always kept.
-/// Safe to call concurrently within a process; cross-process races degrade
-/// to a rebuild on next use, never to a wrong value.  Returns what it did.
+/// LRU GC sweep over `dir`, in last-use order = (mtime, name): drops
+/// artifacts whose age `now - mtime` exceeds `max_age_s` (when > 0; +inf
+/// keeps everything), then least-recently-used artifacts until the
+/// directory is within `max_bytes` (when > 0), plus stale temp files from
+/// crashed writers and idle lock sidecars.  Files not named like an
+/// artifact (older formats, foreign debris) count as oldest.  The
+/// most-recently-used artifact is always kept.  Safe to call concurrently;
+/// races with other processes degrade to a rebuild on next use, never to
+/// a wrong value.  Returns what it did.
 ArtifactGcResult artifact_store_gc(const std::string& dir,
                                    std::uint64_t max_bytes,
                                    double max_age_s);
@@ -168,28 +148,17 @@ bool read_artifact_payload(const std::string& path, const std::string& kind,
                            int version, std::uint64_t digest,
                            std::string& payload_out);
 
-/// Wraps `payload` in the v2 binary container, writes it via temp-write +
-/// atomic rename and records the file in the directory manifest.  Throws
-/// on I/O failure.
+/// Wraps `payload` in the v2 binary container and writes it via
+/// temp-write + atomic rename, marking it most-recently-used.  Throws on
+/// I/O failure.
 void write_artifact(const ArtifactDiskOptions& disk, const std::string& kind,
                     int version, std::uint64_t digest,
                     const std::string& payload);
 
-/// Marks `file` as most-recently-used in the directory manifest (so disk
-/// LRU order reflects loads, not only stores).  Best effort, in memory —
-/// flushed to disk periodically and on GC/exit.
-void touch_manifest(const std::string& dir, const std::string& file);
-
-/// Flushes every dirty in-memory manifest to its directory (merging with
-/// concurrent writers under the directory lock).  Runs automatically every
-/// few updates, on GC and at process exit; tests and long-lived services
-/// can force it.
-void flush_manifests();
-
-/// Test hook: rewrites every entry of `dir`'s manifest (in memory and on
-/// disk) with the given last-use timestamp, so age-cap GC behaviour can be
-/// exercised without waiting.
-void debug_backdate_manifest(const std::string& dir, std::int64_t last_used);
+/// Marks the artifact at `path` most-recently-used by setting its mtime to
+/// now, so disk LRU order reflects loads, not only stores.  Best effort: a
+/// failure only costs warmth.
+void mark_used(const std::string& path);
 
 /// RAII per-digest advisory file lock (`flock` on an `<artifact>.lock`
 /// sidecar) — the cross-process single-flight primitive.  Construction
@@ -217,9 +186,9 @@ class DigestLock {
 
 }  // namespace artifact_detail
 
-/// Thread-safe, single-flight, LRU-bounded content-addressed store for one
-/// artifact kind.  One process-wide instance per kind (global()); fresh
-/// instances are cheap and used by tests and benchmarks.
+/// Thread-safe, single-flight content-addressed store for one artifact
+/// kind.  One process-wide instance per kind (global()); fresh instances
+/// are cheap and used by tests and benchmarks.
 template <typename Traits>
 class ArtifactStore {
  public:
@@ -249,41 +218,27 @@ class ArtifactStore {
     return fetch(key, &disk, build);
   }
 
-  /// Process-level settings: the disk tier get(key, build) uses on a miss,
-  /// and the in-memory budget (evicts immediately if already over).  A
-  /// nonzero budget disables the lock-free hit path (eviction needs exact
-  /// LRU order); an unlimited one re-enables it.  The hit path never reads
-  /// either setting.
-  void configure(const ArtifactDiskOptions& disk,
-                 const ArtifactMemoryBudget& budget) {
+  /// Process-level setting: the disk tier get(key, build) uses on a miss.
+  void configure(const ArtifactDiskOptions& disk) {
     std::lock_guard<std::mutex> lock(mutex_);
     disk_ = disk;
-    budget_ = budget;
-    enforce_budget_locked(/*protect_digest=*/0);
-    rebuild_snapshot_locked();
   }
 
   ArtifactStoreStats stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    ArtifactStoreStats s = stats_;
-    s.fast_hits = fast_hits_.load(std::memory_order_relaxed);
-    s.hits += s.fast_hits;
-    return s;
+    return stats_;
   }
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();
   }
-  /// Drops every entry and zeroes the stats (tests, long-lived services).
+  /// Drops every entry and zeroes the stats (tests, benchmarks).
   /// In-flight builds complete and hand their value to current waiters,
   /// but are not re-admitted.  The configuration stays.
   void clear() {
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
-    lru_.clear();
     stats_ = ArtifactStoreStats{};
-    fast_hits_.store(0, std::memory_order_relaxed);
-    rebuild_snapshot_locked();
   }
 
   /// Versioned digest-addressed artifact file name for `key`.
@@ -304,23 +259,6 @@ class ArtifactStore {
   ValuePtr fetch(const Key& key, const ArtifactDiskOptions* explicit_disk,
                  const Builder& build) {
     const std::uint64_t d = key.digest();
-    // Read-mostly fast path: when no memory budget is configured (the
-    // default), hits are served from an immutable snapshot of the ready
-    // entries without taking the store mutex — this is what keeps a
-    // parallel experiment batch from serializing on its per-episode cache
-    // probes.  The snapshot skips the LRU touch, which only matters for
-    // eviction order, and eviction only exists under a budget — so with a
-    // budget set the fast path is disabled and every get() takes the
-    // locked path with exact LRU semantics.
-    if (fast_path_.load(std::memory_order_acquire)) {
-      if (const auto snap = std::atomic_load(&snapshot_)) {
-        const auto it = snap->find(d);
-        if (it != snap->end() && it->second.first == key) {
-          fast_hits_.fetch_add(1, std::memory_order_relaxed);
-          return it->second.second;
-        }
-      }
-    }
     std::shared_ptr<std::promise<ValuePtr>> promise;
     std::shared_future<ValuePtr> future;
     std::uint64_t epoch = 0;
@@ -338,17 +276,14 @@ class ArtifactStore {
               fingerprint_hex(d));
         ++stats_.hits;
         if (it->second.in_flight) ++stats_.waits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru);
         future = it->second.ready;
       } else {
         ++stats_.misses;
         disk = explicit_disk != nullptr ? *explicit_disk : disk_;
         promise = std::make_shared<std::promise<ValuePtr>>();
         future = promise->get_future().share();
-        lru_.push_front(d);
         epoch = ++epoch_counter_;
-        entries_.emplace(
-            d, Entry{key, future, lru_.begin(), epoch, true, 0, nullptr});
+        entries_.emplace(d, Entry{key, future, epoch, true, 0});
       }
     }
     if (!promise) return future.get();  // rethrows a failed build, by design
@@ -401,16 +336,13 @@ class ArtifactStore {
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      // clear() or an eviction may have raced the fill; only finalize the
-      // entry this call created (the value itself is handed out anyway).
+      // clear() may have raced the fill; only finalize the entry this call
+      // created (the value itself is handed out anyway).
       const auto it = entries_.find(d);
       if (it != entries_.end() && it->second.epoch == epoch) {
         it->second.in_flight = false;
-        it->second.value = value;
         it->second.bytes = Traits::weight_bytes(*value);
         stats_.bytes += it->second.bytes;
-        enforce_budget_locked(d);
-        rebuild_snapshot_locked();
       }
     }
     promise->set_value(value);
@@ -420,74 +352,16 @@ class ArtifactStore {
   struct Entry {
     Key key;
     std::shared_future<ValuePtr> ready;
-    std::list<std::uint64_t>::iterator lru;
-    std::uint64_t epoch = 0;  ///< guards finalize against clear()/evict races
+    std::uint64_t epoch = 0;  ///< guards finalize against clear() races
     bool in_flight = true;
     std::size_t bytes = 0;
-    ValuePtr value;  ///< set at finalize; feeds the lock-free snapshot
   };
-
-  /// Publishes an immutable digest -> (key, value) snapshot of the ready
-  /// entries for the lock-free hit path — or retracts it entirely while a
-  /// memory budget is active (eviction needs exact LRU bookkeeping, which
-  /// the fast path deliberately skips).  Called under mutex_.
-  void rebuild_snapshot_locked() {
-    const bool budgeted = budget_.max_entries > 0 || budget_.max_bytes > 0;
-    if (budgeted) {
-      fast_path_.store(false, std::memory_order_release);
-      std::atomic_store(&snapshot_, std::shared_ptr<const Snapshot>());
-      return;
-    }
-    auto snap = std::make_shared<Snapshot>();
-    snap->reserve(entries_.size());
-    // seo-lint: allow(unordered-iter) -- copies one unordered map into
-    // another keyed on the same digests; iteration order never reaches
-    // bytes, and lookups on the snapshot are by digest, not traversal.
-    for (const auto& [digest, entry] : entries_)
-      if (!entry.in_flight)
-        snap->emplace(digest, std::make_pair(entry.key, entry.value));
-    std::atomic_store(&snapshot_,
-                      std::shared_ptr<const Snapshot>(std::move(snap)));
-    fast_path_.store(true, std::memory_order_release);
-  }
 
   void erase_if_epoch(std::uint64_t digest, std::uint64_t epoch) {
     const auto it = entries_.find(digest);
     if (it == entries_.end() || it->second.epoch != epoch) return;
     if (!it->second.in_flight) stats_.bytes -= it->second.bytes;
-    lru_.erase(it->second.lru);
     entries_.erase(it);
-  }
-
-  /// Evicts ready entries LRU-first until within budget.  In-flight builds
-  /// are never evicted (their waiters still need the shared future and
-  /// they carry no payload bytes yet), the most-recently-used entry is
-  /// always retained (evicting it would only force an immediate rebuild
-  /// without freeing the caller's reference), and `protect_digest` (the
-  /// entry the caller just completed, which hits on other keys may have
-  /// pushed off the LRU front) survives even when it alone busts the
-  /// budget.
-  void enforce_budget_locked(std::uint64_t protect_digest) {
-    const auto over = [&] {
-      const bool entries_over =
-          budget_.max_entries > 0 && entries_.size() > budget_.max_entries;
-      const bool bytes_over =
-          budget_.max_bytes > 0 && stats_.bytes > budget_.max_bytes;
-      return entries_over || bytes_over;
-    };
-    auto it = lru_.end();
-    while (over() && it != lru_.begin()) {
-      --it;
-      if (it == lru_.begin()) break;  // the MRU entry is always retained
-      const std::uint64_t d = *it;
-      const auto entry = entries_.find(d);
-      SEO_ASSERT(entry != entries_.end());
-      if (entry->second.in_flight || d == protect_digest) continue;
-      stats_.bytes -= entry->second.bytes;
-      ++stats_.evictions;
-      entries_.erase(entry);
-      it = lru_.erase(it);  // returns the element after the erased one
-    }
   }
 
   /// Outcome of one disk probe: `kCold` = no artifact on disk, `kLoaded` =
@@ -497,8 +371,7 @@ class ArtifactStore {
 
   DiskLoad load_artifact(const Key& key, const ArtifactDiskOptions& disk,
                          ValuePtr& out) {
-    const std::string name = artifact_name(key);
-    const std::string path = disk.dir + "/" + name;
+    const std::string path = disk.dir + "/" + artifact_name(key);
     try {
       std::string payload;
       if (!artifact_detail::read_artifact_payload(
@@ -511,7 +384,7 @@ class ArtifactStore {
       // the header digest already matched (catches a truncated rewrite
       // that kept the header intact).
       Traits::validate(key, *value);
-      artifact_detail::touch_manifest(disk.dir, name);
+      artifact_detail::mark_used(path);
       {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.disk_loads;
@@ -553,22 +426,11 @@ class ArtifactStore {
     }
   }
 
-  /// Immutable view of the ready entries, swapped atomically on every
-  /// finalize/clear/configure; readers hold it via shared_ptr so a
-  /// concurrent rebuild can never free a map a reader is still probing.
-  using Snapshot =
-      std::unordered_map<std::uint64_t, std::pair<Key, ValuePtr>>;
-
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> entries_;
-  std::list<std::uint64_t> lru_;  ///< most recently used first
   ArtifactDiskOptions disk_;
-  ArtifactMemoryBudget budget_;
   ArtifactStoreStats stats_;
   std::uint64_t epoch_counter_ = 0;
-  std::shared_ptr<const Snapshot> snapshot_;
-  std::atomic<bool> fast_path_{true};
-  std::atomic<std::uint64_t> fast_hits_{0};
 };
 
 }  // namespace seo

@@ -1,8 +1,8 @@
 // Canonical binary encoding — the one little-endian, fixed-width,
 // FNV-1a-checksummed byte discipline shared by every durable byte stream
 // in the library: the `seo-trace` record framing (sim/trace.cpp), the
-// artifact-store v2 payload containers and the binary manifest
-// (core/artifact_store.cpp).
+// artifact-store v2 containers (core/artifact_store.cpp) and the
+// `sweep --workers` frames (sim/sweep_shard.cpp).
 //
 // Extracted from the trace layer's framing helpers so a new on-disk format
 // cannot drift from the established one:

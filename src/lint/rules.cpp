@@ -25,9 +25,9 @@ constexpr const char* kBadSuppression = "bad-suppression";
 
 /// Per-rule allowlists: the one module that legitimately owns the banned
 /// primitive.  Matched as path prefixes on repo-relative forward-slash
-/// paths.  wall-clock deliberately has no allowlist: its single sanctioned
-/// site (core/wallclock) carries an in-file justified suppression instead,
-/// so the exemption is visible next to the code it exempts.
+/// paths.  wall-clock deliberately has no allowlist: a site that truly
+/// needs wall time carries an in-file justified suppression instead, so
+/// the exemption is visible next to the code it exempts.
 const std::map<std::string, std::vector<std::string>>& rule_allowlists() {
   static const std::map<std::string, std::vector<std::string>> lists = {
       {kRawRand, {"src/util/rng."}},
@@ -338,8 +338,7 @@ struct RuleRunner {
         report(kWallClock, tok.line,
                "wall-clock read '" + tok.text +
                    "' is an irreproducible input; use steady_clock for "
-                   "durations, or wall_clock_unix_seconds() (core/wallclock) "
-                   "for the manifest age contract");
+                   "durations, or file mtimes for artifact ages");
         return;
       }
       // C `time(nullptr)` / `time(0)` / `time(&t)` — the argument shape
@@ -353,7 +352,7 @@ struct RuleRunner {
              is_punct(*arg, "&")))
           report(kWallClock, tok.line,
                  "libc time() reads the wall clock; use steady_clock for "
-                 "durations, or wall_clock_unix_seconds() (core/wallclock)");
+                 "durations, or file mtimes for artifact ages");
       }
     }
   }
@@ -554,8 +553,7 @@ const std::vector<RuleInfo>& rule_catalogue() {
   static const std::vector<RuleInfo> rules = {
       {kWallClock,
        "no wall-clock reads (system_clock, libc time, gettimeofday); "
-       "durations use steady_clock, the manifest age contract uses "
-       "core/wallclock's annotated helper"},
+       "durations use steady_clock, artifact ages use file mtimes"},
       {kRawRand,
        "no rand/random_device/std engines or distributions outside "
        "src/util/rng; randomness must be seedable and bit-stable across "

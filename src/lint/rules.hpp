@@ -9,10 +9,8 @@
 //
 //   wall-clock     wall-clock reads (`system_clock`, `time(`,
 //                  `gettimeofday`) are irreproducible inputs.  Durations
-//                  must use steady_clock; the one legitimate wall-clock
-//                  consumer (the artifact manifest's cross-process age
-//                  contract) lives behind core/wallclock's annotated
-//                  helper.
+//                  must use steady_clock; artifact ages come from file
+//                  mtimes and decide only which artifacts GC keeps.
 //   raw-rand       `rand`/`random_device`/std engines+distributions vary
 //                  by platform and stdlib; all randomness flows through
 //                  src/util/rng (seedable xoshiro, bit-stable everywhere).

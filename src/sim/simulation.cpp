@@ -149,8 +149,8 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
       return std::make_unique<DeadlineTable>(table_config, exact_interval,
                                              config.barrier.body_radius);
     };
-    // The store's disk tier and memory budget are process state
-    // (configured once by the CLI), not scenario state.
+    // The store's disk tier is process state (configured once by the
+    // CLI), not scenario state.
     if (config.table_cache) {
       table = DeadlineTableCache::global().get(
           lipschitz_table_key(config, interval_config), build);

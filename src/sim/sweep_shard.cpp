@@ -45,6 +45,26 @@ void write_frame_bytes(int fd, const std::string& frame) {
   }
 }
 
+/// The done frame's table-store stats fields, in wire order: the one
+/// list both encode_stats and decode_stats walk.
+template <typename Stats, typename Visit>
+void for_each_stats_field(Stats& s, Visit&& visit) {
+  for (auto* field : {&s.hits, &s.misses, &s.builds, &s.waits, &s.lock_waits,
+                      &s.bytes, &s.disk_loads, &s.disk_stores,
+                      &s.disk_failures})
+    visit(*field);
+}
+
+void encode_stats(const ArtifactStoreStats& s, BinaryWriter& w) {
+  for_each_stats_field(s, [&](std::uint64_t field) { w.u64(field); });
+}
+
+ArtifactStoreStats decode_stats(BinaryReader& r) {
+  ArtifactStoreStats s;
+  for_each_stats_field(s, [&](std::uint64_t& field) { field = r.u64(); });
+  return s;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -143,11 +163,7 @@ int run_sweep_worker(const SweepConfig& config, std::size_t slot,
     std::string payload;
     BinaryWriter w(payload);
     w.u64(emitted);
-    const ArtifactStoreStats s = DeadlineTableCache::global().stats();
-    for (const std::uint64_t field :
-         {s.hits, s.fast_hits, s.misses, s.builds, s.waits, s.lock_waits,
-          s.evictions, s.bytes, s.disk_loads, s.disk_stores, s.disk_failures})
-      w.u64(field);
+    encode_stats(DeadlineTableCache::global().stats(), w);
     std::string frame;
     append_frame(frame, static_cast<std::uint8_t>(SweepShardFrame::kDone),
                  payload);
@@ -406,13 +422,7 @@ SweepWorkersResult run_sweep_workers(
               w.name + " finished after emitting " +
               std::to_string(emitted) + " of its " +
               std::to_string(w.pulled.size()) + " points");
-        ArtifactStoreStats s;  // the worker's field order, above
-        for (std::uint64_t* field :
-             {&s.hits, &s.fast_hits, &s.misses, &s.builds, &s.waits,
-              &s.lock_waits, &s.evictions, &s.bytes, &s.disk_loads,
-              &s.disk_stores, &s.disk_failures})
-          *field = r.u64();
-        result.stats += s;
+        result.stats += decode_stats(r);
         r.require_exhausted("sweep shard done frame");
         w.done = true;
         close_fd(w.assign_fd);

@@ -4,7 +4,7 @@
 // and streams results back over a pipe; the parent merges them into the
 // same report and trace bytes an in-process run produces.
 //
-// ## Wire protocol (version 3)
+// ## Wire protocol (version 4)
 //
 // Two channels per worker, both carrying binary_io frames (append_frame /
 // FrameAssembler: u8 type | u64 size | payload | u64 FNV-1a checksum):
@@ -29,7 +29,8 @@
 //             points, 23 for fleet points) | u64 trace episodes
 //             | u8 has_trace | trace block bytes (rest of payload)
 //             — one per completed grid point, in completion order.
-//   3 done    u64 points emitted | the 11 u64 ArtifactStoreStats fields
+//   3 done    u64 points emitted | 9 u64 ArtifactStoreStats fields, in
+//             encode_stats order (sweep_shard.cpp)
 //             — the worker's table-store stats, summed by the parent so
 //             `--stats` reports the whole farm.  EOF *without* a done
 //             frame is how a crashed worker is detected and rejected.
@@ -50,7 +51,7 @@
 
 namespace seo {
 
-inline constexpr std::uint16_t kSweepShardProtocolVersion = 3;
+inline constexpr std::uint16_t kSweepShardProtocolVersion = 4;
 
 /// Frame types on the worker's channels.
 enum class SweepShardFrame : std::uint8_t {

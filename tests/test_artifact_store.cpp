@@ -1,8 +1,7 @@
 // Generic artifact-store tests: golden digest pinning (an accidental
 // hasher or key-schema change would silently invalidate every on-disk
-// artifact — it must fail loudly here instead), LRU memory budgets under
-// single-flight contention (no use-after-evict, in-flight builds never
-// evicted), the disk tier's manifest-driven LRU GC (the artifact dir is
+// artifact — it must fail loudly here instead), the in-memory hit path and
+// clear(), the disk tier's mtime-driven LRU GC (the artifact dir is
 // provably bounded), the v2 binary container (round trip, corruption
 // heal, v1-text migration), the process-level configuration (the
 // configured disk tier serves every get), and the cross-process
@@ -18,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -37,7 +37,7 @@ namespace {
 
 /// A tiny synthetic kind so store mechanics are tested without paying for
 /// table builds: the payload is an explicit string and its byte weight is
-/// the payload size, making budget arithmetic exact.
+/// the payload size, making the `bytes` stat exact.
 struct BlobKey {
   std::uint64_t id = 0;
   std::uint64_t generation = 0;
@@ -113,11 +113,20 @@ struct TempDir {
   std::string str() const { return path.string(); }
 };
 
-/// Store bookkeeping files (the manifest plus the lock sidecars) —
-/// everything in the dir that is not an artifact.
+/// Store bookkeeping files (the lock sidecars) — everything in the dir
+/// that is not an artifact.
 bool is_store_metadata(const std::string& name) {
-  if (name == "manifest.bin") return true;
   return name.size() > 5 && name.compare(name.size() - 5, 5, ".lock") == 0;
+}
+
+/// Sets the mtime of `dir`'s artifact for `key` to `age` before now — the
+/// GC's last-use order, set explicitly so no test sleeps or depends on
+/// the filesystem's timestamp granularity.
+void set_age(const std::filesystem::path& dir, const BlobKey& key,
+             std::filesystem::file_time_type::duration age) {
+  std::filesystem::last_write_time(
+      dir / BlobStore::artifact_name(key),
+      std::filesystem::file_time_type::clock::now() - age);
 }
 
 std::vector<std::string> dir_artifacts(const std::filesystem::path& dir) {
@@ -168,205 +177,31 @@ TEST(GoldenDigests, DeadlineTableKeyIsPinned) {
   EXPECT_EQ(rig.hex(), "d8bfd9b31de26b8f");
 }
 
-// --- In-memory LRU budget ---------------------------------------------------
+// --- In-memory hit path ----------------------------------------------------
 
-TEST(ArtifactStoreFastPath, UnbudgetedHitsAreServedLockFreeAndCounted) {
+TEST(ArtifactStoreMemory, HitsShareOneValueAndClearResets) {
   BlobStore store;
   std::atomic<int> builds{0};
   const BlobKey a{1, 0};
-  (void)store.get(a, blob_builder(a, 16, &builds));
-  EXPECT_EQ(builds.load(), 1);
-  // Repeat hits on an unbudgeted store take the snapshot path: no rebuild,
-  // and the hit counter (which folds fast hits in) keeps advancing.
   const auto first = store.get(a, blob_builder(a, 16, &builds));
   const auto second = store.get(a, blob_builder(a, 16, &builds));
   EXPECT_EQ(builds.load(), 1);
   EXPECT_EQ(first.get(), second.get());  // same shared value, not a copy
-  const ArtifactStoreStats stats = store.stats();
+  ArtifactStoreStats stats = store.stats();
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_GE(stats.fast_hits, 1u);
-  EXPECT_LE(stats.fast_hits, stats.hits);
-}
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.bytes, 16u);
 
-TEST(ArtifactStoreFastPath, BudgetDisablesSnapshotAndKeepsExactLru) {
-  BlobStore store;
-  std::atomic<int> builds{0};
-  const BlobKey a{1, 0}, b{2, 0}, c{3, 0};
-  (void)store.get(a, blob_builder(a, 16, &builds));
-  (void)store.get(a, blob_builder(a, 16, &builds));  // a fast hit, likely
-  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{2, 0});
-  // With a budget set, every get() must go through the locked path so the
-  // LRU order is exact — verify eviction picks the true LRU entry.
-  (void)store.get(b, blob_builder(b, 16, &builds));
-  (void)store.get(a, blob_builder(a, 16, &builds));  // a is MRU again
-  (void)store.get(c, blob_builder(c, 16, &builds));  // must evict b
-  EXPECT_EQ(builds.load(), 3);
-  (void)store.get(a, blob_builder(a, 16, &builds));  // still resident
-  EXPECT_EQ(builds.load(), 3);
-  (void)store.get(b, blob_builder(b, 16, &builds));  // evicted: rebuild
-  EXPECT_EQ(builds.load(), 4);
-  // 7 gets total: 4 misses (a, b, c, b-rebuild) and 3 hits.
-  EXPECT_EQ(store.stats().misses, 4u);
-  EXPECT_EQ(store.stats().hits, 3u);
-}
-
-TEST(ArtifactStoreFastPath, ClearResetsSnapshotAndCounters) {
-  BlobStore store;
-  const BlobKey a{7, 0};
-  (void)store.get(a, blob_builder(a, 8));
-  (void)store.get(a, blob_builder(a, 8));
   store.clear();
-  const ArtifactStoreStats stats = store.stats();
+  stats = store.stats();
   EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.fast_hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
   EXPECT_EQ(store.size(), 0u);
-  // A post-clear get must rebuild (the snapshot was retracted with it).
-  std::atomic<int> builds{0};
-  (void)store.get(a, blob_builder(a, 8, &builds));
-  EXPECT_EQ(builds.load(), 1);
-}
-
-TEST(ArtifactStoreBudget, EntryCapEvictsLeastRecentlyUsed) {
-  BlobStore store;
-  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{2, 0});
-  std::atomic<int> builds{0};
-
-  const BlobKey a{1, 0}, b{2, 0}, c{3, 0};
-  (void)store.get(a, blob_builder(a, 10, &builds));
-  (void)store.get(b, blob_builder(b, 10, &builds));
-  (void)store.get(a, blob_builder(a, 10, &builds));  // a is now MRU
-  (void)store.get(c, blob_builder(c, 10, &builds));  // evicts b (LRU)
-
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.stats().evictions, 1u);
-  EXPECT_EQ(builds.load(), 3);
-  (void)store.get(a, blob_builder(a, 10, &builds));  // still resident
-  EXPECT_EQ(builds.load(), 3);
-  (void)store.get(b, blob_builder(b, 10, &builds));  // was evicted: rebuild
-  EXPECT_EQ(builds.load(), 4);
-}
-
-TEST(ArtifactStoreBudget, ByteBudgetIsRespectedAndTracked) {
-  BlobStore store;
-  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{0, 250});
-
-  for (std::uint64_t id = 1; id <= 5; ++id) {
-    const BlobKey key{id, 0};
-    (void)store.get(key, blob_builder(key, 100));
-    EXPECT_LE(store.stats().bytes, 250u) << "after blob " << id;
-  }
-  // 100-byte blobs under a 250-byte budget: exactly two stay resident.
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.stats().bytes, 200u);
-  EXPECT_EQ(store.stats().evictions, 3u);
-
-  // Shrinking the budget evicts immediately.
-  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{0, 100});
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.stats().bytes, 100u);
-}
-
-TEST(ArtifactStoreBudget, EvictionNeverInvalidatesAHeldValue) {
-  BlobStore store;
-  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{1, 0});
-  const BlobKey a{1, 0}, b{2, 0};
-  const auto held = store.get(a, blob_builder(a, 64));
-  (void)store.get(b, blob_builder(b, 64));  // evicts a's entry
-  EXPECT_EQ(store.stats().evictions, 1u);
-  // The evicted entry's value is shared-ptr owned by the caller: reading
-  // it after eviction must be safe (ASan-checked in CI).
-  EXPECT_EQ(held->payload.size(), 64u);
-  EXPECT_EQ(held->id, 1u);
-}
-
-TEST(ArtifactStoreBudget, InFlightBuildsAreNeverEvicted) {
-  BlobStore store;
-  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{1, 0});
-  const BlobKey slow_key{10, 0};
-
-  std::atomic<bool> release{false};
-  std::atomic<int> slow_builds{0};
-  // The slow build parks until the main thread has churned the cache with
-  // enough completed entries to trigger eviction pressure.
-  // seo-lint: allow(raw-thread) -- this test stages a precise cross-thread
-  // interleaving (park/release around eviction); the pool's deterministic
-  // partitioning would hide exactly the race being exercised.
-  std::thread slow([&] {
-    (void)store.get(slow_key, [&] {
-      ++slow_builds;
-      while (!release.load()) std::this_thread::sleep_for(
-          std::chrono::milliseconds(1));
-      return blob_builder(slow_key, 32)();
-    });
-  });
-  // Wait until the in-flight entry exists.
-  while (store.size() == 0) std::this_thread::sleep_for(
-      std::chrono::milliseconds(1));
-
-  // Churn: every completion enforces the 1-entry budget.  The in-flight
-  // entry must survive all of it.
-  for (std::uint64_t id = 20; id < 28; ++id) {
-    const BlobKey key{id, 0};
-    (void)store.get(key, blob_builder(key, 32));
-  }
-  EXPECT_GE(store.stats().evictions, 6u);
-
-  release = true;
-  slow.join();
-  EXPECT_EQ(slow_builds.load(), 1);
-  // The slow key completed and is still resident: a follow-up get hits
-  // without rebuilding (its entry was never evicted mid-flight).
-  (void)store.get(slow_key, blob_builder(slow_key, 32, &slow_builds));
-  EXPECT_EQ(slow_builds.load(), 1);
-  EXPECT_EQ(store.stats().builds, 9u);  // 8 churn + 1 slow
-
-  // Re-applying the budget with nothing in flight restores the strict cap.
-  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{1, 0});
-  EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(ArtifactStoreBudget, EvictionRacesSingleFlightWaiters) {
-  // Waiters blocked on an in-flight build must receive the built value
-  // even when budget pressure evicts the entry the moment it completes.
-  BlobStore store;
-  store.configure(ArtifactDiskOptions{}, ArtifactMemoryBudget{1, 0});
-  const BlobKey key{42, 0};
-
-  std::atomic<int> waiters_started{0};
-  std::atomic<int> builds{0};
-  constexpr int kWaiters = 4;
-  const auto slow_build = [&] {
-    ++builds;
-    while (waiters_started.load() < kWaiters)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    return blob_builder(key, 128)();
-  };
-
-  std::vector<std::shared_ptr<const Blob>> results(kWaiters + 1);
-  // seo-lint: allow(raw-thread) -- the waiters must genuinely block on the
-  // in-flight build; pool tasks would serialize and never contend.
-  std::vector<std::thread> threads;
-  threads.emplace_back([&] { results[0] = store.get(key, slow_build); });
-  while (store.size() == 0) std::this_thread::sleep_for(
-      std::chrono::milliseconds(1));
-  for (int w = 1; w <= kWaiters; ++w)
-    threads.emplace_back([&, w] {
-      ++waiters_started;
-      results[static_cast<std::size_t>(w)] = store.get(key, slow_build);
-    });
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(builds.load(), 1);
-  for (const auto& blob : results) {
-    ASSERT_NE(blob, nullptr);
-    EXPECT_EQ(blob->id, 42u);
-    EXPECT_EQ(blob->payload.size(), 128u);
-  }
-  const ArtifactStoreStats stats = store.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kWaiters));
+  // A post-clear get must rebuild; the value a caller held stays valid.
+  (void)store.get(a, blob_builder(a, 16, &builds));
+  EXPECT_EQ(builds.load(), 2);
+  EXPECT_EQ(first->payload.size(), 16u);
 }
 
 // --- Disk tier: GC bounds the artifact dir ----------------------------------
@@ -381,8 +216,12 @@ TEST(ArtifactStoreDiskGc, SizeCapEvictsOldestByLru) {
                     blob_builder(key, 300));
   }
   ASSERT_EQ(dir_artifacts(dir.path).size(), 5u);
+  // Last-use order = store order: id=k was used (10 - k) minutes ago.
+  for (std::uint64_t id = 1; id <= 5; ++id)
+    set_age(dir.path, BlobKey{id, 0}, std::chrono::minutes(10 - id));
 
-  // Touch id=1 so it becomes disk-MRU despite being stored first.
+  // Load id=1 so it becomes disk-MRU despite being stored first: a load
+  // stamps the artifact's mtime with now.
   {
     BlobStore fresh;
     const BlobKey key{1, 0};
@@ -393,7 +232,7 @@ TEST(ArtifactStoreDiskGc, SizeCapEvictsOldestByLru) {
 
   // Cap at exactly 2 artifacts (sized from disk, so container framing
   // changes cannot skew the arithmetic): the sweep must keep the most
-  // recently used ones — id=1 (just touched) and id=5 (last stored) —
+  // recently used ones — id=1 (just loaded) and id=5 (last stored) —
   // and drop 2, 3, 4.
   const std::uint64_t unit = std::filesystem::file_size(
       dir.path / BlobStore::artifact_name(BlobKey{1, 0}));
@@ -410,7 +249,7 @@ TEST(ArtifactStoreDiskGc, SizeCapEvictsOldestByLru) {
   EXPECT_EQ(remaining, expected);
   EXPECT_LE(dir_bytes(dir.path), cap);
 
-  // The survivors still load cleanly (manifest rewrite kept them).
+  // The survivors still load cleanly.
   BlobStore warm;
   (void)warm.get(BlobKey{5, 0}, ArtifactDiskOptions{dir.str(), 0, 0.0},
                  blob_builder(BlobKey{5, 0}, 300));
@@ -446,12 +285,17 @@ TEST(ArtifactStoreDiskGc, AgeCapDropsStaleArtifactsButKeepsMru) {
     (void)store.get(key, ArtifactDiskOptions{dir.str(), 0, 0.0},
                     blob_builder(key, 100));
   }
-  // Backdate every manifest entry far past any cap (the manifest is the
-  // LRU/age source of truth, so tests can time-travel deterministically).
-  artifact_detail::debug_backdate_manifest(dir.str(), 1000);
-  const ArtifactGcResult result =
-      artifact_store_gc(dir.str(), 0, /*max_age_s=*/3600.0);
-  // Everything is ancient; the sweep keeps only the most recently used.
+  // Every artifact last used hours ago, id=3 most recently.
+  for (std::uint64_t id = 1; id <= 3; ++id)
+    set_age(dir.path, BlobKey{id, 0}, std::chrono::hours(5 - id));
+  // `--cache max-age-h=1e308` comes to +inf seconds: no age exceeds it.
+  ArtifactGcResult result = artifact_store_gc(
+      dir.str(), 0, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(result.removed, 0u);
+  EXPECT_EQ(dir_artifacts(dir.path).size(), 3u);
+  result = artifact_store_gc(dir.str(), 0, /*max_age_s=*/3600.0);
+  // Everything is past a one-hour cap; the sweep keeps only the most
+  // recently used.
   EXPECT_EQ(result.removed, 2u);
   const auto remaining = dir_artifacts(dir.path);
   ASSERT_EQ(remaining.size(), 1u);
@@ -461,22 +305,25 @@ TEST(ArtifactStoreDiskGc, AgeCapDropsStaleArtifactsButKeepsMru) {
 TEST(ArtifactStoreDiskGc, UnmanagedFilesAreReclaimedFirst) {
   const TempDir dir("gc_unmanaged");
   std::filesystem::create_directories(dir.path);
-  // A v1 text artifact, a retired text manifest, or any foreign debris has
-  // no manifest entry: it must be the first thing a size-capped sweep
-  // reclaims.
-  for (const char* debris :
-       {"dtable-v1-0123456789abcdef.txt", "manifest.txt"}) {
-    std::ofstream out(dir.path / debris);
-    out << std::string(500, 'x');
-  }
   BlobStore store;
   const BlobKey key{1, 0};
   (void)store.get(key, ArtifactDiskOptions{dir.str(), 0, 0.0},
                   blob_builder(key, 100));
+  set_age(dir.path, key, std::chrono::hours(1));
+  // A v1 text artifact, retired text and binary manifests, or any foreign
+  // debris is not named like an artifact: however recent its mtime, it
+  // must be the first thing a size-capped sweep reclaims.  An idle
+  // manifest lock goes with the other idle sidecars.
+  for (const char* debris : {"dtable-v1-0123456789abcdef.txt", "manifest.txt",
+                             "manifest.bin", "manifest.lock"}) {
+    std::ofstream out(dir.path / debris);
+    out << std::string(500, 'x');
+  }
   (void)artifact_store_gc(dir.str(), 200, 0.0);
   const auto remaining = dir_artifacts(dir.path);
   ASSERT_EQ(remaining.size(), 1u);
   EXPECT_EQ(remaining[0], BlobStore::artifact_name(key));
+  EXPECT_FALSE(std::filesystem::exists(dir.path / "manifest.lock"));
 }
 
 // --- Disk round trip + corruption for the generic header --------------------
@@ -590,7 +437,7 @@ TEST(ArtifactStoreConfigure, ConfiguredDiskTierServesGetWithoutOptions) {
   const ArtifactDiskOptions disk{dir.str(), 0, 0.0};
   const BlobKey key{5, 1};
   BlobStore cold;
-  cold.configure(disk, ArtifactMemoryBudget{});
+  cold.configure(disk);
   (void)cold.get(key, blob_builder(key, 40));
   EXPECT_EQ(cold.stats().disk_stores, 1u);
   EXPECT_TRUE(
@@ -599,7 +446,7 @@ TEST(ArtifactStoreConfigure, ConfiguredDiskTierServesGetWithoutOptions) {
   // A fresh store configured with the same dir (a second process stand-in)
   // loads instead of building.
   BlobStore warm;
-  warm.configure(disk, ArtifactMemoryBudget{});
+  warm.configure(disk);
   std::atomic<int> builds{0};
   const auto loaded = warm.get(key, blob_builder(key, 40, &builds));
   EXPECT_EQ(builds.load(), 0);
@@ -608,7 +455,7 @@ TEST(ArtifactStoreConfigure, ConfiguredDiskTierServesGetWithoutOptions) {
 
   // An explicit disk tier replaces the configured one for that call.
   BlobStore explicit_memory;
-  explicit_memory.configure(disk, ArtifactMemoryBudget{});
+  explicit_memory.configure(disk);
   (void)explicit_memory.get(key, ArtifactDiskOptions{},
                             blob_builder(key, 40, &builds));
   EXPECT_EQ(builds.load(), 1);
@@ -653,8 +500,8 @@ TEST(ArtifactStoreLock, TwoColdProcessesBuildEachDigestExactlyOnce) {
     const pid_t pid = ::fork();
     ASSERT_NE(pid, -1);
     if (pid == 0) {
-      // Child: a fresh process image — its store and manifest cache are
-      // cold; only the shared directory couples it to its sibling.
+      // Child: a fresh process image — its store is cold; only the
+      // shared directory couples it to its sibling.
       int failures = 0;
       {
         BlobStore store;

@@ -1,6 +1,6 @@
 // Binary encoding tests: the BinaryWriter/BinaryReader pair is the one
 // byte discipline every durable format shares (trace frames, artifact
-// containers, the manifest), so its guarantees are locked here directly —
+// containers, worker frames), so its guarantees are locked here directly —
 // little-endian wire layout, bit-exact doubles for every IEEE-754 value
 // class, NUL-transparent strings, checksum tails that catch single-bit
 // corruption, and bounds-checked decoding that throws instead of ever

@@ -12,9 +12,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -589,9 +591,10 @@ TEST(SweepCli, RejectsOutOfRangeAndMismatchedFlags) {
       {"--smoke", "--set", "vehicle_max_accel=1e308"},
       {"--smoke", "--set", "vehicle_max_speed=inf"},
       {"--smoke", "--set", "vehicle_max_accel=1e308", "--threads", "0"},
-      // Sizes whose byte count does not fit in 64 bits.
-      {"--smoke", "--cache", "mem-mb=1e300"},
+      // A size whose byte count does not fit in 64 bits, and a setting
+      // that does not exist (the store has no in-memory budget).
       {"--smoke", "--cache", "budget-mb=1e300"},
+      {"--smoke", "--cache", "mem-mb=1e300"},
   };
   for (const auto& args : cases) {
     const std::string cmd =
@@ -600,6 +603,47 @@ TEST(SweepCli, RejectsOutOfRangeAndMismatchedFlags) {
     ASSERT_TRUE(WIFEXITED(status)) << cmd;
     EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
   }
+}
+
+// 1e308 hours is +inf seconds: an age cap no artifact can exceed.  The
+// sweep must accept it, keep every artifact (however old) and report the
+// same bytes; the cap never passes through an integer conversion.
+TEST(SweepCli, HugeAgeCapKeepsEveryArtifact) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "sweep_age_cap";
+  fs::remove_all(dir);
+  const std::string reference = (dir / "reference.csv").string();
+  const std::string capped = (dir / "capped.csv").string();
+  const fs::path artifacts = dir / "artifacts";
+  const auto artifact_names = [&] {
+    std::vector<std::string> names;
+    for (const auto& entry : fs::directory_iterator(artifacts))
+      if (entry.path().extension() == ".bin")
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  fs::create_directories(dir);
+  std::string cmd = sweep_command({"--smoke", "--cache",
+                                   "dir=" + artifacts.string(), "--output",
+                                   reference}) +
+                    " 2>/dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  const std::vector<std::string> stored = artifact_names();
+  ASSERT_FALSE(stored.empty());
+  // Forty years unused: any finite cap of hours would drop all but one.
+  for (const std::string& name : stored)
+    fs::last_write_time(artifacts / name,
+                        fs::file_time_type::clock::now() -
+                            std::chrono::hours(24 * 365 * 40));
+  cmd = sweep_command({"--smoke", "--cache",
+                       "dir=" + artifacts.string() + ",max-age-h=1e308,gc",
+                       "--output", capped}) +
+        " 2>/dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  EXPECT_EQ(artifact_names(), stored);
+  EXPECT_EQ(slurp(capped), slurp(reference));
+  fs::remove_all(dir);
 }
 
 // One table store means one stats line: the CI seds and perfbench's

@@ -379,34 +379,35 @@ TEST(TableCacheWiring, CachedEpisodeBitIdenticalToUncached) {
   EXPECT_GE(DeadlineTableCache::global().stats().hits, 1u);
 }
 
-TEST(TableCacheWiring, ProcessMemoryBudgetReachesRunEpisode) {
-  // The memory budget is store state set once per process, not a scenario
-  // setting: run_episode must leave it in force, and evictions under it
-  // must not move a result bit.
+TEST(TableCacheWiring, ConfiguredDirReachesRunEpisode) {
+  // The artifact dir is store state set once per process, not a scenario
+  // setting: run_episode must use it, and a table loaded from it must not
+  // move a result bit.
+  const TempDir dir("wiring");
   DeadlineTableCache::global().clear();
-  DeadlineTableCache::global().configure(ArtifactDiskOptions{},
-                                        ArtifactMemoryBudget{1, 0});
+  DeadlineTableCache::global().configure(dir.disk());
   ScenarioConfig a = shortened(make_scenario("paper_default"));
   a.seed = 5;
-  ScenarioConfig b = a;
-  b.interval.rate_gain += 1.0;  // a second table geometry
   ScenarioConfig uncached = a;
   uncached.table_cache = false;
 
-  (void)run_episode(a);
-  (void)run_episode(b);  // evicts a's table
-  const EpisodeResult rebuilt = run_episode(a);
-  const ArtifactStoreStats stats = DeadlineTableCache::global().stats();
-  DeadlineTableCache::global().configure(ArtifactDiskOptions{},
-                                        ArtifactMemoryBudget{});
-  EXPECT_EQ(stats.builds, 3u);
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(DeadlineTableCache::global().size(), 1u);
+  (void)run_episode(a);  // builds and stores the table
+  const ArtifactStoreStats cold = DeadlineTableCache::global().stats();
+  DeadlineTableCache::global().clear();  // keeps the configured dir
+  const EpisodeResult loaded = run_episode(a);
+  const ArtifactStoreStats warm = DeadlineTableCache::global().stats();
+  DeadlineTableCache::global().configure(ArtifactDiskOptions{});
+  EXPECT_EQ(cold.builds, 1u);
+  EXPECT_EQ(cold.disk_stores, 1u);
+  EXPECT_EQ(warm.builds, 0u);
+  EXPECT_EQ(warm.disk_loads, 1u);
+  EXPECT_EQ(warm.disk_failures, 0u);
   const EpisodeResult fresh = run_episode(uncached);
-  EXPECT_EQ(rebuilt.duration_s, fresh.duration_s);
-  EXPECT_EQ(rebuilt.min_h, fresh.min_h);
-  EXPECT_EQ(rebuilt.intervals, fresh.intervals);
-  EXPECT_EQ(rebuilt.mean_delta_max(), fresh.mean_delta_max());
+  EXPECT_EQ(loaded.duration_s, fresh.duration_s);
+  EXPECT_EQ(loaded.progress_m, fresh.progress_m);
+  EXPECT_EQ(loaded.min_h, fresh.min_h);
+  EXPECT_EQ(loaded.intervals, fresh.intervals);
+  EXPECT_EQ(loaded.mean_delta_max(), fresh.mean_delta_max());
 }
 
 TEST(TableCacheWiring, DistinctObstacleSpeedsAreDistinctKeys) {

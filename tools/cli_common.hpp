@@ -58,7 +58,6 @@ constexpr const char* kCacheUsage =
     "                                         results byte-identical "
     "either way)\n"
     "                           dir=DIR       persist artifacts in DIR\n"
-    "                           mem-mb=N      in-memory byte budget [MB]\n"
     "                           budget-mb=N   artifact-dir size cap [MB]; "
     "LRU GC\n"
     "                                         sweeps after stores\n"
@@ -74,7 +73,6 @@ struct CacheCliOptions {
   std::string dir;
   double budget_mb = 0.0;
   double max_age_h = 0.0;
-  double mem_mb = 0.0;
   bool gc = false;
 };
 
@@ -135,12 +133,10 @@ inline bool parse_cache_flag(
       state.budget_mb = megabytes();
     } else if (name == "max-age-h") {
       state.max_age_h = numeric();
-    } else if (name == "mem-mb") {
-      state.mem_mb = megabytes();
     } else {
       std::cerr << "--cache: unknown setting '" << name
-                << "' (expected on, off, dir=, mem-mb=, budget-mb=, "
-                   "max-age-h=, gc)\n";
+                << "' (expected on, off, dir=, budget-mb=, max-age-h=, "
+                   "gc)\n";
       std::exit(2);
     }
   }
@@ -152,6 +148,17 @@ inline std::uint64_t mb_to_bytes(double mb) {
   return mb > 0.0 ? static_cast<std::uint64_t>(mb * 1024.0 * 1024.0) : 0;
 }
 
+/// The disk tier the parsed `--cache` settings describe.  A huge age cap
+/// (max-age-h=1e308) comes to +inf seconds, which the GC reads as "keep
+/// everything"; it stays a double all the way down.
+inline ArtifactDiskOptions disk_options(const CacheCliOptions& state) {
+  ArtifactDiskOptions disk;
+  disk.dir = state.dir;
+  disk.max_bytes = mb_to_bytes(state.budget_mb);
+  disk.max_age_s = state.max_age_h > 0.0 ? state.max_age_h * 3600.0 : 0.0;
+  return disk;
+}
+
 /// Startup GC requested via `--cache gc`: one LRU sweep over the artifact
 /// dir with the configured caps, reported to stderr.
 inline void run_requested_gc(const CacheCliOptions& state) {
@@ -160,26 +167,19 @@ inline void run_requested_gc(const CacheCliOptions& state) {
     std::cerr << "--cache gc requires --cache dir=DIR\n";
     std::exit(2);
   }
-  const ArtifactGcResult r = artifact_store_gc(
-      state.dir, mb_to_bytes(state.budget_mb),
-      state.max_age_h > 0.0 ? state.max_age_h * 3600.0 : 0.0);
+  const ArtifactDiskOptions disk = disk_options(state);
+  const ArtifactGcResult r =
+      artifact_store_gc(disk.dir, disk.max_bytes, disk.max_age_s);
   std::cerr << "artifact gc: scanned " << r.scanned << " files, removed "
             << r.removed << ", " << r.bytes_before << " -> " << r.bytes_after
             << " bytes\n";
 }
 
-/// Configures the process-wide table store from the parsed `--cache`
-/// settings: the disk tier (dir, size and age caps) and the memory
-/// budget.  Called once after parsing — by a `--workers` child too, which
-/// re-parses the forwarded argv.
+/// Configures the process-wide table store's disk tier from the parsed
+/// `--cache` settings.  Called once after parsing — by a `--workers` child
+/// too, which re-parses the forwarded argv.
 inline void configure_artifact_stores(const CacheCliOptions& state) {
-  ArtifactDiskOptions disk;
-  disk.dir = state.dir;
-  disk.max_bytes = mb_to_bytes(state.budget_mb);
-  disk.max_age_s = state.max_age_h > 0.0 ? state.max_age_h * 3600.0 : 0.0;
-  ArtifactMemoryBudget budget;
-  budget.max_bytes = static_cast<std::size_t>(mb_to_bytes(state.mem_mb));
-  DeadlineTableCache::global().configure(disk, budget);
+  DeadlineTableCache::global().configure(disk_options(state));
 }
 
 /// The one greppable stats line (CI assertions and perfbench sed these
@@ -192,10 +192,9 @@ inline void print_artifact_store_stats(std::ostream& out,
   s += workers;
   out << "artifact store [" << LipschitzTableTraits::kind() << "]: " << s.hits
       << " hits, " << s.misses << " misses, " << s.builds << " builds, "
-      << s.waits << " waits, " << s.lock_waits << " lock waits, "
-      << s.evictions << " evictions, " << s.bytes << " bytes, "
-      << s.disk_loads << " disk loads, " << s.disk_stores << " disk stores, "
-      << s.disk_failures << " disk failures\n";
+      << s.waits << " waits, " << s.lock_waits << " lock waits, " << s.bytes
+      << " bytes, " << s.disk_loads << " disk loads, " << s.disk_stores
+      << " disk stores, " << s.disk_failures << " disk failures\n";
 }
 
 /// One greppable utilization line for the global thread pool, matching the
