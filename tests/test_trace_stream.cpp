@@ -11,8 +11,10 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/binary_io.hpp"
 #include "core/fingerprint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulation.hpp"
@@ -276,6 +278,123 @@ TEST(TraceStream, RejectsCorruptedRecordAsChecksum) {
 TEST(TraceStream, RejectsTrailingBytesAfterStreamEnd) {
   EXPECT_EQ(rejection_code(valid_stream() + "x"),
             TraceStreamErrc::kBadRecord);
+}
+
+// Every strict prefix of a stream is rejected (a cut between records lacks
+// the stream-end marker, a cut inside one is short), and so is every
+// single-bit flip (FNV-1a changes with any one byte of its span, and a
+// flipped size field reframes the rest of the stream).
+TEST(TraceStream, RejectsEveryPrefixAndEveryBitFlip) {
+  const std::string bytes = valid_stream();
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    SCOPED_TRACE("prefix of " + std::to_string(n) + " bytes");
+    (void)rejection_code(bytes.substr(0, n));
+  }
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE("byte " + std::to_string(i) + " bit " +
+                   std::to_string(bit));
+      std::string flipped = bytes;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      (void)rejection_code(flipped);
+    }
+  }
+}
+
+/// The framed records after the 28-byte header, each as its exact bytes
+/// (u8 type | u32 size | payload | u64 checksum).
+std::vector<std::string> split_records(const std::string& bytes) {
+  std::vector<std::string> records;
+  std::size_t at = 28;
+  while (at < bytes.size()) {
+    BinaryReader head(std::string_view(bytes).substr(at + 1, 4));
+    const std::size_t size = 5 + head.u32() + 8;
+    records.push_back(bytes.substr(at, size));
+    at += size;
+  }
+  return records;
+}
+
+/// One record of `type` around `payload`, with a valid checksum.
+std::string framed(std::uint8_t type, const std::string& payload) {
+  std::string out;
+  BinaryWriter w(out);
+  w.u8(type);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.bytes(payload.data(), payload.size());
+  w.checksum_from(0);
+  return out;
+}
+
+TEST(TraceStream, RejectsOversizeSizeFieldBeforeReadingThePayload) {
+  std::string bytes = valid_stream();
+  // First record's size: one past the 1 MiB cap.  The checksum is now
+  // stale too, but the size is checked first.
+  const std::uint32_t size = (1u << 20) + 1;
+  for (int i = 0; i < 4; ++i)
+    bytes[28 + 1 + static_cast<std::size_t>(i)] =
+        static_cast<char>((size >> (8 * i)) & 0xff);
+  EXPECT_EQ(rejection_code(bytes), TraceStreamErrc::kBadRecord);
+}
+
+TEST(TraceStream, RejectsMalformedNestingCountsAndTypes) {
+  const std::string bytes = valid_stream();
+  const std::string header = bytes.substr(0, 28);
+  const std::vector<std::string> records = split_records(bytes);
+  // 2 x (begin, 4 samples, 3 offloads, end) + stream-end.
+  ASSERT_EQ(records.size(), 2u * 9u + 1u);
+  const std::string& begin = records[0];
+  const std::string& sample = records[1];
+  const std::string& end = records[8];
+
+  // Episode-begin inside an open episode.
+  EXPECT_EQ(rejection_code(header + begin + begin),
+            TraceStreamErrc::kBadRecord);
+  // Episode-end whose sample count disagrees with the records read: one
+  // sample record dropped from an otherwise intact stream.
+  std::string dropped = header;
+  for (std::size_t i = 0; i < records.size(); ++i)
+    if (i != 2) dropped += records[i];
+  EXPECT_EQ(rejection_code(dropped), TraceStreamErrc::kBadRecord);
+  // A sample outside any episode.
+  EXPECT_EQ(rejection_code(header + sample), TraceStreamErrc::kBadRecord);
+  // Well-framed records of an unknown type, inside and outside an episode.
+  EXPECT_EQ(rejection_code(header + framed(9, "")),
+            TraceStreamErrc::kBadRecord);
+  EXPECT_EQ(rejection_code(header + begin + framed(0, "abc") + end),
+            TraceStreamErrc::kBadRecord);
+}
+
+// --- Golden stream digests --------------------------------------------------
+
+// The exact bytes `sweep --smoke [--rounds 1] --trace-out` writes, pinned
+// as (size, FNV-1a) so any change to the encoder, the sink or the episode
+// order shows here, not only as a disagreement between two encoders.
+std::string traced_sweep_bytes(SweepConfig config) {
+  std::ostringstream out;
+  OrderedTraceSink sink(out);
+  config.trace_sink = &sink;
+  (void)run_sweep(config);
+  sink.finish();
+  return out.str();
+}
+
+std::string digest_of(const std::string& bytes) {
+  FingerprintHasher hasher;
+  hasher.mix_bytes(bytes.data(), bytes.size());
+  return fingerprint_hex(hasher.digest());
+}
+
+TEST(TraceStream, SmokeSweepStreamBytesArePinned) {
+  const std::string bytes = traced_sweep_bytes(smoke_sweep());
+  EXPECT_EQ(bytes.size(), 962697u);
+  EXPECT_EQ(digest_of(bytes), "e86425686af1d610");
+}
+
+TEST(TraceStream, FleetSmokeSweepStreamBytesArePinned) {
+  const std::string bytes = traced_sweep_bytes(fleet_smoke_sweep());
+  EXPECT_EQ(bytes.size(), 885493u);
+  EXPECT_EQ(digest_of(bytes), "30bc0020af6ad4be");
 }
 
 // --- Ordered sink -----------------------------------------------------------
