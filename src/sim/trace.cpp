@@ -1,12 +1,11 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
+#include <deque>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "core/binary_io.hpp"
 #include "core/fingerprint.hpp"
@@ -65,14 +64,6 @@ std::string EpisodeTrace::to_csv() const {
   return out;
 }
 
-double EpisodeTrace::engagement_rate() const {
-  if (samples_.empty()) return 0.0;
-  const auto engaged = std::count_if(
-      samples_.begin(), samples_.end(),
-      [](const TraceSample& s) { return s.filter_engaged; });
-  return static_cast<double>(engaged) / static_cast<double>(samples_.size());
-}
-
 double EpisodeTrace::max_detection_age() const {
   double worst = 0.0;
   for (const auto& s : samples_)
@@ -89,6 +80,7 @@ namespace {
 constexpr char kMagic[10] = {'s', 'e', 'o', '-', 't', 'r',
                              'a', 'c', 'e', '\0'};
 constexpr std::size_t kHeaderSize = 10 + 2 + 8 + 8;
+constexpr std::size_t kFrameHead = 1 + 4;  // u8 type | u32 payload size
 // Labels are short grid-point strings; anything bigger than this in a size
 // field is corruption, not data, and must not drive an allocation.
 constexpr std::uint32_t kMaxPayload = 1u << 20;
@@ -109,46 +101,34 @@ constexpr std::size_t kStreamEndPayload = 8;
 // Encoding goes through core/binary_io (BinaryWriter/BinaryReader): the
 // same explicit little-endian byte shuffles the artifact store speaks, so
 // the two on-disk formats cannot drift apart.
+//
+// Records are framed in place: open_record writes the type and the payload
+// size, the append_* function writes exactly that many payload bytes, and
+// checksum_from tails the frame with the FNV-1a of all of it.
 
-/// Frames `payload` as one record (type, size, payload, FNV-1a checksum)
-/// appended to `out`.
-void append_record(std::string& out, RecordType type,
-                   const std::string& payload) {
-  SEO_ASSERT(payload.size() <= kMaxPayload);
-  BinaryWriter frame(out);
-  const std::size_t frame_start = frame.mark();
-  frame.u8(type);
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.bytes(payload.data(), payload.size());
-  frame.checksum_from(frame_start);
+std::size_t open_record(BinaryWriter& w, RecordType type, std::size_t size) {
+  SEO_ASSERT(size <= kMaxPayload);
+  const std::size_t start = w.mark();
+  w.u8(type);
+  w.u32(static_cast<std::uint32_t>(size));
+  return start;
 }
 
-void append_header(std::string& out, std::uint64_t run_digest) {
-  BinaryWriter header(out);
-  const std::size_t start = header.mark();
-  header.bytes(kMagic, sizeof kMagic);
-  header.u16(kTraceStreamVersion);
-  header.u64(run_digest);
-  header.checksum_from(start);
-  SEO_ASSERT(out.size() - start == kHeaderSize);
-}
-
-std::string encode_episode_begin(const TraceEpisodeInfo& info) {
-  std::string payload;
-  payload.reserve(28 + info.label.size());
-  BinaryWriter w(payload);
+void append_episode_begin(std::string& out, const TraceEpisodeInfo& info) {
+  BinaryWriter w(out);
+  const std::size_t start =
+      open_record(w, kRecEpisodeBegin, 8 + 8 + 4 + 4 + 4 + info.label.size());
   w.u64(info.seed);
   w.u64(info.scenario_digest);
   w.u32(info.point_index);
   w.u32(info.vehicle);
   w.str(info.label);
-  return payload;
+  w.checksum_from(start);
 }
 
-std::string encode_sample(const TraceSample& s) {
-  std::string payload;
-  payload.reserve(kSamplePayload);
-  BinaryWriter w(payload);
+void append_sample(std::string& out, const TraceSample& s) {
+  BinaryWriter w(out);
+  const std::size_t start = open_record(w, kRecSample, kSamplePayload);
   w.f64(s.t);
   w.f64(s.position.x);
   w.f64(s.position.y);
@@ -162,27 +142,26 @@ std::string encode_sample(const TraceSample& s) {
   w.f64(s.steering);
   w.f64(s.throttle);
   w.f64(s.detection_age_s);
-  return payload;
+  w.checksum_from(start);
 }
 
-std::string encode_offload(const OffloadEvent& e) {
-  std::string payload;
-  payload.reserve(kOffloadPayload);
-  BinaryWriter w(payload);
+void append_offload(std::string& out, const OffloadEvent& e) {
+  BinaryWriter w(out);
+  const std::size_t start = open_record(w, kRecOffload, kOffloadPayload);
   w.u32(static_cast<std::uint32_t>(e.pipeline));
   w.u8(e.probe ? 1 : 0);
   w.f64(e.submit_s);
   w.f64(e.bytes);
   w.f64(e.tx_time_s);
   w.f64(e.deadline_s);
-  return payload;
+  w.checksum_from(start);
 }
 
-std::string encode_episode_end(const TraceEpisodeSummary& summary,
-                               const TraceEpisodeCounts& counts) {
-  std::string payload;
-  payload.reserve(kEpisodeEndPayload);
-  BinaryWriter w(payload);
+void append_episode_end(std::string& out, const TraceEpisodeSummary& summary,
+                        const TraceEpisodeCounts& counts) {
+  BinaryWriter w(out);
+  const std::size_t start =
+      open_record(w, kRecEpisodeEnd, kEpisodeEndPayload);
   w.u64(counts.samples);
   w.u64(counts.offloads);
   w.u8(static_cast<std::uint8_t>((summary.completed ? 1 : 0) |
@@ -196,7 +175,35 @@ std::string encode_episode_end(const TraceEpisodeSummary& summary,
   w.u64(summary.intervals);
   w.f64(summary.energy_actual_j);
   w.f64(summary.energy_baseline_j);
-  return payload;
+  w.checksum_from(start);
+}
+
+void put(std::ostream& out, std::string_view bytes) {
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Writes the stream header — the writer, the sink and the merge all
+/// open their streams here.
+void write_header(std::ostream& out, std::uint64_t run_digest) {
+  std::string header;
+  BinaryWriter w(header);
+  w.bytes(kMagic, sizeof kMagic);
+  w.u16(kTraceStreamVersion);
+  w.u64(run_digest);
+  w.checksum_from(0);
+  SEO_ASSERT(header.size() == kHeaderSize);
+  put(out, header);
+}
+
+/// Writes the stream-end record carrying the episode count, and flushes.
+void write_stream_end(std::ostream& out, std::uint64_t episodes) {
+  std::string tail;
+  BinaryWriter w(tail);
+  const std::size_t start = open_record(w, kRecStreamEnd, kStreamEndPayload);
+  w.u64(episodes);
+  w.checksum_from(start);
+  put(out, tail);
+  out.flush();
 }
 
 }  // namespace
@@ -208,59 +215,54 @@ std::string encode_episode_end(const TraceEpisodeSummary& summary,
 TraceStreamWriter::TraceStreamWriter(std::ostream& out,
                                      std::uint64_t run_digest)
     : out_(out) {
-  std::string header;
-  append_header(header, run_digest);
-  out_.write(header.data(), static_cast<std::streamsize>(header.size()));
+  write_header(out_, run_digest);
 }
 
 void TraceStreamWriter::begin_episode(const TraceEpisodeInfo& info) {
   SEO_EXPECT(!in_episode_ && !finished_);
   in_episode_ = true;
   counts_ = {};
-  buffer_.clear();
-  append_record(buffer_, kRecEpisodeBegin, encode_episode_begin(info));
+  append_episode_begin(buffer_, info);
 }
 
 void TraceStreamWriter::sample(const TraceSample& s) {
   SEO_EXPECT(in_episode_);
-  append_record(buffer_, kRecSample, encode_sample(s));
+  append_sample(buffer_, s);
   ++counts_.samples;
 }
 
 void TraceStreamWriter::offload(const OffloadEvent& e) {
   SEO_EXPECT(in_episode_);
-  append_record(buffer_, kRecOffload, encode_offload(e));
+  append_offload(buffer_, e);
   ++counts_.offloads;
 }
 
 void TraceStreamWriter::end_episode(const TraceEpisodeSummary& summary) {
   SEO_EXPECT(in_episode_);
-  append_record(buffer_, kRecEpisodeEnd, encode_episode_end(summary, counts_));
-  out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-  out_.flush();  // episode-delimited: each episode reaches the pipe whole
-  buffer_.clear();
+  append_episode_end(buffer_, summary, counts_);
   in_episode_ = false;
-  ++episodes_;
+  flush_episode();
 }
 
 void TraceStreamWriter::write_episode(const TraceEpisodeInfo& info,
                                       const TraceEpisodeSummary& summary,
                                       const EpisodeTrace& trace) {
-  begin_episode(info);
-  for (const auto& s : trace.samples()) sample(s);
-  for (const auto& e : trace.offloads()) offload(e);
-  end_episode(summary);
+  SEO_EXPECT(!in_episode_ && !finished_);
+  append_trace_episode(buffer_, info, summary, trace);
+  flush_episode();
+}
+
+void TraceStreamWriter::flush_episode() {
+  put(out_, buffer_);
+  out_.flush();  // episode-delimited: each episode reaches the pipe whole
+  buffer_.clear();
+  ++episodes_;
 }
 
 void TraceStreamWriter::finish() {
   SEO_EXPECT(!in_episode_ && !finished_);
   finished_ = true;
-  std::string tail;
-  std::string payload;
-  BinaryWriter(payload).u64(episodes_);
-  append_record(tail, kRecStreamEnd, payload);
-  out_.write(tail.data(), static_cast<std::streamsize>(tail.size()));
-  out_.flush();
+  write_stream_end(out_, episodes_);
 }
 
 // ---------------------------------------------------------------------------
@@ -270,22 +272,19 @@ void TraceStreamWriter::finish() {
 void append_trace_episode(std::string& block, const TraceEpisodeInfo& info,
                           const TraceEpisodeSummary& summary,
                           const EpisodeTrace& trace) {
-  append_record(block, kRecEpisodeBegin, encode_episode_begin(info));
-  TraceEpisodeCounts counts;
-  for (const auto& s : trace.samples()) {
-    append_record(block, kRecSample, encode_sample(s));
-    ++counts.samples;
-  }
-  for (const auto& e : trace.offloads()) {
-    append_record(block, kRecOffload, encode_offload(e));
-    ++counts.offloads;
-  }
-  append_record(block, kRecEpisodeEnd, encode_episode_end(summary, counts));
+  append_episode_begin(block, info);
+  for (const auto& s : trace.samples()) append_sample(block, s);
+  for (const auto& e : trace.offloads()) append_offload(block, e);
+  append_episode_end(block, summary,
+                     {trace.samples().size(), trace.offloads().size()});
 }
 
 // ---------------------------------------------------------------------------
 // TraceStreamReader
 // ---------------------------------------------------------------------------
+
+// Frames and the header are decoded by BinaryReader; its BinaryIoError
+// never escapes, it is mapped onto the TraceStreamErrc taxonomy here.
 
 TraceStreamReader::TraceStreamReader(std::istream& in, std::ostream* tee)
     : in_(in), tee_(tee) {
@@ -294,19 +293,18 @@ TraceStreamReader::TraceStreamReader(std::istream& in, std::ostream* tee)
   if (static_cast<std::size_t>(in_.gcount()) != sizeof header)
     throw TraceStreamError(TraceStreamErrc::kBadMagic,
                            "stream shorter than a seo-trace header");
-  if (std::memcmp(header, kMagic, sizeof kMagic) != 0)
+  BinaryReader fields(std::string_view(header, sizeof header));
+  if (fields.view(sizeof kMagic) != std::string_view(kMagic, sizeof kMagic))
     throw TraceStreamError(TraceStreamErrc::kBadMagic,
                            "not a seo-trace stream (magic mismatch)");
-  BinaryReader fields(
-      std::string_view(header + sizeof kMagic, sizeof header - sizeof kMagic));
   version_ = fields.u16();
   run_digest_ = fields.u64();
-  const std::uint64_t stored = fields.u64();
-  FingerprintHasher hasher;
-  hasher.mix_bytes(header, kHeaderSize - 8);
-  if (stored != hasher.digest())
+  try {
+    fields.verify_checksum_from(0, "seo-trace header");
+  } catch (const BinaryIoError&) {
     throw TraceStreamError(TraceStreamErrc::kBadChecksum,
                            "seo-trace header checksum mismatch");
+  }
   if (version_ != kTraceStreamVersion)
     throw TraceStreamError(
         TraceStreamErrc::kVersionMismatch,
@@ -316,9 +314,9 @@ TraceStreamReader::TraceStreamReader(std::istream& in, std::ostream* tee)
   if (tee_) tee_->write(header, static_cast<std::streamsize>(sizeof header));
 }
 
-void TraceStreamReader::read_bytes(void* dst, std::size_t size,
+void TraceStreamReader::read_bytes(std::size_t offset, std::size_t size,
                                    const char* what) {
-  in_.read(static_cast<char*>(dst), static_cast<std::streamsize>(size));
+  in_.read(frame_.data() + offset, static_cast<std::streamsize>(size));
   if (static_cast<std::size_t>(in_.gcount()) != size)
     throw TraceStreamError(
         TraceStreamErrc::kTruncated,
@@ -329,52 +327,53 @@ bool TraceStreamReader::next(TraceRecord& record) {
   if (done_) return false;
 
   // --- Frame ---------------------------------------------------------------
-  char head[5];
-  in_.read(head, 1);
+  frame_.resize(kFrameHead);
+  in_.read(frame_.data(), 1);
   if (in_.gcount() != 1)
     throw TraceStreamError(
         TraceStreamErrc::kTruncated,
         "seo-trace stream ended without a stream-end record");
-  read_bytes(head + 1, 4, "record size");
-  const auto type = static_cast<std::uint8_t>(head[0]);
-  std::uint32_t size = 0;
-  for (int i = 0; i < 4; ++i)
-    size |= static_cast<std::uint32_t>(static_cast<unsigned char>(head[1 + i]))
-            << (8 * i);
+  read_bytes(1, kFrameHead - 1, "record size");
+  BinaryReader head{std::string_view(frame_)};
+  const std::uint8_t type = head.u8();
+  const std::uint32_t size = head.u32();
+  // Checked before the buffer grows: a corrupt size must not drive an
+  // allocation.
   if (size > kMaxPayload)
     throw TraceStreamError(TraceStreamErrc::kBadRecord,
                            "seo-trace record size " + std::to_string(size) +
                                " exceeds the format cap");
-  payload_.resize(size);
-  if (size > 0) read_bytes(payload_.data(), size, "record payload");
-  char digest_bytes[8];
-  read_bytes(digest_bytes, 8, "record checksum");
-  std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i)
-    stored |= static_cast<std::uint64_t>(
-                  static_cast<unsigned char>(digest_bytes[i]))
-              << (8 * i);
-  FingerprintHasher hasher;
-  hasher.mix_bytes(head, sizeof head);
-  hasher.mix_bytes(payload_.data(), payload_.size());
-  if (stored != hasher.digest())
+  frame_.resize(kFrameHead + size + 8);
+  if (size > 0) read_bytes(kFrameHead, size, "record payload");
+  read_bytes(kFrameHead + size, 8, "record checksum");
+  BinaryReader frame{std::string_view(frame_)};
+  (void)frame.u8();
+  (void)frame.u32();
+  const std::string_view payload = frame.view(size);
+  try {
+    frame.verify_checksum_from(0, "seo-trace record");
+  } catch (const BinaryIoError&) {
     throw TraceStreamError(TraceStreamErrc::kBadChecksum,
                            "seo-trace record checksum mismatch (record " +
                                std::to_string(type) + ")");
-  if (tee_) {
-    tee_->write(head, sizeof head);
-    tee_->write(payload_.data(),
-                static_cast<std::streamsize>(payload_.size()));
-    tee_->write(digest_bytes, sizeof digest_bytes);
   }
+  if (tee_) put(*tee_, frame_);
 
   // --- Payload -------------------------------------------------------------
-  BinaryReader fields{std::string_view(payload_)};
+  BinaryReader fields{payload};
   const auto require_in_episode = [&](const char* name) {
     if (!in_episode_)
       throw TraceStreamError(
           TraceStreamErrc::kBadRecord,
           std::string("seo-trace ") + name + " record outside an episode");
+  };
+  // Fixed-size records are size-checked up front, so their field reads
+  // cannot overrun.
+  const auto require_size = [&](const char* name, std::size_t expected) {
+    if (size != expected)
+      throw TraceStreamError(
+          TraceStreamErrc::kBadRecord,
+          std::string("seo-trace ") + name + " record has wrong size");
   };
   switch (type) {
     case kRecEpisodeBegin: {
@@ -383,8 +382,7 @@ bool TraceStreamReader::next(TraceRecord& record) {
                                "seo-trace episode-begin inside an episode");
       record.type = TraceRecord::Type::kEpisodeBegin;
       // The only variable-length record: a corrupt length field surfaces
-      // from BinaryReader as BinaryIoError and is rebranded into the trace
-      // error taxonomy here.  Fixed-size records are size-checked up front.
+      // from BinaryReader as BinaryIoError and is rebranded here.
       try {
         record.episode.seed = fields.u64();
         record.episode.scenario_digest = fields.u64();
@@ -401,9 +399,7 @@ bool TraceStreamReader::next(TraceRecord& record) {
     }
     case kRecSample: {
       require_in_episode("sample");
-      if (payload_.size() != kSamplePayload)
-        throw TraceStreamError(TraceStreamErrc::kBadRecord,
-                               "seo-trace sample record has wrong size");
+      require_size("sample", kSamplePayload);
       record.type = TraceRecord::Type::kSample;
       TraceSample& s = record.sample;
       s.t = fields.f64();
@@ -425,9 +421,7 @@ bool TraceStreamReader::next(TraceRecord& record) {
     }
     case kRecOffload: {
       require_in_episode("offload");
-      if (payload_.size() != kOffloadPayload)
-        throw TraceStreamError(TraceStreamErrc::kBadRecord,
-                               "seo-trace offload record has wrong size");
+      require_size("offload", kOffloadPayload);
       record.type = TraceRecord::Type::kOffload;
       OffloadEvent& e = record.offload;
       e.pipeline = fields.u32();
@@ -441,9 +435,7 @@ bool TraceStreamReader::next(TraceRecord& record) {
     }
     case kRecEpisodeEnd: {
       require_in_episode("episode-end");
-      if (payload_.size() != kEpisodeEndPayload)
-        throw TraceStreamError(TraceStreamErrc::kBadRecord,
-                               "seo-trace episode-end record has wrong size");
+      require_size("episode-end", kEpisodeEndPayload);
       record.type = TraceRecord::Type::kEpisodeEnd;
       record.counts.samples = fields.u64();
       record.counts.offloads = fields.u64();
@@ -473,9 +465,7 @@ bool TraceStreamReader::next(TraceRecord& record) {
       if (in_episode_)
         throw TraceStreamError(TraceStreamErrc::kBadRecord,
                                "seo-trace stream-end inside an episode");
-      if (payload_.size() != kStreamEndPayload)
-        throw TraceStreamError(TraceStreamErrc::kBadRecord,
-                               "seo-trace stream-end record has wrong size");
+      require_size("stream-end", kStreamEndPayload);
       total_episodes_ = fields.u64();
       if (total_episodes_ != episodes_)
         throw TraceStreamError(
@@ -499,81 +489,56 @@ bool TraceStreamReader::next(TraceRecord& record) {
 }
 
 // ---------------------------------------------------------------------------
-// TraceEpisodeScanner / merge_trace_streams
+// merge_trace_streams
 // ---------------------------------------------------------------------------
-
-// The scanner is TraceStreamReader plus a tee into a private buffer: every
-// episode is fully decoded and validated (checksums, nesting, counts), and
-// the tee captures the exact wire bytes so the merge re-emits them
-// untouched — re-encoding could never drift, because there is none.
-struct TraceEpisodeScanner::Impl {
-  std::ostringstream tee;
-  TraceStreamReader reader;
-
-  explicit Impl(std::istream& in) : reader(in, &tee) {
-    // The constructor tee'd the 28-byte header; the merge writes its own.
-    tee.str(std::string());
-  }
-};
-
-TraceEpisodeScanner::TraceEpisodeScanner(std::istream& in)
-    : impl_(std::make_unique<Impl>(in)) {}
-
-TraceEpisodeScanner::~TraceEpisodeScanner() = default;
-
-std::uint64_t TraceEpisodeScanner::run_digest() const {
-  return impl_->reader.run_digest();
-}
-
-std::uint64_t TraceEpisodeScanner::episodes_total() const {
-  return impl_->reader.episodes_total();
-}
-
-bool TraceEpisodeScanner::next(std::uint32_t& point_index,
-                               std::string& bytes) {
-  TraceRecord record;
-  if (!impl_->reader.next(record)) return false;  // verified stream-end
-  // The reader enforces nesting, so the first record of a fresh episode is
-  // always episode-begin and a stream that ends mid-episode throws there.
-  SEO_ASSERT(record.type == TraceRecord::Type::kEpisodeBegin);
-  point_index = record.episode.point_index;
-  while (impl_->reader.next(record))
-    if (record.type == TraceRecord::Type::kEpisodeEnd) break;
-  bytes = impl_->tee.str();
-  impl_->tee.str(std::string());
-  return true;
-}
 
 void merge_trace_streams(const std::vector<std::istream*>& inputs,
                          std::ostream& out) {
   SEO_EXPECT(!inputs.empty());
+  // One validating reader per input, tee'd into a private buffer: every
+  // episode is fully decoded and checked, and the tee captures its exact
+  // wire bytes so the merge re-emits them untouched — re-encoding could
+  // never drift, because there is none.
   struct Source {
-    std::unique_ptr<TraceEpisodeScanner> scanner;
-    std::uint32_t point = 0;
-    std::string bytes;
-    bool live = false;
+    std::ostringstream tee;
+    TraceStreamReader reader;
+    std::uint32_t point = 0;  ///< grid index of the buffered episode
+    std::string bytes;        ///< the buffered episode's wire bytes
+    bool live = false;        ///< false once the stream-end is verified
+
+    explicit Source(std::istream& in) : reader(in, &tee) {
+      tee.str(std::string());  // the merge writes its own header
+    }
+
+    void advance() {
+      TraceRecord record;
+      live = reader.next(record);
+      if (!live) return;
+      // The reader enforces nesting, so a fresh episode always opens with
+      // episode-begin and a stream that ends mid-episode throws.
+      SEO_ASSERT(record.type == TraceRecord::Type::kEpisodeBegin);
+      point = record.episode.point_index;
+      while (reader.next(record))
+        if (record.type == TraceRecord::Type::kEpisodeEnd) break;
+      bytes = tee.str();
+      tee.str(std::string());
+    }
   };
 
-  std::vector<Source> sources(inputs.size());
-  std::uint64_t run_digest = 0;
+  std::deque<Source> sources;  // a deque: the readers must not move
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    Source& src = sources[i];
-    src.scanner = std::make_unique<TraceEpisodeScanner>(*inputs[i]);
-    if (i == 0) {
-      run_digest = src.scanner->run_digest();
-    } else if (src.scanner->run_digest() != run_digest) {
+    Source& src = sources.emplace_back(*inputs[i]);
+    const std::uint64_t digest = src.reader.run_digest();
+    if (digest != sources.front().reader.run_digest())
       throw ContractViolation(
           "trace-merge: input " + std::to_string(i) + " has run_digest " +
-          fingerprint_hex(src.scanner->run_digest()) +
-          " but input 0 has " + fingerprint_hex(run_digest) +
+          fingerprint_hex(digest) + " but input 0 has " +
+          fingerprint_hex(sources.front().reader.run_digest()) +
           " — shards of different runs cannot merge");
-    }
-    src.live = src.scanner->next(src.point, src.bytes);
+    src.advance();
   }
 
-  std::string header;
-  append_header(header, run_digest);
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  write_header(out, sources.front().reader.run_digest());
 
   // Streaming k-way merge on the grid-point index.  Each input is already
   // ascending (the order --shard writes), so the head episodes alone
@@ -592,11 +557,10 @@ void merge_trace_streams(const std::vector<std::istream*>& inputs,
       }
     }
     if (best == nullptr) break;
-    out.write(best->bytes.data(),
-              static_cast<std::streamsize>(best->bytes.size()));
+    put(out, best->bytes);
     ++episodes;
     const std::uint32_t prev = best->point;
-    best->live = best->scanner->next(best->point, best->bytes);
+    best->advance();
     if (best->live && best->point < prev)
       throw ContractViolation(
           "trace-merge: input episodes out of grid order (point " +
@@ -604,12 +568,7 @@ void merge_trace_streams(const std::vector<std::istream*>& inputs,
           ") — not a --shard-produced stream");
   }
 
-  std::string tail;
-  std::string payload;
-  BinaryWriter(payload).u64(episodes);
-  append_record(tail, kRecStreamEnd, payload);
-  out.write(tail.data(), static_cast<std::streamsize>(tail.size()));
-  out.flush();
+  write_stream_end(out, episodes);
 }
 
 // ---------------------------------------------------------------------------
@@ -624,9 +583,7 @@ void OrderedTraceSink::set_run_digest(std::uint64_t digest) {
 
 void OrderedTraceSink::write_header_locked() {
   if (header_written_) return;
-  std::string header;
-  append_header(header, run_digest_);
-  out_->write(header.data(), static_cast<std::streamsize>(header.size()));
+  write_header(*out_, run_digest_);
   header_written_ = true;
 }
 
@@ -643,8 +600,7 @@ void OrderedTraceSink::commit(std::uint64_t seq, std::string block,
   while (true) {
     const auto it = pending_.find(next_seq_);
     if (it == pending_.end()) break;
-    const std::string& bytes = it->second.first;
-    out_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    put(*out_, it->second.first);
     episodes_ += it->second.second;
     pending_.erase(it);
     ++next_seq_;
@@ -661,12 +617,7 @@ void OrderedTraceSink::finish() {
         std::to_string(next_seq_) + " was never committed");
   write_header_locked();
   finished_ = true;
-  std::string tail;
-  std::string payload;
-  BinaryWriter(payload).u64(episodes_);
-  append_record(tail, kRecStreamEnd, payload);
-  out_->write(tail.data(), static_cast<std::streamsize>(tail.size()));
-  out_->flush();
+  write_stream_end(*out_, episodes_);
 }
 
 std::uint64_t OrderedTraceSink::episodes_written() const {

@@ -24,8 +24,9 @@
 //   4 episode-end     sample/offload counts + outcome/energy summary
 //   5 stream-end      total episode count
 //
-// The checksums reuse src/core/fingerprint's canonical FNV-1a hasher, so
-// a digest mismatch means corruption, never platform drift.  `run_digest`
+// Every byte is encoded and decoded through core/binary_io, whose
+// checksums are src/core/fingerprint's canonical FNV-1a, so a digest
+// mismatch means corruption, never platform drift.  `run_digest`
 // carries the scenario/table digest identity of the producing run (the
 // grid's scenario_table_digest values mixed in grid order) — the wire
 // handle a future distributed sweep shards and merges on.
@@ -34,7 +35,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -87,12 +87,6 @@ class EpisodeTrace {
     samples_.clear();
     offloads_.clear();
   }
-  /// Pre-sizes the recording (run_episode reserves the full episode up
-  /// front so tracing never reallocates mid-loop).
-  void reserve(std::size_t samples) {
-    if (capture_samples_) samples_.reserve(samples);
-  }
-
   /// Pre-sizes both logs for a full episode of `max_episode_s` at base
   /// period `tau_s` with `pipelines` optimizable pipelines: one sample per
   /// tick, and room for the worst-case one offload per pipeline per tick —
@@ -117,8 +111,6 @@ class EpisodeTrace {
   /// CSV with a header row; one line per base period.
   std::string to_csv() const;
 
-  /// Fraction of ticks with the filter engaged; 0 when empty.
-  double engagement_rate() const;
   /// Worst detection staleness observed [s].
   double max_detection_age() const;
 
@@ -222,6 +214,8 @@ class TraceStreamWriter {
   std::uint64_t episodes_written() const { return episodes_; }
 
  private:
+  void flush_episode();  ///< writes buffer_ as one whole episode
+
   std::ostream& out_;
   std::string buffer_;        ///< current episode's serialized records
   std::uint64_t episodes_ = 0;
@@ -268,7 +262,8 @@ class TraceStreamReader {
   std::uint64_t episodes_total() const { return total_episodes_; }
 
  private:
-  void read_bytes(void* dst, std::size_t size, const char* what);
+  /// Reads `size` bytes into frame_ at `offset`; kTruncated when short.
+  void read_bytes(std::size_t offset, std::size_t size, const char* what);
 
   std::istream& in_;
   std::ostream* tee_ = nullptr;
@@ -276,7 +271,7 @@ class TraceStreamReader {
   std::uint64_t run_digest_ = 0;
   std::uint64_t episodes_ = 0;
   std::uint64_t total_episodes_ = 0;
-  std::string payload_;          ///< reused record payload buffer
+  std::string frame_;            ///< reused buffer for the current record
   TraceEpisodeCounts counts_;    ///< records seen in the open episode
   bool in_episode_ = false;
   bool done_ = false;
@@ -289,38 +284,16 @@ void append_trace_episode(std::string& block, const TraceEpisodeInfo& info,
                           const TraceEpisodeSummary& summary,
                           const EpisodeTrace& trace);
 
-/// Streaming scanner yielding whole validated episodes as raw byte spans
-/// (exactly the bytes between episode-begin and episode-end inclusive)
-/// plus the grid-point index stamped in episode-begin — the unit
-/// trace-merge reorders.  Validation is TraceStreamReader's in full:
-/// checksums, nesting, counts, the terminal stream-end; a shard file that
-/// lost its tail is rejected, never half-merged.
-class TraceEpisodeScanner {
- public:
-  explicit TraceEpisodeScanner(std::istream& in);
-  ~TraceEpisodeScanner();
-
-  std::uint64_t run_digest() const;
-
-  /// Reads the next episode; false at the verified stream-end.  On true,
-  /// `point_index` is the grid index from episode-begin and `bytes` holds
-  /// the episode's exact wire bytes.
-  bool next(std::uint32_t& point_index, std::string& bytes);
-
-  /// Episodes claimed by stream-end (valid once next() returned false).
-  std::uint64_t episodes_total() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
 /// Deterministically k-way-merges shard trace streams into one stream on
 /// `out` that is byte-identical to the unsharded run's: the header carries
 /// the common run_digest, episodes are emitted in ascending grid-point
 /// order (each point's episodes stay in their shard's order), and the
 /// stream-end counts the union.  Every input must already be ascending by
-/// point index — the order `sweep --shard i/N --trace-out` writes.  Throws
+/// point index — the order `sweep --shard i/N --trace-out` writes.  Each
+/// input is read by a TraceStreamReader tee'd into a one-episode buffer,
+/// so every episode is fully validated (checksums, nesting, counts, the
+/// terminal stream-end) and re-emitted as its exact wire bytes; a shard
+/// file that lost its tail is rejected, never half-merged.  Throws
 /// ContractViolation when inputs disagree on run_digest (different grids
 /// cannot merge), when a point index appears in more than one input, or
 /// when an input is not sorted; TraceStreamError surfaces unchanged from a

@@ -3,6 +3,7 @@
 // telemetry, energy breakdowns, and the text configuration bridge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "dynamics/motion.hpp"
@@ -303,9 +304,11 @@ TEST(Trace, EngagementRateMatchesFilterActivity) {
   c.seed = 661;
   EpisodeTrace trace;
   const EpisodeResult r = run_episode(c, &trace);
-  const auto engaged = static_cast<double>(r.filter_engagements);
-  EXPECT_NEAR(trace.engagement_rate() * static_cast<double>(trace.size()),
-              engaged, 1.5);
+  const auto engaged_ticks = std::count_if(
+      trace.samples().begin(), trace.samples().end(),
+      [](const TraceSample& s) { return s.filter_engaged; });
+  EXPECT_NEAR(static_cast<double>(engaged_ticks),
+              static_cast<double>(r.filter_engagements), 1.5);
 }
 
 // --- Energy breakdown -----------------------------------------------------------

@@ -243,13 +243,14 @@ TEST(SweepShard, MergedShardTracesAreByteIdenticalToUnsharded) {
   // Each shard stream is a valid seo-trace sorted by grid point, carrying
   // the *run's* digest (not a shard-local one) — the merge key.
   std::istringstream scan0(shard0);
-  TraceEpisodeScanner scanner(scan0);
-  std::uint32_t point = 0;
-  std::string bytes;
+  TraceStreamReader reader(scan0);
+  TraceRecord record;
   std::vector<std::uint32_t> points;  // one entry per episode
-  while (scanner.next(point, bytes)) points.push_back(point);
+  while (reader.next(record))
+    if (record.type == TraceRecord::Type::kEpisodeBegin)
+      points.push_back(record.episode.point_index);
   const SweepPlan plan = plan_sweep(config);
-  EXPECT_EQ(scanner.run_digest(), plan.run_digest);
+  EXPECT_EQ(reader.run_digest(), plan.run_digest);
   EXPECT_TRUE(std::is_sorted(points.begin(), points.end()));
   points.erase(std::unique(points.begin(), points.end()), points.end());
   const auto owned = plan.shard_points(0, 2);

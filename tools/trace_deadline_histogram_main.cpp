@@ -10,54 +10,20 @@
 #include <cstdint>
 #include <iostream>
 #include <map>
-#include <string>
 
 #include "trace_stage.hpp"
 #include "util/numeric.hpp"
 
-namespace {
-
-using namespace seo;
-
-int usage(int code) {
-  std::ostream& out = code == 0 ? std::cout : std::cerr;
-  out << "usage: trace-deadline-histogram [FILE|-] [options]\n"
-      << seo::cli::kTraceStageUsage
-      << "  --unconstrained        count unconstrained intervals too (as "
-         "delta -1)\n";
-  return code;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  seo::cli::TraceStage stage;
+  using namespace seo;
+  cli::TraceStage stage("trace-deadline-histogram",
+                        "  --unconstrained        count unconstrained "
+                        "intervals too (as delta -1)\n");
   bool include_unconstrained = false;
+  stage.flag("--unconstrained", include_unconstrained);
+  stage.parse(argc, argv);
 
-  const auto next_arg = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      std::exit(usage(2));
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") return usage(0);
-    if (arg == "--unconstrained") {
-      include_unconstrained = true;
-    } else if (stage.parse_flag(arg, i, next_arg)) {
-      // Shared stage flags (trace_stage.hpp).
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      return usage(2);
-    }
-  }
-  if (!stage.validate("trace-deadline-histogram")) return usage(2);
-
-  try {
-    TraceStreamReader reader(stage.open_input("trace-deadline-histogram"),
-                             stage.tee());
+  return stage.run([&](TraceStreamReader& reader) {
     // Keyed map, not a dense vector: delta_max is small but unbounded by
     // format, and -1 collects unconstrained intervals when requested.
     std::map<int, std::uint64_t> hist;
@@ -72,8 +38,7 @@ int main(int argc, char** argv) {
       ++hist[key];
       ++intervals;
     }
-    std::ostream& report =
-        stage.open_report("trace-deadline-histogram");
+    std::ostream& report = stage.report();
     report << "delta,count,share\n";
     for (const auto& [delta, count] : hist) {
       report << delta << "," << count << ","
@@ -86,8 +51,5 @@ int main(int argc, char** argv) {
     std::cerr << "trace-deadline-histogram: " << intervals
               << " intervals across " << reader.episodes_total()
               << " episodes\n";
-  } catch (const TraceStreamError& e) {
-    return seo::cli::report_stream_error("trace-deadline-histogram", e);
-  }
-  return 0;
+  });
 }

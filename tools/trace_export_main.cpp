@@ -21,14 +21,6 @@ namespace {
 
 using namespace seo;
 
-int usage(int code) {
-  std::ostream& out = code == 0 ? std::cout : std::cerr;
-  out << "usage: trace-export [FILE|-] [options]\n"
-      << seo::cli::kTraceStageUsage
-      << "  --format csv|json      export format (default csv)\n";
-  return code;
-}
-
 void json_summary(std::ostream& out, const TraceEpisodeSummary& s) {
   out << "{\"completed\": " << (s.completed ? "true" : "false")
       << ", \"collided\": " << (s.collided ? "true" : "false")
@@ -47,38 +39,17 @@ void json_summary(std::ostream& out, const TraceEpisodeSummary& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  seo::cli::TraceStage stage;
+  cli::TraceStage stage("trace-export",
+                        "  --format csv|json      export format (default "
+                        "csv)\n");
   std::string format = "csv";
+  stage.option("--format", format);
+  stage.parse(argc, argv);
+  if (format != "csv" && format != "json")
+    stage.misuse("trace-export: unknown format '" + format + "' (csv|json)");
 
-  const auto next_arg = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      std::exit(usage(2));
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") return usage(0);
-    if (arg == "--format") {
-      format = next_arg(i);
-    } else if (stage.parse_flag(arg, i, next_arg)) {
-      // Shared stage flags (trace_stage.hpp).
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      return usage(2);
-    }
-  }
-  if (!stage.validate("trace-export")) return usage(2);
-  if (format != "csv" && format != "json") {
-    std::cerr << "trace-export: unknown format '" << format
-              << "' (csv|json)\n";
-    return usage(2);
-  }
-
-  try {
-    TraceStreamReader reader(stage.open_input("trace-export"), stage.tee());
-    std::ostream& report = stage.open_report("trace-export");
+  return stage.run([&](TraceStreamReader& reader) {
+    std::ostream& report = stage.report();
     TraceRecord record;
     if (format == "csv") {
       // One header, then every episode's sample lines in stream order,
@@ -176,8 +147,5 @@ int main(int argc, char** argv) {
     }
     std::cerr << "trace-export: " << reader.episodes_total()
               << " episodes\n";
-  } catch (const TraceStreamError& e) {
-    return seo::cli::report_stream_error("trace-export", e);
-  }
-  return 0;
+  });
 }

@@ -11,55 +11,21 @@
 #include <cstdint>
 #include <iostream>
 #include <limits>
-#include <string>
 
 #include "trace_stage.hpp"
 #include "util/numeric.hpp"
 
-namespace {
-
-using namespace seo;
-
-int usage(int code) {
-  std::ostream& out = code == 0 ? std::cout : std::cerr;
-  out << "usage: trace-safety-audit [FILE|-] [options]\n"
-      << seo::cli::kTraceStageUsage
-      << "  --engaged-only         only report episodes where the filter "
-         "engaged\n";
-  return code;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  seo::cli::TraceStage stage;
+  using namespace seo;
+  cli::TraceStage stage("trace-safety-audit",
+                        "  --engaged-only         only report episodes where "
+                        "the filter engaged\n");
   bool engaged_only = false;
+  stage.flag("--engaged-only", engaged_only);
+  stage.parse(argc, argv);
 
-  const auto next_arg = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      std::exit(usage(2));
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") return usage(0);
-    if (arg == "--engaged-only") {
-      engaged_only = true;
-    } else if (stage.parse_flag(arg, i, next_arg)) {
-      // Shared stage flags (trace_stage.hpp).
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      return usage(2);
-    }
-  }
-  if (!stage.validate("trace-safety-audit")) return usage(2);
-
-  try {
-    TraceStreamReader reader(stage.open_input("trace-safety-audit"),
-                             stage.tee());
-    std::ostream& report = stage.open_report("trace-safety-audit");
+  return stage.run([&](TraceStreamReader& reader) {
+    std::ostream& report = stage.report();
     report << "episode,point_index,vehicle,seed,completed,collided,off_road,"
               "timed_out,samples,engaged_ticks,engagement_rate,interventions,"
               "min_h,min_h_t\n";
@@ -123,8 +89,5 @@ int main(int argc, char** argv) {
     }
     std::cerr << "trace-safety-audit: " << reported << "/"
               << reader.episodes_total() << " episodes reported\n";
-  } catch (const TraceStreamError& e) {
-    return seo::cli::report_stream_error("trace-safety-audit", e);
-  }
-  return 0;
+  });
 }

@@ -1,4 +1,4 @@
-// Shared scaffolding for the trace-* stage tools.  Every stage reads one
+// Shared driver of the trace-* stage tools.  Every stage reads one
 // binary seo-trace stream (a file, or '-' = stdin), writes its report to
 // stdout or --output, and with --passthrough copies the validated input
 // bytes to stdout — so stages chain like classic unix filters:
@@ -10,99 +10,21 @@
 //
 // Passthrough forwards bytes only after the reader validated them, so a
 // damaged stream kills the whole pipeline instead of propagating silently.
+//
+// A tool's main declares its own flags, calls parse(), and hands its
+// record loop to run(); TraceStage does the rest.  Exit codes: 0 ok,
+// 1 unreadable input/report or rejected stream, 2 usage error.
 #pragma once
 
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "sim/trace.hpp"
 
 namespace seo::cli {
-
-/// Usage text for the flags every stage tool shares.
-inline constexpr const char* kTraceStageUsage =
-    "  FILE|-                 input seo-trace stream (default '-' = stdin)\n"
-    "  -o, --output PATH      write the report to PATH (default stdout)\n"
-    "  --passthrough          copy the validated input stream to stdout\n"
-    "                         (requires -o, so the report and the binary\n"
-    "                         stream never share stdout)\n";
-
-/// Common state of one stage tool invocation: the shared flags plus the
-/// opened input / report streams.
-class TraceStage {
- public:
-  /// Consumes `arg` if it is a shared flag or the positional input operand.
-  /// `next_arg` is the tool's own missing-value-checked argv fetcher.
-  template <typename NextArg>
-  bool parse_flag(const std::string& arg, int& i, NextArg&& next_arg) {
-    if (arg == "-o" || arg == "--output") {
-      output_ = next_arg(i);
-      return true;
-    }
-    if (arg == "--passthrough") {
-      passthrough_ = true;
-      return true;
-    }
-    // Positional input: '-' or anything that is not a flag; a second
-    // operand falls through to the tool's unknown-argument error.
-    if ((arg == "-" || arg.rfind("-", 0) != 0) && !input_seen_) {
-      input_ = arg;
-      input_seen_ = true;
-      return true;
-    }
-    return false;
-  }
-
-  /// Flag-combination check; prints to stderr and returns false on misuse.
-  bool validate(const char* tool) const {
-    if (passthrough_ && output_.empty()) {
-      std::cerr << tool
-                << ": --passthrough forwards the binary stream on stdout; "
-                   "route the report with -o PATH\n";
-      return false;
-    }
-    return true;
-  }
-
-  /// Opens the input stream ('-' = stdin); exits 1 on open failure.
-  std::istream& open_input(const char* tool) {
-    if (input_ == "-") return std::cin;
-    file_in_.open(input_, std::ios::binary);
-    if (!file_in_) {
-      std::cerr << tool << ": cannot open " << input_ << " for reading\n";
-      std::exit(1);
-    }
-    return file_in_;
-  }
-
-  /// Opens the report stream (stdout or -o PATH); exits 1 on failure.
-  /// Reports stream incrementally, so a stage holds O(1) state however
-  /// long the input is.
-  std::ostream& open_report(const char* tool) {
-    if (output_.empty()) return std::cout;
-    file_out_.open(output_);
-    if (!file_out_) {
-      std::cerr << tool << ": cannot open " << output_ << " for writing\n";
-      std::exit(1);
-    }
-    return file_out_;
-  }
-
-  /// The reader tee: stdout in passthrough mode, else none.
-  std::ostream* tee() { return passthrough_ ? &std::cout : nullptr; }
-
-  const std::string& input() const { return input_; }
-
- private:
-  std::string input_ = "-";
-  std::string output_;
-  bool passthrough_ = false;
-  bool input_seen_ = false;
-  std::ifstream file_in_;
-  std::ofstream file_out_;
-};
 
 /// Human-readable name of a stream-rejection code (error messages, tests).
 inline const char* trace_errc_name(TraceStreamErrc code) {
@@ -116,12 +38,150 @@ inline const char* trace_errc_name(TraceStreamErrc code) {
   return "unknown";
 }
 
-/// Standard stage-tool error epilogue: prints the rejection and returns
-/// the exit code mains propagate.
-inline int report_stream_error(const char* tool, const TraceStreamError& e) {
-  std::cerr << tool << ": rejected stream (" << trace_errc_name(e.code())
-            << "): " << e.what() << "\n";
-  return 1;
-}
+/// One stage-tool invocation: the shared flags plus the tool's own, the
+/// input and report streams, and the reader.
+class TraceStage {
+ public:
+  /// `tool` names the binary in usage and error lines; `usage_flags` holds
+  /// the usage lines of the tool's own flags.
+  TraceStage(const char* tool, const char* usage_flags)
+      : tool_(tool), usage_flags_(usage_flags) {}
+
+  /// Declares a tool flag that sets `on`.
+  void flag(const char* name, bool& on) {
+    flags_.push_back({name, &on, nullptr});
+  }
+  /// Declares a tool flag that takes a value into `value`.
+  void option(const char* name, std::string& value) {
+    flags_.push_back({name, nullptr, &value});
+  }
+
+  /// Parses argv in order.  --help prints the usage to stdout and exits 0;
+  /// an unknown argument, a missing value, or --passthrough without -o is
+  /// a misuse (exit 2).
+  void parse(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--help" || arg == "-h") {
+        print_usage(std::cout);
+        std::exit(0);
+      }
+      const auto value = [&] {
+        if (i + 1 >= argc) misuse("missing value for " + arg);
+        return std::string(argv[++i]);
+      };
+      if (const Flag* flag = find_flag(arg)) {
+        if (flag->on != nullptr)
+          *flag->on = true;
+        else
+          *flag->value = value();
+      } else if (arg == "-o" || arg == "--output") {
+        output_ = value();
+      } else if (arg == "--passthrough") {
+        passthrough_ = true;
+      } else if ((arg == "-" || arg.rfind("-", 0) != 0) && !input_seen_) {
+        // Positional input: '-' or anything that is not a flag; a second
+        // operand is an unknown argument.
+        input_ = arg;
+        input_seen_ = true;
+      } else {
+        misuse("unknown argument: " + arg);
+      }
+    }
+    if (passthrough_ && output_.empty())
+      misuse(std::string(tool_) +
+             ": --passthrough forwards the binary stream on stdout; "
+             "route the report with -o PATH");
+  }
+
+  /// Prints `message` and the usage to stderr and exits 2.
+  [[noreturn]] void misuse(const std::string& message) const {
+    std::cerr << message << "\n";
+    print_usage(std::cerr);
+    std::exit(2);
+  }
+
+  /// Opens the input, builds the validating reader (tee'd to stdout under
+  /// --passthrough) and runs `loop(reader)`.  Returns the exit code: 0, or
+  /// 1 with a `rejected stream (<code>)` line when the stream is damaged.
+  template <typename Loop>
+  int run(Loop&& loop) {
+    try {
+      TraceStreamReader reader(open_input(),
+                               passthrough_ ? &std::cout : nullptr);
+      loop(reader);
+    } catch (const TraceStreamError& e) {
+      std::cerr << tool_ << ": rejected stream ("
+                << trace_errc_name(e.code()) << "): " << e.what() << "\n";
+      return 1;
+    }
+    return 0;
+  }
+
+  /// The report stream (stdout or -o PATH), opened on first use so a
+  /// loop decides when the file appears; exits 1 when it cannot be opened.
+  /// Reports stream incrementally, so a stage holds O(1) state however
+  /// long the input is.
+  std::ostream& report() {
+    if (output_.empty()) return std::cout;
+    if (!file_out_.is_open()) {
+      file_out_.open(output_);
+      if (!file_out_) {
+        std::cerr << tool_ << ": cannot open " << output_ << " for writing\n";
+        std::exit(1);
+      }
+    }
+    return file_out_;
+  }
+
+ private:
+  struct Flag {
+    std::string name;
+    bool* on;            ///< set for a boolean flag
+    std::string* value;  ///< set for a flag that takes a value
+  };
+
+  const Flag* find_flag(const std::string& arg) const {
+    for (const Flag& flag : flags_)
+      if (flag.name == arg) return &flag;
+    return nullptr;
+  }
+
+  void print_usage(std::ostream& out) const {
+    out << "usage: " << tool_ << " [FILE|-] [options]\n"
+        << "  FILE|-                 input seo-trace stream (default '-' = "
+           "stdin)\n"
+           "  -o, --output PATH      write the report to PATH (default "
+           "stdout)\n"
+           "  --passthrough          copy the validated input stream to "
+           "stdout\n"
+           "                         (requires -o, so the report and the "
+           "binary\n"
+           "                         stream never share stdout)\n"
+        << usage_flags_;
+  }
+
+  /// The input stream ('-' = stdin); exits 1 when the file cannot be
+  /// opened.
+  std::istream& open_input() {
+    if (input_ == "-") return std::cin;
+    file_in_.open(input_, std::ios::binary);
+    if (!file_in_) {
+      std::cerr << tool_ << ": cannot open " << input_ << " for reading\n";
+      std::exit(1);
+    }
+    return file_in_;
+  }
+
+  const char* tool_;
+  const char* usage_flags_;
+  std::vector<Flag> flags_;
+  std::string input_ = "-";
+  std::string output_;
+  bool passthrough_ = false;
+  bool input_seen_ = false;
+  std::ifstream file_in_;
+  std::ofstream file_out_;
+};
 
 }  // namespace seo::cli
