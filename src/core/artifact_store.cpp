@@ -40,14 +40,14 @@ bool is_lock_file(const std::string& name) {
   return name.size() > 5 && name.compare(name.size() - 5, 5, ".lock") == 0;
 }
 
-/// Whether `name` reads "<kind>-v<N>-<16 hex>.bin", the shape
-/// artifact_file_name gives every artifact the store writes.
-bool is_artifact_name(std::string_view name) {
-  constexpr std::string_view kSuffix = ".bin";
+/// Whether `name` reads "<kind>-v<N>-<16 hex><suffix>"; with ".bin", the
+/// shape artifact_file_name gives every artifact the store writes.
+bool is_artifact_name(std::string_view name,
+                      std::string_view suffix = ".bin") {
   constexpr std::size_t kHex = 16;
-  if (name.size() < kHex + kSuffix.size() || !name.ends_with(kSuffix))
+  if (name.size() < kHex + suffix.size() || !name.ends_with(suffix))
     return false;
-  name.remove_suffix(kSuffix.size());
+  name.remove_suffix(suffix.size());
   if (name.substr(name.size() - kHex).find_first_not_of("0123456789abcdef") !=
       std::string_view::npos)
     return false;
@@ -57,6 +57,14 @@ bool is_artifact_name(std::string_view name) {
   const std::size_t v = name.find_last_not_of("0123456789");
   return v != std::string_view::npos && v >= 2 && v + 1 < name.size() &&
          name[v] == 'v' && name[v - 1] == '-';
+}
+
+/// Whether `name` is a file the store itself wrote in an older layout: the
+/// text and binary manifests, and v1 text artifacts.  Nothing reads them
+/// any more, so every GC sweep reclaims them, caps or not.
+bool is_retired_name(std::string_view name) {
+  return name == "manifest.bin" || name == "manifest.txt" ||
+         is_artifact_name(name, ".txt");
 }
 
 /// Seconds since the epoch of the filesystem clock, as a double so that
@@ -242,6 +250,7 @@ ArtifactGcResult artifact_store_gc(const std::string& dir,
     std::uint64_t bytes = 0;
   };
   std::vector<Candidate> candidates;
+  std::uint64_t total = 0;  // bytes of the candidates still on disk
   for (const auto& dirent : fs::directory_iterator(dir, ec)) {
     if (!dirent.is_regular_file()) continue;
     const std::string name = dirent.path().filename().string();
@@ -277,9 +286,8 @@ ArtifactGcResult artifact_store_gc(const std::string& dir,
     }
     Candidate c;
     c.name = name;
-    // Unmanaged files (older formats, foreign debris) and files whose
-    // mtime cannot be read count as oldest, so the sweep reclaims them
-    // first.
+    // Unmanaged files (foreign debris) and files whose mtime cannot be
+    // read count as oldest, so a capped sweep reclaims them first.
     c.used_s = is_artifact_name(name) && !time_ec
                    ? file_seconds(mtime)
                    : -std::numeric_limits<double>::infinity();
@@ -287,9 +295,20 @@ ArtifactGcResult artifact_store_gc(const std::string& dir,
     c.bytes = static_cast<std::uint64_t>(dirent.file_size(size_ec));
     if (size_ec) c.bytes = 0;
     result.bytes_before += c.bytes;
+    ++result.scanned;
+    if (is_retired_name(name)) {
+      std::error_code rm;
+      fs::remove(dirent.path(), rm);
+      if (!rm) {
+        ++result.removed;
+        continue;
+      }
+      // Unremovable: it stays counted, as the oldest candidate.
+    }
+    total += c.bytes;
     candidates.push_back(std::move(c));
   }
-  result.scanned = candidates.size();
+  result.bytes_after = total;
   if (candidates.empty()) return result;
 
   // LRU order: oldest mtime first; name breaks ties deterministically.
@@ -299,7 +318,6 @@ ArtifactGcResult artifact_store_gc(const std::string& dir,
                                           : a.name < b.name;
             });
 
-  std::uint64_t total = result.bytes_before;
   // The most-recently-used artifact is always kept: removing it would only
   // force an immediate rebuild of the hottest key without bounding anything
   // the next store wouldn't immediately unbound again.

@@ -114,7 +114,7 @@ struct ArtifactDiskOptions {
 /// Result of one GC sweep over an artifact directory.
 struct ArtifactGcResult {
   std::size_t scanned = 0;        ///< files considered (not tmp/.lock)
-  std::size_t removed = 0;        ///< files deleted (LRU/size/age/orphans)
+  std::size_t removed = 0;        ///< files deleted (LRU/size/age/retired)
   std::uint64_t bytes_before = 0;
   std::uint64_t bytes_after = 0;
 };
@@ -123,8 +123,11 @@ struct ArtifactGcResult {
 /// artifacts whose age `now - mtime` exceeds `max_age_s` (when > 0; +inf
 /// keeps everything), then least-recently-used artifacts until the
 /// directory is within `max_bytes` (when > 0), plus stale temp files from
-/// crashed writers and idle lock sidecars.  Files not named like an
-/// artifact (older formats, foreign debris) count as oldest.  The
+/// crashed writers and idle lock sidecars.  Files the store wrote in older
+/// layouts (`manifest.bin`, `manifest.txt`, `<kind>-v<N>-<hex>.txt`) are
+/// removed on every sweep, caps or not, and counted in scanned/removed.
+/// Other files not named like an artifact (foreign debris: `dir` may be a
+/// user's directory) count as oldest, so only a cap removes them.  The
 /// most-recently-used artifact is always kept.  Safe to call concurrently;
 /// races with other processes degrade to a rebuild on next use, never to
 /// a wrong value.  Returns what it did.

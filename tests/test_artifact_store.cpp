@@ -302,6 +302,41 @@ TEST(ArtifactStoreDiskGc, AgeCapDropsStaleArtifactsButKeepsMru) {
   EXPECT_EQ(remaining[0], BlobStore::artifact_name(BlobKey{3, 0}));
 }
 
+// With no cap at all (`--cache dir=D,gc`), a sweep still reclaims the
+// files the store itself wrote in older layouts, and only those: a file it
+// does not recognise may be the user's and waits for a cap.
+TEST(ArtifactStoreDiskGc, RetiredStoreFilesGoWithoutACap) {
+  const TempDir dir("gc_retired");
+  std::filesystem::create_directories(dir.path);
+  BlobStore store;
+  const BlobKey key{1, 0};
+  (void)store.get(key, ArtifactDiskOptions{dir.str(), 0, 0.0},
+                  blob_builder(key, 100));
+  const auto write = [&](const char* name, std::size_t bytes) {
+    std::ofstream out(dir.path / name);
+    out << std::string(bytes, 'x');
+  };
+  for (const char* retired : {"dtable-v1-0123456789abcdef.txt",
+                              "manifest.txt", "manifest.bin"})
+    write(retired, 500);
+  for (const char* foreign : {"notes.txt", "dtable-v1-0123.txt"})
+    write(foreign, 50);
+
+  ArtifactGcResult result = artifact_store_gc(dir.str(), 0, 0.0);
+  EXPECT_EQ(result.scanned, 6u);  // 1 artifact + 3 retired + 2 foreign
+  EXPECT_EQ(result.removed, 3u);
+  EXPECT_EQ(result.bytes_before - result.bytes_after, 1500u);
+  std::vector<std::string> expected = {BlobStore::artifact_name(key),
+                                       "dtable-v1-0123.txt", "notes.txt"};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(dir_artifacts(dir.path), expected);
+
+  result = artifact_store_gc(dir.str(), 0, 0.0);
+  EXPECT_EQ(result.scanned, 3u);
+  EXPECT_EQ(result.removed, 0u);
+  EXPECT_EQ(result.bytes_after, result.bytes_before);
+}
+
 TEST(ArtifactStoreDiskGc, UnmanagedFilesAreReclaimedFirst) {
   const TempDir dir("gc_unmanaged");
   std::filesystem::create_directories(dir.path);
@@ -315,7 +350,7 @@ TEST(ArtifactStoreDiskGc, UnmanagedFilesAreReclaimedFirst) {
   // must be the first thing a size-capped sweep reclaims.  An idle
   // manifest lock goes with the other idle sidecars.
   for (const char* debris : {"dtable-v1-0123456789abcdef.txt", "manifest.txt",
-                             "manifest.bin", "manifest.lock"}) {
+                             "manifest.bin", "notes.txt", "manifest.lock"}) {
     std::ofstream out(dir.path / debris);
     out << std::string(500, 'x');
   }
