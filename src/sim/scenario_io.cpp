@@ -83,6 +83,35 @@ KeyDef boolean(const char* section, const char* key,
       [ref](ScenarioConfig& s) { return fmt_value(ref(s)); }};
 }
 
+/// A `*_ms` key over a field held in seconds.  Guarded by contains(): an
+/// absent key must be a strict no-op, not a value round-trip (the ms <-> s
+/// scaling is not a floating-point identity).
+KeyDef millis(const char* section, const char* key,
+              std::function<double&(ScenarioConfig&)> seconds,
+              const char* comment) {
+  return KeyDef{
+      section, key, comment,
+      [key, seconds](const KeyValueConfig& c, ScenarioConfig& s) {
+        if (c.contains(key)) seconds(s) = c.get_double(key, 0.0) * 1e-3;
+      },
+      [seconds](ScenarioConfig& s) { return fmt_value(seconds(s) * 1e3); }};
+}
+
+/// A non-negative count key over a std::size_t field.
+KeyDef count(const char* section, const char* key,
+             std::function<std::size_t&(ScenarioConfig&)> ref,
+             const char* comment) {
+  return KeyDef{
+      section, key, comment,
+      [key, ref](const KeyValueConfig& c, ScenarioConfig& s) {
+        if (!c.contains(key)) return;
+        const int n = c.get_int(key, 0);
+        SEO_EXPECT(n >= 0);
+        ref(s) = static_cast<std::size_t>(n);
+      },
+      [ref](ScenarioConfig& s) { return fmt_value(static_cast<int>(ref(s))); }};
+}
+
 /// The single source of truth for the recognized key set.  Order is
 /// template order AND application order: `scenario` first (replaces the
 /// whole config with a library base), `tau_ms` second (retimes the rig's
@@ -289,27 +318,13 @@ const std::vector<KeyDef>& key_registry() {
                     [](ScenarioConfig& s) -> double& { return s.channel_scale_mbps; },
                     "Rayleigh scale (paper VI-A)"));
     // Unit-converting and multi-field entries are guarded by contains():
-    // an absent key must be a strict no-op, not a value round-trip (the
-    // ms <-> s scaling is not a floating-point identity).
-    k.push_back(KeyDef{
-        nullptr, "server_latency_ms", "unqueued edge inference time [ms]",
-        [](const KeyValueConfig& c, ScenarioConfig& s) {
-          if (c.contains("server_latency_ms"))
-            s.link.server_latency_s =
-                c.get_double("server_latency_ms", 0.0) * 1e-3;
-        },
-        [](const ScenarioConfig& s) {
-          return fmt_value(s.link.server_latency_s * 1e3);
-        }});
-    k.push_back(KeyDef{
-        nullptr, "downlink_ms", "result return latency [ms]",
-        [](const KeyValueConfig& c, ScenarioConfig& s) {
-          if (c.contains("downlink_ms"))
-            s.link.downlink_latency_s = c.get_double("downlink_ms", 0.0) * 1e-3;
-        },
-        [](const ScenarioConfig& s) {
-          return fmt_value(s.link.downlink_latency_s * 1e3);
-        }});
+    // an absent key must be a strict no-op.
+    k.push_back(millis(nullptr, "server_latency_ms",
+                       [](ScenarioConfig& s) -> double& { return s.link.server_latency_s; },
+                       "unqueued edge inference time [ms]"));
+    k.push_back(millis(nullptr, "downlink_ms",
+                       [](ScenarioConfig& s) -> double& { return s.link.downlink_latency_s; },
+                       "result return latency [ms]"));
     k.push_back(KeyDef{
         nullptr, "tx_w", "radio transmit power P_tx [W]",
         [](const KeyValueConfig& c, ScenarioConfig& s) {
@@ -330,41 +345,20 @@ const std::vector<KeyDef>& key_registry() {
     k.push_back(integer(nullptr, "server_workers",
                         [](ScenarioConfig& s) -> int& { return s.edge_server.parallelism; },
                         "concurrent inference workers"));
-    k.push_back(KeyDef{
-        nullptr, "server_service_ms", "per-inference service time [ms]",
-        [](const KeyValueConfig& c, ScenarioConfig& s) {
-          if (c.contains("server_service_ms"))
-            s.edge_server.service_time_s =
-                c.get_double("server_service_ms", 0.0) * 1e-3;
-        },
-        [](const ScenarioConfig& s) {
-          return fmt_value(s.edge_server.service_time_s * 1e3);
-        }});
-    k.push_back(KeyDef{
-        nullptr, "server_queue", "pending jobs beyond the workers",
-        [](const KeyValueConfig& c, ScenarioConfig& s) {
-          if (!c.contains("server_queue")) return;
-          const int q = c.get_int("server_queue", 0);
-          SEO_EXPECT(q >= 0);
-          s.edge_server.queue_capacity = static_cast<std::size_t>(q);
-        },
-        [](const ScenarioConfig& s) {
-          return fmt_value(static_cast<int>(s.edge_server.queue_capacity));
-        }});
+    k.push_back(millis(nullptr, "server_service_ms",
+                       [](ScenarioConfig& s) -> double& { return s.edge_server.service_time_s; },
+                       "per-inference service time [ms]"));
+    k.push_back(count(nullptr, "server_queue",
+                      [](ScenarioConfig& s) -> std::size_t& { return s.edge_server.queue_capacity; },
+                      "pending jobs beyond the workers"));
 
     k.push_back(integer("Fleet / edge cluster (run_fleet_experiment, sweep --rounds)",
                         "fleet.vehicles",
                         [](ScenarioConfig& s) -> int& { return s.fleet.vehicles; },
                         "vehicles sharing the cluster"));
-    k.push_back(KeyDef{
-        nullptr, "fleet.stagger_ms", "per-vehicle clock offset [ms]",
-        [](const KeyValueConfig& c, ScenarioConfig& s) {
-          if (c.contains("fleet.stagger_ms"))
-            s.fleet.stagger_s = c.get_double("fleet.stagger_ms", 0.0) * 1e-3;
-        },
-        [](const ScenarioConfig& s) {
-          return fmt_value(s.fleet.stagger_s * 1e3);
-        }});
+    k.push_back(millis(nullptr, "fleet.stagger_ms",
+                       [](ScenarioConfig& s) -> double& { return s.fleet.stagger_s; },
+                       "per-vehicle clock offset [ms]"));
     k.push_back(dbl(nullptr, "fleet.contention_alpha",
                     [](ScenarioConfig& s) -> double& { return s.fleet.contention_alpha; },
                     "uplink rate divisor per concurrent uplink"));
@@ -381,16 +375,9 @@ const std::vector<KeyDef>& key_registry() {
         [](const ScenarioConfig& s) {
           return std::string(to_string(s.cluster.dispatch));
         }});
-    k.push_back(KeyDef{
-        nullptr, "cluster.batch_window_ms", "dispatcher batch window [ms] (0 = none)",
-        [](const KeyValueConfig& c, ScenarioConfig& s) {
-          if (c.contains("cluster.batch_window_ms"))
-            s.cluster.batch_window_s =
-                c.get_double("cluster.batch_window_ms", 0.0) * 1e-3;
-        },
-        [](const ScenarioConfig& s) {
-          return fmt_value(s.cluster.batch_window_s * 1e3);
-        }});
+    k.push_back(millis(nullptr, "cluster.batch_window_ms",
+                       [](ScenarioConfig& s) -> double& { return s.cluster.batch_window_s; },
+                       "dispatcher batch window [ms] (0 = none)"));
     k.push_back(integer(nullptr, "cluster.max_batch",
                         [](ScenarioConfig& s) -> int& { return s.cluster.max_batch; },
                         "largest batched inference (FIFO flushes early)"));
@@ -400,27 +387,12 @@ const std::vector<KeyDef>& key_registry() {
     k.push_back(integer(nullptr, "cluster.workers",
                         [](ScenarioConfig& s) -> int& { return s.cluster.server.parallelism; },
                         "inference workers per cluster server"));
-    k.push_back(KeyDef{
-        nullptr, "cluster.service_ms", "per-inference service time [ms]",
-        [](const KeyValueConfig& c, ScenarioConfig& s) {
-          if (c.contains("cluster.service_ms"))
-            s.cluster.server.service_time_s =
-                c.get_double("cluster.service_ms", 0.0) * 1e-3;
-        },
-        [](const ScenarioConfig& s) {
-          return fmt_value(s.cluster.server.service_time_s * 1e3);
-        }});
-    k.push_back(KeyDef{
-        nullptr, "cluster.queue", "pending batches per cluster server",
-        [](const KeyValueConfig& c, ScenarioConfig& s) {
-          if (!c.contains("cluster.queue")) return;
-          const int q = c.get_int("cluster.queue", 0);
-          SEO_EXPECT(q >= 0);
-          s.cluster.server.queue_capacity = static_cast<std::size_t>(q);
-        },
-        [](const ScenarioConfig& s) {
-          return fmt_value(static_cast<int>(s.cluster.server.queue_capacity));
-        }});
+    k.push_back(millis(nullptr, "cluster.service_ms",
+                       [](ScenarioConfig& s) -> double& { return s.cluster.server.service_time_s; },
+                       "per-inference service time [ms]"));
+    k.push_back(count(nullptr, "cluster.queue",
+                      [](ScenarioConfig& s) -> std::size_t& { return s.cluster.server.queue_capacity; },
+                      "pending batches per cluster server"));
 
     k.push_back(dbl("Platform", "idle_w",
                     [](ScenarioConfig& s) -> double& { return s.platform.idle_w; },
