@@ -63,23 +63,10 @@ void BinaryReader::verify_checksum_from(std::size_t mark, const char* what) {
                         fingerprint_hex(expected) + ")");
 }
 
-const char* BinaryReader::take(std::size_t size) {
-  if (size > remaining())
-    throw BinaryIoError("binary read of " + std::to_string(size) +
-                        " bytes overruns the buffer (" +
-                        std::to_string(remaining()) + " left)");
-  const char* p = data_.data() + offset_;
-  offset_ += size;
-  return p;
-}
-
-std::uint64_t BinaryReader::gather(std::size_t size) {
-  const char* p = take(size);
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < size; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  return v;
+void BinaryReader::overrun(std::size_t size) const {
+  throw BinaryIoError("binary read of " + std::to_string(size) +
+                      " bytes overruns the buffer (" +
+                      std::to_string(remaining()) + " left)");
 }
 
 void append_frame(std::string& out, std::uint8_t type,

@@ -124,8 +124,23 @@ class BinaryReader {
   static constexpr std::size_t kDefaultMaxString = 1u << 20;
 
  private:
-  const char* take(std::size_t size);
-  std::uint64_t gather(std::size_t size);
+  // Inline so the fixed-width accessors compile to a bounds check and a
+  // load; only the overrun error is out of line.
+  const char* take(std::size_t size) {
+    if (size > remaining()) overrun(size);
+    const char* p = data_.data() + offset_;
+    offset_ += size;
+    return p;
+  }
+  std::uint64_t gather(std::size_t size) {
+    const char* p = take(size);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < size; ++i)
+      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+           << (8 * i);
+    return v;
+  }
+  [[noreturn]] void overrun(std::size_t size) const;
 
   std::string_view data_;
   std::size_t offset_ = 0;

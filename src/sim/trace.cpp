@@ -287,13 +287,12 @@ void append_trace_episode(std::string& block, const TraceEpisodeInfo& info,
 // never escapes, it is mapped onto the TraceStreamErrc taxonomy here.
 
 TraceStreamReader::TraceStreamReader(std::istream& in, std::ostream* tee)
-    : in_(in), tee_(tee) {
-  char header[kHeaderSize];
-  in_.read(header, static_cast<std::streamsize>(sizeof header));
-  if (static_cast<std::size_t>(in_.gcount()) != sizeof header)
+    : in_(in), tee_(tee), frame_(kHeaderSize, '\0') {
+  in_.read(frame_.data(), static_cast<std::streamsize>(kHeaderSize));
+  if (static_cast<std::size_t>(in_.gcount()) != kHeaderSize)
     throw TraceStreamError(TraceStreamErrc::kBadMagic,
                            "stream shorter than a seo-trace header");
-  BinaryReader fields(std::string_view(header, sizeof header));
+  BinaryReader fields{std::string_view(frame_)};
   if (fields.view(sizeof kMagic) != std::string_view(kMagic, sizeof kMagic))
     throw TraceStreamError(TraceStreamErrc::kBadMagic,
                            "not a seo-trace stream (magic mismatch)");
@@ -311,7 +310,7 @@ TraceStreamReader::TraceStreamReader(std::istream& in, std::ostream* tee)
         "seo-trace version " + std::to_string(version_) +
             " not supported (reader speaks version " +
             std::to_string(kTraceStreamVersion) + ")");
-  if (tee_) tee_->write(header, static_cast<std::streamsize>(sizeof header));
+  if (tee_) put(*tee_, frame_);
 }
 
 void TraceStreamReader::read_bytes(std::size_t offset, std::size_t size,
@@ -327,14 +326,15 @@ bool TraceStreamReader::next(TraceRecord& record) {
   if (done_) return false;
 
   // --- Frame ---------------------------------------------------------------
-  frame_.resize(kFrameHead);
+  // frame_ only grows (the header sized it), so steady-state reads neither
+  // allocate nor clear it.
   in_.read(frame_.data(), 1);
   if (in_.gcount() != 1)
     throw TraceStreamError(
         TraceStreamErrc::kTruncated,
         "seo-trace stream ended without a stream-end record");
   read_bytes(1, kFrameHead - 1, "record size");
-  BinaryReader head{std::string_view(frame_)};
+  BinaryReader head{std::string_view(frame_.data(), kFrameHead)};
   const std::uint8_t type = head.u8();
   const std::uint32_t size = head.u32();
   // Checked before the buffer grows: a corrupt size must not drive an
@@ -343,10 +343,12 @@ bool TraceStreamReader::next(TraceRecord& record) {
     throw TraceStreamError(TraceStreamErrc::kBadRecord,
                            "seo-trace record size " + std::to_string(size) +
                                " exceeds the format cap");
-  frame_.resize(kFrameHead + size + 8);
+  const std::size_t frame_size = kFrameHead + size + 8;
+  if (frame_.size() < frame_size) frame_.resize(frame_size);
   if (size > 0) read_bytes(kFrameHead, size, "record payload");
   read_bytes(kFrameHead + size, 8, "record checksum");
-  BinaryReader frame{std::string_view(frame_)};
+  const std::string_view bytes(frame_.data(), frame_size);
+  BinaryReader frame{bytes};
   (void)frame.u8();
   (void)frame.u32();
   const std::string_view payload = frame.view(size);
@@ -357,7 +359,7 @@ bool TraceStreamReader::next(TraceRecord& record) {
                            "seo-trace record checksum mismatch (record " +
                                std::to_string(type) + ")");
   }
-  if (tee_) put(*tee_, frame_);
+  if (tee_) put(*tee_, bytes);
 
   // --- Payload -------------------------------------------------------------
   BinaryReader fields{payload};
