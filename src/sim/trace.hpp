@@ -271,7 +271,7 @@ class TraceStreamReader {
   std::uint64_t run_digest_ = 0;
   std::uint64_t episodes_ = 0;
   std::uint64_t total_episodes_ = 0;
-  std::string frame_;            ///< reused buffer for the current record
+  std::string frame_;            ///< header, then each record; only grows
   TraceEpisodeCounts counts_;    ///< records seen in the open episode
   bool in_episode_ = false;
   bool done_ = false;
