@@ -9,6 +9,7 @@
 
 #include "common.hpp"
 #include "safety/deadline_table.hpp"
+#include "util/rng.hpp"
 
 int main() {
   using namespace seo;

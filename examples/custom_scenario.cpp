@@ -1,6 +1,7 @@
 // Config-file-driven experiment: reads a key=value scenario description,
-// runs the experiment, prints gains with a per-rail energy breakdown, and
-// exports a telemetry CSV of one representative episode.
+// runs the experiment, prints gains with the model-only and the eq. (8)
+// sensor + model energy views, and exports a telemetry CSV of one
+// representative episode.
 //
 //   ./examples/custom_scenario [config_path] [trace_csv_path]
 //
@@ -10,7 +11,6 @@
 #include <iostream>
 #include <sstream>
 
-#include "energy/breakdown.hpp"
 #include "energy/report.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario_io.hpp"
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
                   " successful episodes)");
   table.set_header({"pipeline", "gain", "frames", "gated", "offloaded",
                     "scaled"});
-  EnergyBreakdown total_breakdown;
+  EnergyComparison sensor_energy;
   for (std::size_t i = 0; i < r.pipelines.size(); ++i) {
     const auto& p = r.pipelines[i];
     const auto counts = p.tally.total();
@@ -64,13 +64,25 @@ int main(int argc, char** argv) {
                    std::to_string(counts.gated),
                    std::to_string(counts.offload_tx + counts.remote_applied),
                    std::to_string(counts.scaled_local)});
-    total_breakdown += model_breakdown(p.tally, p.model, p.sensor.period_s,
-                                       scenario.platform, &p.scaled_model);
-    total_breakdown += sensor_breakdown(p.tally, p.sensor);
+    sensor_energy += sensor_gating_energy(p.tally, p.sensor, p.model);
   }
   std::cout << table.render() << "\n";
-  std::cout << render_breakdown(total_breakdown,
-                                "Energy by rail (all Lambda' pipelines)");
+
+  // Both views over all Lambda' pipelines, against always-local execution
+  // of the same frames.  The eq. (8) view prices a gated sensor period, so
+  // it is shown for gating runs only.
+  TextTable energy("Energy vs. always-local (all Lambda' pipelines)");
+  energy.set_header({"view", "actual [J]", "local [J]", "gain"});
+  const auto add_view = [&energy](const std::string& view,
+                                  const EnergyComparison& e) {
+    energy.add_row({view, fmt_double(e.actual_j, 3),
+                    fmt_double(e.baseline_j, 3), fmt_percent(e.gain())});
+  };
+  add_view("model (accelerator + radio)",
+           r.combined_model_energy(scenario.platform));
+  if (scenario.mode == OptimizerMode::kGating)
+    add_view("sensor + model (eq. 8)", sensor_energy);
+  std::cout << energy.render();
   std::cout << "\ncombined gain: "
             << fmt_percent(
                    r.combined_model_energy(scenario.platform).gain())

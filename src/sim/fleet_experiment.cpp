@@ -299,24 +299,29 @@ std::string fleet_vehicle_csv(const FleetResult& result) {
       "vehicle,episodes,completions,collisions,off_roads,timeouts,"
       "filter_engagements,avg_speed,offloads,probes,deadline_misses,"
       "miss_rate,shed,mean_response_ms,energy_actual_j,energy_baseline_j\n";
+  // Appends, not "," + std::string&&: GCC 12 flags that operator+ with a
+  // false-positive -Wrestrict.
+  const auto field = [&out](const std::string& value) {
+    out += ',';
+    out += value;
+  };
   for (const auto& v : result.per_vehicle) {
     out += std::to_string(v.vehicle);
-    out += "," + std::to_string(v.episodes);
-    out += "," + std::to_string(v.completions);
-    out += "," + std::to_string(v.collisions);
-    out += "," + std::to_string(v.off_roads);
-    out += "," + std::to_string(v.timeouts);
-    out += "," + std::to_string(v.filter_engagements);
-    out += "," + report_fmt(v.avg_speed.empty() ? 0.0 : v.avg_speed.mean());
-    out += "," + std::to_string(v.offloads);
-    out += "," + std::to_string(v.probes);
-    out += "," + std::to_string(v.deadline_misses);
-    out += "," + report_fmt(v.miss_rate());
-    out += "," + std::to_string(v.shed);
-    out += "," + report_fmt(v.response_s.empty() ? 0.0
-                                                 : v.response_s.mean() * 1e3);
-    out += "," + report_fmt(v.energy_actual_j);
-    out += "," + report_fmt(v.energy_baseline_j);
+    field(std::to_string(v.episodes));
+    field(std::to_string(v.completions));
+    field(std::to_string(v.collisions));
+    field(std::to_string(v.off_roads));
+    field(std::to_string(v.timeouts));
+    field(std::to_string(v.filter_engagements));
+    field(report_fmt(v.avg_speed.empty() ? 0.0 : v.avg_speed.mean()));
+    field(std::to_string(v.offloads));
+    field(std::to_string(v.probes));
+    field(std::to_string(v.deadline_misses));
+    field(report_fmt(v.miss_rate()));
+    field(std::to_string(v.shed));
+    field(report_fmt(v.response_s.empty() ? 0.0 : v.response_s.mean() * 1e3));
+    field(report_fmt(v.energy_actual_j));
+    field(report_fmt(v.energy_baseline_j));
     out += "\n";
   }
   return out;

@@ -94,8 +94,14 @@ std::string sweep_csv(const SweepConfig& config,
                       const std::vector<std::vector<double>>& metrics) {
   SEO_ASSERT(points.size() == metrics.size());
   std::string out = "scenario";
-  for (const auto& axis : config.axes) out += "," + axis.key;
-  for (const auto& name : sweep_metric_names(config)) out += "," + name;
+  // Appends, not "," + std::string&&: GCC 12 flags that operator+ with a
+  // false-positive -Wrestrict.
+  const auto field = [&out](const std::string& value) {
+    out += ',';
+    out += value;
+  };
+  for (const auto& axis : config.axes) field(axis.key);
+  for (const auto& name : sweep_metric_names(config)) field(name);
   out += "\n";
 
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -106,9 +112,9 @@ std::string sweep_csv(const SweepConfig& config,
     SEO_ASSERT(point.assignment.size() == config.axes.size());
     for (std::size_t a = 0; a < config.axes.size(); ++a) {
       SEO_ASSERT(point.assignment[a].first == config.axes[a].key);
-      out += "," + point.assignment[a].second;
+      field(point.assignment[a].second);
     }
-    for (const double v : metrics[i]) out += "," + report_fmt(v);
+    for (const double v : metrics[i]) field(report_fmt(v));
     out += "\n";
   }
   return out;
@@ -183,8 +189,12 @@ void write_sweep_report(std::ostream& out, const std::string& format,
 
 std::string sweep_vehicle_csv(const std::vector<SweepRow>& rows) {
   std::string out;
-  for (const auto& row : rows)
-    out += "# " + row.point.label() + "\n" + fleet_vehicle_csv(row.fleet);
+  for (const auto& row : rows) {
+    out += "# ";
+    out += row.point.label();
+    out += '\n';
+    out += fleet_vehicle_csv(row.fleet);
+  }
   return out;
 }
 

@@ -1,13 +1,12 @@
 // Tests for the extension substrates: moving obstacles, the model-scaling
 // optimizer, edge-server queueing, deadline-table serialization, episode
-// telemetry, energy breakdowns, and the text configuration bridge.
+// telemetry, and the text configuration bridge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
 #include "dynamics/motion.hpp"
-#include "energy/breakdown.hpp"
 #include "net/edge_server.hpp"
 #include "net/offload_link.hpp"
 #include "sim/experiment.hpp"
@@ -309,45 +308,6 @@ TEST(Trace, EngagementRateMatchesFilterActivity) {
       [](const TraceSample& s) { return s.filter_engaged; });
   EXPECT_NEAR(static_cast<double>(engaged_ticks),
               static_cast<double>(r.filter_engagements), 1.5);
-}
-
-// --- Energy breakdown -----------------------------------------------------------
-
-TEST(Breakdown, RailsSumToModelEnergy) {
-  ScenarioConfig c = default_scenario();
-  c.obstacle_count = 2;
-  c.mode = OptimizerMode::kOffload;
-  c.seed = 670;
-  const EpisodeResult r = run_episode(c);
-  ASSERT_TRUE(r.success());
-  for (const auto& p : r.pipelines) {
-    const double period = p.delta * c.tau_s;
-    const EnergyBreakdown bd = model_breakdown(
-        p.tally, resnet152_px2(), period, c.platform, &c.scaled_model);
-    const EnergyComparison cmp = model_energy(
-        p.tally, resnet152_px2(), period, c.platform, &c.scaled_model);
-    EXPECT_NEAR(bd.total_j(), cmp.actual_j, 1e-9) << p.name;
-  }
-}
-
-TEST(Breakdown, SensorRailsFollowEq8) {
-  PipelineTally tally(4);
-  for (int i = 0; i < 3; ++i) tally.record(4, SlotOutcome::kGated);
-  tally.record(4, SlotOutcome::kLocalDeadline);
-  const SensorSpec radar = navtech_cts350x_radar(0.02);
-  const EnergyBreakdown bd = sensor_breakdown(tally, radar);
-  EXPECT_NEAR(bd.sensor_meas_j, 1 * 0.02 * 21.6, 1e-12);  // active only
-  EXPECT_NEAR(bd.sensor_mech_j, 4 * 0.02 * 2.4, 1e-12);   // never gates
-}
-
-TEST(Breakdown, RenderListsRails) {
-  EnergyBreakdown bd;
-  bd.compute_j = 1.0;
-  bd.radio_j = 0.5;
-  const std::string text = render_breakdown(bd, "test");
-  EXPECT_NE(text.find("compute (full model)"), std::string::npos);
-  EXPECT_NE(text.find("radio uplink"), std::string::npos);
-  EXPECT_NE(text.find("total"), std::string::npos);
 }
 
 // --- Config bridge ---------------------------------------------------------------

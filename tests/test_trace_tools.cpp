@@ -1,8 +1,8 @@
 // seo-trace stage-tool CLI tests: the real trace-* binaries (paths baked
 // in by CMake) over the smoke and fleet-smoke trace streams.  Pins the
 // bytes of every report and of the JSON export, the exit-code contract
-// (0 ok, 1 rejected or unreadable stream, 2 usage error) and the
-// passthrough identity the unix-pipe chaining rests on.
+// (0 ok, 1 rejected or unreadable stream or failed write, 2 usage error)
+// and the passthrough identity the unix-pipe chaining rests on.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -71,10 +71,13 @@ struct ToolRun {
 };
 
 /// Runs `tool args` (args are passed to the shell as written), with stdin
-/// from `stdin_path` when given, and captures stdout and stderr.
+/// from `stdin_path` when given, and captures stdout and stderr; stdout
+/// goes to `stdout_path` instead when given.
 ToolRun run_tool(const std::string& tool, const std::string& args,
-                 const std::string& stdin_path = "") {
-  const std::string out = path_in_tmp("stdout");
+                 const std::string& stdin_path = "",
+                 const std::string& stdout_path = "") {
+  const std::string out =
+      stdout_path.empty() ? path_in_tmp("stdout") : stdout_path;
   const std::string err = path_in_tmp("stderr");
   std::string cmd = tool + " " + args;
   if (!stdin_path.empty()) cmd += " < " + stdin_path;
@@ -82,7 +85,7 @@ ToolRun run_tool(const std::string& tool, const std::string& args,
   const int status = std::system(cmd.c_str());
   ToolRun run;
   if (WIFEXITED(status)) run.status = WEXITSTATUS(status);
-  run.out = slurp(out);
+  if (stdout_path.empty()) run.out = slurp(out);
   run.err = slurp(err);
   return run;
 }
@@ -229,6 +232,31 @@ TEST(TraceTools, PassthroughCopiesTheInputByteForByte) {
         run_tool(tool.path, "--passthrough -o /dev/null", smoke_trace());
     EXPECT_EQ(run.status, 0) << run.err;
     EXPECT_TRUE(run.out == bytes);
+  }
+}
+
+TEST(TraceTools, FailedWriteExitsOne) {
+  // /dev/full fails every write, as a full disk does: the report (to -o or
+  // to stdout) and the passthrough stream must not pass for written.
+  const auto ends_with = [](const std::string& text, const std::string& tail) {
+    return text.size() >= tail.size() &&
+           text.compare(text.size() - tail.size(), tail.size(), tail) == 0;
+  };
+  for (const Tool& tool : stage_tools()) {
+    SCOPED_TRACE(tool.name);
+    const std::string failed = std::string(tool.name) + ": write failed\n";
+    const ToolRun to_file =
+        run_tool(tool.path, smoke_trace() + " -o /dev/full");
+    EXPECT_EQ(to_file.status, 1);
+    EXPECT_TRUE(ends_with(to_file.err, failed)) << to_file.err;
+    const ToolRun to_stdout =
+        run_tool(tool.path, smoke_trace(), "", "/dev/full");
+    EXPECT_EQ(to_stdout.status, 1);
+    EXPECT_TRUE(ends_with(to_stdout.err, failed)) << to_stdout.err;
+    const ToolRun passthrough = run_tool(
+        tool.path, "--passthrough -o /dev/null", smoke_trace(), "/dev/full");
+    EXPECT_EQ(passthrough.status, 1);
+    EXPECT_TRUE(ends_with(passthrough.err, failed)) << passthrough.err;
   }
 }
 

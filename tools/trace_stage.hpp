@@ -13,7 +13,8 @@
 //
 // A tool's main declares its own flags, calls parse(), and hands its
 // record loop to run(); TraceStage does the rest.  Exit codes: 0 ok,
-// 1 unreadable input/report or rejected stream, 2 usage error.
+// 1 unreadable input/report, rejected stream or failed write, 2 usage
+// error.
 #pragma once
 
 #include <cstdlib>
@@ -103,7 +104,9 @@ class TraceStage {
 
   /// Opens the input, builds the validating reader (tee'd to stdout under
   /// --passthrough) and runs `loop(reader)`.  Returns the exit code: 0, or
-  /// 1 with a `rejected stream (<code>)` line when the stream is damaged.
+  /// 1 with a `rejected stream (<code>)` line when the stream is damaged,
+  /// or with a `write failed` line when the report or the passthrough
+  /// stream could not be written (a full disk, a closed pipe).
   template <typename Loop>
   int run(Loop&& loop) {
     try {
@@ -113,6 +116,13 @@ class TraceStage {
     } catch (const TraceStreamError& e) {
       std::cerr << tool_ << ": rejected stream ("
                 << trace_errc_name(e.code()) << "): " << e.what() << "\n";
+      return 1;
+    }
+    const bool stdout_ok = static_cast<bool>(std::cout.flush());
+    const bool file_ok =
+        !file_out_.is_open() || static_cast<bool>(file_out_.flush());
+    if (!stdout_ok || !file_ok) {
+      std::cerr << tool_ << ": write failed\n";
       return 1;
     }
     return 0;
