@@ -38,11 +38,12 @@ struct HybridPolicyConfig {
   double steer_noise = 0.008;      ///< 1-sigma steering dither [rad]
 };
 
-class HybridPolicy : public Policy {
+class HybridPolicy {
  public:
   HybridPolicy(HybridPolicyConfig config, BicycleParams vehicle, Rng rng);
 
-  Control act(const PolicyObservation& obs) override;
+  /// One control decision (raw u, later filtered by Psi).
+  Control act(const PolicyObservation& obs);
 
   const HybridPolicyConfig& config() const { return config_; }
 

@@ -1,5 +1,6 @@
-// Driving policy interface — the paper's controller pi, mapping aggregated
-// features Theta (from both model subsets) to a raw control action u.
+// Driving policy input — what the paper's controller pi sees at one step:
+// the aggregated features Theta (from both model subsets) it maps to a raw
+// control action u (control/hybrid_policy).
 #pragma once
 
 #include <vector>
@@ -21,13 +22,6 @@ struct PolicyObservation {
   std::vector<Detection> detections;  ///< union of latest Lambda' outputs
   double detection_age_s = 0.0;    ///< age of the *freshest* detection set
   double time_s = 0.0;
-};
-
-class Policy {
- public:
-  virtual ~Policy() = default;
-  /// One control decision (raw u, later filtered by Psi).
-  virtual Control act(const PolicyObservation& obs) = 0;
 };
 
 }  // namespace seo

@@ -51,8 +51,6 @@ class BinaryWriter {
   void u16(std::uint16_t v) { put_le(v, 2); }
   void u32(std::uint32_t v) { put_le(v, 4); }
   void u64(std::uint64_t v) { put_le(v, 8); }
-  /// Two's-complement via u64, so negative values round-trip exactly.
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   /// Raw IEEE-754 bit pattern — bit-identical round trip for every value
   /// class (denormals, -0.0, infinities, NaN payloads).
   void f64(double v);
@@ -96,7 +94,6 @@ class BinaryReader {
   std::uint16_t u16() { return static_cast<std::uint16_t>(gather(2)); }
   std::uint32_t u32() { return static_cast<std::uint32_t>(gather(4)); }
   std::uint64_t u64() { return gather(8); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
 
   void bytes(void* dst, std::size_t size);

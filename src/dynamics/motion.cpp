@@ -43,16 +43,4 @@ double MovingObstacleField::max_obstacle_speed() const {
   return v;
 }
 
-MovingObstacleField freeze(const ObstacleField& field) {
-  std::vector<ObstacleMotion> motions;
-  motions.reserve(field.size());
-  for (const auto& o : field.obstacles()) {
-    ObstacleMotion m;
-    m.origin = o.center;
-    m.radius = o.radius;
-    motions.push_back(m);
-  }
-  return MovingObstacleField{std::move(motions)};
-}
-
 }  // namespace seo

@@ -62,7 +62,4 @@ class MovingObstacleField {
   std::vector<ObstacleMotion> motions_;
 };
 
-/// Wraps static obstacles as zero-motion trajectories.
-MovingObstacleField freeze(const ObstacleField& field);
-
 }  // namespace seo

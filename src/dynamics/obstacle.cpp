@@ -79,26 +79,4 @@ bool ObstacleField::collides(const Vec2& point, double body_radius) const {
   return false;
 }
 
-std::vector<NearestObstacle> ObstacleField::within(const Vec2& point,
-                                                   double range) const {
-  std::vector<NearestObstacle> out;
-  within_into(point, range, out);
-  return out;
-}
-
-void ObstacleField::within_into(const Vec2& point, double range,
-                                std::vector<NearestObstacle>& out) const {
-  SEO_EXPECT(range >= 0.0);
-  out.clear();
-  const std::size_t n = xs_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = point.x - xs_[i];
-    const double dy = point.y - ys_[i];
-    const double center_dist = std::sqrt(dx * dx + dy * dy);
-    if (center_dist <= range)
-      out.push_back(NearestObstacle{i, center_dist - radii_[i],
-                                    obstacles_[i].center, radii_[i]});
-  }
-}
-
 }  // namespace seo

@@ -68,15 +68,6 @@ class ObstacleField {
   /// True if a disc of `body_radius` at `point` intersects any obstacle.
   bool collides(const Vec2& point, double body_radius) const;
 
-  /// All obstacles whose center is within `range` of `point` — the sensing
-  /// footprint used to synthesize detector outputs.
-  std::vector<NearestObstacle> within(const Vec2& point, double range) const;
-
-  /// `within` into a caller-owned buffer (cleared first); allocation-free
-  /// once the buffer's capacity covers the hit count.
-  void within_into(const Vec2& point, double range,
-                   std::vector<NearestObstacle>& out) const;
-
  private:
   std::vector<Obstacle> obstacles_;
   // SoA mirrors of obstacles_ (center.x, center.y, radius per index).

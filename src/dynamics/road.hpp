@@ -22,8 +22,6 @@ class Road {
   double length() const { return params_.length; }
   double half_width() const { return params_.half_width; }
 
-  /// Signed lateral offset from the centerline (+left of travel direction).
-  double lateral_offset(const Vec2& position) const { return position.y; }
   /// Longitudinal progress along the route, clamped to [0, length].
   double progress(const Vec2& position) const;
   /// Distance from `position` to the nearer road edge (negative if off-road).

@@ -10,9 +10,6 @@ struct VehicleState {
   Vec2 position{};      ///< rear-axle reference point in world frame [m]
   double heading = 0.0; ///< yaw angle from +x axis [rad]
   double speed = 0.0;   ///< longitudinal speed [m/s], >= 0 enforced by model
-
-  /// Unit vector the vehicle is pointing along.
-  Vec2 forward() const { return Vec2::from_polar(1.0, heading); }
 };
 
 /// Raw control command produced by the driving policy (the paper's `u`):

@@ -1,7 +1,5 @@
 #include "energy/report.hpp"
 
-#include <sstream>
-
 #include "util/expect.hpp"
 
 namespace seo {
@@ -68,25 +66,6 @@ EnergyComparison sensor_gating_energy_at(const PipelineTally& tally,
                                          const PerceptionModelSpec& model) {
   SEO_EXPECT(delta_max >= 1 && delta_max <= tally.deadline_cap());
   return sensor_gating_energy(tally.constrained(delta_max), sensor, model);
-}
-
-std::string describe_tally(const PipelineTally& tally,
-                           const std::string& name) {
-  std::ostringstream out;
-  out << "tally[" << name << "]:\n";
-  for (int b = 0; b <= tally.deadline_cap(); ++b) {
-    const auto& c = tally.bucket(b);
-    if (c.total_frames() == 0) continue;
-    if (b == kUnconstrainedBucket)
-      out << "  unconstrained: ";
-    else
-      out << "  delta_max=" << b << ": ";
-    out << "local=" << c.local_scheduled << " deadline=" << c.local_deadline
-        << " fallback=" << c.local_fallback << " gated=" << c.gated
-        << " tx=" << c.offload_tx << " remote=" << c.remote_applied
-        << " scaled=" << c.scaled_local << " txJ=" << c.tx_energy_j << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace seo

@@ -2,8 +2,6 @@
 // tables and figures report.
 #pragma once
 
-#include <string>
-
 #include "energy/power_model.hpp"
 #include "energy/tally.hpp"
 #include "sensors/sensor_spec.hpp"
@@ -69,9 +67,5 @@ EnergyComparison sensor_gating_energy_at(const PipelineTally& tally,
                                          int delta_max,
                                          const SensorSpec& sensor,
                                          const PerceptionModelSpec& model);
-
-/// Human-readable per-bucket frame breakdown (diagnostics).
-std::string describe_tally(const PipelineTally& tally,
-                           const std::string& name);
 
 }  // namespace seo

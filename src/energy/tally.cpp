@@ -15,10 +15,19 @@ void BucketCounts::merge(const BucketCounts& other) {
   tx_energy_j += other.tx_energy_j;
 }
 
-PipelineTally::PipelineTally(int deadline_cap)
-    : buckets_(static_cast<std::size_t>(deadline_cap) + 1) {
+namespace {
+
+// Checked before the bucket vector is sized: a negative cap would wrap to
+// a huge size_t.
+std::size_t bucket_count(int deadline_cap) {
   SEO_EXPECT(deadline_cap >= 1);
+  return static_cast<std::size_t>(deadline_cap) + 1;
 }
+
+}  // namespace
+
+PipelineTally::PipelineTally(int deadline_cap)
+    : buckets_(bucket_count(deadline_cap)) {}
 
 void PipelineTally::record(int bucket, SlotOutcome outcome,
                            double tx_energy_j) {

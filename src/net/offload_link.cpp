@@ -44,7 +44,6 @@ OffloadTransaction OffloadLink::submit(std::size_t pipeline,
         uplink_end + params_.server_latency_s + params_.downlink_latency_s;
   }
 
-  radio_energy_j_ += tx.tx_time_s * params_.tx_power_w;
   in_flight_.push_back(tx);
   return tx;
 }
@@ -65,16 +64,6 @@ std::vector<OffloadTransaction> OffloadLink::collect_arrivals(double now) {
               return a.response_time < b.response_time;
             });
   return arrived;
-}
-
-std::size_t OffloadLink::cancel_pipeline(std::size_t pipeline) {
-  const auto before = in_flight_.size();
-  in_flight_.erase(std::remove_if(in_flight_.begin(), in_flight_.end(),
-                                  [pipeline](const OffloadTransaction& tx) {
-                                    return tx.pipeline == pipeline;
-                                  }),
-                   in_flight_.end());
-  return before - in_flight_.size();
 }
 
 }  // namespace seo

@@ -1,10 +1,11 @@
 // Task-offloading link: tracks in-flight offload transactions against an
-// edge server and accounts for their latency and radio energy.
+// edge server and times each one's uplink and round trip.
 //
 // Round-trip time of one offload = uplink transmission (frame_bits / rate,
 // rate drawn per-transmission from the channel) + server inference latency
 // + downlink latency for the compact result.  Radio energy = uplink
-// transmission time * P_tx, which is the paper's eq. (7) E_Omega term.
+// transmission time * P_tx, the paper's eq. (7) E_Omega term; the
+// simulation charges it per transaction from `tx_time_s`.
 #pragma once
 
 #include <cstdint>
@@ -59,15 +60,7 @@ class OffloadLink {
   /// in-flight set (ordered by arrival time).
   std::vector<OffloadTransaction> collect_arrivals(double now);
 
-  /// Drops every in-flight transaction for `pipeline` (used when a local
-  /// fallback supersedes pending responses).  Returns how many were dropped.
-  std::size_t cancel_pipeline(std::size_t pipeline);
-
   std::size_t in_flight() const { return in_flight_.size(); }
-  /// Total radio energy spent so far [J] (spent even for cancelled/late
-  /// transactions — the uplink happened).
-  double radio_energy_j() const { return radio_energy_j_; }
-  std::uint64_t total_submitted() const { return next_id_; }
 
   /// Offloads the attached server shed (admission rejected).
   std::size_t shed() const { return shed_; }
@@ -80,7 +73,6 @@ class OffloadLink {
   std::size_t shed_ = 0;
   std::vector<OffloadTransaction> in_flight_;
   std::uint64_t next_id_ = 0;
-  double radio_energy_j_ = 0.0;
 };
 
 }  // namespace seo

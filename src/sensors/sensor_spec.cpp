@@ -5,10 +5,6 @@
 
 namespace seo {
 
-double inference_energy_j(const PerceptionModelSpec& model) {
-  return model.latency_s * model.power_w;
-}
-
 SensorSpec zed_stereo_camera(double period_s) {
   SEO_EXPECT(period_s > 0.0);
   return SensorSpec{"zed_camera", period_s, 1.9, 0.0, units::kib(24)};

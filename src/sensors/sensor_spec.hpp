@@ -30,9 +30,6 @@ struct PerceptionModelSpec {
   double power_w = 7.0;      ///< P_N: execution power draw [W]
 };
 
-/// Energy of one local inference: T_N * P_N (paper eqs. 7 and 8).
-double inference_energy_j(const PerceptionModelSpec& model);
-
 // --- Catalog (paper Table III + section VI-A) -----------------------------
 
 /// ZED stereo camera: P_meas = 1.9 W, no mechanical parts.

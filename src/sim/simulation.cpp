@@ -112,6 +112,13 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
   // would poison (or hang) the first ticks' integration.
   SEO_EXPECT(std::isfinite(config.initial_speed) &&
              config.initial_speed >= 0.0);
+  // The episode runs max_episode_s / tau_s ticks (none for a zero or
+  // negative length).  The length must be finite and its tick count must
+  // fit the tick counter: beyond it the float-to-integer cast is undefined.
+  const double tick_count = config.max_episode_s / config.tau_s;
+  SEO_EXPECT(std::isfinite(config.max_episode_s) && tick_count < 0x1p63);
+  const long long max_ticks =
+      tick_count > 0.0 ? static_cast<long long>(tick_count) : 0;
   Rng master(config.seed);
 
   // --- World -------------------------------------------------------------
@@ -237,10 +244,8 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
   EpisodeResult episode;
   episode.min_h = std::numeric_limits<double>::infinity();
 
-  const auto max_ticks = static_cast<long long>(config.max_episode_s /
-                                                config.tau_s);
   if (trace != nullptr)
-    trace->reserve_for(config.max_episode_s, config.tau_s, pipes.size());
+    trace->reserve_for(static_cast<std::size_t>(max_ticks), pipes.size());
 
   // Reused across ticks; detections are appended per tick after clear(),
   // so steady state never reallocates.  The tick report's directive buffer

@@ -70,6 +70,8 @@ std::vector<double> sweep_metrics(const SweepConfig& config,
   };
 }
 
+namespace {
+
 std::vector<std::vector<double>> sweep_metric_rows(
     const SweepConfig& config, const std::vector<SweepRow>& rows) {
   std::vector<std::vector<double>> metrics;
@@ -78,16 +80,12 @@ std::vector<std::vector<double>> sweep_metric_rows(
   return metrics;
 }
 
-namespace {
-
 std::vector<SweepPoint> report_points(const std::vector<SweepRow>& rows) {
   std::vector<SweepPoint> points;
   points.reserve(rows.size());
   for (const auto& row : rows) points.push_back(row.point);
   return points;
 }
-
-}  // namespace
 
 std::string sweep_csv(const SweepConfig& config,
                       const std::vector<SweepPoint>& points,
@@ -118,12 +116,6 @@ std::string sweep_csv(const SweepConfig& config,
     out += "\n";
   }
   return out;
-}
-
-std::string sweep_csv(const SweepConfig& config,
-                      const std::vector<SweepRow>& rows) {
-  return sweep_csv(config, report_points(rows),
-                   sweep_metric_rows(config, rows));
 }
 
 std::string sweep_json(const SweepConfig& config,
@@ -160,11 +152,7 @@ std::string sweep_json(const SweepConfig& config,
   return out.str();
 }
 
-std::string sweep_json(const SweepConfig& config,
-                       const std::vector<SweepRow>& rows) {
-  return sweep_json(config, report_points(rows),
-                    sweep_metric_rows(config, rows));
-}
+}  // namespace
 
 void write_sweep_report(std::ostream& out, const std::string& format,
                         const SweepConfig& config,

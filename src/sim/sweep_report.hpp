@@ -37,43 +37,22 @@ std::vector<std::string> sweep_metric_names(const SweepConfig& config);
 std::vector<double> sweep_metrics(const SweepConfig& config,
                                   const SweepRow& row);
 
-/// sweep_metrics over every row — the (points × metrics) matrix form a
-/// report renders from.  This is also the multi-process wire unit: worker
-/// shards ship each row's doubles as raw IEEE bits, so a report merged
-/// from workers renders from bit-identical inputs.
-std::vector<std::vector<double>> sweep_metric_rows(
-    const SweepConfig& config, const std::vector<SweepRow>& rows);
-
-/// CSV: header (scenario, axis keys..., metrics...) then one line per grid
-/// point.  Axis columns come from `config.axes` order.
-std::string sweep_csv(const SweepConfig& config,
-                      const std::vector<SweepRow>& rows);
-
-/// Matrix form: `metrics[i]` is row i's values in
-/// sweep_metric_names(config) order.  The SweepRow overload delegates here,
-/// so the in-process and merged-from-workers paths render through one body
-/// and cannot drift.
-std::string sweep_csv(const SweepConfig& config,
-                      const std::vector<SweepPoint>& points,
-                      const std::vector<std::vector<double>>& metrics);
-
-/// JSON: {"sweep": {context...}, "rows": {"<label>": {metrics...}}}; a
-/// fleet sweep's context block is "fleet": {rounds, base_seed, points}.
-std::string sweep_json(const SweepConfig& config,
-                       const std::vector<SweepRow>& rows);
-
-/// Matrix form (see sweep_csv).
-std::string sweep_json(const SweepConfig& config,
-                       const std::vector<SweepPoint>& points,
-                       const std::vector<std::vector<double>>& metrics);
-
-/// Renders to `out` in the named format ("csv" or "json"; throws
+/// Renders `rows` to `out` in the named format ("csv" or "json"; throws
 /// ContractViolation otherwise).
+///
+/// CSV: header (scenario, axis keys..., metrics...) then one line per grid
+/// point; axis columns come from `config.axes` order.  JSON: {"sweep":
+/// {context...}, "rows": {"<label>": {metrics...}}}; a fleet sweep's
+/// context block is "fleet": {rounds, base_seed, points}.
 void write_sweep_report(std::ostream& out, const std::string& format,
                         const SweepConfig& config,
                         const std::vector<SweepRow>& rows);
 
-/// Matrix form (see sweep_csv).
+/// Matrix form: `metrics[i]` is point i's sweep_metrics.  This is also the
+/// multi-process wire unit: worker shards ship each row's doubles as raw
+/// IEEE bits, so a report merged from workers renders from bit-identical
+/// inputs.  The rows form delegates here, so the in-process and
+/// merged-from-workers paths render through one body and cannot drift.
 void write_sweep_report(std::ostream& out, const std::string& format,
                         const SweepConfig& config,
                         const std::vector<SweepPoint>& points,

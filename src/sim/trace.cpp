@@ -14,14 +14,13 @@
 
 namespace seo {
 
-void EpisodeTrace::reserve_for(double max_episode_s, double tau_s,
-                               std::size_t pipelines) {
-  if (tau_s <= 0.0 || max_episode_s <= 0.0) return;
-  const auto ticks = static_cast<std::size_t>(max_episode_s / tau_s) + 1;
-  if (capture_samples_) samples_.reserve(ticks);
+void EpisodeTrace::reserve_for(std::size_t ticks, std::size_t pipelines) {
+  if (ticks == 0) return;
+  const std::size_t slots = ticks + 1;
+  if (capture_samples_) samples_.reserve(slots);
   // Offload events are bounded by one submission per pipeline per tick
   // (directives are per-pipeline, probes fire at most once per interval).
-  offloads_.reserve(ticks * std::max<std::size_t>(pipelines, 1));
+  offloads_.reserve(slots * std::max<std::size_t>(pipelines, 1));
 }
 
 const char* trace_csv_header() {

@@ -87,11 +87,11 @@ class EpisodeTrace {
     samples_.clear();
     offloads_.clear();
   }
-  /// Pre-sizes both logs for a full episode of `max_episode_s` at base
-  /// period `tau_s` with `pipelines` optimizable pipelines: one sample per
-  /// tick, and room for the worst-case one offload per pipeline per tick —
-  /// so neither log can reallocate mid-episode.
-  void reserve_for(double max_episode_s, double tau_s, std::size_t pipelines);
+  /// Pre-sizes both logs for a full episode of `ticks` base periods with
+  /// `pipelines` optimizable pipelines: one sample per tick, and room for
+  /// the worst-case one offload per pipeline per tick — so neither log can
+  /// reallocate mid-episode.
+  void reserve_for(std::size_t ticks, std::size_t pipelines);
 
   /// Disables the per-period sample log (the offload log stays active) —
   /// fleet experiments trace thousands of episodes and only need uplinks.

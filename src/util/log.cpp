@@ -1,34 +1,17 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <iostream>
 #include <mutex>
 
-namespace seo {
+namespace seo::detail {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
 std::mutex g_mutex;
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "debug";
-    case LogLevel::kInfo: return "info";
-    case LogLevel::kWarn: return "warn";
-    case LogLevel::kError: return "error";
-    case LogLevel::kOff: return "off";
-  }
-  return "?";
-}
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
-LogLevel log_level() { return g_level.load(); }
-
-void log_message(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;
+void log_warn_line(const std::string& message) {
   std::lock_guard<std::mutex> lock(g_mutex);
-  std::cerr << "[" << level_name(level) << "] " << message << "\n";
+  std::cerr << "[warn] " << message << "\n";
 }
 
-}  // namespace seo
+}  // namespace seo::detail

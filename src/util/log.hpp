@@ -1,5 +1,7 @@
-// Minimal leveled logger.  Benches and examples use it for progress lines;
-// the library itself logs only at kDebug so experiment output stays clean.
+// Minimal warning logger: `log_warn() << ...` emits one "[warn] message"
+// line to stderr when the statement ends.  The library warns only about
+// degraded runs (an experiment short of episodes, a failed artifact-store
+// disk write); report bytes never go through it.
 #pragma once
 
 #include <sstream>
@@ -7,38 +9,29 @@
 
 namespace seo {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Process-wide minimum level; messages below it are dropped.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/// Emits one line "[level] message" to stderr if `level` passes the filter.
-void log_message(LogLevel level, const std::string& message);
-
 namespace detail {
-class LogLine {
+/// Emits one line "[warn] message" to stderr; lines from concurrent
+/// threads never interleave.
+void log_warn_line(const std::string& message);
+
+class WarnLine {
  public:
-  explicit LogLine(LogLevel level) : level_(level) {}
-  ~LogLine() { log_message(level_, stream_.str()); }
-  LogLine(const LogLine&) = delete;
-  LogLine& operator=(const LogLine&) = delete;
+  WarnLine() = default;
+  ~WarnLine() { log_warn_line(stream_.str()); }
+  WarnLine(const WarnLine&) = delete;
+  WarnLine& operator=(const WarnLine&) = delete;
 
   template <typename T>
-  LogLine& operator<<(const T& v) {
+  WarnLine& operator<<(const T& v) {
     stream_ << v;
     return *this;
   }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 }  // namespace detail
 
-inline detail::LogLine log_debug() { return detail::LogLine(LogLevel::kDebug); }
-inline detail::LogLine log_info() { return detail::LogLine(LogLevel::kInfo); }
-inline detail::LogLine log_warn() { return detail::LogLine(LogLevel::kWarn); }
-inline detail::LogLine log_error() { return detail::LogLine(LogLevel::kError); }
+inline detail::WarnLine log_warn() { return {}; }
 
 }  // namespace seo

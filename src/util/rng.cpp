@@ -75,12 +75,6 @@ double Rng::rayleigh(double sigma) {
   return sigma * std::sqrt(-2.0 * std::log(u));
 }
 
-double Rng::exponential(double lambda) {
-  SEO_EXPECT(lambda > 0.0);
-  const double u = 1.0 - uniform();
-  return -std::log(u) / lambda;
-}
-
 bool Rng::bernoulli(double p_true) {
   SEO_EXPECT(p_true >= 0.0 && p_true <= 1.0);
   return uniform() < p_true;

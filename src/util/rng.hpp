@@ -72,8 +72,6 @@ class Rng {
   /// Mean = sigma * sqrt(pi/2).  Used for the Wi-Fi effective-data-rate
   /// model (paper section VI-A, scale 20 Mbps).
   double rayleigh(double sigma);
-  /// Exponential with given rate lambda.
-  double exponential(double lambda);
   /// Bernoulli trial.
   bool bernoulli(double p_true);
 

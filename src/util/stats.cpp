@@ -89,43 +89,6 @@ void IntHistogram::reset() {
   total_ = 0;
 }
 
-RealHistogram::RealHistogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  SEO_EXPECT(hi > lo);
-  SEO_EXPECT(bins > 0);
-}
-
-void RealHistogram::add(double value) {
-  ++total_;
-  if (value < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (value >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double frac = (value - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::size_t>(frac * static_cast<double>(counts_.size()));
-  bin = std::min(bin, counts_.size() - 1);
-  ++counts_[bin];
-}
-
-std::size_t RealHistogram::bin_count(std::size_t bin) const {
-  SEO_EXPECT(bin < counts_.size());
-  return counts_[bin];
-}
-
-double RealHistogram::bin_lo(std::size_t bin) const {
-  SEO_EXPECT(bin < counts_.size());
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bin);
-}
-
-double RealHistogram::bin_hi(std::size_t bin) const {
-  return bin_lo(bin) + (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
 double percentile(std::vector<double> samples, double p) {
   SEO_EXPECT(!samples.empty());
   SEO_EXPECT(p >= 0.0 && p <= 100.0);

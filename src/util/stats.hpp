@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <map>
-#include <string>
 #include <vector>
 
 namespace seo {
@@ -54,29 +53,6 @@ class IntHistogram {
  private:
   std::map<int, std::size_t> buckets_;
   std::size_t total_ = 0;
-};
-
-/// Fixed-bin histogram over a real-valued range, for continuous metrics.
-class RealHistogram {
- public:
-  RealHistogram(double lo, double hi, std::size_t bins);
-
-  void add(double value);
-  std::size_t bin_count(std::size_t bin) const;
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
 };
 
 /// Percentile of a sample vector (linear interpolation, p in [0,100]).

@@ -10,17 +10,11 @@ namespace seo::units {
 
 /// Milliseconds -> seconds.
 constexpr double ms(double v) { return v * 1e-3; }
-/// Seconds -> milliseconds (for reporting).
-constexpr double to_ms(double seconds) { return seconds * 1e3; }
 /// Megabits-per-second -> bits-per-second.
 constexpr double mbps(double v) { return v * 1e6; }
 /// Kibibytes -> bytes.
 constexpr double kib(double v) { return v * 1024.0; }
 /// Bytes -> bits.
 constexpr double bits(double bytes) { return bytes * 8.0; }
-/// Kilometers-per-hour -> meters-per-second.
-constexpr double kmh(double v) { return v / 3.6; }
-/// Degrees -> radians.
-constexpr double deg(double v) { return v * 3.14159265358979323846 / 180.0; }
 
 }  // namespace seo::units

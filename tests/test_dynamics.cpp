@@ -240,15 +240,6 @@ TEST(ObstacleField, CollisionBoundary) {
   EXPECT_FALSE(field.collides({2.9, 0.0}, 1.0));  // 2.1 > 2.0
 }
 
-TEST(ObstacleField, WithinRange) {
-  const ObstacleField field(
-      {Obstacle{{5.0, 0.0}, 1.0}, Obstacle{{50.0, 0.0}, 1.0}});
-  const auto near_set = field.within({0.0, 0.0}, 10.0);
-  EXPECT_EQ(near_set.size(), 1u);
-  EXPECT_EQ(near_set[0].index, 0u);
-  EXPECT_EQ(field.within({0.0, 0.0}, 100.0).size(), 2u);
-}
-
 TEST(ObstacleField, RejectsNonPositiveRadius) {
   EXPECT_THROW(ObstacleField({Obstacle{{0, 0}, 0.0}}), ContractViolation);
 }
@@ -279,7 +270,7 @@ TEST(ObstacleField, SoAColumnsMirrorAoSThroughEveryMutation) {
 }
 
 TEST(ObstacleField, SoAQueriesMatchAoSReferenceBitExactly) {
-  // nearest/collides/within run over the SoA columns; pin them to a plain
+  // nearest/collides run over the SoA columns; pin them to a plain
   // AoS loop over obstacles() so the layout split can never drift.
   const ObstacleField field({Obstacle{{5.0, 1.0}, 1.0},
                              Obstacle{{-2.0, 3.0}, 0.75},
@@ -300,12 +291,6 @@ TEST(ObstacleField, SoAQueriesMatchAoSReferenceBitExactly) {
     EXPECT_EQ(nearest->index, best);
     EXPECT_EQ(nearest->surface_distance, best_d);
     EXPECT_EQ(field.collides(p, 1.0), best_d <= 1.0);
-    std::vector<NearestObstacle> hits;
-    field.within_into(p, 6.0, hits);
-    std::size_t expected_hits = 0;
-    for (std::size_t i = 0; i < field.size(); ++i)
-      if (distance(p, field.at(i).center) <= 6.0) ++expected_hits;
-    EXPECT_EQ(hits.size(), expected_hits);
   }
 }
 

@@ -204,14 +204,5 @@ TEST(Report, NormalizedIsComplementOfGain) {
   EXPECT_NEAR(cmp.gain() + cmp.normalized(), 1.0, 1e-12);
 }
 
-TEST(Report, DescribeTallyListsBuckets) {
-  PipelineTally tally(4);
-  tally.record(2, SlotOutcome::kGated);
-  tally.record(kUnconstrainedBucket, SlotOutcome::kRemoteApplied, 0.01);
-  const std::string text = describe_tally(tally, "det1");
-  EXPECT_NE(text.find("delta_max=2"), std::string::npos);
-  EXPECT_NE(text.find("unconstrained"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace seo

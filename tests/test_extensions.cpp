@@ -55,7 +55,7 @@ TEST(ObstacleMotion, MaxSpeedBound) {
   }
 }
 
-TEST(MovingObstacleField, SnapshotAndFreeze) {
+TEST(MovingObstacleField, SnapshotAtTime) {
   ObstacleMotion m;
   m.origin = {5.0, 1.0};
   m.radius = 0.7;
@@ -63,11 +63,6 @@ TEST(MovingObstacleField, SnapshotAndFreeze) {
   const MovingObstacleField field({m});
   EXPECT_EQ(field.at(2.0).size(), 1u);
   EXPECT_DOUBLE_EQ(field.at(2.0).at(0).center.y, 3.0);
-
-  const ObstacleField static_field({Obstacle{{1.0, 2.0}, 0.5}});
-  const MovingObstacleField frozen = freeze(static_field);
-  EXPECT_DOUBLE_EQ(frozen.max_obstacle_speed(), 0.0);
-  EXPECT_DOUBLE_EQ(frozen.at(100.0).at(0).center.x, 1.0);
 }
 
 TEST(World, DynamicObstaclesTrackTime) {

@@ -122,6 +122,14 @@ std::string fnv_hex(const std::string& bytes) {
   return hasher.hex();
 }
 
+// A rendered sweep report, as `write_sweep_report` writes it.
+std::string report(const std::string& format, const SweepConfig& config,
+                   const std::vector<SweepRow>& rows) {
+  std::ostringstream out;
+  write_sweep_report(out, format, config, rows);
+  return out.str();
+}
+
 TEST(FleetGolden, SmokeGridBytesArePinned) {
   // fleet_smoke_sweep() (rounds 1, seed 1000) through the sweep engine:
   // FNV-1a digests of the CSV and JSON reports, the per-vehicle CSV and
@@ -138,8 +146,8 @@ TEST(FleetGolden, SmokeGridBytesArePinned) {
   const std::vector<SweepRow> rows = run_sweep(config);
   sink.finish();
 
-  EXPECT_EQ(fnv_hex(sweep_csv(config, rows)), "eb3af5f247c488fd");
-  EXPECT_EQ(fnv_hex(sweep_json(config, rows)), "3edccaef597f6389");
+  EXPECT_EQ(fnv_hex(report("csv", config, rows)), "eb3af5f247c488fd");
+  EXPECT_EQ(fnv_hex(report("json", config, rows)), "3edccaef597f6389");
   EXPECT_EQ(fnv_hex(sweep_vehicle_csv(rows)), "3e90dfc59e826f79");
   EXPECT_EQ(fnv_hex(trace.str()), "30bc0020af6ad4be");
   EXPECT_EQ(sink.episodes_written(), 8u * 3u);  // points x vehicles

@@ -1,9 +1,9 @@
 // Counting-allocator proof that the per-tick hot paths (the barrier and
-// safety filter, world physics) perform zero heap allocations in steady
-// state.  This file overrides global operator new/delete for its own test
-// binary (tests build one executable per file, so the override cannot leak
-// into other suites); the counters are read around repeated calls after a
-// warm-up call has grown every reusable buffer to capacity.
+// safety filter, sensing, world physics) perform zero heap allocations in
+// steady state.  This file overrides global operator new/delete for its own
+// test binary (tests build one executable per file, so the override cannot
+// leak into other suites); the counters are read around repeated calls
+// after a warm-up call has grown every reusable buffer to capacity.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,7 @@
 #include "dynamics/obstacle.hpp"
 #include "safety/barrier.hpp"
 #include "safety/safety_filter.hpp"
+#include "sensors/detector.hpp"
 #include "sim/world.hpp"
 
 namespace {
@@ -82,18 +83,20 @@ TEST(HotPathAllocations, SafetyFilterIsAllocationFreeInSteadyState) {
       << "SafetyFilter::filter allocated in steady state";
 }
 
-TEST(HotPathAllocations, ObstacleWithinIntoReusesCapacity) {
+TEST(HotPathAllocations, DetectIntoReusesTheFrameBuffer) {
   ObstacleField field;
   for (int i = 0; i < 12; ++i)
-    field.push_back(Obstacle{{2.0 * i, 0.0}, 0.5});
-  std::vector<NearestObstacle> hits;
-  field.within_into({6.0, 0.0}, 10.0, hits);  // warm-up sizes the buffer
+    field.push_back(Obstacle{{2.0 * i, 0.5}, 0.5});
+  SyntheticDetector detector(DetectorConfig{}, Rng(3));
+  const VehicleState ego;
+  DetectionSet frame;
+  detector.detect_into(ego, field, 0.0, frame);  // warm-up sizes the buffer
 
   const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 1000; ++i) field.within_into({6.0, 0.0}, 10.0, hits);
+  for (int i = 0; i < 1000; ++i) detector.detect_into(ego, field, 0.02, frame);
   EXPECT_EQ(g_allocations.load() - before, 0u)
-      << "within_into allocated with a warmed buffer";
-  EXPECT_FALSE(hits.empty());
+      << "detect_into allocated with a warmed frame";
+  EXPECT_FALSE(frame.detections.empty());
 }
 
 TEST(HotPathAllocations, WorldApplyTickIsAllocationFreeInSteadyState) {

@@ -79,29 +79,6 @@ TEST(OffloadLink, CollectArrivalsRespectsTimeAndOrders) {
   EXPECT_EQ(link.in_flight(), 0u);
 }
 
-TEST(OffloadLink, RadioEnergyIsTxTimeTimesPower) {
-  FixedChannel channel(units::mbps(8.0));
-  OffloadLinkParams params;
-  params.tx_power_w = 1.3;
-  OffloadLink link(params, channel, Rng(8));
-  const auto a = link.submit(0, units::kib(16.0), 0.0, 0.0);
-  const auto b = link.submit(0, units::kib(16.0), 0.0, 0.1);
-  EXPECT_NEAR(link.radio_energy_j(), (a.tx_time_s + b.tx_time_s) * 1.3,
-              1e-12);
-}
-
-TEST(OffloadLink, CancelPipelineDropsOnlyThatPipeline) {
-  FixedChannel channel(units::mbps(8.0));
-  OffloadLink link(OffloadLinkParams{}, channel, Rng(9));
-  link.submit(0, units::kib(16.0), 0.0, 0.0);
-  link.submit(1, units::kib(16.0), 0.0, 0.0);
-  link.submit(0, units::kib(16.0), 0.0, 0.0);
-  EXPECT_EQ(link.cancel_pipeline(0), 2u);
-  EXPECT_EQ(link.in_flight(), 1u);
-  // Energy was still spent on the cancelled uplinks.
-  EXPECT_GT(link.radio_energy_j(), 0.0);
-}
-
 TEST(OffloadLink, RejectsEmptyFrames) {
   FixedChannel channel(units::mbps(8.0));
   OffloadLink link(OffloadLinkParams{}, channel, Rng(10));

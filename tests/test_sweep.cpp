@@ -25,6 +25,14 @@ namespace {
 // cmp step and this suite can never drift apart.
 SweepConfig short_sweep() { return smoke_sweep(); }
 
+// A rendered sweep report, as `write_sweep_report` writes it.
+std::string report(const std::string& format, const SweepConfig& config,
+                   const std::vector<SweepRow>& rows) {
+  std::ostringstream out;
+  write_sweep_report(out, format, config, rows);
+  return out.str();
+}
+
 // --- Grid expansion ---------------------------------------------------------
 
 TEST(SweepGrid, CartesianExpansionIsOdometerOrdered) {
@@ -121,16 +129,16 @@ TEST(SweepDeterminism, ThreadedReportsByteIdenticalToSerial) {
   ASSERT_GE(serial_rows.size(), 12u);
   ASSERT_GE(serial.scenarios.size(), 4u);
 
-  const std::string serial_csv = sweep_csv(serial, serial_rows);
-  const std::string serial_json = sweep_json(serial, serial_rows);
+  const std::string serial_csv = report("csv", serial, serial_rows);
+  const std::string serial_json = report("json", serial, serial_rows);
 
   for (const int threads : {2, 0}) {
     SweepConfig threaded = short_sweep();
     threaded.threads = threads;
     const auto rows = run_sweep(threaded);
-    EXPECT_EQ(sweep_csv(threaded, rows), serial_csv)
+    EXPECT_EQ(report("csv", threaded, rows), serial_csv)
         << "CSV diverged at threads=" << threads;
-    EXPECT_EQ(sweep_json(threaded, rows), serial_json)
+    EXPECT_EQ(report("json", threaded, rows), serial_json)
         << "JSON diverged at threads=" << threads;
   }
 }
@@ -162,17 +170,17 @@ TEST(SweepTableCache, CachedReportsByteIdenticalToUncachedAcrossThreads) {
   uncached.base_overrides.emplace_back("table_cache", "false");
   uncached.threads = 1;
   const auto truth_rows = run_sweep(uncached);
-  const std::string truth_csv = sweep_csv(uncached, truth_rows);
-  const std::string truth_json = sweep_json(uncached, truth_rows);
+  const std::string truth_csv = report("csv", uncached, truth_rows);
+  const std::string truth_json = report("json", uncached, truth_rows);
 
   for (const int threads : {1, 2, 0}) {
     DeadlineTableCache::global().clear();
     SweepConfig cached = short_sweep();
     cached.threads = threads;
     const auto rows = run_sweep(cached);
-    EXPECT_EQ(sweep_csv(cached, rows), truth_csv)
+    EXPECT_EQ(report("csv", cached, rows), truth_csv)
         << "cached CSV diverged at threads=" << threads;
-    EXPECT_EQ(sweep_json(cached, rows), truth_json)
+    EXPECT_EQ(report("json", cached, rows), truth_json)
         << "cached JSON diverged at threads=" << threads;
   }
 }
@@ -308,11 +316,11 @@ TEST(SweepTableCache, NestedTableParallelismStaysByteIdentical) {
   serial.base_overrides.emplace_back("table_cache", "false");
   serial.base_overrides.emplace_back("table_threads", "0");
   serial.threads = 1;
-  const std::string truth = sweep_csv(serial, run_sweep(serial));
+  const std::string truth = report("csv", serial, run_sweep(serial));
 
   SweepConfig threaded = serial;
   threaded.threads = 0;
-  EXPECT_EQ(sweep_csv(threaded, run_sweep(threaded)), truth);
+  EXPECT_EQ(report("csv", threaded, run_sweep(threaded)), truth);
 }
 
 // --- Report rendering -------------------------------------------------------
@@ -321,7 +329,7 @@ TEST(SweepReport, CsvShapeMatchesGrid) {
   SweepConfig config = short_sweep();
   config.threads = 0;
   const auto rows = run_sweep(config);
-  const std::string csv = sweep_csv(config, rows);
+  const std::string csv = report("csv", config, rows);
 
   std::vector<std::string> lines;
   std::string current;

@@ -203,6 +203,14 @@ TEST(FrameAssembler, RejectsRunawayLengthFields) {
 
 // --- Shard execution and trace merge ----------------------------------------
 
+// A rendered sweep report, as `write_sweep_report` writes it.
+std::string report(const std::string& format, const SweepConfig& config,
+                   const std::vector<SweepRow>& rows) {
+  std::ostringstream out;
+  write_sweep_report(out, format, config, rows);
+  return out.str();
+}
+
 TEST(SweepShard, ShardRowsReassembleTheUnshardedReport) {
   const SweepConfig config = tiny_sweep();
   const std::vector<SweepRow> whole = run_sweep(config);
@@ -217,8 +225,8 @@ TEST(SweepShard, ShardRowsReassembleTheUnshardedReport) {
             });
 
   ASSERT_EQ(merged.size(), whole.size());
-  EXPECT_EQ(sweep_csv(config, merged), sweep_csv(config, whole));
-  EXPECT_EQ(sweep_json(config, merged), sweep_json(config, whole));
+  EXPECT_EQ(report("csv", config, merged), report("csv", config, whole));
+  EXPECT_EQ(report("json", config, merged), report("json", config, whole));
 }
 
 // Runs `config` (optionally one shard of it) with a trace sink attached
@@ -470,8 +478,9 @@ TEST(SweepWorkers, FarmMatchesInProcessRunBitForBit) {
         config, plan, SEO_SWEEP_TOOL, worker_args, 2, &sink);
     sink.finish();
 
-    const std::vector<std::vector<double>> expected =
-        sweep_metric_rows(config, rows);
+    std::vector<std::vector<double>> expected;
+    for (const SweepRow& row : rows)
+      expected.push_back(sweep_metrics(config, row));
     ASSERT_FALSE(expected.empty());
     EXPECT_EQ(expected[0].size(), sweep_metric_names(config).size());
     EXPECT_EQ(farm.metrics, expected) << config.rounds;
@@ -596,6 +605,18 @@ TEST(SweepCli, RejectsOutOfRangeAndMismatchedFlags) {
       // that does not exist (the store has no in-memory budget).
       {"--smoke", "--cache", "budget-mb=1e300"},
       {"--smoke", "--cache", "mem-mb=1e300"},
+      // Table reuse is the `table_cache` key; `--cache on` is no spelling.
+      {"--smoke", "--cache", "on"},
+      // A negative cap sized the tally's bucket vector before its check;
+      // episode lengths whose tick count no counter holds ran zero ticks.
+      {"--scenarios", "paper_default", "--episodes", "1", "--max-attempts",
+       "1", "--allow-failures", "--set", "deadline_cap=-3"},
+      {"--scenarios", "paper_default", "--episodes", "1", "--max-attempts",
+       "1", "--allow-failures", "--set", "max_episode_s=nan"},
+      {"--scenarios", "paper_default", "--episodes", "1", "--max-attempts",
+       "1", "--allow-failures", "--set", "max_episode_s=inf"},
+      {"--scenarios", "paper_default", "--episodes", "1", "--max-attempts",
+       "1", "--allow-failures", "--set", "max_episode_s=1e300"},
   };
   for (const auto& args : cases) {
     const std::string cmd =

@@ -108,13 +108,6 @@ TEST(Rng, RayleighMeanMatchesTheory) {
               4.0);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(31);
-  RunningStats s;
-  for (int i = 0; i < 100000; ++i) s.add(rng.exponential(4.0));
-  EXPECT_NEAR(s.mean(), 0.25, 0.01);
-}
-
 TEST(Rng, BernoulliFrequency) {
   Rng rng(37);
   int hits = 0;
@@ -183,23 +176,6 @@ TEST(IntHistogram, FrequenciesAndMean) {
   EXPECT_EQ(h.total(), 0u);
 }
 
-TEST(RealHistogram, BinningAndOverflow) {
-  RealHistogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // underflow
-  h.add(0.0);    // bin 0
-  h.add(1.99);   // bin 0
-  h.add(5.0);    // bin 2
-  h.add(9.999);  // bin 4
-  h.add(10.0);   // overflow (hi-exclusive)
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(2), 6.0);
-}
-
 TEST(Percentile, InterpolatesLinearly) {
   std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0};
   EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
@@ -245,19 +221,16 @@ TEST(BarChart, ScalesToPeak) {
 
 TEST(Units, Conversions) {
   EXPECT_DOUBLE_EQ(units::ms(20.0), 0.02);
-  EXPECT_DOUBLE_EQ(units::to_ms(0.017), 17.0);
   EXPECT_DOUBLE_EQ(units::mbps(20.0), 2e7);
   EXPECT_DOUBLE_EQ(units::kib(24.0), 24576.0);
   EXPECT_DOUBLE_EQ(units::bits(1024.0), 8192.0);
-  EXPECT_NEAR(units::deg(180.0), std::numbers::pi, 1e-12);
-  EXPECT_NEAR(units::kmh(36.0), 10.0, 1e-12);
 }
 
-TEST(Log, LevelFilters) {
-  const LogLevel prev = log_level();
-  set_log_level(LogLevel::kOff);
-  log_info() << "suppressed";  // must not crash, not assertable on stderr
-  set_log_level(prev);
+TEST(Log, WarnWritesOnePrefixedLine) {
+  ::testing::internal::CaptureStderr();
+  log_warn() << "short of episodes: " << 3;
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "[warn] short of episodes: 3\n");
 }
 
 }  // namespace

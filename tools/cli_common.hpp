@@ -8,7 +8,6 @@
 #include <iostream>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/artifact_store.hpp"
@@ -53,10 +52,6 @@ inline std::vector<std::string> split(const std::string& text, char sep) {
 /// Usage lines for the artifact-store flag, spliced into the --help text.
 constexpr const char* kCacheUsage =
     "  --cache SPEC           artifact-store settings, comma-separated:\n"
-    "                           on|off        content-addressed reuse "
-    "(default on;\n"
-    "                                         results byte-identical "
-    "either way)\n"
     "                           dir=DIR       persist artifacts in DIR\n"
     "                           budget-mb=N   artifact-dir size cap [MB]; "
     "LRU GC\n"
@@ -76,14 +71,12 @@ struct CacheCliOptions {
   bool gc = false;
 };
 
-/// Consumes `--cache SPEC` (and its value) from argv.  Returns false when
-/// `argv[i]` is not `--cache`; exits with code 2 on a malformed value.
-/// `on|off` is the one per-scenario setting (the `table_cache` key, which
-/// lands in `overrides`); everything else lands in `state`.
-inline bool parse_cache_flag(
-    int argc, char** argv, int& i,
-    std::vector<std::pair<std::string, std::string>>& overrides,
-    CacheCliOptions& state) {
+/// Consumes `--cache SPEC` (and its value) from argv into `state`.
+/// Returns false when `argv[i]` is not `--cache`; exits with code 2 on a
+/// malformed value.  Whether a scenario reuses tables at all is the
+/// `table_cache` key (`--set table_cache=false`), not a store setting.
+inline bool parse_cache_flag(int argc, char** argv, int& i,
+                             CacheCliOptions& state) {
   const std::string arg = argv[i];
   if (arg != "--cache") return false;
   if (i + 1 >= argc) {
@@ -117,10 +110,7 @@ inline bool parse_cache_flag(
       }
       return mb;
     };
-    if (name == "on" || name == "off") {
-      bare();
-      overrides.emplace_back("table_cache", name == "on" ? "true" : "false");
-    } else if (name == "gc") {
+    if (name == "gc") {
       bare();
       state.gc = true;
     } else if (name == "dir") {
@@ -135,8 +125,7 @@ inline bool parse_cache_flag(
       state.max_age_h = numeric();
     } else {
       std::cerr << "--cache: unknown setting '" << name
-                << "' (expected on, off, dir=, budget-mb=, max-age-h=, "
-                   "gc)\n";
+                << "' (expected dir=, budget-mb=, max-age-h=, gc)\n";
       std::exit(2);
     }
   }

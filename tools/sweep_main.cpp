@@ -259,8 +259,7 @@ int main(int argc, char** argv) {
       shard_trace = true;
     } else if (arg == "--stats") {
       show_pool_stats = true;
-    } else if (seo::cli::parse_cache_flag(argc, argv, i,
-                                          config.base_overrides, cache)) {
+    } else if (seo::cli::parse_cache_flag(argc, argv, i, cache)) {
       // --cache SPEC (cli_common.hpp).
     } else if (arg == "--format") {
       format = next_arg(i);
