@@ -109,8 +109,9 @@ int main() {
     for (auto& client : clients) {
       submitted += client.submitted;
       for (std::size_t i = 0; i < 2; ++i) {
-        applied += client.runtime->remote_applied(i);
-        fallbacks += client.runtime->fallbacks(i);
+        const BucketCounts counts = client.runtime->tally(i).total();
+        applied += counts.remote_applied;
+        fallbacks += counts.local_fallback;
       }
     }
     const double apply_rate =

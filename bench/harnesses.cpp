@@ -72,9 +72,10 @@ struct OffloadCounts {
 OffloadCounts offload_counts(const ExperimentResult& r) {
   OffloadCounts sum;
   for (const auto& p : r.pipelines) {
+    const BucketCounts counts = p.tally.total();
     sum.submitted += p.offload_submitted;
-    sum.applied += p.offload_applied;
-    sum.fallbacks += p.offload_fallbacks;
+    sum.applied += counts.remote_applied;
+    sum.fallbacks += counts.local_fallback;
   }
   return sum;
 }

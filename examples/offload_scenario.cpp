@@ -44,11 +44,12 @@ int main(int argc, char** argv) {
     std::uint64_t submitted = 0, applied = 0, fallbacks = 0, local = 0,
                   frames = 0;
     for (const auto& p : r.pipelines) {
+      const seo::BucketCounts counts = p.tally.total();
       submitted += p.offload_submitted;
-      applied += p.offload_applied;
-      fallbacks += p.offload_fallbacks;
-      local += p.tally.total().local_frames();
-      frames += p.tally.total().total_frames();
+      applied += counts.remote_applied;
+      fallbacks += counts.local_fallback;
+      local += counts.local_frames();
+      frames += counts.total_frames();
     }
     table.add_row({
         seo::fmt_double(scale, 0),

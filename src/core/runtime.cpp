@@ -16,8 +16,6 @@ SeoRuntime::SeoRuntime(Config config,
   offload_feasible_.assign(scheduler_.pipeline_count(), false);
   tallies_.assign(scheduler_.pipeline_count(),
                   PipelineTally(config.deadline_cap));
-  remote_applied_.assign(scheduler_.pipeline_count(), 0);
-  fallbacks_.assign(scheduler_.pipeline_count(), 0);
 }
 
 SeoRuntime::Directive SeoRuntime::classify(std::size_t pipeline,
@@ -70,14 +68,12 @@ SeoRuntime::Directive SeoRuntime::classify(std::size_t pipeline,
       directive.action = strategy_->deadline_slot(context);
       if (directive.action == FrameAction::kApplyRemote) {
         directive.outcome = SlotOutcome::kRemoteApplied;
-        ++remote_applied_[pipeline];
       } else {
         SEO_ASSERT(directive.action == FrameAction::kRunLocal);
         // An expected-but-missing remote result is a safety fallback.
         if (context.offload_feasible && context.unconstrained &&
             !context.remote_fresh) {
           directive.outcome = SlotOutcome::kLocalFallback;
-          ++fallbacks_[pipeline];
         } else {
           directive.outcome = SlotOutcome::kLocalDeadline;
         }
@@ -150,16 +146,6 @@ void SeoRuntime::record(const Directive& directive, double tx_energy_j) {
 const PipelineTally& SeoRuntime::tally(std::size_t pipeline) const {
   SEO_EXPECT(pipeline < tallies_.size());
   return tallies_[pipeline];
-}
-
-std::uint64_t SeoRuntime::remote_applied(std::size_t pipeline) const {
-  SEO_EXPECT(pipeline < remote_applied_.size());
-  return remote_applied_[pipeline];
-}
-
-std::uint64_t SeoRuntime::fallbacks(std::size_t pipeline) const {
-  SEO_EXPECT(pipeline < fallbacks_.size());
-  return fallbacks_[pipeline];
 }
 
 }  // namespace seo

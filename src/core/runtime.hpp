@@ -9,7 +9,9 @@
 // model, which may gate, scale or transmit.  After executing a directive
 // the caller reports it back through record() (with the measured radio
 // energy for transmissions), which maintains the per-pipeline tallies that
-// the energy reports consume.
+// the energy reports consume.  The tallies are the runtime's only counters:
+// remote results applied and late-response fallbacks are the
+// kRemoteApplied / kLocalFallback outcomes of the recorded directives.
 //
 // The simulator's run_episode() is itself a client of this API; embedded
 // deployments would wire the hooks to real pipelines instead.
@@ -92,10 +94,6 @@ class SeoRuntime {
   /// infeasible) to the current interval's tally bucket.
   void add_probe_energy(std::size_t pipeline, double tx_energy_j);
 
-  /// Counters for the offload bookkeeping (mirrors PipelineResult fields).
-  std::uint64_t remote_applied(std::size_t pipeline) const;
-  std::uint64_t fallbacks(std::size_t pipeline) const;
-
   /// Interval statistics.
   std::uint64_t intervals() const { return intervals_; }
   std::uint64_t unconstrained_intervals() const {
@@ -113,8 +111,6 @@ class SeoRuntime {
   std::vector<bool> offload_feasible_;
   int current_bucket_ = kUnconstrainedBucket;
   std::vector<PipelineTally> tallies_;
-  std::vector<std::uint64_t> remote_applied_;
-  std::vector<std::uint64_t> fallbacks_;
   std::uint64_t intervals_ = 0;
   std::uint64_t unconstrained_intervals_ = 0;
 };

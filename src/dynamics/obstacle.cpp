@@ -7,33 +7,23 @@
 
 namespace seo {
 
-ObstacleField::ObstacleField(std::vector<Obstacle> obstacles)
-    : obstacles_(std::move(obstacles)) {
-  xs_.reserve(obstacles_.size());
-  ys_.reserve(obstacles_.size());
-  radii_.reserve(obstacles_.size());
-  for (const auto& o : obstacles_) {
-    SEO_EXPECT(o.radius > 0.0);
-    xs_.push_back(o.center.x);
-    ys_.push_back(o.center.y);
-    radii_.push_back(o.radius);
-  }
+ObstacleField::ObstacleField(std::vector<Obstacle> obstacles) {
+  reserve(obstacles.size());
+  for (const auto& o : obstacles) push_back(o);
 }
 
-const Obstacle& ObstacleField::at(std::size_t i) const {
-  SEO_EXPECT(i < obstacles_.size());
-  return obstacles_[i];
+Obstacle ObstacleField::at(std::size_t i) const {
+  SEO_EXPECT(i < xs_.size());
+  return Obstacle{{xs_[i], ys_[i]}, radii_[i]};
 }
 
 void ObstacleField::clear() {
-  obstacles_.clear();
   xs_.clear();
   ys_.clear();
   radii_.clear();
 }
 
 void ObstacleField::reserve(std::size_t n) {
-  obstacles_.reserve(n);
   xs_.reserve(n);
   ys_.reserve(n);
   radii_.reserve(n);
@@ -41,17 +31,15 @@ void ObstacleField::reserve(std::size_t n) {
 
 void ObstacleField::push_back(const Obstacle& o) {
   SEO_EXPECT(o.radius > 0.0);
-  obstacles_.push_back(o);
   xs_.push_back(o.center.x);
   ys_.push_back(o.center.y);
   radii_.push_back(o.radius);
 }
 
 std::optional<NearestObstacle> ObstacleField::nearest(const Vec2& point) const {
-  if (obstacles_.empty()) return std::nullopt;
-  // SoA scan; the per-index arithmetic matches the AoS formulation
-  // (distance(point, center) - radius) operation for operation, so the
-  // result is bit-identical to iterating `obstacles_`.
+  if (xs_.empty()) return std::nullopt;
+  // The per-index arithmetic is distance(point, center) - radius operation
+  // for operation, so the result is bit-identical to that formulation.
   std::size_t best_i = 0;
   double best_dist = std::numeric_limits<double>::infinity();
   const std::size_t n = xs_.size();
@@ -64,7 +52,7 @@ std::optional<NearestObstacle> ObstacleField::nearest(const Vec2& point) const {
       best_i = i;
     }
   }
-  return NearestObstacle{best_i, best_dist, obstacles_[best_i].center,
+  return NearestObstacle{best_i, best_dist, {xs_[best_i], ys_[best_i]},
                          radii_[best_i]};
 }
 

@@ -2,12 +2,11 @@
 // "safety bound coordinates" as a sphere around the obstacle (section III-B);
 // here that is a disc in the plane.
 //
-// Storage is dual-layout: the AoS `Obstacle` vector remains the public
-// facade (construction, iteration, indexing), while parallel SoA arrays
-// (`xs/ys/radii`) feed the min-over-obstacles kernels in the safety layer —
-// contiguous same-type columns let those loops vectorize and skip the
-// struct stride.  The two layouts are maintained together by every
-// mutation, so they can never disagree.
+// Storage is one SoA layout: parallel `xs/ys/radii` columns feed the
+// min-over-obstacles kernels in the safety layer — contiguous same-type
+// columns let those loops vectorize and skip the struct stride.  `Obstacle`
+// is the value type going in (construction, push_back) and coming out
+// (`at`); nothing stores it.
 #pragma once
 
 #include <cstddef>
@@ -42,24 +41,24 @@ class ObstacleField {
   ObstacleField() = default;
   explicit ObstacleField(std::vector<Obstacle> obstacles);
 
-  const std::vector<Obstacle>& obstacles() const { return obstacles_; }
-  bool empty() const { return obstacles_.empty(); }
-  std::size_t size() const { return obstacles_.size(); }
-  const Obstacle& at(std::size_t i) const;
+  bool empty() const { return xs_.empty(); }
+  std::size_t size() const { return xs_.size(); }
+  /// Obstacle `i`, assembled from the columns.
+  Obstacle at(std::size_t i) const;
 
-  /// SoA columns, index-aligned with `obstacles()` — the layout the barrier
-  /// and safe-interval kernels iterate.
+  /// The columns, index-aligned (center.x, center.y, radius per obstacle)
+  /// — the layout the barrier and safe-interval kernels iterate.
   const std::vector<double>& xs() const { return xs_; }
   const std::vector<double>& ys() const { return ys_; }
   const std::vector<double>& radii() const { return radii_; }
 
-  /// Drops all obstacles, keeping capacity (both layouts).
+  /// Drops all obstacles, keeping capacity.
   void clear();
 
-  /// Pre-sizes both layouts for `n` obstacles.
+  /// Pre-sizes the columns for `n` obstacles.
   void reserve(std::size_t n);
 
-  /// Appends one obstacle to both layouts; allocation-free within capacity.
+  /// Appends one obstacle; allocation-free within capacity.
   void push_back(const Obstacle& o);
 
   /// Nearest obstacle to `point` by surface distance; nullopt when empty.
@@ -69,8 +68,6 @@ class ObstacleField {
   bool collides(const Vec2& point, double body_radius) const;
 
  private:
-  std::vector<Obstacle> obstacles_;
-  // SoA mirrors of obstacles_ (center.x, center.y, radius per index).
   std::vector<double> xs_;
   std::vector<double> ys_;
   std::vector<double> radii_;

@@ -1,6 +1,7 @@
 #include "net/edge_cluster.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 
 #include "util/expect.hpp"
@@ -51,30 +52,14 @@ void ClusterStats::merge(const ClusterStats& other) {
 
 EdgeCluster::EdgeCluster(EdgeClusterParams params) : params_(params) {
   SEO_EXPECT(params_.servers >= 1);
-  SEO_EXPECT(params_.server.service_time_s > 0.0);
-  SEO_EXPECT(params_.server.parallelism >= 1);
   SEO_EXPECT(params_.batch_window_s >= 0.0);
   SEO_EXPECT(params_.max_batch >= 1);
   SEO_EXPECT(params_.batch_marginal_cost >= 0.0 &&
              params_.batch_marginal_cost <= 1.0);
-  servers_.resize(static_cast<std::size_t>(params_.servers));
-  for (auto& server : servers_) {
-    server.worker_busy_until.assign(
-        static_cast<std::size_t>(params_.server.parallelism), 0.0);
-  }
+  servers_.assign(static_cast<std::size_t>(params_.servers),
+                  EdgeServer(params_.server));
   stats_.server_busy_s.assign(static_cast<std::size_t>(params_.servers), 0.0);
   stats_.workers_per_server = params_.server.parallelism;
-}
-
-std::size_t EdgeCluster::backlog(Server& server, double time) {
-  // Starts are nondecreasing (FIFO dispatch onto monotone worker
-  // availability), so entries at or before `time` prune from the front and
-  // never return; a batch starting exactly at `time` is running, not queued
-  // (closed start boundary — same convention as EdgeServer::backlog).
-  while (server.pending_head < server.pending_starts.size() &&
-         server.pending_starts[server.pending_head] <= time)
-    ++server.pending_head;
-  return server.pending_starts.size() - server.pending_head;
 }
 
 int EdgeCluster::pick_server() const {
@@ -85,12 +70,9 @@ int EdgeCluster::pick_server() const {
   // soonest: the server whose earliest worker frees first (ties break to
   // the lowest index, keeping the choice deterministic).
   std::size_t best = 0;
-  double best_free = *std::min_element(servers_[0].worker_busy_until.begin(),
-                                       servers_[0].worker_busy_until.end());
+  double best_free = servers_[0].earliest_free();
   for (std::size_t s = 1; s < servers_.size(); ++s) {
-    const double free_at =
-        *std::min_element(servers_[s].worker_busy_until.begin(),
-                          servers_[s].worker_busy_until.end());
+    const double free_at = servers_[s].earliest_free();
     if (free_at < best_free) {
       best_free = free_at;
       best = s;
@@ -139,56 +121,38 @@ void EdgeCluster::dispatch_batch(const std::vector<std::size_t>& batch,
   SEO_ASSERT(!batch.empty());
   const int server_index = pick_server();
   if (params_.dispatch == DispatchPolicy::kRoundRobin) ++round_robin_next_;
-  Server& server = servers_[static_cast<std::size_t>(server_index)];
 
-  // Admission mirrors EdgeServer::submit exactly (a batch is one batched
-  // inference job; queue_capacity counts queued jobs there too): a free
-  // worker — busy interval ending at or before ready_time, closed boundary
-  // — starts the batch immediately; otherwise the batch queues if the
-  // server has a slot and is shed whole if not.  With batch_window 0 and
-  // one server this reduces bit-for-bit to the EdgeServer model (locked by
-  // tests/test_edge_cluster.cpp).
-  const bool all_busy =
-      std::all_of(server.worker_busy_until.begin(),
-                  server.worker_busy_until.end(),
-                  [&](double t) { return t > ready_time; });
-  const bool shed_all =
-      all_busy && backlog(server, ready_time) >= params_.server.queue_capacity;
-  const std::size_t admitted = shed_all ? 0 : batch.size();
-
-  if (admitted > 0) {
-    auto earliest = std::min_element(server.worker_busy_until.begin(),
-                                     server.worker_busy_until.end());
-    const double start = std::max(*earliest, ready_time);
-    const double service =
-        params_.server.service_time_s *
-        (1.0 + static_cast<double>(admitted - 1) * params_.batch_marginal_cost);
-    const double completion = start + service;
-    *earliest = completion;
-    server.pending_starts.push_back(start);
-
-    stats_.admitted += admitted;
-    ++stats_.batches;
-    stats_.max_batch_seen = std::max(stats_.max_batch_seen, admitted);
-    stats_.makespan_s = std::max(stats_.makespan_s, completion);
-    stats_.server_busy_s[static_cast<std::size_t>(server_index)] += service;
-
-    for (std::size_t k = 0; k < admitted; ++k) {
-      ClusterOutcome& out = outcomes[batch[k]];
-      out.admitted = true;
-      out.server = server_index;
-      out.batch_size = admitted;
-      out.start_s = start;
-      out.completion_s = completion;
-      stats_.max_queue_delay_s =
-          std::max(stats_.max_queue_delay_s, start - out.arrival_s);
-    }
+  // A batch is one batched inference job, admitted or shed whole by the
+  // target server's own admission rule (queue_capacity counts queued
+  // batches).  With batch_window 0 and one server the cluster is therefore
+  // exactly the EdgeServer model (locked by tests/test_edge_cluster.cpp).
+  const double service =
+      params_.server.service_time_s *
+      (1.0 + static_cast<double>(batch.size() - 1) *
+                 params_.batch_marginal_cost);
+  const std::optional<EdgeServer::Slot> slot =
+      servers_[static_cast<std::size_t>(server_index)].admit(ready_time,
+                                                            service);
+  if (!slot) {  // outcomes start not admitted
+    for (const std::size_t i : batch) outcomes[i].server = server_index;
+    stats_.shed += batch.size();
+    return;
   }
-  for (std::size_t k = admitted; k < batch.size(); ++k) {
-    ClusterOutcome& out = outcomes[batch[k]];
-    out.admitted = false;
+
+  stats_.admitted += batch.size();
+  ++stats_.batches;
+  stats_.max_batch_seen = std::max(stats_.max_batch_seen, batch.size());
+  stats_.makespan_s = std::max(stats_.makespan_s, slot->completion);
+  stats_.server_busy_s[static_cast<std::size_t>(server_index)] += service;
+  for (const std::size_t i : batch) {
+    ClusterOutcome& out = outcomes[i];
+    out.admitted = true;
     out.server = server_index;
-    ++stats_.shed;
+    out.batch_size = batch.size();
+    out.start_s = slot->start;
+    out.completion_s = slot->completion;
+    stats_.max_queue_delay_s =
+        std::max(stats_.max_queue_delay_s, slot->start - out.arrival_s);
   }
 }
 

@@ -20,8 +20,9 @@
 //    that closing batch (the window is closed at both ends).
 //  - A worker whose busy interval ends exactly at dispatch time is
 //    available: the batch starts immediately with zero queue delay, and a
-//    request starting exactly at time t is not part of backlog(t) — the
-//    same convention as EdgeServer::submit/backlog.
+//    batch starting exactly at time t is not part of the backlog at t.
+//    Each batch is one EdgeServer::admit call, so this is EdgeServer's
+//    rule (edge_server.hpp).
 #pragma once
 
 #include <cstddef>
@@ -119,8 +120,10 @@ struct ClusterStats {
   void merge(const ClusterStats& other);
 };
 
-/// Deterministic multi-server dispatch/batching simulator.  One instance
-/// processes one trace; construct fresh per trace.
+/// Deterministic multi-server dispatch/batching simulator over a rack of
+/// EdgeServers: the dispatcher decides batch composition and the target
+/// server; the server's own admission rule decides start, completion and
+/// shedding.  One instance processes one trace; construct fresh per trace.
 class EdgeCluster {
  public:
   explicit EdgeCluster(EdgeClusterParams params);
@@ -139,18 +142,6 @@ class EdgeCluster {
   const ClusterStats& stats() const { return stats_; }
 
  private:
-  struct Server {
-    std::vector<double> worker_busy_until;
-    /// Start times of admitted batches, nondecreasing (FIFO dispatch onto
-    /// monotone worker availability), so backlog counting prunes from the
-    /// front in O(1) amortized.
-    std::vector<double> pending_starts;
-    std::size_t pending_head = 0;
-  };
-
-  /// Queued (not yet started) batches on `server` at `time`; a batch
-  /// starting exactly at `time` does not count (closed start boundary).
-  static std::size_t backlog(Server& server, double time);
   int pick_server() const;
   /// Drains the whole pending set (indices into `requests`) at
   /// `ready_time`: policy-ordered, then dispatched in max_batch chunks.
@@ -163,7 +154,7 @@ class EdgeCluster {
                       std::vector<ClusterOutcome>& outcomes);
 
   EdgeClusterParams params_;
-  std::vector<Server> servers_;
+  std::vector<EdgeServer> servers_;
   std::size_t round_robin_next_ = 0;
   bool processed_ = false;
   ClusterStats stats_;

@@ -13,18 +13,18 @@ EdgeServer::EdgeServer(EdgeServerParams params) : params_(params) {
                             0.0);
 }
 
-std::optional<double> EdgeServer::submit(double arrival_time) {
-  SEO_EXPECT(arrival_time >= 0.0);
-  // Queue occupancy at this instant: admitted jobs that have not started.
-  const std::size_t waiting = backlog(arrival_time);
+std::optional<EdgeServer::Slot> EdgeServer::admit(double arrival_s,
+                                                  double service_s) {
+  SEO_EXPECT(arrival_s >= 0.0);
+  SEO_EXPECT(service_s > 0.0);
   // Strict comparison = the documented boundary tie-break: a worker whose
-  // busy interval ends exactly at arrival_time is free, matching the
+  // busy interval ends exactly at arrival_s is free, matching the
   // `start = max(busy_until, arrival)` rule below (the job then starts at
   // arrival with zero queue delay) and backlog's strict `start > time`.
   const bool all_busy =
       std::all_of(worker_busy_until_.begin(), worker_busy_until_.end(),
-                  [&](double t) { return t > arrival_time; });
-  if (all_busy && waiting >= params_.queue_capacity) {
+                  [&](double t) { return t > arrival_s; });
+  if (all_busy && backlog(arrival_s) >= params_.queue_capacity) {
     ++rejected_;
     return std::nullopt;
   }
@@ -32,19 +32,33 @@ std::optional<double> EdgeServer::submit(double arrival_time) {
   // Earliest-available worker serves the job FIFO.
   auto earliest = std::min_element(worker_busy_until_.begin(),
                                    worker_busy_until_.end());
-  const double start = std::max(*earliest, arrival_time);
-  const double completion = start + params_.service_time_s;
-  *earliest = completion;
-  start_times_.push_back(start);
+  const double start = std::max(*earliest, arrival_s);
+  const Slot slot{start, start + service_s};
+  *earliest = slot.completion;
+  // Sorted insert; monotone arrivals (the cluster) append at the end.
+  start_times_.insert(std::upper_bound(start_times_.begin(),
+                                       start_times_.end(), slot.start),
+                      slot.start);
   ++admitted_;
-  max_queue_delay_ = std::max(max_queue_delay_, start - arrival_time);
-  return completion;
+  max_queue_delay_ = std::max(max_queue_delay_, slot.start - arrival_s);
+  return slot;
+}
+
+std::optional<double> EdgeServer::submit(double arrival_time) {
+  const std::optional<Slot> slot = admit(arrival_time, params_.service_time_s);
+  if (!slot) return std::nullopt;
+  return slot->completion;
 }
 
 std::size_t EdgeServer::backlog(double time) const {
   return static_cast<std::size_t>(
-      std::count_if(start_times_.begin(), start_times_.end(),
-                    [&](double start) { return start > time; }));
+      start_times_.end() -
+      std::upper_bound(start_times_.begin(), start_times_.end(), time));
+}
+
+double EdgeServer::earliest_free() const {
+  return *std::min_element(worker_busy_until_.begin(),
+                           worker_busy_until_.end());
 }
 
 }  // namespace seo

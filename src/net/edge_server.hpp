@@ -7,6 +7,10 @@
 // period) serialize on the workers, which is the mechanism behind
 // response-time inflation at scale — and a second reason (besides fading)
 // why the delta-hat estimator must stay conservative.
+//
+// This is the one queueing server in the tree: OffloadLink submits single
+// inferences to it, and EdgeCluster (edge_cluster.hpp) holds a rack of them
+// and admits each batched inference as one job with its own service time.
 #pragma once
 
 #include <cstddef>
@@ -22,12 +26,13 @@ struct EdgeServerParams {
 };
 
 /// Deterministic multi-worker queueing model.  Jobs are admitted in
-/// arrival order; each runs `service_time_s` on the earliest-available
-/// worker.  Admission fails (overload shedding) when, at the instant of
-/// arrival, all workers are busy and `queue_capacity` jobs are already
-/// waiting.
+/// submission order; each runs on the earliest-available worker.
+/// Admission fails (overload shedding) when, at the instant of arrival, all
+/// workers are busy and `queue_capacity` jobs are already waiting.
+/// Arrivals need not be monotone (OffloadLink submits uplink ends, which
+/// reorder under random transmit times).
 ///
-/// Boundary tie-break (shared with EdgeCluster, locked by tests/test_net):
+/// Boundary tie-break (locked by tests/test_net and tests/test_edge_cluster):
 /// service intervals are half-open [start, completion).  A worker whose
 /// busy interval ends exactly at the arrival instant is therefore free —
 /// the job starts immediately with zero queue delay and consumes no queue
@@ -37,12 +42,23 @@ struct EdgeServerParams {
 /// shed while a worker sits idle.
 class EdgeServer {
  public:
+  /// Where an admitted job runs.
+  struct Slot {
+    double start = 0.0;
+    double completion = 0.0;
+  };
+
   explicit EdgeServer(EdgeServerParams params = {});
 
   const EdgeServerParams& params() const { return params_; }
 
-  /// Admits a job arriving at `arrival_time`; returns its completion time,
-  /// or nullopt if the queue is full (the client must fall back locally).
+  /// Admits a job arriving at `arrival_s` that occupies one worker for
+  /// `service_s`; returns its slot, or nullopt if the queue is full.
+  std::optional<Slot> admit(double arrival_s, double service_s);
+
+  /// `admit` with the configured service time; returns the completion
+  /// time, or nullopt if the queue is full (the client must fall back
+  /// locally).
   std::optional<double> submit(double arrival_time);
 
   /// Jobs admitted / rejected so far.
@@ -53,13 +69,16 @@ class EdgeServer {
   /// A job starting exactly at `time` is running, not queued.
   std::size_t backlog(double time) const;
 
+  /// Instant the earliest worker frees up.
+  double earliest_free() const;
+
   /// Worst queueing delay (start - arrival) observed so far.
   double max_queue_delay() const { return max_queue_delay_; }
 
  private:
   EdgeServerParams params_;
   std::vector<double> worker_busy_until_;
-  std::vector<double> start_times_;  ///< start time of each admitted job
+  std::vector<double> start_times_;  ///< admitted jobs' starts, sorted
   std::size_t admitted_ = 0;
   std::size_t rejected_ = 0;
   double max_queue_delay_ = 0.0;

@@ -30,9 +30,14 @@ void SyntheticDetector::detect_into(const VehicleState& ego,
   out.detections.clear();
   // At most one detection per obstacle: one exact reservation instead of
   // log2(n) reallocations on this per-frame path.
-  out.detections.reserve(field.obstacles().size());
-  for (const auto& obstacle : field.obstacles()) {
-    const Vec2 rel = obstacle.center - ego.position;
+  const std::size_t n = field.size();
+  out.detections.reserve(n);
+  const std::vector<double>& xs = field.xs();
+  const std::vector<double>& ys = field.ys();
+  const std::vector<double>& radii = field.radii();
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vec2 center{xs[i], ys[i]};
+    const Vec2 rel = center - ego.position;
     const double range = rel.norm();
     if (range > config_.max_range) continue;
     const double bearing = wrap_angle(rel.angle() - ego.heading);
@@ -40,10 +45,10 @@ void SyntheticDetector::detect_into(const VehicleState& ego,
     if (config_.dropout_prob > 0.0 && rng_.bernoulli(config_.dropout_prob))
       continue;
     Detection d;
-    d.position = obstacle.center +
+    d.position = center +
                  Vec2{rng_.gaussian(0.0, config_.position_noise),
                       rng_.gaussian(0.0, config_.position_noise)};
-    d.radius = obstacle.radius;
+    d.radius = radii[i];
     d.range = range;
     out.detections.push_back(d);
   }

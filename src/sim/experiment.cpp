@@ -48,8 +48,6 @@ void consume_episode(const ExperimentConfig& config,
     agg.delta = pr.delta;
     agg.tally.merge(pr.tally);
     agg.offload_submitted += pr.offload_submitted;
-    agg.offload_applied += pr.offload_applied;
-    agg.offload_fallbacks += pr.offload_fallbacks;
   }
   for (const int key : episode.deadline_hist.keys())
     result.deadline_hist.add(key, episode.deadline_hist.count(key));

@@ -38,8 +38,6 @@ struct PipelineAggregate {
   PerceptionModelSpec scaled_model;  ///< variant used by kScaled mode
   PipelineTally tally{4};
   std::uint64_t offload_submitted = 0;
-  std::uint64_t offload_applied = 0;
-  std::uint64_t offload_fallbacks = 0;
 };
 
 struct ExperimentResult {

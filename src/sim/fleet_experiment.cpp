@@ -108,9 +108,9 @@ FleetResult run_fleet_experiment(const FleetExperimentConfig& config) {
       slots[i].episode = run_episode(episode_scenario, &trace);
       if (tracing)
         config.trace_tap(episode_scenario.seed, slots[i].episode, trace);
-      // Move, not copy: the replay phase owns the uplink stream and the
-      // buffer's capacity is re-reserved on the next clear()+record cycle.
-      slots[i].offloads = trace.take_offloads();
+      // Copy, not move: the slot gets an exact-size log and the chunk's
+      // buffer keeps its capacity for the next episode.
+      slots[i].offloads = trace.offloads();
     }
   });
 

@@ -49,7 +49,8 @@ MovingObstacleField make_moving_obstacles(const ScenarioConfig& config,
   std::vector<ObstacleMotion> motions;
   motions.reserve(placed.size());
   constexpr double kTwoPi = 6.28318530717958647692;
-  for (const auto& o : placed.obstacles()) {
+  for (std::size_t i = 0; i < placed.size(); ++i) {
+    const Obstacle o = placed.at(i);
     ObstacleMotion m;
     m.origin = o.center;
     m.radius = o.radius;

@@ -244,9 +244,6 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
   EpisodeResult episode;
   episode.min_h = std::numeric_limits<double>::infinity();
 
-  if (trace != nullptr)
-    trace->reserve_for(static_cast<std::size_t>(max_ticks), pipes.size());
-
   // Reused across ticks; detections are appended per tick after clear(),
   // so steady state never reallocates.  The tick report's directive buffer
   // is likewise reused via tick_into.
@@ -419,8 +416,6 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
   for (std::size_t k = 0; k < pipes.size(); ++k) {
     auto& pipe = pipes[k];
     pipe.result.tally = runtime.tally(k);
-    pipe.result.offload_applied = runtime.remote_applied(k);
-    pipe.result.offload_fallbacks = runtime.fallbacks(k);
     episode.pipelines.push_back(std::move(pipe.result));
   }
   return episode;

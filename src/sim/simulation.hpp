@@ -21,9 +21,10 @@ struct PipelineResult {
   std::string name;
   int delta = 1;                   ///< discretized period delta_i
   PipelineTally tally{4};
+  /// Uplinks transmitted (frames and probes).  Remote results applied and
+  /// late-response fallbacks are the tally's remote_applied and
+  /// local_fallback counts.
   std::uint64_t offload_submitted = 0;
-  std::uint64_t offload_applied = 0;   ///< deadline slots met by remote results
-  std::uint64_t offload_fallbacks = 0; ///< late responses -> local re-invocation
 };
 
 /// Everything one episode produces.

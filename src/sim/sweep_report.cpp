@@ -42,9 +42,10 @@ std::vector<double> sweep_metrics(const SweepConfig& config,
   const ExperimentResult& r = row.result;
   std::uint64_t submitted = 0, applied = 0, fallbacks = 0;
   for (const auto& p : r.pipelines) {
+    const BucketCounts counts = p.tally.total();
     submitted += p.offload_submitted;
-    applied += p.offload_applied;
-    fallbacks += p.offload_fallbacks;
+    applied += counts.remote_applied;
+    fallbacks += counts.local_fallback;
   }
   const EnergyComparison energy =
       r.combined_model_energy(row.scenario.platform);

@@ -14,15 +14,6 @@
 
 namespace seo {
 
-void EpisodeTrace::reserve_for(std::size_t ticks, std::size_t pipelines) {
-  if (ticks == 0) return;
-  const std::size_t slots = ticks + 1;
-  if (capture_samples_) samples_.reserve(slots);
-  // Offload events are bounded by one submission per pipeline per tick
-  // (directives are per-pipeline, probes fire at most once per interval).
-  offloads_.reserve(slots * std::max<std::size_t>(pipelines, 1));
-}
-
 const char* trace_csv_header() {
   return "t,x,y,heading,speed,h,delta_max,unconstrained,interval_started,"
          "engaged,steering,throttle,detection_age\n";

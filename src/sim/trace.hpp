@@ -79,29 +79,24 @@ class EpisodeTrace {
   void add(const TraceSample& sample) {
     if (capture_samples_) samples_.push_back(sample);
   }
-  /// Empties both logs but keeps their reserved capacity (std::vector
-  /// clear() never shrinks), so a trace reused across thousands of
-  /// episodes — the fleet fan-out, the sweep trace tap — records every
-  /// episode after the first without allocating.
+  /// Empties both logs but keeps their capacity (std::vector clear()
+  /// never shrinks), so a trace reused across thousands of episodes — the
+  /// fleet fan-out, the sweep trace tap — grows only while an episode is
+  /// longer than every earlier one.  Nothing is reserved up front: the
+  /// logs size to what the episode records, whatever its time limit.
   void clear() {
     samples_.clear();
     offloads_.clear();
   }
-  /// Pre-sizes both logs for a full episode of `ticks` base periods with
-  /// `pipelines` optimizable pipelines: one sample per tick, and room for
-  /// the worst-case one offload per pipeline per tick — so neither log can
-  /// reallocate mid-episode.
-  void reserve_for(std::size_t ticks, std::size_t pipelines);
-
   /// Disables the per-period sample log (the offload log stays active) —
   /// fleet experiments trace thousands of episodes and only need uplinks.
   void set_capture_samples(bool capture) { capture_samples_ = capture; }
 
   void add_offload(const OffloadEvent& event) { offloads_.push_back(event); }
   const std::vector<OffloadEvent>& offloads() const { return offloads_; }
-  /// Moves the offload log out (the trace is left with an empty log) —
-  /// the fleet fan-out records thousands of per-episode logs and must not
-  /// copy each one into its slot.
+  /// Moves the offload log out; the trace is left with an empty log and
+  /// no capacity.  A reused trace should copy `offloads()` instead, which
+  /// keeps its buffer warm.
   std::vector<OffloadEvent> take_offloads() { return std::move(offloads_); }
 
   const std::vector<TraceSample>& samples() const { return samples_; }

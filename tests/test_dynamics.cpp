@@ -244,34 +244,47 @@ TEST(ObstacleField, RejectsNonPositiveRadius) {
   EXPECT_THROW(ObstacleField({Obstacle{{0, 0}, 0.0}}), ContractViolation);
 }
 
-TEST(ObstacleField, SoAColumnsMirrorAoSThroughEveryMutation) {
-  // The SoA columns feed the safety kernels; they must stay index-aligned
-  // with the AoS facade across construction, push_back, clear and reuse.
-  const auto check_mirror = [](const ObstacleField& f) {
-    ASSERT_EQ(f.xs().size(), f.size());
-    ASSERT_EQ(f.ys().size(), f.size());
-    ASSERT_EQ(f.radii().size(), f.size());
-    for (std::size_t i = 0; i < f.size(); ++i) {
-      EXPECT_EQ(f.xs()[i], f.at(i).center.x);
-      EXPECT_EQ(f.ys()[i], f.at(i).center.y);
-      EXPECT_EQ(f.radii()[i], f.at(i).radius);
+TEST(ObstacleField, ColumnsHoldThePushedObstaclesThroughEveryMutation) {
+  // The columns are the only storage: after construction, push_back,
+  // clear and reuse, at(i) and the columns must give back exactly the
+  // obstacles that went in, in order.
+  const auto check = [](const ObstacleField& f,
+                        const std::vector<Obstacle>& pushed) {
+    ASSERT_EQ(f.size(), pushed.size());
+    ASSERT_EQ(f.xs().size(), pushed.size());
+    ASSERT_EQ(f.ys().size(), pushed.size());
+    ASSERT_EQ(f.radii().size(), pushed.size());
+    for (std::size_t i = 0; i < pushed.size(); ++i) {
+      const Obstacle o = f.at(i);
+      EXPECT_EQ(o.center.x, pushed[i].center.x);
+      EXPECT_EQ(o.center.y, pushed[i].center.y);
+      EXPECT_EQ(o.radius, pushed[i].radius);
+      EXPECT_EQ(f.xs()[i], pushed[i].center.x);
+      EXPECT_EQ(f.ys()[i], pushed[i].center.y);
+      EXPECT_EQ(f.radii()[i], pushed[i].radius);
     }
   };
-  ObstacleField field({Obstacle{{1.0, 2.0}, 0.5}, Obstacle{{-3.0, 4.0}, 2.0}});
-  check_mirror(field);
-  field.push_back(Obstacle{{7.0, -1.0}, 1.25});
-  check_mirror(field);
+  std::vector<Obstacle> pushed = {Obstacle{{1.0, 2.0}, 0.5},
+                                  Obstacle{{-3.0, 4.0}, 2.0}};
+  ObstacleField field(pushed);
+  check(field, pushed);
+  pushed.push_back(Obstacle{{7.0, -1.0}, 1.25});
+  field.push_back(pushed.back());
+  check(field, pushed);
   field.clear();
+  pushed.clear();
   EXPECT_TRUE(field.empty());
-  check_mirror(field);
+  check(field, pushed);
   field.reserve(4);
-  field.push_back(Obstacle{{0.25, 0.75}, 3.0});
-  check_mirror(field);
+  pushed.push_back(Obstacle{{0.25, 0.75}, 3.0});
+  field.push_back(pushed.back());
+  check(field, pushed);
+  EXPECT_THROW((void)field.at(1), ContractViolation);
 }
 
 TEST(ObstacleField, SoAQueriesMatchAoSReferenceBitExactly) {
-  // nearest/collides run over the SoA columns; pin them to a plain
-  // AoS loop over obstacles() so the layout split can never drift.
+  // nearest/collides run over the columns; pin them to a plain loop over
+  // at(i) in the distance(point, center) - radius formulation.
   const ObstacleField field({Obstacle{{5.0, 1.0}, 1.0},
                              Obstacle{{-2.0, 3.0}, 0.75},
                              Obstacle{{9.0, -4.0}, 2.5}});

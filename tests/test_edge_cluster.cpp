@@ -59,6 +59,13 @@ TEST(EdgeCluster, RejectsBadConfig) {
   params = small_cluster();
   params.batch_marginal_cost = 1.5;
   EXPECT_THROW(EdgeCluster cluster(params), ContractViolation);
+  // Per-server settings are the servers' own contract.
+  params = small_cluster();
+  params.server.service_time_s = 0.0;
+  EXPECT_THROW(EdgeCluster cluster(params), ContractViolation);
+  params = small_cluster();
+  params.server.parallelism = 0;
+  EXPECT_THROW(EdgeCluster cluster(params), ContractViolation);
 }
 
 TEST(EdgeCluster, RejectsUnorderedArrivalsAndDuplicateIds) {
@@ -287,6 +294,22 @@ TEST(EdgeCluster, ShedsWholeBatchWhenTargetQueueIsFull) {
   EXPECT_EQ(outcomes[2].server, 0);    // the server it was headed for
   EXPECT_EQ(cluster.stats().shed, 1u);
   EXPECT_EQ(cluster.stats().admitted, 2u);
+}
+
+TEST(EdgeCluster, BatchStartingAtDispatchInstantIsNotBacklog) {
+  // Request 1 queues and starts at 0.010, the instant request 2 arrives.
+  // It is running then, not queued, so the one queue slot is free and
+  // request 2 queues behind it instead of being shed.
+  EdgeClusterParams params = small_cluster();
+  params.servers = 1;
+  params.server.queue_capacity = 1;
+  EdgeCluster cluster(params);
+  const auto outcomes = cluster.process(
+      {request(0, 0.0), request(1, 0.001), request(2, 0.010)});
+  EXPECT_EQ(outcomes[1].start_s, 0.010);
+  ASSERT_TRUE(outcomes[2].admitted);
+  EXPECT_EQ(outcomes[2].start_s, 0.020);
+  EXPECT_EQ(cluster.stats().shed, 0u);
 }
 
 TEST(EdgeCluster, UtilizationAndMakespanReflectBusyTime) {

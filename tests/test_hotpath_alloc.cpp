@@ -1,6 +1,6 @@
 // Counting-allocator proof that the per-tick hot paths (the barrier and
-// safety filter, sensing, world physics) perform zero heap allocations in
-// steady state.  This file overrides global operator new/delete for its own
+// safety filter, sensing, world physics, the SEO runtime tick) perform zero
+// heap allocations in steady state.  This file overrides global operator new/delete for its own
 // test binary (tests build one executable per file, so the override cannot
 // leak into other suites); the counters are read around repeated calls
 // after a warm-up call has grown every reusable buffer to capacity.
@@ -9,9 +9,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
+#include "core/runtime.hpp"
 #include "dynamics/obstacle.hpp"
 #include "safety/barrier.hpp"
 #include "safety/safety_filter.hpp"
@@ -118,6 +120,43 @@ TEST(HotPathAllocations, WorldApplyTickIsAllocationFreeInSteadyState) {
   EXPECT_EQ(g_allocations.load() - before, 0u)
       << "World::apply allocated in steady state";
   EXPECT_FALSE(world.terminal());
+}
+
+TEST(HotPathAllocations, RuntimeTickIntoIsAllocationFree) {
+  // Both strategies the episode loop runs through the decision path most:
+  // gating, and offloading with its per-interval feasibility check and
+  // per-slot freshness hook.  delta_max = 4 with tau = 20 ms, so 16 ticks
+  // span four intervals.
+  const auto run = [](std::unique_ptr<OptimizationStrategy> strategy,
+                      bool offloading) {
+    int interval_starts = 0;
+    SeoRuntime::Hooks hooks;
+    hooks.sample_deadline = [] { return DeadlineSample{true, 0.08}; };
+    hooks.on_interval_start = [&interval_starts] { ++interval_starts; };
+    if (offloading) {
+      hooks.estimate_periods = [](std::size_t) { return 1; };
+      hooks.remote_fresh = [](std::size_t) { return true; };
+    }
+    SeoRuntime runtime(SeoRuntime::Config{TimeBase(0.02), 4, {1, 2}},
+                       std::move(strategy), std::move(hooks));
+    SeoRuntime::TickReport report;
+    for (int t = 0; t < 4; ++t) {  // warm-up: one interval grows the report
+      runtime.tick_into(report);
+      for (const auto& d : report.directives) runtime.record(d, 0.001);
+    }
+
+    const int starts_before = interval_starts;
+    const std::uint64_t before = g_allocations.load();
+    for (int t = 0; t < 16; ++t) {
+      runtime.tick_into(report);
+      for (const auto& d : report.directives) runtime.record(d, 0.001);
+    }
+    EXPECT_EQ(g_allocations.load() - before, 0u)
+        << runtime.strategy().name() << ": tick_into allocated";
+    EXPECT_GE(interval_starts - starts_before, 2);
+  };
+  run(std::make_unique<GatingStrategy>(), false);
+  run(std::make_unique<OffloadStrategy>(), true);
 }
 
 }  // namespace

@@ -2,14 +2,18 @@
 // offload link's timing/energy accounting, and the delta-hat estimator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <optional>
+#include <vector>
 
 #include "net/channel.hpp"
 #include "net/edge_server.hpp"
 #include "net/offload_link.hpp"
 #include "net/response_estimator.hpp"
 #include "util/expect.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -207,6 +211,115 @@ TEST(EdgeServer, QueueDelayAccountsFromArrivalToStart) {
   ASSERT_TRUE(queued.has_value());
   EXPECT_DOUBLE_EQ(*queued, 0.020);  // started at 0.010
   EXPECT_DOUBLE_EQ(server.max_queue_delay(), 0.006);
+}
+
+// --- EdgeServer against a reference model --------------------------------
+
+/// The EdgeServer model with an unsorted start list: backlog counts every
+/// admitted start, so it is right for any arrival order.  The oracle for
+/// the sorted start list's upper_bound count.
+class ReferenceEdgeServer {
+ public:
+  explicit ReferenceEdgeServer(EdgeServerParams params)
+      : params_(params),
+        busy_until_(static_cast<std::size_t>(params.parallelism), 0.0) {}
+
+  std::optional<double> submit(double arrival) {
+    const std::size_t waiting = backlog(arrival);
+    const bool all_busy =
+        std::all_of(busy_until_.begin(), busy_until_.end(),
+                    [&](double t) { return t > arrival; });
+    if (all_busy && waiting >= params_.queue_capacity) {
+      ++rejected_;
+      return std::nullopt;
+    }
+    auto earliest = std::min_element(busy_until_.begin(), busy_until_.end());
+    const double start = std::max(*earliest, arrival);
+    const double completion = start + params_.service_time_s;
+    *earliest = completion;
+    starts_.push_back(start);
+    ++admitted_;
+    max_queue_delay_ = std::max(max_queue_delay_, start - arrival);
+    return completion;
+  }
+
+  std::size_t backlog(double time) const {
+    return static_cast<std::size_t>(
+        std::count_if(starts_.begin(), starts_.end(),
+                      [&](double start) { return start > time; }));
+  }
+
+  std::size_t admitted() const { return admitted_; }
+  std::size_t rejected() const { return rejected_; }
+  double max_queue_delay() const { return max_queue_delay_; }
+
+ private:
+  EdgeServerParams params_;
+  std::vector<double> busy_until_;
+  std::vector<double> starts_;
+  std::size_t admitted_ = 0;
+  std::size_t rejected_ = 0;
+  double max_queue_delay_ = 0.0;
+};
+
+TEST(EdgeServer, MatchesReferenceModelUnderOutOfOrderArrivals) {
+  // OffloadLink's shape: nondecreasing submit times plus a random uplink
+  // time, so arrivals reach the server out of order.  Half the trials put
+  // every time on a 1/1024 s grid, where sums are exact and arrivals land
+  // on completion boundaries.
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const bool on_grid = trial % 2 == 0;
+    const auto draw = [&](double lo, double hi) {
+      const double v = rng.uniform(lo, hi);
+      return on_grid ? std::floor(v * 1024.0) / 1024.0 : v;
+    };
+    EdgeServerParams params;
+    params.parallelism = rng.uniform_int(1, 4);
+    params.queue_capacity = static_cast<std::size_t>(rng.uniform_int(0, 6));
+    params.service_time_s = std::max(draw(0.001, 0.02), 1.0 / 1024.0);
+    EdgeServer server(params);
+    ReferenceEdgeServer reference(params);
+
+    double submit_s = 0.0;
+    for (int k = 0; k < 120; ++k) {
+      if (rng.bernoulli(0.7)) submit_s += draw(0.0, 0.01);
+      const double arrival = submit_s + draw(0.0, 0.03);
+      const auto got = server.submit(arrival);
+      const auto want = reference.submit(arrival);
+      ASSERT_EQ(got.has_value(), want.has_value())
+          << "trial " << trial << " job " << k;
+      if (want) EXPECT_EQ(*got, *want) << "trial " << trial << " job " << k;
+      for (int q = 0; q < 3; ++q) {
+        const double t = submit_s + draw(-0.01, 0.05);
+        EXPECT_EQ(server.backlog(t), reference.backlog(t))
+            << "trial " << trial << " job " << k << " t=" << t;
+      }
+      EXPECT_EQ(server.backlog(arrival), reference.backlog(arrival));
+    }
+    EXPECT_EQ(server.admitted(), reference.admitted()) << "trial " << trial;
+    EXPECT_EQ(server.rejected(), reference.rejected()) << "trial " << trial;
+    EXPECT_EQ(server.max_queue_delay(), reference.max_queue_delay())
+        << "trial " << trial;
+  }
+}
+
+TEST(EdgeServer, AdmitReturnsTheSlotAndSubmitItsCompletion) {
+  EdgeServerParams params;
+  params.service_time_s = 0.010;
+  params.parallelism = 1;
+  params.queue_capacity = 1;
+  EdgeServer server(params);
+  const auto first = server.admit(0.0, 0.025);  // caller-chosen service
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->start, 0.0);
+  EXPECT_EQ(first->completion, 0.025);
+  EXPECT_EQ(server.earliest_free(), 0.025);
+  const auto queued = server.submit(0.005);  // configured service
+  ASSERT_TRUE(queued.has_value());
+  EXPECT_EQ(*queued, 0.035);
+  EXPECT_FALSE(server.admit(0.006, 0.001).has_value());  // queue full
+  EXPECT_THROW((void)server.admit(0.006, 0.0), ContractViolation);
 }
 
 }  // namespace

@@ -122,8 +122,8 @@ TEST(SeoRuntime, OffloadAppliesRemoteOnlyWhenUnconstrainedAndFresh) {
   EXPECT_EQ(actions, (std::vector<FrameAction>{
                          FrameAction::kOffload, FrameAction::kOffload,
                          FrameAction::kOffload, FrameAction::kApplyRemote}));
-  EXPECT_EQ(runtime.remote_applied(0), 1u);
-  EXPECT_EQ(runtime.fallbacks(0), 0u);
+  EXPECT_EQ(runtime.tally(0).total().remote_applied, 1u);
+  EXPECT_EQ(runtime.tally(0).total().local_fallback, 0u);
   EXPECT_NEAR(runtime.tally(0).total_tx_energy_j(), 0.04, 1e-12);
 }
 
@@ -137,9 +137,8 @@ TEST(SeoRuntime, OffloadFallsBackWhenStale) {
     const auto r = runtime.tick();
     runtime.record(r.directives[0]);
   }
-  EXPECT_EQ(runtime.fallbacks(0), 1u);
   EXPECT_EQ(runtime.tally(0).total().local_fallback, 1u);
-  EXPECT_EQ(runtime.remote_applied(0), 0u);
+  EXPECT_EQ(runtime.tally(0).total().remote_applied, 0u);
 }
 
 TEST(SeoRuntime, ConstrainedDeadlineSlotIsNeverRemote) {
@@ -160,7 +159,7 @@ TEST(SeoRuntime, ConstrainedDeadlineSlotIsNeverRemote) {
     }
     runtime.record(r.directives[0]);
   }
-  EXPECT_EQ(runtime.remote_applied(0), 0u);
+  EXPECT_EQ(runtime.tally(0).total().remote_applied, 0u);
 }
 
 TEST(SeoRuntime, SlowEstimateDisablesOffloading) {

@@ -100,8 +100,8 @@ TEST(Barrier, SoAFieldKernelMatchesScalarFacadeBitExactly) {
         state_at(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0),
                  rng.uniform(-3.0, 3.0), rng.uniform(0.0, 12.0));
     double expected = std::numeric_limits<double>::infinity();
-    for (const auto& o : field.obstacles())
-      expected = std::min(expected, barrier.value(s, o));
+    for (std::size_t i = 0; i < field.size(); ++i)
+      expected = std::min(expected, barrier.value(s, field.at(i)));
     EXPECT_EQ(barrier.value(s, field), expected) << "trial " << trial;
   }
 }

@@ -162,7 +162,8 @@ TEST(ObstacleProperties, AlwaysInsideRegionAndLateralBound) {
       const ObstacleField field = make_obstacles(c, rng);
       ASSERT_EQ(field.size(), static_cast<std::size_t>(count));
       const double region_start = c.road.length * (1.0 - c.obstacle_region);
-      for (const auto& o : field.obstacles()) {
+      for (std::size_t i = 0; i < field.size(); ++i) {
+        const Obstacle o = field.at(i);
         EXPECT_GE(o.center.x, region_start) << "seed=" << seed;
         EXPECT_LE(o.center.x, c.road.length - 2.0) << "seed=" << seed;
         EXPECT_LE(std::abs(o.center.y), c.obstacle_lateral_max)

@@ -32,7 +32,8 @@ TEST(Scenario, ObstaclesPlacedInFinalRegion) {
   const ObstacleField field = make_obstacles(c, rng);
   ASSERT_EQ(field.size(), 5u);
   const double region_start = c.road.length * (1.0 - c.obstacle_region);
-  for (const auto& o : field.obstacles()) {
+  for (std::size_t i = 0; i < field.size(); ++i) {
+    const Obstacle o = field.at(i);
     EXPECT_GE(o.center.x, region_start);
     EXPECT_LE(o.center.x, c.road.length);
     EXPECT_LE(std::abs(o.center.y), c.obstacle_lateral_max);
@@ -170,6 +171,22 @@ TEST(Episode, EmptyRoadCompletesQuickly) {
   EXPECT_EQ(r.unconstrained_intervals, r.intervals);
 }
 
+TEST(Episode, LongHorizonTracedEpisodeCompletes) {
+  // A huge but finite time limit must not size the trace: the episode ends
+  // at the route's end after a few hundred ticks, and both logs hold only
+  // what it recorded.
+  ScenarioConfig c = default_scenario();
+  c.mode = OptimizerMode::kOffload;
+  c.max_episode_s = 1e12;
+  EpisodeTrace trace;
+  const EpisodeResult r = run_episode(c, &trace);
+  EXPECT_FALSE(r.timed_out);
+  EXPECT_GT(trace.size(), 0u);
+  EXPECT_FALSE(trace.offloads().empty());
+  EXPECT_LT(trace.samples().capacity(), 4 * trace.size());
+  EXPECT_LT(trace.offloads().capacity(), 4 * trace.offloads().size());
+}
+
 TEST(Episode, BaselineModeHasZeroGain) {
   ScenarioConfig c = default_scenario();
   c.obstacle_count = 2;
@@ -256,7 +273,7 @@ TEST(Episode, AdversarialChannelPreservesSafety) {
   const EpisodeResult r = run_episode(c);
   EXPECT_FALSE(r.collided);
   std::uint64_t fallbacks = 0;
-  for (const auto& p : r.pipelines) fallbacks += p.offload_fallbacks;
+  for (const auto& p : r.pipelines) fallbacks += p.tally.total().local_fallback;
   EXPECT_GT(fallbacks, 0u);  // the mechanism actually exercised
 }
 
