@@ -29,24 +29,26 @@ void validate(const SweepConfig& config) {
   SEO_EXPECT(config.rounds >= 0);
   for (const auto& name : config.scenarios)
     make_scenario(name);  // throws with the valid names on a typo
+  // A point may set any scenario key but the two the sweep owns: the
+  // library base (rows keep its label) and the seed (run_experiment and
+  // run_fleet_experiment run episode k at base_seed + k).
+  const auto check_key = [](const std::string& key, const std::string& what) {
+    if (!is_scenario_key(key))
+      throw ContractViolation("unknown sweep " + what + " key: " + key);
+    if (key == "scenario" || key == "seed")
+      throw ContractViolation(
+          "'" + key + "' cannot be a sweep " + what + ": the sweep sets it " +
+          (key == "seed" ? "per episode; use --seed (SweepConfig::base_seed)"
+                         : "per point; use --scenarios "
+                           "(SweepConfig::scenarios)"));
+  };
   for (const auto& axis : config.axes) {
     SEO_EXPECT(!axis.values.empty());
-    if (!is_scenario_key(axis.key))
-      throw ContractViolation("unknown sweep axis key: " + axis.key);
-    if (axis.key == "scenario")
-      throw ContractViolation(
-          "sweep the scenario dimension via SweepConfig::scenarios, not an "
-          "axis");
+    check_key(axis.key, "axis");
   }
   for (const auto& [key, value] : config.base_overrides) {
     (void)value;
-    if (!is_scenario_key(key))
-      throw ContractViolation("unknown sweep override key: " + key);
-    if (key == "scenario")
-      throw ContractViolation(
-          "a 'scenario' base override would silently replace every grid "
-          "point's library base while rows keep their labels; use "
-          "SweepConfig::scenarios");
+    check_key(key, "override");
   }
   if (config.grid == GridMode::kPaired && !config.axes.empty()) {
     const std::size_t len = config.axes.front().values.size();
@@ -341,14 +343,14 @@ void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
 }
 
 std::vector<SweepRow> run_sweep_shard(const SweepConfig& config,
-                                      std::size_t shard, std::size_t shards) {
+                                      std::size_t shard, std::size_t shards,
+                                      OrderedTraceSink* trace_sink) {
   const SweepPlan plan = plan_sweep(config);
   const std::vector<std::size_t> owned = plan.shard_points(shard, shards);
-  if (config.trace_sink != nullptr)
-    config.trace_sink->set_run_digest(plan.run_digest);
+  if (trace_sink != nullptr) trace_sink->set_run_digest(plan.run_digest);
   std::vector<SweepRow> rows(owned.size());
   execute_sweep_points(
-      config, plan, owned, config.trace_sink != nullptr,
+      config, plan, owned, trace_sink != nullptr,
       [&](std::size_t index, SweepRow&& row, std::string&& block,
           std::uint64_t episodes) {
         // Local rank = the point's position among the owned indices.  For
@@ -358,14 +360,15 @@ std::vector<SweepRow> run_sweep_shard(const SweepConfig& config,
         const auto it = std::lower_bound(owned.begin(), owned.end(), index);
         const auto local = static_cast<std::size_t>(it - owned.begin());
         rows[local] = std::move(row);
-        if (config.trace_sink != nullptr)
-          config.trace_sink->commit(local, std::move(block), episodes);
+        if (trace_sink != nullptr)
+          trace_sink->commit(local, std::move(block), episodes);
       });
   return rows;
 }
 
-std::vector<SweepRow> run_sweep(const SweepConfig& config) {
-  return run_sweep_shard(config, 0, 1);
+std::vector<SweepRow> run_sweep(const SweepConfig& config,
+                                OrderedTraceSink* trace_sink) {
+  return run_sweep_shard(config, 0, 1, trace_sink);
 }
 
 }  // namespace seo

@@ -10,7 +10,8 @@
 // behind a costlier one.  Results land in index-addressed slots, so they
 // are merged in grid order and any thread count (and any schedule)
 // reproduces the serial sweep exactly (locked down by tests/test_sweep.cpp
-// byte-identity on the reports).
+// byte-identity on the reports).  A SweepConfig is the grid only; a run's
+// trace sink is an argument of run_sweep / run_sweep_shard.
 #pragma once
 
 #include <atomic>
@@ -57,6 +58,8 @@ struct SweepConfig {
 
   /// Overrides applied to every point before its axis assignment (e.g. a
   /// shortened route for smoke grids).  Axis values win on conflicts.
+  /// Neither may set `scenario` (use `scenarios`) or `seed` (every episode
+  /// runs at base_seed + k).
   std::vector<std::pair<std::string, std::string>> base_overrides;
 
   // Per-point experiment shape (see ExperimentConfig).
@@ -76,14 +79,6 @@ struct SweepConfig {
   /// points: one point at a time, fanning its rounds x vehicles episodes
   /// over this many threads (see sweep_runners).
   int threads = 1;
-
-  /// Optional streaming trace sink (`sweep --trace-out`): every consumed
-  /// episode of every grid point is serialized into the binary seo-trace
-  /// stream, one block per grid point committed in grid order — the bytes
-  /// are identical for every thread count.  Episodes stream out as points
-  /// complete; no per-episode sample vectors are retained.  The caller
-  /// finishes the sink after run_sweep returns.
-  OrderedTraceSink* trace_sink = nullptr;
 };
 
 /// One completed grid point: the resolved scenario (axis overrides applied)
@@ -98,8 +93,8 @@ struct SweepRow {
 
 /// Expands the grid in deterministic order: scenarios outermost, then axes
 /// left to right (cartesian) or zipped (paired).  Throws ContractViolation
-/// on unknown scenario names, unrecognized axis keys, empty axes, or
-/// mismatched paired lengths.
+/// on unknown scenario names, unknown or sweep-owned (`scenario`, `seed`)
+/// keys, empty axes, or mismatched paired lengths.
 std::vector<SweepPoint> expand_grid(const SweepConfig& config);
 
 /// Resolves one point's full ScenarioConfig (library base + base_overrides
@@ -192,8 +187,8 @@ std::size_t sweep_runners(const SweepConfig& config, std::size_t points);
 /// finished point to `emit`.  The execution core under run_sweep,
 /// run_sweep_shard and the `--workers` pipe workers — one body, so every
 /// mode computes bit-identical rows and trace bytes whoever runs which
-/// point.  `config.trace_sink` is ignored here; trace blocks are produced
-/// iff `want_trace` and routed by the caller.
+/// point.  Trace blocks are produced iff `want_trace`; the caller routes
+/// them.
 void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
                           const SweepPointSource& next_point,
                           std::size_t runners, bool want_trace,
@@ -207,18 +202,23 @@ void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
                           bool want_trace, const SweepEmit& emit);
 
 /// Runs every grid point and returns rows in grid order.  Deterministic
-/// for a fixed config, independent of `config.threads`.
-std::vector<SweepRow> run_sweep(const SweepConfig& config);
+/// for a fixed config, independent of `config.threads`.  A `trace_sink`
+/// (`sweep --trace-out`) receives every episode as the seo-trace stream,
+/// one block per point committed in grid order (the same bytes at any
+/// thread count); the caller finishes it after run_sweep returns.
+std::vector<SweepRow> run_sweep(const SweepConfig& config,
+                                OrderedTraceSink* trace_sink = nullptr);
 
 /// Runs shard `shard` of `shards` (the plan's slice for that shard) and
-/// returns its rows ordered by ascending grid index.  With a trace sink
-/// attached, blocks commit under local dense sequence numbers (the point's
-/// rank within the shard), so the shard's stream is itself a valid
-/// seo-trace stream sorted by grid-point index with the full run's
-/// run_digest in the header — exactly what trace-merge k-way-merges back
-/// into the unsharded byte stream.  shard=0, shards=1 is run_sweep.
+/// returns its rows ordered by ascending grid index.  With a trace sink,
+/// blocks commit under local dense sequence numbers (the point's rank
+/// within the shard), so the shard's stream is itself a valid seo-trace
+/// stream sorted by grid-point index with the full run's run_digest in the
+/// header — exactly what trace-merge k-way-merges back into the unsharded
+/// byte stream.  shard=0, shards=1 is run_sweep.
 std::vector<SweepRow> run_sweep_shard(const SweepConfig& config,
-                                      std::size_t shard, std::size_t shards);
+                                      std::size_t shard, std::size_t shards,
+                                      OrderedTraceSink* trace_sink = nullptr);
 
 /// The CI smoke grid: 4 library scenarios x (2 channel scales x 2 deadline
 /// caps) on a shortened route — 16 points that finish in seconds.  Shared

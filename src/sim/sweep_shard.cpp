@@ -71,8 +71,7 @@ ArtifactStoreStats decode_stats(BinaryReader& r) {
 // Worker side
 // ---------------------------------------------------------------------------
 
-int run_sweep_worker(const SweepConfig& config, std::size_t slot,
-                     std::size_t slots, bool want_trace, int in_fd,
+int run_sweep_worker(const SweepConfig& config, bool want_trace, int in_fd,
                      int out_fd) {
   const SweepPlan plan = plan_sweep(config);
   const std::size_t runners = sweep_runners(config, plan.points.size());
@@ -81,8 +80,6 @@ int run_sweep_worker(const SweepConfig& config, std::size_t slot,
     std::string payload;
     BinaryWriter w(payload);
     w.u16(kSweepShardProtocolVersion);
-    w.u32(static_cast<std::uint32_t>(slot));
-    w.u32(static_cast<std::uint32_t>(slots));
     w.u64(plan.run_digest);
     w.u64(plan.points.size());
     w.u32(static_cast<std::uint32_t>(runners));
@@ -263,11 +260,9 @@ SweepWorkersResult run_sweep_workers(
 
     // argv assembled before fork: the child must only dup/close/exec.
     std::vector<std::string> args;
-    args.reserve(worker_args.size() + 5);
+    args.reserve(worker_args.size() + 3);
     args.push_back(exe);
     for (const std::string& a : worker_args) args.push_back(a);
-    args.push_back("--shard");
-    args.push_back(std::to_string(i) + "/" + std::to_string(workers));
     args.push_back("--shard-pipe");
     if (trace_sink != nullptr) args.push_back("--shard-trace");
     std::vector<char*> argv;
@@ -348,18 +343,12 @@ SweepWorkersResult run_sweep_workers(
               w.name + " speaks shard protocol version " +
               std::to_string(version) + ", parent speaks " +
               std::to_string(kSweepShardProtocolVersion));
-        const std::uint32_t shard = r.u32();
-        const std::uint32_t shards = r.u32();
         const std::uint64_t run_digest = r.u64();
         const std::uint64_t points = r.u64();
         const std::uint32_t runners = r.u32();
         r.require_exhausted("sweep shard hello frame");
         if (w.hello)
           throw std::runtime_error(w.name + " sent a second hello frame");
-        if (shard != slot || shards != workers)
-          throw std::runtime_error(
-              w.name + " announced slot " + std::to_string(shard) + "/" +
-              std::to_string(shards) + " instead of its own");
         if (run_digest != plan.run_digest || points != n)
           throw std::runtime_error(
               w.name +

@@ -2,9 +2,11 @@
 // worker processes and acts as their point cursor — each worker pulls the
 // next grid point of the digest-grouped schedule as its runners free up
 // and streams results back over a pipe; the parent merges them into the
-// same report and trace bytes an in-process run produces.
+// same report and trace bytes an in-process run produces.  A worker is a
+// plain point executor: it runs what it is assigned and none of the
+// parent's startup (no slot number, no `--cache gc` sweep).
 //
-// ## Wire protocol (version 4)
+// ## Wire protocol (version 5)
 //
 // Two channels per worker, both carrying binary_io frames (append_frame /
 // FrameAssembler: u8 type | u64 size | payload | u64 FNV-1a checksum):
@@ -12,8 +14,8 @@
 // the assign channel).  Frame payloads, little-endian fixed width
 // throughout:
 //
-//   1 hello   u16 protocol version | u32 slot | u32 slots
-//             | u64 run_digest | u64 grid points | u32 runners
+//   1 hello   u16 protocol version | u64 run_digest | u64 grid points
+//             | u32 runners
 //             — sent first; the parent cross-checks its own plan, so a
 //             config-drifted worker is rejected before any result lands,
 //             then sends `runners` assign frames (fewer if the grid runs
@@ -51,7 +53,7 @@
 
 namespace seo {
 
-inline constexpr std::uint16_t kSweepShardProtocolVersion = 4;
+inline constexpr std::uint16_t kSweepShardProtocolVersion = 5;
 
 /// Frame types on the worker's channels.
 enum class SweepShardFrame : std::uint8_t {
@@ -61,14 +63,13 @@ enum class SweepShardFrame : std::uint8_t {
   kAssign = 4,
 };
 
-/// Worker side (`sweep --shard i/N --shard-pipe`): plans the sweep, sends
-/// hello for slot `slot` of `slots` to `out_fd`, runs every point the
-/// parent assigns on `in_fd` with sweep_runners(config, grid points) runners,
-/// and once `in_fd` reaches EOF sends done.  `want_trace` embeds each
-/// point's serialized trace block in its point frame.  Returns the process
-/// exit code (0 on success); throws on a malformed assignment.
-int run_sweep_worker(const SweepConfig& config, std::size_t slot,
-                     std::size_t slots, bool want_trace, int in_fd,
+/// Worker side (`sweep --shard-pipe`): plans the sweep, sends hello to
+/// `out_fd`, runs every point the parent assigns on `in_fd` with
+/// sweep_runners(config, grid points) runners, and once `in_fd` reaches
+/// EOF sends done.  `want_trace` embeds each point's serialized trace block
+/// in its point frame.  Returns the process exit code (0 on success);
+/// throws on a malformed assignment.
+int run_sweep_worker(const SweepConfig& config, bool want_trace, int in_fd,
                      int out_fd);
 
 /// What the parent assembled from a worker farm.
@@ -85,9 +86,9 @@ struct SweepWorkersResult {
 };
 
 /// Parent side: spawns min(`workers`, grid points) processes running `exe`
-/// with `worker_args` plus the hidden worker flags, hands out the plan's
-/// points over each worker's assign channel in schedule order as the
-/// worker's runners free up, and merges the frame streams (`config` picks
+/// with `worker_args` plus `--shard-pipe` (and `--shard-trace` with a
+/// sink), hands out the plan's points over each worker's assign channel in
+/// schedule order as the worker's runners free up, and merges the frame streams (`config` picks
 /// the per-point metric count they carry) — metrics into grid-order
 /// slots, trace blocks into `trace_sink` under global grid indices (the
 /// sink's ordered flush then reproduces the unsharded stream

@@ -142,8 +142,7 @@ TEST(FleetGolden, SmokeGridBytesArePinned) {
   config.threads = 0;
   std::ostringstream trace;
   OrderedTraceSink sink(trace);
-  config.trace_sink = &sink;
-  const std::vector<SweepRow> rows = run_sweep(config);
+  const std::vector<SweepRow> rows = run_sweep(config, &sink);
   sink.finish();
 
   EXPECT_EQ(fnv_hex(report("csv", config, rows)), "eb3af5f247c488fd");

@@ -104,6 +104,18 @@ TEST(SweepGrid, ValidationRejectsBadConfigs) {
     config.axes = {{"channel_mbps", {}}};
     EXPECT_THROW(expand_grid(config), ContractViolation);
   }
+  // Every episode runs at base_seed + k, so a 'seed' axis or override
+  // would be overwritten per episode and its rows would repeat silently.
+  for (const int rounds : {0, 1}) {
+    SweepConfig axis;
+    axis.rounds = rounds;
+    axis.axes = {{"seed", {"1", "2"}}};
+    EXPECT_THROW(plan_sweep(axis), ContractViolation) << rounds;
+    SweepConfig override_seed;
+    override_seed.rounds = rounds;
+    override_seed.base_overrides = {{"seed", "12345"}};
+    EXPECT_THROW(plan_sweep(override_seed), ContractViolation) << rounds;
+  }
 }
 
 TEST(SweepGrid, ResolvePointLayersBaseThenAxes) {

@@ -193,7 +193,7 @@ TEST(FrameAssembler, RejectsCorruptFrames) {
 TEST(FrameAssembler, RejectsRunawayLengthFields) {
   // Garbage on the pipe (a worker printing text, say) decodes as an
   // absurd length field — that must throw, not allocate gigabytes.
-  const std::string garbage = "--shard 0/2 --shard-pipe\n";
+  const std::string garbage = "--shard-pipe --shard-trace\n";
   FrameAssembler frames;
   frames.feed(garbage.data(), garbage.size());
   std::uint8_t type = 0;
@@ -231,12 +231,11 @@ TEST(SweepShard, ShardRowsReassembleTheUnshardedReport) {
 
 // Runs `config` (optionally one shard of it) with a trace sink attached
 // and returns the stream bytes.
-std::string traced_run(SweepConfig config, std::size_t shard,
+std::string traced_run(const SweepConfig& config, std::size_t shard,
                        std::size_t shards) {
   std::ostringstream out;
   OrderedTraceSink sink(out);
-  config.trace_sink = &sink;
-  (void)run_sweep_shard(config, shard, shards);
+  (void)run_sweep_shard(config, shard, shards, &sink);
   sink.finish();
   return out.str();
 }
@@ -318,7 +317,7 @@ std::vector<std::pair<std::uint8_t, std::string>> run_worker_on(
   const std::string path = ::testing::TempDir() + "/sweep_worker_frames.bin";
   const int out = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0600);
   EXPECT_GE(out, 0);
-  EXPECT_EQ(run_sweep_worker(config, 0, 1, false, in[0], out), 0);
+  EXPECT_EQ(run_sweep_worker(config, false, in[0], out), 0);
   ::close(in[0]);
   ::close(out);
 
@@ -348,8 +347,6 @@ TEST(SweepWorker, AssignEofSendsDoneWithTheEmittedCount) {
               static_cast<std::uint8_t>(SweepShardFrame::kHello));
     BinaryReader hello{std::string_view(frames.front().second)};
     EXPECT_EQ(hello.u16(), kSweepShardProtocolVersion);
-    EXPECT_EQ(hello.u32(), 0u);  // slot
-    EXPECT_EQ(hello.u32(), 1u);  // slots
     EXPECT_EQ(hello.u64(), plan.run_digest);
     EXPECT_EQ(hello.u64(), plan.points.size());
     EXPECT_EQ(hello.u32(), 2u);  // runners = --threads
@@ -382,14 +379,12 @@ TEST(SweepWorker, AssignBeyondTheGridThrows) {
 // --- Worker-farm failure taxonomy -------------------------------------------
 
 // A hello frame as a worker of `version` would send it for `plan`.  Version
-// 1 workers announced their owned-slice size where version 2 announces its
-// runner count.
+// 1 workers announced their owned-slice size where later versions announce
+// their runner count.
 std::string hello_frame(std::uint16_t version, const SweepPlan& plan) {
   std::string payload;
   BinaryWriter w(payload);
   w.u16(version);
-  w.u32(0);  // slot
-  w.u32(1);  // slots
   w.u64(plan.run_digest);
   w.u64(plan.points.size());
   if (version == 1)
@@ -617,6 +612,15 @@ TEST(SweepCli, RejectsOutOfRangeAndMismatchedFlags) {
        "1", "--allow-failures", "--set", "max_episode_s=inf"},
       {"--scenarios", "paper_default", "--episodes", "1", "--max-attempts",
        "1", "--allow-failures", "--set", "max_episode_s=1e300"},
+      // Every episode runs at base_seed + k: a `seed` axis or override
+      // printed identical rows.  The base seed is --seed.
+      {"--scenarios", "paper_default", "--axis", "seed=1,2", "--episodes",
+       "1", "--max-attempts", "2", "--set", "road_length=45", "--set",
+       "max_episode_s=12"},
+      {"--smoke", "--axis", "seed=1,2"},
+      {"--smoke", "--set", "seed=5"},
+      {"--smoke", "--rounds", "1", "--axis", "seed=1,2"},
+      {"--smoke", "--rounds", "1", "--set", "seed=5"},
   };
   for (const auto& args : cases) {
     const std::string cmd =
@@ -686,6 +690,28 @@ TEST(SweepCli, StatsPrintOneTableStoreLine) {
     EXPECT_EQ(store_lines[0].rfind("artifact store [dtable]: ", 0), 0u)
         << store_lines[0];
   }
+}
+
+// The startup GC is the parent's: `--workers` children run only the points
+// they are assigned, so one `--cache gc` prints one `artifact gc:` line.
+TEST(SweepCli, StartupGcRunsOnceUnderWorkers) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "sweep_gc_once";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string log = (dir / "stderr.log").string();
+  const std::string cmd =
+      sweep_command({"--smoke", "--workers", "2", "--cache",
+                     "dir=" + (dir / "artifacts").string() + ",gc",
+                     "--output", "/dev/null"}) +
+      " 2>" + log;
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::istringstream stderr_text(slurp(log));
+  std::size_t gc_lines = 0;
+  for (std::string line; std::getline(stderr_text, line);)
+    if (line.rfind("artifact gc:", 0) == 0) ++gc_lines;
+  EXPECT_EQ(gc_lines, 1u) << slurp(log);
+  fs::remove_all(dir);
 }
 
 #endif  // SEO_SWEEP_TOOL

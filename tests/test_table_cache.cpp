@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -19,9 +21,11 @@
 
 #include "core/binary_io.hpp"
 #include "safety/table_cache.hpp"
+#include "sim/scenario.hpp"
 #include "sim/scenario_library.hpp"
 #include "sim/simulation.hpp"
 #include "util/expect.hpp"
+#include "util/rng.hpp"
 
 namespace seo {
 namespace {
@@ -432,6 +436,50 @@ TEST(TableCacheWiring, DistinctObstacleSpeedsAreDistinctKeys) {
   other_seed.seed = 12;
   (void)run_episode(other_seed);
   EXPECT_EQ(DeadlineTableCache::global().stats().builds, 2u);
+}
+
+TEST(TableCacheWiring, MovingObstacleDigestNamesTheStoredTable) {
+  // The sweep schedules and labels points by scenario_table_digest, which
+  // replays run_episode's world sampling for the moving-obstacle raise.
+  // The table run_episode actually stores must be the one it names.
+  for (const char* name : {"crossing_pedestrians", "drifting_convoy"}) {
+    for (const std::uint64_t seed : {5u, 900u, 31337u}) {
+      ScenarioConfig config = shortened(make_scenario(name));
+      ASSERT_TRUE(config.moving_obstacles) << name;
+      config.seed = seed;
+      const TempDir dir("moving_digest");
+      DeadlineTableCache::global().clear();
+      DeadlineTableCache::global().configure(dir.disk());
+      (void)run_episode(config);
+      DeadlineTableCache::global().configure(ArtifactDiskOptions{});
+      std::vector<std::string> stored;
+      for (const auto& entry : std::filesystem::directory_iterator(dir.path))
+        if (entry.path().extension() == ".bin")
+          stored.push_back(entry.path().filename().string());
+
+      Rng master(config.seed);
+      Rng obstacle_rng = master.split();
+      DeadlineTableKey key;
+      key.table = config.table;
+      key.table.max_distance = config.interval.sensing_range;
+      key.interval = config.interval;
+      key.interval.environment_speed =
+          std::max(config.interval.environment_speed,
+                   make_moving_obstacles(config, obstacle_rng)
+                       .max_obstacle_speed());
+      key.barrier = config.barrier;
+      key.road = config.road;
+      key.body_radius = config.barrier.body_radius;
+      EXPECT_GT(key.interval.environment_speed,
+                config.interval.environment_speed)
+          << name;
+      EXPECT_EQ(key.digest(), scenario_table_digest(config))
+          << name << " seed " << seed;
+      EXPECT_EQ(stored,
+                std::vector<std::string>{DeadlineTableCache::artifact_name(key)})
+          << name << " seed " << seed;
+    }
+  }
 }
 
 TEST(TableCacheWiring, RuntimeSpeedRaiseMatchesExplicitEnvironmentSpeed) {

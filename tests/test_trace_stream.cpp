@@ -370,11 +370,10 @@ TEST(TraceStream, RejectsMalformedNestingCountsAndTypes) {
 // The exact bytes `sweep --smoke [--rounds 1] --trace-out` writes, pinned
 // as (size, FNV-1a) so any change to the encoder, the sink or the episode
 // order shows here, not only as a disagreement between two encoders.
-std::string traced_sweep_bytes(SweepConfig config) {
+std::string traced_sweep_bytes(const SweepConfig& config) {
   std::ostringstream out;
   OrderedTraceSink sink(out);
-  config.trace_sink = &sink;
-  (void)run_sweep(config);
+  (void)run_sweep(config, &sink);
   sink.finish();
   return out.str();
 }
@@ -496,8 +495,7 @@ TEST(TraceStream, StreamedSweepMatchesInMemoryCsvAtEveryThreadCount) {
     config.threads = threads;
     std::ostringstream stream;
     OrderedTraceSink sink(stream);
-    config.trace_sink = &sink;
-    (void)run_sweep(config);
+    (void)run_sweep(config, &sink);
     sink.finish();
     if (threads == 1)
       serial_bytes = stream.str();

@@ -44,12 +44,11 @@ std::string digest_of(const std::string& bytes) {
 
 /// Writes the stream `sweep --trace-out` would write for `config` to a
 /// temp file once per process and returns its path.
-std::string trace_file(const std::string& name, SweepConfig config) {
+std::string trace_file(const std::string& name, const SweepConfig& config) {
   const std::string path = path_in_tmp(name + ".trace");
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   OrderedTraceSink sink(out);
-  config.trace_sink = &sink;
-  (void)run_sweep(config);
+  (void)run_sweep(config, &sink);
   sink.finish();
   return path;
 }

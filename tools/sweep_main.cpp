@@ -15,6 +15,8 @@
 // tests/test_sweep.cpp and tests/test_sweep_shard.cpp.
 #include <chrono>
 #include <climits>
+#include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -25,7 +27,7 @@
 
 #include <unistd.h>
 
-#include "cli_common.hpp"
+#include "core/artifact_store.hpp"
 #include "safety/table_cache.hpp"
 #include "sim/scenario_io.hpp"
 #include "sim/sweep.hpp"
@@ -33,11 +35,157 @@
 #include "sim/sweep_shard.hpp"
 #include "sim/trace.hpp"
 #include "util/expect.hpp"
+#include "util/numeric.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace seo;
-using seo::cli::split;
+
+/// Splits on `sep`, keeping empty fields ("a,,b" -> {"a", "", "b"}).
+std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> parts;
+  std::string current;
+  for (const char c : text) {
+    if (c == sep) {
+      parts.push_back(current);
+      current.clear();
+    } else {
+      current += c;
+    }
+  }
+  parts.push_back(current);
+  return parts;
+}
+
+/// Artifact-store settings accumulated while parsing: process state,
+/// applied once after parsing, never per scenario.
+struct CacheCliOptions {
+  std::string dir;
+  double budget_mb = 0.0;
+  double max_age_h = 0.0;
+  bool gc = false;
+};
+
+/// Folds one `--cache SPEC` value into `state`; exits with code 2 on a
+/// malformed setting.  Whether a scenario reuses tables at all is the
+/// `table_cache` key (`--set table_cache=false`), not a store setting.
+void parse_cache_spec(const std::string& spec, CacheCliOptions& state) {
+  for (const std::string& item : split(spec, ',')) {
+    if (item.empty()) continue;
+    const auto eq = item.find('=');
+    const std::string name =
+        eq == std::string::npos ? item : item.substr(0, eq);
+    const std::string value =
+        eq == std::string::npos ? "" : item.substr(eq + 1);
+    const auto bare = [&] {
+      if (!value.empty()) {
+        std::cerr << "--cache: '" << name << "' does not take a value\n";
+        std::exit(2);
+      }
+    };
+    // The whole value must form one finite number >= 0 (util/numeric,
+    // locale-independent): "5x", "nan", "inf" and "" are all errors.
+    const auto numeric = [&] {
+      double v = 0.0;
+      if (!parse_finite_double(value, v) || v < 0.0) {
+        std::cerr << "--cache " << name << " expects a finite number >= 0, "
+                  << "got '" << value << "'\n";
+        std::exit(2);
+      }
+      return v;
+    };
+    // A size in MB must come to a byte count that fits in 64 bits: beyond
+    // that, disk_options's float-to-integer conversion is undefined.
+    const auto megabytes = [&] {
+      const double mb = numeric();
+      if (!(mb * 1024.0 * 1024.0 < 0x1p64)) {
+        std::cerr << "--cache " << name << " expects a size below 2^64 "
+                  << "bytes, got '" << value << "'\n";
+        std::exit(2);
+      }
+      return mb;
+    };
+    if (name == "gc") {
+      bare();
+      state.gc = true;
+    } else if (name == "dir") {
+      if (value.empty()) {
+        std::cerr << "--cache: 'dir' expects a directory\n";
+        std::exit(2);
+      }
+      state.dir = value;
+    } else if (name == "budget-mb") {
+      state.budget_mb = megabytes();
+    } else if (name == "max-age-h") {
+      state.max_age_h = numeric();
+    } else {
+      std::cerr << "--cache: unknown setting '" << name
+                << "' (expected dir=, budget-mb=, max-age-h=, gc)\n";
+      std::exit(2);
+    }
+  }
+}
+
+/// The disk tier the parsed `--cache` settings describe (budget-mb was
+/// range-checked by parse_cache_spec, so its byte count fits).  A huge age
+/// cap (max-age-h=1e308) comes to +inf seconds, which the GC reads as
+/// "keep everything"; it stays a double all the way down.
+ArtifactDiskOptions disk_options(const CacheCliOptions& state) {
+  ArtifactDiskOptions disk;
+  disk.dir = state.dir;
+  disk.max_bytes = state.budget_mb > 0.0
+                       ? static_cast<std::uint64_t>(state.budget_mb * 1024.0 *
+                                                    1024.0)
+                       : 0;
+  disk.max_age_s = state.max_age_h > 0.0 ? state.max_age_h * 3600.0 : 0.0;
+  return disk;
+}
+
+/// Startup GC requested via `--cache gc`: one LRU sweep over the artifact
+/// dir with the configured caps, reported to stderr.
+void run_requested_gc(const CacheCliOptions& state) {
+  if (!state.gc) return;
+  if (state.dir.empty()) {
+    std::cerr << "--cache gc requires --cache dir=DIR\n";
+    std::exit(2);
+  }
+  const ArtifactDiskOptions disk = disk_options(state);
+  const ArtifactGcResult r =
+      artifact_store_gc(disk.dir, disk.max_bytes, disk.max_age_s);
+  std::cerr << "artifact gc: scanned " << r.scanned << " files, removed "
+            << r.removed << ", " << r.bytes_before << " -> " << r.bytes_after
+            << " bytes\n";
+}
+
+/// The one greppable stats line (CI assertions and perfbench sed these
+/// exact words): the process-wide table store's counters plus `workers`
+/// (the --workers parent's farm-wide sum from the done frames; zero in
+/// process).
+void print_artifact_store_stats(std::ostream& out,
+                                const ArtifactStoreStats& workers) {
+  ArtifactStoreStats s = DeadlineTableCache::global().stats();
+  s += workers;
+  out << "artifact store [" << LipschitzTableTraits::kind() << "]: " << s.hits
+      << " hits, " << s.misses << " misses, " << s.builds << " builds, "
+      << s.waits << " waits, " << s.lock_waits << " lock waits, " << s.bytes
+      << " bytes, " << s.disk_loads << " disk loads, " << s.disk_stores
+      << " disk stores, " << s.disk_failures << " disk failures\n";
+}
+
+/// One greppable utilization line for the global thread pool, matching the
+/// artifact-store stats format (`sweep --stats`).  `window_s` is the wall
+/// time the run took; busy % is task time over worker capacity in that
+/// window.
+void print_thread_pool_stats(std::ostream& out, double window_s) {
+  const ThreadPool& pool = ThreadPool::global();
+  const ThreadPoolStats s = pool.stats();
+  const double busy_pct = 100.0 * s.busy_fraction(window_s, pool.size());
+  out << "thread pool: " << pool.size() << " workers, " << s.submitted
+      << " tasks, " << s.inline_runs << " inline, " << s.max_queue_depth
+      << " max depth, " << static_cast<std::uint64_t>(busy_pct + 0.5)
+      << "% busy\n";
+}
 
 int usage(int code) {
   std::ostream& out = code == 0 ? std::cout : std::cerr;
@@ -80,8 +228,17 @@ int usage(int code) {
          "(under --workers:\n"
          "                         the points each worker pulled) to "
          "stderr\n"
-      << seo::cli::kCacheUsage
-      << "  --format csv|json      report format (default csv)\n"
+         "  --cache SPEC           artifact-store settings, comma-separated:\n"
+         "                           dir=DIR       persist artifacts in DIR\n"
+         "                           budget-mb=N   artifact-dir size cap [MB]; "
+         "LRU GC\n"
+         "                                         sweeps after stores\n"
+         "                           max-age-h=N   artifact last-use age cap "
+         "[hours]\n"
+         "                           gc            LRU GC sweep over the dir "
+         "before the run\n"
+         "                         e.g. --cache dir=artifacts,budget-mb=512,gc\n"
+         "  --format csv|json      report format (default csv)\n"
          "  --output PATH          write the report to PATH (default "
          "stdout)\n"
          "  --trace-out FILE|-     stream every episode as a binary "
@@ -134,7 +291,7 @@ int main(int argc, char** argv) {
   std::string output;
   std::string trace_out;
   std::string vehicles_output;
-  seo::cli::CacheCliOptions cache;
+  CacheCliOptions cache;
 
   // --smoke is a preset, not a terminal mode: it seeds the config before
   // the other flags are parsed, so `--smoke --episodes 10` refines the
@@ -259,8 +416,8 @@ int main(int argc, char** argv) {
       shard_trace = true;
     } else if (arg == "--stats") {
       show_pool_stats = true;
-    } else if (seo::cli::parse_cache_flag(argc, argv, i, cache)) {
-      // --cache SPEC (cli_common.hpp).
+    } else if (arg == "--cache") {
+      parse_cache_spec(next_arg(i), cache);
     } else if (arg == "--format") {
       format = next_arg(i);
     } else if (arg == "--output") {
@@ -296,17 +453,15 @@ int main(int argc, char** argv) {
     return usage(2);
   }
   if (worker_count > 1 && shard_count > 0) {
-    std::cerr << "--workers spawns its own shards; it cannot be combined "
-                 "with --shard\n";
+    std::cerr << "--workers hands points to its own worker processes; it "
+                 "cannot be combined with --shard\n";
     return usage(2);
   }
-  if (shard_pipe && shard_count == 0) {
-    std::cerr << "--shard-pipe requires --shard i/N\n";
-    return usage(2);
-  }
-  if (shard_pipe && (!output.empty() || !trace_out.empty())) {
-    std::cerr << "--shard-pipe streams binary frames on stdout; --output "
-                 "and --trace-out do not apply\n";
+  if (shard_pipe && (worker_count > 1 || shard_count > 0 || !output.empty() ||
+                     !trace_out.empty())) {
+    std::cerr << "--shard-pipe runs the points its parent assigns and "
+                 "streams binary frames on stdout; --workers, --shard, "
+                 "--output and --trace-out do not apply\n";
     return usage(2);
   }
 
@@ -330,19 +485,21 @@ int main(int argc, char** argv) {
       stream = &trace_file;
     }
     trace_sink.emplace(*stream);
-    config.trace_sink = &*trace_sink;
   }
+  OrderedTraceSink* const sink = trace_sink ? &*trace_sink : nullptr;
 
   try {
-    seo::cli::run_requested_gc(cache);
-    seo::cli::configure_artifact_stores(cache);
+    // The store's disk tier is process state, configured once here — by a
+    // `--workers` child too, from the forwarded flags.
+    DeadlineTableCache::global().configure(disk_options(cache));
 
     // Hidden pipe-worker mode (a `--workers` child): point assignments
     // come in on stdin, every frame goes out on stdout, diagnostics on
-    // stderr, nothing else is printed.
+    // stderr, nothing else is printed.  The startup GC is the parent's.
     if (shard_pipe)
-      return run_sweep_worker(config, shard_index, shard_count, shard_trace,
-                              STDIN_FILENO, STDOUT_FILENO);
+      return run_sweep_worker(config, shard_trace, STDIN_FILENO,
+                              STDOUT_FILENO);
+    run_requested_gc(cache);
 
     const auto run_start = std::chrono::steady_clock::now();
     std::size_t points_run = 0;
@@ -368,16 +525,15 @@ int main(int argc, char** argv) {
       const SweepPlan plan = plan_sweep(config);
       const SweepWorkersResult merged =
           run_sweep_workers(config, plan, sweep_self_exe(argv[0]),
-                            worker_args, worker_count, config.trace_sink);
+                            worker_args, worker_count, sink);
       worker_stats = merged.stats;
       pulled = merged.pulled;
       points_run = plan.points.size();
       seo::write_sweep_report(report, format, config, plan.points,
                               merged.metrics);
     } else {
-      const std::vector<SweepRow> rows =
-          shard_count > 0 ? run_sweep_shard(config, shard_index, shard_count)
-                          : run_sweep(config);
+      const std::vector<SweepRow> rows = run_sweep_shard(
+          config, shard_index, shard_count > 0 ? shard_count : 1, sink);
       points_run = rows.size();
       seo::write_sweep_report(report, format, config, rows);
       if (!vehicles_output.empty()) {
@@ -405,10 +561,10 @@ int main(int argc, char** argv) {
     // actually hit, and operators see what a cold run cost.  In parent
     // mode the printed line adds the farm-wide sums from the done frames,
     // and the parent's own pool is idle, so --stats shows the farm instead.
-    seo::cli::print_artifact_store_stats(std::cerr, worker_stats);
+    print_artifact_store_stats(std::cerr, worker_stats);
     if (show_pool_stats) {
       if (pulled.empty())
-        seo::cli::print_thread_pool_stats(std::cerr, run_s);
+        print_thread_pool_stats(std::cerr, run_s);
       else
         print_farm_stats(std::cerr, pulled);
     }
