@@ -19,9 +19,12 @@
 #include "safety/safety_filter.hpp"
 #include "safety/table_cache.hpp"
 #include "sensors/detector.hpp"
+#include "sim/fleet_experiment.hpp"
+#include "sim/scenario_io.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sweep.hpp"
 #include "sim/trace.hpp"
+#include "util/config.hpp"
 
 namespace {
 
@@ -225,6 +228,37 @@ BENCHMARK(BM_SweepThreads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+// One fleet point: the saturated rig on the short horizon, 4 rounds of 3
+// vehicles.  Runners claim episode slots one at a time and each round's
+// cluster replay runs on the runner that finishes the round, so the
+// scaling gate (tools/bench_compare.py) holds threads:8 to a fraction of
+// threads:1 as it does BM_SweepThreads.
+void BM_FleetThreads(benchmark::State& state) {
+  FleetExperimentConfig config;
+  config.scenario = make_scenario("fleet_cluster_saturated");
+  KeyValueConfig overrides;
+  for (const auto& [key, value] : fleet_short_horizon())
+    overrides.set(key, value);
+  if (!apply_overrides(overrides, config.scenario).empty()) {
+    state.SkipWithError("unknown fleet_short_horizon key");
+    return;
+  }
+  config.rounds = 4;
+  config.base_seed = 7000;
+  config.threads = static_cast<int>(state.range(0));
+  // Untimed warm-up: the first run builds the deadline table into the
+  // process-wide store, which would otherwise land in threads:1 alone.
+  benchmark::DoNotOptimize(run_fleet_experiment(config));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_fleet_experiment(config));
+  }
+}
+BENCHMARK(BM_FleetThreads)
+    ->ArgName("threads")
+    ->Arg(1)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 

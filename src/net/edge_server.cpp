@@ -1,13 +1,15 @@
 #include "net/edge_server.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/expect.hpp"
 
 namespace seo {
 
 EdgeServer::EdgeServer(EdgeServerParams params) : params_(params) {
-  SEO_EXPECT(params_.service_time_s > 0.0);
+  SEO_EXPECT(std::isfinite(params_.service_time_s) &&
+             params_.service_time_s > 0.0);
   SEO_EXPECT(params_.parallelism >= 1);
   worker_busy_until_.assign(static_cast<std::size_t>(params_.parallelism),
                             0.0);

@@ -1,6 +1,8 @@
 #include "sim/fleet_experiment.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <functional>
 #include <queue>
 
@@ -61,11 +63,31 @@ EnergyComparison FleetResult::energy() const {
 
 namespace {
 
-/// One uplink in the shared-channel replay timeline.
+/// One uplink in the shared-channel replay timeline: only the OffloadEvent
+/// fields the replay reads (40 bytes, not 64 with the whole event).
 struct FleetUplink {
-  std::size_t vehicle = 0;
-  OffloadEvent event;        ///< times already stagger-shifted
+  std::uint32_t vehicle = 0;
+  bool probe = false;
+  double submit_s = 0.0;     ///< stagger-shifted
+  double tx_time_s = 0.0;
+  double deadline_s = 0.0;   ///< stagger-shifted
   double end_s = 0.0;        ///< contended uplink completion
+};
+
+/// What the round fold needs of one cluster outcome (16 bytes).
+struct ReplayOutcome {
+  std::uint32_t vehicle = 0;
+  bool probe = false;       ///< load on the cluster, but no deadline stake
+  bool admitted = false;    ///< false: shed
+  bool late = false;        ///< admitted, but answered after the deadline
+  double response_s = 0.0;  ///< admitted full-frame round trip
+};
+
+/// One replayed round: its cluster stats and its outcomes in the order
+/// EdgeCluster::process returned them.
+struct RoundReplay {
+  ClusterStats cluster;
+  std::vector<ReplayOutcome> outcomes;
 };
 
 }  // namespace
@@ -75,94 +97,63 @@ FleetResult run_fleet_experiment(const FleetExperimentConfig& config) {
   const int vehicles = scenario.fleet.vehicles;
   SEO_EXPECT(vehicles >= 1);
   SEO_EXPECT(config.rounds >= 1);
-  SEO_EXPECT(scenario.fleet.stagger_s >= 0.0);
-  SEO_EXPECT(scenario.fleet.contention_alpha >= 0.0);
+  SEO_EXPECT(std::isfinite(scenario.fleet.stagger_s) &&
+             scenario.fleet.stagger_s >= 0.0);
+  SEO_EXPECT(std::isfinite(scenario.fleet.contention_alpha) &&
+             scenario.fleet.contention_alpha >= 0.0);
+  // Built here so a bad cluster config fails before any episode runs;
+  // every round replays through a fresh copy.
+  const EdgeCluster fresh_cluster(scenario.cluster);
 
-  // --- Phase 1: episode fan-out --------------------------------------------
   // Slot i = round * vehicles + vehicle is fully determined by its seed, so
   // episodes run in any order / on any thread count and land in their own
-  // slot; everything downstream reads slots in index order.
+  // slot; everything downstream reads slots and rounds in index order.
+  const std::size_t per_round = static_cast<std::size_t>(vehicles);
   const std::size_t total =
-      static_cast<std::size_t>(config.rounds) *
-      static_cast<std::size_t>(vehicles);
+      static_cast<std::size_t>(config.rounds) * per_round;
   struct Slot {
     EpisodeResult episode;
-    std::vector<OffloadEvent> offloads;
+    std::vector<OffloadEvent> offloads;  ///< freed by the round's replay
   };
   std::vector<Slot> slots(total);
-  const bool tracing = static_cast<bool>(config.trace_tap);
-  const std::size_t workers = ThreadPool::resolve_threads(config.threads);
-  ThreadPool::run_capped(0, total, workers, [&](std::size_t lo,
-                                                std::size_t hi) {
-    // Slot-local trace buffer reused across the chunk's episodes: clear()
-    // keeps its reserved capacity, so steady-state episodes record without
-    // reallocating the sample/offload vectors.
-    EpisodeTrace trace;
-    for (std::size_t i = lo; i < hi; ++i) {
-      ScenarioConfig episode_scenario = scenario;
-      episode_scenario.seed = config.base_seed + i;
-      trace.clear();
-      // Sample logs are only needed when streaming; the replay phase just
-      // wants the offload stream.
-      trace.set_capture_samples(tracing);
-      slots[i].episode = run_episode(episode_scenario, &trace);
-      if (tracing)
-        config.trace_tap(episode_scenario.seed, slots[i].episode, trace);
-      // Copy, not move: the slot gets an exact-size log and the chunk's
-      // buffer keeps its capacity for the next episode.
-      slots[i].offloads = trace.offloads();
-    }
-  });
+  std::vector<RoundReplay> replays(static_cast<std::size_t>(config.rounds));
 
-  FleetResult result;
-  result.vehicles = vehicles;
-  result.rounds = config.rounds;
-  result.per_vehicle.resize(static_cast<std::size_t>(vehicles));
-  for (int v = 0; v < vehicles; ++v) result.per_vehicle[v].vehicle = v;
+  // Cluster replay of one round, run by whichever runner finishes the
+  // round's last episode.
+  const auto replay_round = [&](std::size_t round) {
+    std::size_t count = 0;
+    for (std::size_t v = 0; v < per_round; ++v)
+      count += slots[round * per_round + v].offloads.size();
+    // The kept records are reserved before the scratch vectors below: kept
+    // above them, they would pin the freed scratch in the runner's heap
+    // and raise peak RSS.
+    RoundReplay& replay = replays[round];
+    replay.outcomes.reserve(count);
 
-  // --- Per-vehicle episode aggregates --------------------------------------
-  for (std::size_t i = 0; i < total; ++i) {
-    const std::size_t v = i % static_cast<std::size_t>(vehicles);
-    const EpisodeResult& e = slots[i].episode;
-    FleetVehicleStats& stats = result.per_vehicle[v];
-    ++stats.episodes;
-    if (e.completed) ++stats.completions;
-    if (e.collided) ++stats.collisions;
-    if (e.off_road) ++stats.off_roads;
-    if (e.timed_out) ++stats.timeouts;
-    stats.filter_engagements += e.filter_engagements;
-    stats.avg_speed.add(e.avg_speed);
-    const EnergyComparison energy = episode_model_energy(scenario, e);
-    stats.energy_actual_j += energy.actual_j;
-    stats.energy_baseline_j += energy.baseline_j;
-  }
-
-  // --- Phase 2: serial cluster replay, one round at a time -----------------
-  for (int round = 0; round < config.rounds; ++round) {
     // Merge every vehicle's uplink stream into the shared timeline.
     std::vector<FleetUplink> uplinks;
-    for (int v = 0; v < vehicles; ++v) {
-      const std::size_t slot =
-          static_cast<std::size_t>(round) *
-              static_cast<std::size_t>(vehicles) +
-          static_cast<std::size_t>(v);
+    uplinks.reserve(count);
+    for (std::size_t v = 0; v < per_round; ++v) {
+      std::vector<OffloadEvent>& log = slots[round * per_round + v].offloads;
       const double offset = static_cast<double>(v) * scenario.fleet.stagger_s;
-      for (const OffloadEvent& event : slots[slot].offloads) {
+      for (const OffloadEvent& event : log) {
         FleetUplink up;
-        up.vehicle = static_cast<std::size_t>(v);
-        up.event = event;
-        up.event.submit_s += offset;
-        up.event.deadline_s += offset;
+        up.vehicle = static_cast<std::uint32_t>(v);
+        up.probe = event.probe;
+        up.submit_s = event.submit_s + offset;
+        up.tx_time_s = event.tx_time_s;
+        up.deadline_s = event.deadline_s + offset;
         uplinks.push_back(up);
       }
+      std::vector<OffloadEvent>().swap(log);
     }
     // stable_sort with the (submit, vehicle) key is a total order here:
     // one vehicle's submits are already nondecreasing, so the merged
     // stream is deterministic.
     std::stable_sort(uplinks.begin(), uplinks.end(),
                      [](const FleetUplink& a, const FleetUplink& b) {
-                       if (a.event.submit_s != b.event.submit_s)
-                         return a.event.submit_s < b.event.submit_s;
+                       if (a.submit_s != b.submit_s)
+                         return a.submit_s < b.submit_s;
                        return a.vehicle < b.vehicle;
                      });
 
@@ -175,12 +166,12 @@ FleetResult run_fleet_experiment(const FleetExperimentConfig& config) {
     // boundary, like every other tie in the net layer).
     std::priority_queue<double, std::vector<double>, std::greater<>> active;
     for (FleetUplink& up : uplinks) {
-      while (!active.empty() && active.top() <= up.event.submit_s)
+      while (!active.empty() && active.top() <= up.submit_s)
         active.pop();
       const double factor =
           1.0 + scenario.fleet.contention_alpha *
                     static_cast<double>(active.size());
-      up.end_s = up.event.submit_s + up.event.tx_time_s * factor;
+      up.end_s = up.submit_s + up.tx_time_s * factor;
       active.push(up.end_s);
     }
 
@@ -201,20 +192,100 @@ FleetResult run_fleet_experiment(const FleetExperimentConfig& config) {
       // Probes are load without a deadline stake: they keep the no-deadline
       // default so a slack-aware dispatcher never serves one ahead of a
       // full frame (and sheds them first under overload).
-      if (!uplinks[i].event.probe)
-        request.deadline_s = uplinks[i].event.deadline_s;
+      if (!uplinks[i].probe)
+        request.deadline_s = uplinks[i].deadline_s;
       requests.push_back(request);
     }
 
-    EdgeCluster cluster(scenario.cluster);
+    EdgeCluster cluster = fresh_cluster;
     const std::vector<ClusterOutcome> outcomes = cluster.process(requests);
-    result.cluster.merge(cluster.stats());
-
+    replay.cluster = cluster.stats();
     for (const ClusterOutcome& outcome : outcomes) {
       const FleetUplink& up = uplinks[static_cast<std::size_t>(outcome.id)];
-      FleetVehicleStats& stats = result.per_vehicle[up.vehicle];
-      if (up.event.probe) {
-        ++stats.probes;  // load on the cluster, but no deadline stake
+      ReplayOutcome record;
+      record.vehicle = up.vehicle;
+      record.probe = up.probe;
+      record.admitted = outcome.admitted;
+      if (!record.probe && record.admitted) {
+        const double response_end =
+            outcome.completion_s + scenario.link.downlink_latency_s;
+        record.response_s = response_end - up.submit_s;
+        record.late = response_end > up.deadline_s;
+      }
+      replay.outcomes.push_back(record);
+    }
+  };
+
+  // --- Episode fan-out -----------------------------------------------------
+  // Runners claim slots one at a time, and a round's countdown hands its
+  // replay to the runner that finishes its last episode, so replays
+  // overlap later rounds' episodes and no runner waits at a phase barrier.
+  std::vector<std::atomic<int>> unfinished(replays.size());
+  for (auto& count : unfinished) count.store(vehicles);
+  std::atomic<std::size_t> cursor{0};
+  const bool tracing = static_cast<bool>(config.trace_tap);
+  const std::size_t runners =
+      std::min(ThreadPool::resolve_threads(config.threads), total);
+  // One pool task per runner.  Every call drains the cursor, so a range
+  // run inline (one call for all runner indices) still covers every slot.
+  ThreadPool::run_capped(0, runners, runners, [&](std::size_t, std::size_t) {
+    // Runner-local trace buffer reused across its episodes: clear() keeps
+    // its reserved capacity, so steady-state episodes record without
+    // reallocating the sample/offload vectors.
+    EpisodeTrace trace;
+    for (std::size_t i = cursor.fetch_add(1); i < total;
+         i = cursor.fetch_add(1)) {
+      ScenarioConfig episode_scenario = scenario;
+      episode_scenario.seed = config.base_seed + i;
+      trace.clear();
+      // Sample logs are only needed when streaming; the replay just wants
+      // the offload stream.
+      trace.set_capture_samples(tracing);
+      slots[i].episode = run_episode(episode_scenario, &trace);
+      if (tracing)
+        config.trace_tap(episode_scenario.seed, slots[i].episode, trace);
+      // Copy, not move: the slot gets an exact-size log and the runner's
+      // buffer keeps its capacity for the next episode.
+      slots[i].offloads = trace.offloads();
+      // acq_rel: the runner that takes the count to zero sees every log of
+      // the round.
+      const std::size_t round = i / per_round;
+      if (unfinished[round].fetch_sub(1, std::memory_order_acq_rel) == 1)
+        replay_round(round);
+    }
+  });
+
+  FleetResult result;
+  result.vehicles = vehicles;
+  result.rounds = config.rounds;
+  result.per_vehicle.resize(per_round);
+  for (int v = 0; v < vehicles; ++v) result.per_vehicle[v].vehicle = v;
+
+  // --- Per-vehicle episode aggregates, in slot order -----------------------
+  for (std::size_t i = 0; i < total; ++i) {
+    const EpisodeResult& e = slots[i].episode;
+    FleetVehicleStats& stats = result.per_vehicle[i % per_round];
+    ++stats.episodes;
+    if (e.completed) ++stats.completions;
+    if (e.collided) ++stats.collisions;
+    if (e.off_road) ++stats.off_roads;
+    if (e.timed_out) ++stats.timeouts;
+    stats.filter_engagements += e.filter_engagements;
+    stats.avg_speed.add(e.avg_speed);
+    const EnergyComparison energy = episode_model_energy(scenario, e);
+    stats.energy_actual_j += energy.actual_j;
+    stats.energy_baseline_j += energy.baseline_j;
+  }
+
+  // --- Round fold, in round then outcome order -----------------------------
+  // RunningStats has no bit-exact merge, so its adds are replayed in the
+  // order a serial run makes them.
+  for (const RoundReplay& replay : replays) {
+    result.cluster.merge(replay.cluster);
+    for (const ReplayOutcome& outcome : replay.outcomes) {
+      FleetVehicleStats& stats = result.per_vehicle[outcome.vehicle];
+      if (outcome.probe) {
+        ++stats.probes;
         continue;
       }
       ++stats.offloads;
@@ -223,11 +294,9 @@ FleetResult run_fleet_experiment(const FleetExperimentConfig& config) {
         ++stats.deadline_misses;
         continue;
       }
-      const double response_end =
-          outcome.completion_s + scenario.link.downlink_latency_s;
-      stats.response_s.add(response_end - up.event.submit_s);
-      result.response_s.add(response_end - up.event.submit_s);
-      if (response_end > up.event.deadline_s) ++stats.deadline_misses;
+      stats.response_s.add(outcome.response_s);
+      result.response_s.add(outcome.response_s);
+      if (outcome.late) ++stats.deadline_misses;
     }
   }
   return result;

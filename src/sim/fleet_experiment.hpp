@@ -7,30 +7,35 @@
 // contention on the uplink, dispatch policy and batching at the cluster,
 // queueing and shedding under saturation.
 //
-// Two phases, both deterministic:
+// One scheduler, no phase barrier, deterministic:
 //
-//  1. Episode fan-out (parallel).  Every (round, vehicle) pair is an
-//     independent episode fully determined by seed base_seed + index;
-//     episodes run as at most `threads` contiguous slot ranges
-//     (ThreadPool::run_capped) into index-addressed slots, so any
-//     `threads` value reproduces the serial run byte-for-byte —
-//     the same merge discipline as run_experiment / run_sweep.  Each
-//     episode records its offload uplink stream (sim/trace.hpp
-//     OffloadEvent) with the uncontended channel draws.
-//  2. Cluster replay (serial).  Per round, every vehicle's uplink stream is
-//     shifted by its stagger offset and merged into one timeline; uplinks
-//     are re-timed under shared-channel contention (rate divided by
-//     1 + alpha * concurrent uplinks), then the arrival-ordered request
-//     trace runs through the EdgeCluster discrete-event model.  A request
-//     misses its deadline when the cluster sheds it or its response lands
-//     after the freshness bound the episode loop itself uses
-//     (core/strategy.hpp offload_freshness_bound_s).
+//  - Episodes.  Every (round, vehicle) pair is an independent episode fully
+//    determined by seed base_seed + index.  Up to `threads` runners claim
+//    episode slots one at a time from a shared cursor (the sweep runners'
+//    shape) and write index-addressed slots.  Each episode records its
+//    offload uplink stream (sim/trace.hpp OffloadEvent) with the
+//    uncontended channel draws.
+//  - Cluster replay, per round, as soon as the round's last episode ends:
+//    the runner that finishes it replays the round while the others keep
+//    driving.  Every vehicle's uplink stream is shifted by its stagger
+//    offset and merged into one timeline; uplinks are re-timed under
+//    shared-channel contention (rate divided by 1 + alpha * concurrent
+//    uplinks), then the arrival-ordered request trace runs through the
+//    EdgeCluster discrete-event model.  A request misses its deadline when
+//    the cluster sheds it or its response lands after the freshness bound
+//    the episode loop itself uses (core/strategy.hpp
+//    offload_freshness_bound_s).  The replay keeps one compact record per
+//    outcome and frees the round's uplink logs.
+//  - Fold (serial).  Per-vehicle episode aggregates in slot order, then the
+//    rounds in round order and each round's outcomes in outcome order, so
+//    every `threads` value reproduces the serial run byte-for-byte.
 //
 // The replay is an audit, not a feedback loop: episode control decisions
 // use the single-vehicle latency model, and the replay measures what the
 // same transmissions would have experienced under fleet load.  That keeps
-// phase 1 embarrassingly parallel while still exposing the cluster-level
-// effects (contention, batching, shedding) the dispatch policies trade off.
+// the episodes embarrassingly parallel while still exposing the
+// cluster-level effects (contention, batching, shedding) the dispatch
+// policies trade off.
 //
 // A sweep of fleet points (SweepConfig::rounds >= 1, `sweep --rounds N`)
 // runs one fleet experiment per grid point.
@@ -60,7 +65,8 @@ struct FleetExperimentConfig {
   /// its seed (base_seed + slot), result and full trace.  Calls arrive
   /// concurrently from pool threads in no particular order, so the tap
   /// keys its output by slot; the trace reference is a reused buffer the
-  /// tap must serialize or copy, never retain.
+  /// tap must serialize or copy, never retain.  An exception the tap
+  /// throws is rethrown by run_fleet_experiment.
   std::function<void(std::uint64_t seed, const EpisodeResult& episode,
                      const EpisodeTrace& trace)>
       trace_tap;

@@ -3,6 +3,7 @@
 // admission/shedding, and determinism.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "net/edge_cluster.hpp"
@@ -63,6 +64,12 @@ TEST(EdgeCluster, RejectsBadConfig) {
   params = small_cluster();
   params.server.service_time_s = 0.0;
   EXPECT_THROW(EdgeCluster cluster(params), ContractViolation);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    params = small_cluster();
+    params.server.service_time_s = bad;
+    EXPECT_THROW(EdgeCluster cluster(params), ContractViolation);
+  }
   params = small_cluster();
   params.server.parallelism = 0;
   EXPECT_THROW(EdgeCluster cluster(params), ContractViolation);

@@ -1,13 +1,20 @@
 // Fleet-experiment tests: golden fingerprints for the fleet-cluster rigs
-// bit-identical across thread counts, the fleet smoke grid's pinned report,
-// per-vehicle and trace bytes, replay sensitivity to the cluster knobs, and
-// the batch-window / stagger edge cases.
+// bit-identical across thread counts (and across the order in which rounds
+// finish and replay), the fleet smoke grid's pinned report, per-vehicle and
+// trace bytes, replay sensitivity to the cluster knobs, the batch-window /
+// stagger edge cases, and failures crossing the fan-out.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <limits>
+#include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/fingerprint.hpp"
 #include "sim/fleet_experiment.hpp"
@@ -99,6 +106,49 @@ TEST(FleetGolden, FingerprintsBitIdenticalAcrossThreadCounts) {
     EXPECT_GT(serial.offloads, 0u) << name;
     EXPECT_GT(serial.batches, 0u) << name;
     EXPECT_GT(serial.cluster_requests, serial.offloads) << name;  // + probes
+  }
+}
+
+TEST(FleetGolden, ReplayOrderCannotMoveBytes) {
+  // 5 rounds of 3 vehicles.  The tap stalls round 0's last slot, so with
+  // several runners later rounds finish (and replay) first; the fold must
+  // still read them in round order.
+  for (const char* name : {"fleet_cluster", "fleet_cluster_saturated"}) {
+    std::string reference_csv;
+    std::vector<std::uint64_t> reference_bits;
+    for (const int threads : {1, 2, 3, 0}) {
+      FleetExperimentConfig config;
+      config.scenario = shortened(make_scenario(name));
+      ASSERT_EQ(config.scenario.fleet.vehicles, 3);
+      config.rounds = 5;
+      config.base_seed = 4242;
+      config.threads = threads;
+      std::mutex mutex;
+      std::vector<int> taps(15, 0);
+      config.trace_tap = [&](std::uint64_t seed, const EpisodeResult&,
+                             const EpisodeTrace&) {
+        const std::uint64_t slot = seed - config.base_seed;
+        if (slot == 2)
+          std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        const std::lock_guard<std::mutex> lock(mutex);
+        ++taps.at(slot);
+      };
+      const FleetResult r = run_fleet_experiment(config);
+      EXPECT_EQ(taps, std::vector<int>(15, 1))
+          << name << " threads=" << threads;
+      std::vector<std::uint64_t> bits;
+      for (const double v : fleet_metrics(r))
+        bits.push_back(std::bit_cast<std::uint64_t>(v));
+      if (threads == 1) {
+        reference_csv = fleet_vehicle_csv(r);
+        reference_bits = bits;
+        EXPECT_GT(r.offloads(), 0u) << name;
+      } else {
+        EXPECT_EQ(fleet_vehicle_csv(r), reference_csv)
+            << name << " threads=" << threads;
+        EXPECT_EQ(bits, reference_bits) << name << " threads=" << threads;
+      }
+    }
   }
 }
 
@@ -265,16 +315,56 @@ TEST(Fleet, ContentionStretchesUplinksMonotonically) {
 }
 
 TEST(Fleet, RejectsBadConfig) {
-  FleetExperimentConfig config;
-  config.scenario = shortened(make_scenario("fleet_cluster"));
+  FleetExperimentConfig good;
+  good.scenario = shortened(make_scenario("fleet_cluster"));
+  FleetExperimentConfig config = good;
   config.scenario.fleet.vehicles = 0;
   EXPECT_THROW(run_fleet_experiment(config), ContractViolation);
-  config.scenario.fleet.vehicles = 2;
+  config = good;
   config.rounds = 0;
   EXPECT_THROW(run_fleet_experiment(config), ContractViolation);
-  config.rounds = 1;
+  config = good;
   config.scenario.fleet.contention_alpha = -0.5;
   EXPECT_THROW(run_fleet_experiment(config), ContractViolation);
+  // Non-finite replay settings fail before any episode runs.
+  int episodes = 0;
+  good.trace_tap = [&episodes](std::uint64_t, const EpisodeResult&,
+                               const EpisodeTrace&) { ++episodes; };
+  const double inf = std::numeric_limits<double>::infinity();
+  config = good;
+  config.scenario.fleet.contention_alpha = inf;
+  EXPECT_THROW(run_fleet_experiment(config), ContractViolation);
+  config = good;
+  config.scenario.fleet.stagger_s = inf;
+  EXPECT_THROW(run_fleet_experiment(config), ContractViolation);
+  config = good;
+  config.scenario.cluster.server.service_time_s = inf;
+  EXPECT_THROW(run_fleet_experiment(config), ContractViolation);
+  EXPECT_EQ(episodes, 0);
+}
+
+TEST(Fleet, TapFailurePropagatesWithoutHang) {
+  // The tap throws on one slot of a 5-round, 3-vehicle run: the first
+  // slot, a middle slot, and the last slot of round 1, whose countdown then
+  // never reaches zero.  The run must rethrow that exception, not hang.
+  struct TapFailure : std::runtime_error {
+    using std::runtime_error::runtime_error;
+  };
+  for (const int threads : {1, 3}) {
+    for (const std::uint64_t failing : {0u, 7u, 5u}) {
+      FleetExperimentConfig config;
+      config.scenario = shortened(make_scenario("fleet_cluster"));
+      config.rounds = 5;
+      config.base_seed = 4242;
+      config.threads = threads;
+      config.trace_tap = [&](std::uint64_t seed, const EpisodeResult&,
+                             const EpisodeTrace&) {
+        if (seed - config.base_seed == failing) throw TapFailure("tap");
+      };
+      EXPECT_THROW(run_fleet_experiment(config), TapFailure)
+          << "threads=" << threads << " slot=" << failing;
+    }
+  }
 }
 
 // --- Reports ----------------------------------------------------------------

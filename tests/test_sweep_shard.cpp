@@ -621,6 +621,10 @@ TEST(SweepCli, RejectsOutOfRangeAndMismatchedFlags) {
       {"--smoke", "--set", "seed=5"},
       {"--smoke", "--rounds", "1", "--axis", "seed=1,2"},
       {"--smoke", "--rounds", "1", "--set", "seed=5"},
+      // An infinite service time wrote `-nan` into the report and exited 0.
+      {"--scenarios", "fleet_cluster", "--rounds", "1", "--set",
+       "road_length=45", "--set", "max_episode_s=12", "--set",
+       "cluster.service_ms=inf"},
   };
   for (const auto& args : cases) {
     const std::string cmd =

@@ -28,8 +28,9 @@ Scaling gate: besides absolute regressions, the gate asserts that episode
 throughput actually scales — the threads:8 variants of the threaded
 benchmarks must run in at most a fixed fraction of their threads:1 real
 time (default: 0.6x for BM_SweepThreads, the sweep engine's in-process
-grid runners, and 0.75x for BM_DeadlineTableBuild), and the distributed
-sweep's workers:4 arm must run in at most 0.6x of workers:1
+grid runners; 0.6x for BM_FleetThreads, one fleet point's episode runners
+and per-round cluster replays; 0.75x for BM_DeadlineTableBuild), and the
+distributed sweep's workers:4 arm must run in at most 0.6x of workers:1
 (BM_SweepWorkers, which carries a /real_time name suffix from
 UseRealTime).  The ratio is taken WITHIN the fresh file, so it is
 machine-independent; it is only meaningful on a multicore host, so the
@@ -64,6 +65,7 @@ DEFAULT_NAMES = [
 # (parallel benchmark, serial benchmark, max allowed real_time ratio).
 DEFAULT_SCALING = [
     ("BM_SweepThreads/threads:8", "BM_SweepThreads/threads:1", 0.60),
+    ("BM_FleetThreads/threads:8", "BM_FleetThreads/threads:1", 0.60),
     ("BM_DeadlineTableBuild/threads:8", "BM_DeadlineTableBuild/threads:1",
      0.75),
     ("BM_SweepWorkers/workers:4/real_time",
