@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -192,9 +193,8 @@ SweepPlan plan_sweep(const SweepConfig& config) {
   }
 
   // The stream header's run digest: every point's table digest mixed in
-  // grid order — the canonical identity the distributed sweep shards and
-  // merges on.  Always over the full grid, so a 1-of-N shard carries the
-  // whole run's identity and cannot merge with a shard of a different run.
+  // grid order — the run's canonical identity, which the `--workers` hello
+  // also checks so a child that planned another grid is refused.
   FingerprintHasher hasher;
   for (const std::uint64_t digest : plan.digests) hasher.mix(digest);
   plan.run_digest = hasher.digest();
@@ -209,25 +209,6 @@ std::vector<std::size_t> SweepPlan::schedule() const {
     out.push_back(i);
   }
   return out;
-}
-
-std::vector<std::size_t> SweepPlan::shard_points(std::size_t shard,
-                                                 std::size_t shards) const {
-  SEO_EXPECT(shards >= 1);
-  SEO_EXPECT(shard < shards);
-  // Ceil-division chunking over the digest-grouped schedule: hosts cannot
-  // pull from a shared cursor, so each takes a fixed contiguous slice and
-  // every geometry class stays whole within one shard (up to the boundary
-  // points).
-  const std::size_t n = order.size();
-  const std::size_t grain = (n + shards - 1) / shards;
-  const std::size_t lo = std::min(shard * grain, n);
-  const std::size_t hi = std::min(lo + grain, n);
-  std::vector<std::size_t> owned;
-  owned.reserve(hi - lo);
-  for (std::size_t s = lo; s < hi; ++s) owned.push_back(order[s].second);
-  std::sort(owned.begin(), owned.end());
-  return owned;
 }
 
 std::size_t sweep_runners(const SweepConfig& config, std::size_t points) {
@@ -327,8 +308,8 @@ void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
                           const std::vector<std::size_t>& owned,
                           bool want_trace, const SweepEmit& emit) {
   SEO_EXPECT(std::is_sorted(owned.begin(), owned.end()));
-  // Restrict the schedule to the owned set, preserving its order — an
-  // unsharded run (owned = everything) claims exactly plan.schedule().
+  // Restrict the schedule to the owned set, preserving its order — a full
+  // run (owned = everything) claims exactly plan.schedule().
   std::vector<std::size_t> exec;
   exec.reserve(owned.size());
   for (const std::size_t i : plan.schedule())
@@ -342,33 +323,22 @@ void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
       emit);
 }
 
-std::vector<SweepRow> run_sweep_shard(const SweepConfig& config,
-                                      std::size_t shard, std::size_t shards,
-                                      OrderedTraceSink* trace_sink) {
-  const SweepPlan plan = plan_sweep(config);
-  const std::vector<std::size_t> owned = plan.shard_points(shard, shards);
-  if (trace_sink != nullptr) trace_sink->set_run_digest(plan.run_digest);
-  std::vector<SweepRow> rows(owned.size());
-  execute_sweep_points(
-      config, plan, owned, trace_sink != nullptr,
-      [&](std::size_t index, SweepRow&& row, std::string&& block,
-          std::uint64_t episodes) {
-        // Local rank = the point's position among the owned indices.  For
-        // the unsharded case that is the grid index itself; for a shard it
-        // yields dense sink sequences whose flush order is ascending grid
-        // index — the sorted-stream property trace-merge requires.
-        const auto it = std::lower_bound(owned.begin(), owned.end(), index);
-        const auto local = static_cast<std::size_t>(it - owned.begin());
-        rows[local] = std::move(row);
-        if (trace_sink != nullptr)
-          trace_sink->commit(local, std::move(block), episodes);
-      });
-  return rows;
-}
-
 std::vector<SweepRow> run_sweep(const SweepConfig& config,
                                 OrderedTraceSink* trace_sink) {
-  return run_sweep_shard(config, 0, 1, trace_sink);
+  const SweepPlan plan = plan_sweep(config);
+  if (trace_sink != nullptr) trace_sink->set_run_digest(plan.run_digest);
+  std::vector<SweepRow> rows(plan.points.size());
+  std::vector<std::size_t> all(rows.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  execute_sweep_points(
+      config, plan, all, trace_sink != nullptr,
+      [&](std::size_t index, SweepRow&& row, std::string&& block,
+          std::uint64_t episodes) {
+        rows[index] = std::move(row);
+        if (trace_sink != nullptr)
+          trace_sink->commit(index, std::move(block), episodes);
+      });
+  return rows;
 }
 
 }  // namespace seo

@@ -1,7 +1,7 @@
 // Parameter-grid sweep engine — systematic exploration of the scenario
 // space the paper samples only pointwise.  A sweep is (library scenarios) x
 // (axes over scenario_io keys), expanded cartesian or paired, with every
-// grid point running a full run_experiment shard — or, for a fleet sweep
+// grid point running a full run_experiment — or, for a fleet sweep
 // (SweepConfig::rounds >= 1), a run_fleet_experiment.  Runners on the
 // ThreadPool pull points one at a time off a cursor over the digest-aware
 // schedule — points sharing a deadline-table digest are adjacent so each
@@ -11,7 +11,7 @@
 // are merged in grid order and any thread count (and any schedule)
 // reproduces the serial sweep exactly (locked down by tests/test_sweep.cpp
 // byte-identity on the reports).  A SweepConfig is the grid only; a run's
-// trace sink is an argument of run_sweep / run_sweep_shard.
+// trace sink is an argument of run_sweep.
 #pragma once
 
 #include <atomic>
@@ -105,10 +105,10 @@ ScenarioConfig resolve_point(const SweepConfig& config,
 /// Everything deterministic about a sweep before any episode runs: the
 /// expanded grid, each point's resolved scenario and deadline-table digest,
 /// the digest-grouped execution schedule, and the run digest (every point's
-/// table digest mixed in grid order — the identity shards and trace merges
-/// key on).  A plan is a pure function of the config, so every process
-/// given the same config — the parent, each `--workers` child, a `--shard`
-/// run on another host — computes the identical plan independently.
+/// table digest mixed in grid order — the trace header's run identity, and
+/// what the `--workers` hello checks).  A plan is a pure function of the
+/// config, so every process given the same config — the parent and each
+/// `--workers` child — computes the identical plan independently.
 struct SweepPlan {
   std::vector<SweepPoint> points;        ///< grid order
   std::vector<ScenarioConfig> resolved;  ///< per point (overrides applied)
@@ -123,15 +123,6 @@ struct SweepPlan {
   /// The grid indices in schedule order — the sequence a SweepCursor over
   /// the whole grid hands out.
   std::vector<std::size_t> schedule() const;
-
-  /// The grid indices shard `shard` of `shards` owns in offline multi-host
-  /// mode (`sweep --shard i/N`): its contiguous slice of the schedule (so a
-  /// host keeps whole geometry classes and stays cache-warm), returned
-  /// sorted ascending.  Every index lands in exactly one shard; trailing
-  /// shards may be empty when shards > points.  In-process threads and
-  /// `--workers` processes do not use it: they pull from a cursor.
-  std::vector<std::size_t> shard_points(std::size_t shard,
-                                        std::size_t shards) const;
 };
 
 /// The pull cursor the sweep runners share: hands out a schedule's grid
@@ -184,8 +175,8 @@ std::size_t sweep_runners(const SweepConfig& config, std::size_t points);
 
 /// Starts `runners` runners on the ThreadPool (inline when <= 1), each
 /// pulling points from `next_point` until it is drained and handing every
-/// finished point to `emit`.  The execution core under run_sweep,
-/// run_sweep_shard and the `--workers` pipe workers — one body, so every
+/// finished point to `emit`.  The execution core under run_sweep and the
+/// `--workers` pipe workers — one body, so every
 /// mode computes bit-identical rows and trace bytes whoever runs which
 /// point.  Trace blocks are produced iff `want_trace`; the caller routes
 /// them.
@@ -208,17 +199,6 @@ void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
 /// thread count); the caller finishes it after run_sweep returns.
 std::vector<SweepRow> run_sweep(const SweepConfig& config,
                                 OrderedTraceSink* trace_sink = nullptr);
-
-/// Runs shard `shard` of `shards` (the plan's slice for that shard) and
-/// returns its rows ordered by ascending grid index.  With a trace sink,
-/// blocks commit under local dense sequence numbers (the point's rank
-/// within the shard), so the shard's stream is itself a valid seo-trace
-/// stream sorted by grid-point index with the full run's run_digest in the
-/// header — exactly what trace-merge k-way-merges back into the unsharded
-/// byte stream.  shard=0, shards=1 is run_sweep.
-std::vector<SweepRow> run_sweep_shard(const SweepConfig& config,
-                                      std::size_t shard, std::size_t shards,
-                                      OrderedTraceSink* trace_sink = nullptr);
 
 /// The CI smoke grid: 4 library scenarios x (2 channel scales x 2 deadline
 /// caps) on a shortened route — 16 points that finish in seconds.  Shared

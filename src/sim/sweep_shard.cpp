@@ -198,6 +198,23 @@ void close_fd(int& fd) {
   fd = -1;
 }
 
+/// A worker whose channel closed before its done frame has exited (or is
+/// exiting): reap it.  Status 2 is a configuration error the worker hit
+/// while running a point and already reported on the shared stderr, so the
+/// sweep fails as that configuration error (exit 2); any other death is the
+/// `crash` error.
+[[noreturn]] void throw_worker_died(WorkerProc& w, const std::string& crash) {
+  int status = 0;
+  if (::waitpid(w.pid, &status, 0) == w.pid) {
+    w.pid = -1;
+    if (WIFEXITED(status) && WEXITSTATUS(status) == 2)
+      throw ContractViolation(w.name +
+                              " rejected the sweep configuration (exit 2; "
+                              "its error is printed above)");
+  }
+  throw std::runtime_error(crash);
+}
+
 /// Writes assign frames to a worker.  send(MSG_NOSIGNAL) on the socket
 /// channel turns a worker that already exited into EPIPE — reported as the
 /// crash it is — instead of a SIGPIPE that would kill the parent.
@@ -209,9 +226,9 @@ void send_assigns(WorkerProc& w, const std::string& bytes) {
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EPIPE || errno == ECONNRESET)
-        throw std::runtime_error(
-            w.name + " closed its assign channel — the worker crashed "
-                     "mid-sweep");
+        throw_worker_died(w, w.name +
+                                 " closed its assign channel — the worker "
+                                 "crashed mid-sweep");
       throw_errno("assigning points to " + w.name + " failed");
     }
     data += n;
@@ -396,7 +413,7 @@ SweepWorkersResult run_sweep_workers(
                                      " sent no trace block while tracing "
                                      "is enabled");
           // Global grid index as the sink sequence: the ordered flush
-          // reproduces the unsharded stream whatever order workers finish.
+          // reproduces the in-process stream whatever order workers finish.
           trace_sink->commit(index, std::move(block), episodes);
         }
         hand_out(w, slot, 1);  // its runner is free again
@@ -458,9 +475,9 @@ SweepWorkersResult run_sweep_workers(
         // EOF is only legal after a complete done frame: anything else is
         // a crashed or truncated worker and must fail the whole sweep.
         if (!w.done)
-          throw std::runtime_error(
-              w.name + " closed its pipe before its done frame — the "
-                       "worker crashed mid-shard");
+          throw_worker_died(w, w.name +
+                                   " closed its pipe before its done frame "
+                                   "— the worker crashed mid-sweep");
         if (!w.frames.idle())
           throw std::runtime_error(
               w.name + " left " + std::to_string(w.frames.buffered()) +

@@ -74,7 +74,7 @@ int run_sweep_worker(const SweepConfig& config, bool want_trace, int in_fd,
 
 /// What the parent assembled from a worker farm.
 struct SweepWorkersResult {
-  /// Per grid point, in grid order: the shard's sweep_metrics values,
+  /// Per grid point, in grid order: the point's sweep_metrics values,
   /// bit-exact as the worker computed them.
   std::vector<std::vector<double>> metrics;
   /// Table-store stats summed across every worker — the farm-wide view
@@ -91,12 +91,15 @@ struct SweepWorkersResult {
 /// schedule order as the worker's runners free up, and merges the frame streams (`config` picks
 /// the per-point metric count they carry) — metrics into grid-order
 /// slots, trace blocks into `trace_sink` under global grid indices (the
-/// sink's ordered flush then reproduces the unsharded stream
+/// sink's ordered flush then reproduces the in-process stream
 /// byte-for-byte).  Validates every hello against `plan`, requires every
 /// point back exactly once from the worker it was assigned to, and throws
 /// std::runtime_error on a worker crash (EOF before done, mid-frame
 /// truncation, a closed assign channel, nonzero exit) — a dead worker is
-/// loud, never a silent hole or a SIGPIPE.
+/// loud, never a silent hole or a SIGPIPE.  A worker that closed its
+/// channels by exiting 2 (a configuration error raised while it ran a
+/// point) throws ContractViolation instead, so the farm fails with the
+/// exit code an in-process run gives.
 SweepWorkersResult run_sweep_workers(
     const SweepConfig& config, const SweepPlan& plan, const std::string& exe,
     const std::vector<std::string>& worker_args, std::size_t workers,

@@ -1,14 +1,11 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 
 #include "core/binary_io.hpp"
-#include "core/fingerprint.hpp"
 #include "util/expect.hpp"
 #include "util/numeric.hpp"
 
@@ -481,89 +478,6 @@ bool TraceStreamReader::next(TraceRecord& record) {
 }
 
 // ---------------------------------------------------------------------------
-// merge_trace_streams
-// ---------------------------------------------------------------------------
-
-void merge_trace_streams(const std::vector<std::istream*>& inputs,
-                         std::ostream& out) {
-  SEO_EXPECT(!inputs.empty());
-  // One validating reader per input, tee'd into a private buffer: every
-  // episode is fully decoded and checked, and the tee captures its exact
-  // wire bytes so the merge re-emits them untouched — re-encoding could
-  // never drift, because there is none.
-  struct Source {
-    std::ostringstream tee;
-    TraceStreamReader reader;
-    std::uint32_t point = 0;  ///< grid index of the buffered episode
-    std::string bytes;        ///< the buffered episode's wire bytes
-    bool live = false;        ///< false once the stream-end is verified
-
-    explicit Source(std::istream& in) : reader(in, &tee) {
-      tee.str(std::string());  // the merge writes its own header
-    }
-
-    void advance() {
-      TraceRecord record;
-      live = reader.next(record);
-      if (!live) return;
-      // The reader enforces nesting, so a fresh episode always opens with
-      // episode-begin and a stream that ends mid-episode throws.
-      SEO_ASSERT(record.type == TraceRecord::Type::kEpisodeBegin);
-      point = record.episode.point_index;
-      while (reader.next(record))
-        if (record.type == TraceRecord::Type::kEpisodeEnd) break;
-      bytes = tee.str();
-      tee.str(std::string());
-    }
-  };
-
-  std::deque<Source> sources;  // a deque: the readers must not move
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    Source& src = sources.emplace_back(*inputs[i]);
-    const std::uint64_t digest = src.reader.run_digest();
-    if (digest != sources.front().reader.run_digest())
-      throw ContractViolation(
-          "trace-merge: input " + std::to_string(i) + " has run_digest " +
-          fingerprint_hex(digest) + " but input 0 has " +
-          fingerprint_hex(sources.front().reader.run_digest()) +
-          " — shards of different runs cannot merge");
-    src.advance();
-  }
-
-  write_header(out, sources.front().reader.run_digest());
-
-  // Streaming k-way merge on the grid-point index.  Each input is already
-  // ascending (the order --shard writes), so the head episodes alone
-  // determine the global order; one episode is buffered per input.
-  std::uint64_t episodes = 0;
-  while (true) {
-    Source* best = nullptr;
-    for (Source& src : sources) {
-      if (!src.live) continue;
-      if (best == nullptr || src.point < best->point) {
-        best = &src;
-      } else if (src.point == best->point) {
-        throw ContractViolation(
-            "trace-merge: grid point " + std::to_string(src.point) +
-            " appears in more than one input — overlapping shards");
-      }
-    }
-    if (best == nullptr) break;
-    put(out, best->bytes);
-    ++episodes;
-    const std::uint32_t prev = best->point;
-    best->advance();
-    if (best->live && best->point < prev)
-      throw ContractViolation(
-          "trace-merge: input episodes out of grid order (point " +
-          std::to_string(best->point) + " after " + std::to_string(prev) +
-          ") — not a --shard-produced stream");
-  }
-
-  write_stream_end(out, episodes);
-}
-
-// ---------------------------------------------------------------------------
 // OrderedTraceSink
 // ---------------------------------------------------------------------------
 
@@ -588,7 +502,7 @@ void OrderedTraceSink::commit(std::uint64_t seq, std::string block,
   write_header_locked();
   pending_.emplace(seq, std::make_pair(std::move(block), episodes));
   // Drain the contiguous prefix: blocks land on the wire strictly in
-  // sequence order no matter which shard finished first.
+  // sequence order no matter which grid point finished first.
   while (true) {
     const auto it = pending_.find(next_seq_);
     if (it == pending_.end()) break;

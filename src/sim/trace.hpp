@@ -28,8 +28,8 @@
 // checksums are src/core/fingerprint's canonical FNV-1a, so a digest
 // mismatch means corruption, never platform drift.  `run_digest`
 // carries the scenario/table digest identity of the producing run (the
-// grid's scenario_table_digest values mixed in grid order) — the wire
-// handle a future distributed sweep shards and merges on.
+// grid's scenario_table_digest values mixed in grid order), so a reader
+// can tell streams of different grids apart.
 #pragma once
 
 #include <cstdint>
@@ -273,28 +273,11 @@ class TraceStreamReader {
 };
 
 /// Serializes one full episode (begin/samples/offloads/end) into `block`,
-/// in exactly the bytes TraceStreamWriter would emit.  Shards serialize
-/// into private blocks and commit them to an OrderedTraceSink.
+/// in exactly the bytes TraceStreamWriter would emit.  Grid points
+/// serialize into private blocks and commit them to an OrderedTraceSink.
 void append_trace_episode(std::string& block, const TraceEpisodeInfo& info,
                           const TraceEpisodeSummary& summary,
                           const EpisodeTrace& trace);
-
-/// Deterministically k-way-merges shard trace streams into one stream on
-/// `out` that is byte-identical to the unsharded run's: the header carries
-/// the common run_digest, episodes are emitted in ascending grid-point
-/// order (each point's episodes stay in their shard's order), and the
-/// stream-end counts the union.  Every input must already be ascending by
-/// point index — the order `sweep --shard i/N --trace-out` writes.  Each
-/// input is read by a TraceStreamReader tee'd into a one-episode buffer,
-/// so every episode is fully validated (checksums, nesting, counts, the
-/// terminal stream-end) and re-emitted as its exact wire bytes; a shard
-/// file that lost its tail is rejected, never half-merged.  Throws
-/// ContractViolation when inputs disagree on run_digest (different grids
-/// cannot merge), when a point index appears in more than one input, or
-/// when an input is not sorted; TraceStreamError surfaces unchanged from a
-/// damaged input.
-void merge_trace_streams(const std::vector<std::istream*>& inputs,
-                         std::ostream& out);
 
 /// Thread-safe ordered merge of episode blocks onto one stream — how a
 /// parallel sweep/fleet writes a deterministic trace.  Producers serialize
@@ -305,7 +288,7 @@ void merge_trace_streams(const std::vector<std::istream*>& inputs,
 /// identical for every thread count and schedule, the property the golden
 /// trace-export tests pin.  Out-of-order completions are buffered until their turn, so peak
 /// memory is bounded by the scheduler's reordering window (at worst the
-/// in-flight shard count times one block), never by the run length.
+/// in-flight point count times one block), never by the run length.
 class OrderedTraceSink {
  public:
   explicit OrderedTraceSink(std::ostream& out) : out_(&out) {}
@@ -320,7 +303,7 @@ class OrderedTraceSink {
   void commit(std::uint64_t seq, std::string block, std::uint64_t episodes);
 
   /// Writes the stream-end record and flushes.  Throws ContractViolation
-  /// if committed sequence numbers left a gap (a shard never committed).
+  /// if committed sequence numbers left a gap (a grid point never committed).
   void finish();
 
   std::uint64_t episodes_written() const;

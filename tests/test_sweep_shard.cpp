@@ -1,8 +1,8 @@
-// Distributed-sweep tests: the shard planner's partition algebra, the
-// pipe frame discipline, shard execution / trace merge byte-identity
-// against the unsharded run, the worker side of the assign protocol, and
-// the worker-farm failure taxonomy (a dead, stale or babbling worker must
-// fail the sweep loudly, never leave a silent hole or kill the parent).
+// Multi-process sweep tests: the plan's run identity, the pipe frame
+// discipline, the worker side of the assign protocol, and the worker-farm
+// failure taxonomy (a dead, stale or babbling worker must fail the sweep
+// loudly, never leave a silent hole or kill the parent; a worker that
+// exits 2 on a configuration error fails it as that error).
 // The end-to-end `sweep --workers N` byte-identity matrix (experiment and
 // fleet grids), the farm's size cap and the CLI's usage errors drive the
 // real CLI binary when CMake baked its path in (SEO_SWEEP_TOOL).
@@ -18,7 +18,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -91,45 +90,7 @@ std::vector<std::string> tiny_fleet_sweep_args() {
   return args;
 }
 
-// --- Shard planner ----------------------------------------------------------
-
-TEST(SweepPlan, ShardPointsPartitionTheGrid) {
-  const SweepPlan plan = plan_sweep(smoke_sweep());
-  const std::size_t n = plan.points.size();
-  ASSERT_GE(n, 12u);
-  for (const std::size_t shards : {1u, 2u, 3u, 5u, 16u, 32u}) {
-    std::vector<std::size_t> all;
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      const auto owned = plan.shard_points(shard, shards);
-      EXPECT_TRUE(std::is_sorted(owned.begin(), owned.end()))
-          << "shard " << shard << "/" << shards << " not ascending";
-      all.insert(all.end(), owned.begin(), owned.end());
-    }
-    // Every grid index in exactly one shard — no holes, no overlap.
-    std::sort(all.begin(), all.end());
-    ASSERT_EQ(all.size(), n) << "shards=" << shards;
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(all[i], i) << "shards=" << shards;
-  }
-}
-
-TEST(SweepPlan, ShardsAreContiguousSlicesOfTheSchedule) {
-  // A shard owns a contiguous run of the digest-grouped schedule, so whole
-  // geometry classes stay together and each worker's table cache is warm.
-  const SweepPlan plan = plan_sweep(smoke_sweep());
-  const std::size_t n = plan.order.size();
-  const std::size_t shards = 3;
-  const std::size_t grain = (n + shards - 1) / shards;
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    const std::size_t lo = std::min(n, shard * grain);
-    const std::size_t hi = std::min(n, lo + grain);
-    std::vector<std::size_t> expected;
-    for (std::size_t at = lo; at < hi; ++at)
-      expected.push_back(plan.order[at].second);
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(plan.shard_points(shard, shards), expected);
-  }
-}
+// --- Planner ----------------------------------------------------------------
 
 TEST(SweepPlan, PlanIsAPureFunctionOfTheConfig) {
   const SweepPlan a = plan_sweep(tiny_sweep());
@@ -199,97 +160,6 @@ TEST(FrameAssembler, RejectsRunawayLengthFields) {
   std::uint8_t type = 0;
   std::string payload;
   EXPECT_THROW(frames.next(type, payload), BinaryIoError);
-}
-
-// --- Shard execution and trace merge ----------------------------------------
-
-// A rendered sweep report, as `write_sweep_report` writes it.
-std::string report(const std::string& format, const SweepConfig& config,
-                   const std::vector<SweepRow>& rows) {
-  std::ostringstream out;
-  write_sweep_report(out, format, config, rows);
-  return out.str();
-}
-
-TEST(SweepShard, ShardRowsReassembleTheUnshardedReport) {
-  const SweepConfig config = tiny_sweep();
-  const std::vector<SweepRow> whole = run_sweep(config);
-
-  std::vector<SweepRow> merged;
-  for (std::size_t shard = 0; shard < 2; ++shard)
-    for (SweepRow& row : run_sweep_shard(config, shard, 2))
-      merged.push_back(std::move(row));
-  std::sort(merged.begin(), merged.end(),
-            [](const SweepRow& a, const SweepRow& b) {
-              return a.point.index < b.point.index;
-            });
-
-  ASSERT_EQ(merged.size(), whole.size());
-  EXPECT_EQ(report("csv", config, merged), report("csv", config, whole));
-  EXPECT_EQ(report("json", config, merged), report("json", config, whole));
-}
-
-// Runs `config` (optionally one shard of it) with a trace sink attached
-// and returns the stream bytes.
-std::string traced_run(const SweepConfig& config, std::size_t shard,
-                       std::size_t shards) {
-  std::ostringstream out;
-  OrderedTraceSink sink(out);
-  (void)run_sweep_shard(config, shard, shards, &sink);
-  sink.finish();
-  return out.str();
-}
-
-TEST(SweepShard, MergedShardTracesAreByteIdenticalToUnsharded) {
-  const SweepConfig config = tiny_sweep();
-  const std::string whole = traced_run(config, 0, 1);
-  const std::string shard0 = traced_run(config, 0, 2);
-  const std::string shard1 = traced_run(config, 1, 2);
-  ASSERT_FALSE(whole.empty());
-
-  // Each shard stream is a valid seo-trace sorted by grid point, carrying
-  // the *run's* digest (not a shard-local one) — the merge key.
-  std::istringstream scan0(shard0);
-  TraceStreamReader reader(scan0);
-  TraceRecord record;
-  std::vector<std::uint32_t> points;  // one entry per episode
-  while (reader.next(record))
-    if (record.type == TraceRecord::Type::kEpisodeBegin)
-      points.push_back(record.episode.point_index);
-  const SweepPlan plan = plan_sweep(config);
-  EXPECT_EQ(reader.run_digest(), plan.run_digest);
-  EXPECT_TRUE(std::is_sorted(points.begin(), points.end()));
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-  const auto owned = plan.shard_points(0, 2);
-  EXPECT_EQ(points, std::vector<std::uint32_t>(owned.begin(), owned.end()));
-
-  // Order must not matter to the merge result.
-  for (const bool swap : {false, true}) {
-    std::istringstream a(swap ? shard1 : shard0);
-    std::istringstream b(swap ? shard0 : shard1);
-    std::ostringstream merged;
-    merge_trace_streams({&a, &b}, merged);
-    EXPECT_EQ(merged.str(), whole) << "swap=" << swap;
-  }
-}
-
-TEST(SweepShard, MergeRejectsOverlappingShards) {
-  const std::string shard0 = traced_run(tiny_sweep(), 0, 2);
-  std::istringstream a(shard0);
-  std::istringstream b(shard0);
-  std::ostringstream merged;
-  EXPECT_THROW(merge_trace_streams({&a, &b}, merged), ContractViolation);
-}
-
-TEST(SweepShard, MergeRejectsShardsOfDifferentRuns) {
-  SweepConfig other = tiny_sweep();
-  other.axes[0].values = {"8", "12"};
-  const std::string ours = traced_run(tiny_sweep(), 0, 2);
-  const std::string theirs = traced_run(other, 1, 2);
-  std::istringstream a(ours);
-  std::istringstream b(theirs);
-  std::ostringstream merged;
-  EXPECT_THROW(merge_trace_streams({&a, &b}, merged), ContractViolation);
 }
 
 // --- Worker side of the assign protocol -------------------------------------
@@ -437,11 +307,22 @@ TEST(SweepWorkers, WorkerExitingAfterHelloIsALoudCrashNotSigpipe) {
 
 TEST(SweepWorkers, WorkerDyingBeforeItsDoneFrameFailsTheSweep) {
   // /bin/true exits 0 without ever writing a frame: EOF before the done
-  // frame is the crash signature and must fail the whole sweep.
+  // frame is the crash signature and must fail the whole sweep, as must a
+  // worker that exits 1 or is killed by a signal.
   const SweepPlan plan = plan_sweep(tiny_sweep());
   EXPECT_THROW(
       run_sweep_workers(tiny_sweep(), plan, "/bin/true", {}, 2, nullptr),
       std::runtime_error);
+  for (const char* script : {"exit 1", "kill -9 $$"})
+    EXPECT_THROW(run_sweep_workers(tiny_sweep(), plan, "/bin/sh",
+                                   {"-c", script}, 1, nullptr),
+                 std::runtime_error)
+        << script;
+  // Exit 2 is a configuration error the worker hit running a point and
+  // already printed: the sweep fails as that error, not as a crash.
+  EXPECT_THROW(run_sweep_workers(tiny_sweep(), plan, "/bin/sh",
+                                 {"-c", "exit 2"}, 1, nullptr),
+               ContractViolation);
 }
 
 TEST(SweepWorkers, WorkerWritingGarbageFailsTheSweep) {
@@ -454,6 +335,16 @@ TEST(SweepWorkers, WorkerWritingGarbageFailsTheSweep) {
 
 #ifdef SEO_SWEEP_TOOL
 
+// Runs `config` in process with a trace sink attached and returns the
+// stream bytes.
+std::string traced_run(const SweepConfig& config) {
+  std::ostringstream out;
+  OrderedTraceSink sink(out);
+  (void)run_sweep(config, &sink);
+  sink.finish();
+  return out.str();
+}
+
 TEST(SweepWorkers, FarmMatchesInProcessRunBitForBit) {
   // The experiment grid sends 18 metrics per point over the wire, the
   // fleet grid 23.
@@ -463,7 +354,7 @@ TEST(SweepWorkers, FarmMatchesInProcessRunBitForBit) {
   for (const auto& [config, args] : grids) {
     const SweepPlan plan = plan_sweep(config);
     const std::vector<SweepRow> rows = run_sweep(config);
-    const std::string whole = traced_run(config, 0, 1);
+    const std::string whole = traced_run(config);
 
     std::vector<std::string> worker_args = args;
     worker_args.insert(worker_args.end(), {"--threads", "1"});
@@ -552,9 +443,9 @@ TEST(SweepWorkers, FarmIsCappedAtThePointCount) {
       << stderr_text;
 }
 
-// Out-of-range integers and flag combinations that mix the point kinds
-// are usage errors, and a negative fleet size a configuration error: all
-// exit 2, before any episode runs.
+// Out-of-range integers, unknown flags and flag combinations that mix the
+// point kinds are usage errors, and hostile scenario values configuration
+// errors: all exit 2, in process and under --workers.
 TEST(SweepCli, RejectsOutOfRangeAndMismatchedFlags) {
   const std::string vehicles = ::testing::TempDir() + "/sweep_vehicles.csv";
   const std::vector<std::vector<std::string>> cases = {
@@ -574,8 +465,8 @@ TEST(SweepCli, RejectsOutOfRangeAndMismatchedFlags) {
       {"--smoke", "--vehicles-output", vehicles},
       {"--smoke", "--rounds", "1", "--vehicles-output", vehicles,
        "--workers", "2"},
-      {"--smoke", "--rounds", "1", "--vehicles-output", vehicles, "--shard",
-       "0/2"},
+      // There is no `--shard` flag.
+      {"--smoke", "--shard", "0/2"},
       {"--smoke", "--rounds", "1", "--set", "fleet.vehicles=-1",
        "--trace-out", "/dev/null"},
       // Contract violations raised inside pool chunks cross the join.
@@ -625,6 +516,16 @@ TEST(SweepCli, RejectsOutOfRangeAndMismatchedFlags) {
       {"--scenarios", "fleet_cluster", "--rounds", "1", "--set",
        "road_length=45", "--set", "max_episode_s=12", "--set",
        "cluster.service_ms=inf"},
+      // Raised while a worker runs a point: the worker exits 2, and so
+      // must the parent.
+      {"--smoke", "--set", "filter_engage_margin=nan", "--workers", "2"},
+      {"--smoke", "--set", "initial_speed=inf", "--workers", "2"},
+      {"--smoke", "--set", "table_threads=-3", "--workers", "2"},
+      {"--smoke", "--rounds", "1", "--set", "fleet.vehicles=0", "--workers",
+       "2"},
+      {"--scenarios", "fleet_cluster", "--rounds", "1", "--set",
+       "road_length=45", "--set", "max_episode_s=12", "--set",
+       "cluster.service_ms=inf", "--workers", "2"},
   };
   for (const auto& args : cases) {
     const std::string cmd =

@@ -23,7 +23,6 @@ const char* const kHistogram = SEO_TRACE_HISTOGRAM_TOOL;
 const char* const kEnergy = SEO_TRACE_ENERGY_TOOL;
 const char* const kAudit = SEO_TRACE_AUDIT_TOOL;
 const char* const kExport = SEO_TRACE_EXPORT_TOOL;
-const char* const kMerge = SEO_TRACE_MERGE_TOOL;
 
 std::string path_in_tmp(const std::string& name) {
   return ::testing::TempDir() + "/trace_tools_" + name;
@@ -257,33 +256,6 @@ TEST(TraceTools, FailedWriteExitsOne) {
     EXPECT_EQ(passthrough.status, 1);
     EXPECT_TRUE(ends_with(passthrough.err, failed)) << passthrough.err;
   }
-}
-
-TEST(TraceTools, MergeKeepsItsMessagesAndExitCodes) {
-  // One input merges to itself; the same input twice overlaps.
-  const std::string merged = path_in_tmp("merged.trace");
-  const ToolRun single = run_tool(kMerge, smoke_trace() + " -o " + merged);
-  EXPECT_EQ(single.status, 0) << single.err;
-  EXPECT_EQ(single.err, "merged 1 shard streams into " + merged + "\n");
-  EXPECT_TRUE(slurp(merged) == slurp(smoke_trace()));
-
-  const ToolRun overlap =
-      run_tool(kMerge, smoke_trace() + " " + smoke_trace() + " -o /dev/null");
-  EXPECT_EQ(overlap.status, 2);
-  EXPECT_NE(overlap.err.find("more than one input"), std::string::npos)
-      << overlap.err;
-
-  const ToolRun foreign =
-      run_tool(kMerge, smoke_trace() + " " + fleet_trace() + " -o /dev/null");
-  EXPECT_EQ(foreign.status, 2);
-  EXPECT_NE(foreign.err.find("shards of different runs cannot merge"),
-            std::string::npos)
-      << foreign.err;
-
-  const ToolRun none = run_tool(kMerge, "");
-  EXPECT_EQ(none.status, 2);
-  EXPECT_EQ(none.err.rfind("trace-merge needs at least one shard file\n", 0),
-            0u);
 }
 
 }  // namespace

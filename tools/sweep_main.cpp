@@ -22,7 +22,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -208,7 +207,7 @@ int usage(int code) {
          "fleet experiment\n"
          "                         of N rounds instead (excludes --episodes,\n"
          "                         --max-attempts and --allow-failures)\n"
-         "  --threads N            grid shards in flight, or with --rounds "
+         "  --threads N            grid points in flight, or with --rounds "
          "each fleet\n"
          "                         point's episodes in flight (1 serial, 0 "
          "all cores;\n"
@@ -220,10 +219,6 @@ int usage(int code) {
          "honors --threads).\n"
          "                         Report and --trace-out bytes are "
          "identical to --workers 1\n"
-         "  --shard i/N            run only shard i of N (multi-host "
-         "mode: one shard per\n"
-         "                         box with --trace-out, recombined "
-         "offline with trace-merge)\n"
          "  --stats                print a thread-pool utilization line "
          "(under --workers:\n"
          "                         the points each worker pulled) to "
@@ -250,8 +245,7 @@ int usage(int code) {
          "  --vehicles-output PATH with --rounds: also write per-vehicle "
          "summaries (one\n"
          "                         '# label' section per grid point; not "
-         "with --workers\n"
-         "                         or --shard)\n"
+         "with --workers)\n"
          "  --smoke                CI preset: 2x2 grid over 4 scenarios on "
          "a short route;\n"
          "                         with --rounds, fleet_cluster x "
@@ -312,10 +306,8 @@ int main(int argc, char** argv) {
   bool user_axes = false;  // the first user --axis replaces preset axes
   bool show_pool_stats = false;
   int workers = 1;
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 0;  // > 0 once --shard i/N was parsed
-  bool shard_pipe = false;      // hidden: binary frames on stdout
-  bool shard_trace = false;     // hidden: embed trace blocks in the frames
+  bool shard_pipe = false;   // hidden: binary frames on stdout
+  bool shard_trace = false;  // hidden: embed trace blocks in the frames
 
   const auto next_arg = [&](int& i) -> std::string {
     if (i + 1 >= argc) {
@@ -392,24 +384,6 @@ int main(int argc, char** argv) {
       config.threads = static_cast<int>(next_int(i, 0, INT_MAX));
     } else if (arg == "--workers") {
       workers = static_cast<int>(next_int(i, 0, INT_MAX));
-    } else if (arg == "--shard") {
-      const std::string spec = next_arg(i);
-      const auto slash = spec.find('/');
-      long long idx = 0, count = 0;
-      const bool ok =
-          slash != std::string::npos &&
-          parse_int(std::string_view(spec).substr(0, slash), 0, LLONG_MAX,
-                    idx) &&
-          parse_int(std::string_view(spec).substr(slash + 1), 1, LLONG_MAX,
-                    count) &&
-          idx < count;
-      if (ok) {
-        shard_index = static_cast<std::size_t>(idx);
-        shard_count = static_cast<std::size_t>(count);
-      } else {
-        std::cerr << "--shard expects i/N with 0 <= i < N\n";
-        return usage(2);
-      }
     } else if (arg == "--shard-pipe") {
       shard_pipe = true;
     } else if (arg == "--shard-trace") {
@@ -445,23 +419,18 @@ int main(int argc, char** argv) {
     return usage(2);
   }
 
-  // Flag interplay for the multi-process modes.
+  // Flag interplay for the multi-process mode.
   const std::size_t worker_count = ThreadPool::resolve_threads(workers);
-  if (!vehicles_output.empty() && (worker_count > 1 || shard_count > 0)) {
+  if (!vehicles_output.empty() && worker_count > 1) {
     std::cerr << "--vehicles-output is written by in-process runs only; it "
-                 "cannot be combined with --workers or --shard\n";
+                 "cannot be combined with --workers\n";
     return usage(2);
   }
-  if (worker_count > 1 && shard_count > 0) {
-    std::cerr << "--workers hands points to its own worker processes; it "
-                 "cannot be combined with --shard\n";
-    return usage(2);
-  }
-  if (shard_pipe && (worker_count > 1 || shard_count > 0 || !output.empty() ||
-                     !trace_out.empty())) {
+  if (shard_pipe &&
+      (worker_count > 1 || !output.empty() || !trace_out.empty())) {
     std::cerr << "--shard-pipe runs the points its parent assigns and "
-                 "streams binary frames on stdout; --workers, --shard, "
-                 "--output and --trace-out do not apply\n";
+                 "streams binary frames on stdout; --workers, --output and "
+                 "--trace-out do not apply\n";
     return usage(2);
   }
 
@@ -532,8 +501,7 @@ int main(int argc, char** argv) {
       seo::write_sweep_report(report, format, config, plan.points,
                               merged.metrics);
     } else {
-      const std::vector<SweepRow> rows = run_sweep_shard(
-          config, shard_index, shard_count > 0 ? shard_count : 1, sink);
+      const std::vector<SweepRow> rows = run_sweep(config, sink);
       points_run = rows.size();
       seo::write_sweep_report(report, format, config, rows);
       if (!vehicles_output.empty()) {
